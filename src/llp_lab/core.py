@@ -269,10 +269,15 @@ def _sample_trusted(
     proportions over one drawn tuple stay linear in the number of claims
     instead of claims times points.  Callers must only pass tuples produced
     by this module's drawing helpers or already held by a validated Sample.
+    The proportion gets Sample's checks, done on its lowest-terms numerator
+    and denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
+    denominator divides m), and p_hat = 0 when the sample is empty.
     """
-    p_hat = Fraction(p_hat)
+    if not isinstance(p_hat, Fraction):
+        p_hat = Fraction(p_hat)
+    num, den = p_hat.numerator, p_hat.denominator
     m = len(points)
-    if not 0 <= p_hat <= 1 or (m > 0 and (p_hat * m).denominator != 1) or (m == 0 and p_hat != 0):
+    if not 0 <= num <= den or m % den or (m == 0 and num):
         raise ValueError(f"p_hat {p_hat} invalid for m={m}")
     sample = object.__new__(Sample)
     object.__setattr__(sample, "points", points)

@@ -33,6 +33,7 @@ __all__ = [
     "LearnerOutcome",
     "improper_learner",
     "gap_learner",
+    "gap_values",
     "erm_proportion_matcher",
     "subset_sum_learner",
     "window_learner",
@@ -77,25 +78,43 @@ def improper_learner(sample: Sample) -> LearnerOutcome:
     return LearnerOutcome(h, sample.p_hat, Fraction(0), {"candidates": 1}, improper=True)
 
 
+def gap_values(
+    desc: ClassDescriptor,
+    dist,
+    ground_set: tuple[int, ...] | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> dict[Fraction, Hypothesis]:
+    """The values `gap_learner` snaps to: achievable true proportion -> witness.
+
+    They depend only on the class and the distribution, so a run of many
+    gap trials over one (desc, dist) builds them once and passes them to
+    every `gap_learner` call.  `ground_set` replaces the class's ground set.
+    """
+    if ground_set is not None:
+        desc = ClassDescriptor(
+            desc.class_id, desc.n, desc.restriction, desc.k, tuple(sorted(ground_set))
+        )
+    return achievable_proportions(desc, dist, budget)
+
+
 def gap_learner(
     desc: ClassDescriptor,
     dist,
     p_hat: Fraction,
     ground_set: tuple[int, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
+    values: dict[Fraction, Hypothesis] | None = None,
 ) -> LearnerOutcome:
     """Snap the revealed fraction to the nearest achievable true proportion.
 
     Works from the known distribution: enumerate the class, collect the
     distinct achievable proportion values, pick the value closest to p_hat
     (ties resolved to the smaller value), and return its encoding-minimal
-    witness.
+    witness.  `values`, when given, is `gap_values(desc, dist, ground_set,
+    budget)` built earlier, and replaces the enumeration.
     """
-    if ground_set is not None:
-        desc = ClassDescriptor(
-            desc.class_id, desc.n, desc.restriction, desc.k, tuple(sorted(ground_set))
-        )
-    values = achievable_proportions(desc, dist, budget)
+    if values is None:
+        values = gap_values(desc, dist, ground_set, budget)
     best_value = min(values, key=lambda v: (abs(v - p_hat), v))
     h = values[best_value]
     return LearnerOutcome(

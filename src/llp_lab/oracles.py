@@ -10,6 +10,7 @@ so equivalence tests can assert exact witness equality.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -98,7 +99,41 @@ def _count_table(
 
 
 def _best_count(table: dict[int, Hypothesis], m: int, claimed: Fraction) -> int:
+    """Reference answer to a claim: the count nearest claimed * m, ties to the smaller.
+
+    Scans the whole table in Fraction arithmetic; `_nearest_count` is the
+    integer bisection the oracle uses, and tests check it against this.
+    """
     return min(table, key=lambda c: (abs(Fraction(c, m) - claimed) if m else Fraction(0), c))
+
+
+def _nearest_count(sorted_counts: list[int], m: int, claimed: Fraction) -> int:
+    """The count `_best_count` picks, found by bisection in integers.
+
+    For a claim p/q the distance of count c is |c*q - p*m| / (m*q), so only
+    the largest count below p*m/q and the smallest at or above it can win;
+    a tie goes to the smaller one.  With m = 0 every distance is 0 and the
+    smallest count wins.
+    """
+    if not m:
+        return sorted_counts[0]
+    p, q = claimed.numerator, claimed.denominator
+    target = p * m
+    i = bisect_left(sorted_counts, -(-target // q))
+    if i == len(sorted_counts):
+        return sorted_counts[-1]
+    above = sorted_counts[i]
+    if i == 0:
+        return above
+    below = sorted_counts[i - 1]
+    return below if target - below * q <= above * q - target else above
+
+
+def _matches(count: int, m: int, claimed: Fraction) -> bool:
+    """count / m == claimed, in integers (an empty sample's proportion is 0)."""
+    if not m:
+        return claimed.numerator == 0
+    return count * claimed.denominator == claimed.numerator * m
 
 
 def brute_llp_oracle(
@@ -117,15 +152,9 @@ def brute_llp_oracle(
     mode a claim that no hypothesis matches exactly returns None instead;
     both behaviors are legitimate for an oracle fed a wrong proportion.
     epsilon and delta are part of the call contract but an exhaustive
-    search has no use for them.
+    search has no use for them.  One call of a fresh `make_brute_oracle`.
     """
-    if mode not in ("arbitrary", "reject"):
-        raise ValueError(f"unknown mode {mode!r}")
-    table = _count_table(desc, sample, budget)
-    best = _best_count(table, sample.m, claimed_p_hat)
-    if mode == "reject" and (Fraction(best, sample.m) if sample.m else Fraction(0)) != claimed_p_hat:
-        return None
-    return table[best]
+    return make_brute_oracle(desc, mode, budget).solve(sample, claimed_p_hat, epsilon, delta)
 
 
 def erm_oracle_sample_size(desc: ClassDescriptor, epsilon, delta) -> int:
@@ -150,24 +179,29 @@ def make_brute_oracle(
 
     The count table depends only on the sample's points, and reduction
     sweeps re-claim many proportions over one drawn tuple, so the latest
-    table is kept and reused while the same points object keeps arriving.
+    table and its sorted counts are kept and reused while the same points
+    object keeps arriving.  Each claim then costs O(log T) integer work,
+    T the number of distinct counts: a bisection for the nearest count and,
+    in "reject" mode, one cross-multiplied equality test.
     """
-    memo: dict[str, object] = {"points": None, "table": None}
+    if mode not in ("arbitrary", "reject"):
+        raise ValueError(f"unknown mode {mode!r}")
+    memo: dict[str, object] = {"points": None, "table": None, "counts": None}
 
     def solve(
         sample: Sample, claimed: Fraction, epsilon: Fraction, delta: Fraction
     ) -> Hypothesis | None:
         if memo["points"] is not sample.points:
-            memo["table"] = _count_table(desc, sample, budget)
-            memo["points"] = sample.points
+            built = _count_table(desc, sample, budget)
+            memo.update(points=sample.points, table=built, counts=sorted(built))
         table: dict[int, Hypothesis] = memo["table"]  # type: ignore[assignment]
-        best = _best_count(table, sample.m, claimed)
-        if mode == "reject" and (Fraction(best, sample.m) if sample.m else Fraction(0)) != claimed:
+        if not isinstance(claimed, Fraction):
+            claimed = Fraction(claimed)
+        best = _nearest_count(memo["counts"], sample.m, claimed)  # type: ignore[arg-type]
+        if mode == "reject" and not _matches(best, sample.m, claimed):
             return None
         return table[best]
 
-    if mode not in ("arbitrary", "reject"):
-        raise ValueError(f"unknown mode {mode!r}")
     return LLPOracle(solve, lambda eps, d: erm_oracle_sample_size(desc, eps, d))
 
 

@@ -321,25 +321,32 @@ def consistency_via_llp(
     Points are drawn with mass proportional to multiplicity, epsilon is
     1/(2 |X|) so a proportion guarantee pins the exact weighted count, and
     each returned hypothesis is accepted only after `hits_exactly` verifies
-    it on the instance itself: acceptances are sound unconditionally.
+    it on the instance itself: acceptances are sound unconditionally.  The
+    oracle is still asked about every claim, but a sweep returns the same
+    few hypotheses over and over, so each distinct response is checked once
+    and its verdict reused.
     """
     X = inst.total
     dist = make_distribution(
         (p, Fraction(a, X)) for p, a in zip(inst.points, inst.mults)
     )
     eps = Fraction(1, 2 * X)
-    m = oracle.sample_size(eps, Fraction(delta))
+    delta = Fraction(delta)
+    m = oracle.sample_size(eps, delta)
     counts = draw_counts(dist, m, derive_seed(seed, "consistency-draw"))
     points = points_from_counts(counts)
+    verdicts: dict[Hypothesis, bool] = {}
     transcript: list[OracleCall] = []
     for j in range(m + 1):
         claim = Fraction(j, m)
         sample = _sample_trusted(points, claim, counts)
-        response = oracle.solve(sample, claim, eps, Fraction(delta))
+        response = oracle.solve(sample, claim, eps, delta)
         if response is None:
             transcript.append(OracleCall(claim, None))
             continue
-        ok = hits_exactly(inst, response)
+        ok = verdicts.get(response)
+        if ok is None:
+            ok = verdicts[response] = hits_exactly(inst, response)
         transcript.append(OracleCall(claim, response, accepted=ok))
         if ok:
             return ConsistencyRun(True, response, m, tuple(transcript))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .core import (
     COUNT_DRAW_MIN,
@@ -54,6 +55,7 @@ __all__ = [
     "llp_success",
     "achievable_proportions",
     "proportion_gap",
+    "smallest_gap",
     "LLPTask",
     "task_to_json",
     "task_from_json",
@@ -196,10 +198,15 @@ def proportion_gap(desc: ClassDescriptor, dist: FiniteDistribution, budget: int 
     Zero when the class realizes fewer than two values (no separation to
     exploit).
     """
-    values = sorted(achievable_proportions(desc, dist, budget))
-    if len(values) < 2:
+    return smallest_gap(achievable_proportions(desc, dist, budget))
+
+
+def smallest_gap(values: Iterable[Fraction]) -> Fraction:
+    """Smallest distance between distinct values, zero for fewer than two."""
+    ordered = sorted(values)
+    if len(ordered) < 2:
         return Fraction(0)
-    return min(b - a for a, b in zip(values, values[1:]))
+    return min(b - a for a, b in zip(ordered, ordered[1:]))
 
 
 @dataclass(frozen=True)

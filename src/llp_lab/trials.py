@@ -50,6 +50,7 @@ from .learners import (
     LearnerOutcome,
     erm_proportion_matcher,
     gap_learner,
+    gap_values,
     halfspace_sweep_learner,
     improper_learner,
     noisy_parity_uniform_learner,
@@ -61,6 +62,7 @@ from .sampling import (
     draw_sample,
     llp_success,
     proportion_gap,
+    smallest_gap,
     true_proportion,
 )
 
@@ -145,12 +147,15 @@ class TrialConfig:
             raise InvalidParams("the noisy distinguisher needs eta and eta_prime")
 
 
-def resolve_m(config: TrialConfig) -> int:
+def resolve_m(config: TrialConfig, values: dict[Fraction, Hypothesis] | None = None) -> int:
     """Sample size per trial, either explicit or computed from a bound.
 
     "uniform-convergence" substitutes the explicit support size for the VC
     dimension when the class has none (finite subsets), since the bound is
     meaningless at d = infinity but the support caps what the class can do.
+    `values`, when given, holds the class's achievable proportions under
+    the distribution (`gap_values`), and the "gap" mode reads its gap from
+    them instead of enumerating the class again.
     """
     if config.m_mode == "explicit":
         assert config.m is not None
@@ -159,7 +164,10 @@ def resolve_m(config: TrialConfig) -> int:
         return hoeffding_sample_size(config.epsilon, config.delta)
     if config.m_mode == "gap":
         assert config.desc is not None
-        beta = proportion_gap(config.desc, config.distribution)
+        if values is None:
+            beta = proportion_gap(config.desc, config.distribution)
+        else:
+            beta = smallest_gap(values)
         return gap_sample_size(beta, config.delta)
     assert config.desc is not None
     d = vc_dimension(config.desc)
@@ -221,13 +229,15 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tu
     return lo, hi
 
 
-def _dispatch(config: TrialConfig, sample, trial_seed: int) -> LearnerOutcome:
+def _dispatch(
+    config: TrialConfig, sample, trial_seed: int, values: dict[Fraction, Hypothesis] | None
+) -> LearnerOutcome:
     if config.learner == "improper":
         return improper_learner(sample)
     if config.learner == "erm":
         return erm_proportion_matcher(config.desc, sample)
     if config.learner == "gap":
-        return gap_learner(config.desc, config.distribution, sample.p_hat)
+        return gap_learner(config.desc, config.distribution, sample.p_hat, values=values)
     if config.learner == "subset_sum":
         return subset_sum_learner(sample)
     if config.learner == "window":
@@ -238,8 +248,14 @@ def _dispatch(config: TrialConfig, sample, trial_seed: int) -> LearnerOutcome:
     raise InvalidParams(f"unknown learner {config.learner!r}")
 
 
-def run_single_trial(config: TrialConfig, m: int, index: int) -> TrialRow:
-    """One seeded trial; any failure becomes an error row, not a crash."""
+def run_single_trial(
+    config: TrialConfig, m: int, index: int, values: dict[Fraction, Hypothesis] | None = None
+) -> TrialRow:
+    """One seeded trial; any failure becomes an error row, not a crash.
+
+    `values` is the gap learner's `gap_values` for the config, when the
+    run has built them once for all its trials.
+    """
     trial_seed = derive_seed(config.seed, "trial", index)
     started = time.perf_counter() if config.record_ms else 0.0
     try:
@@ -266,7 +282,7 @@ def run_single_trial(config: TrialConfig, m: int, index: int) -> TrialRow:
             sample = draw_sample(
                 config.distribution, m, derive_seed(trial_seed, "sample"), target
             )
-            outcome = _dispatch(config, sample, trial_seed)
+            outcome = _dispatch(config, sample, trial_seed, values)
         p_c = true_proportion(target, config.distribution)
         p_h = true_proportion(outcome.hypothesis, config.distribution)
         success = llp_success(outcome.hypothesis, target, config.distribution, config.epsilon)
@@ -285,18 +301,34 @@ def run_trials(config: TrialConfig) -> TrialReport:
 
     LLP_LAB_THREADS > 1 fans trials out to a process pool; results are
     assembled in trial order and each trial's randomness depends only on
-    (master seed, index), so the pool size never shows in the output.
+    (master seed, index), so the pool size never shows in the output.  The
+    gap learner's achievable proportions depend on the config alone, so
+    they are built once here and handed to `resolve_m` and every trial.
     """
-    m = resolve_m(config)
+    values = _shared_gap_values(config)
+    m = resolve_m(config, values)
     resolved = replace(config, m=m, m_mode="explicit")
+    trial = partial(run_single_trial, resolved, m, values=values)
     workers = int(os.environ.get("LLP_LAB_THREADS", "1") or "1")
     indices = range(config.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(partial(run_single_trial, resolved, m), indices))
+            rows = tuple(pool.map(trial, indices))
     else:
-        rows = tuple(run_single_trial(resolved, m, i) for i in indices)
+        rows = tuple(map(trial, indices))
     return TrialReport(resolved, rows)
+
+
+def _shared_gap_values(config: TrialConfig) -> dict[Fraction, Hypothesis] | None:
+    if config.learner != "gap":
+        return None
+    assert config.desc is not None
+    # The build is deterministic, so a failure here recurs where it was met
+    # before: in resolve_m, or in each trial as that trial's error row.
+    try:
+        return gap_values(config.desc, config.distribution)
+    except Exception:  # noqa: BLE001
+        return None
 
 
 # ---------------------------------------------------------------------------

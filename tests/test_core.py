@@ -35,6 +35,7 @@ from llp_lab import (
     uniform_over,
     weight_of,
 )
+from llp_lab.core import _sample_trusted
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 
@@ -229,3 +230,32 @@ def test_empirical_deviation_hoeffding_scale():
         s = draw_sample(TWO_ATOM, 500, seed=seed, target=target)
         dev += abs(s.p_hat - F(7, 10))
     assert dev / runs <= F(2, 100)
+
+
+@st.composite
+def _proportion_claims(draw):
+    m = draw(st.integers(min_value=0, max_value=12))
+    p_hat = draw(
+        st.one_of(
+            st.fractions(min_value=-1, max_value=2, max_denominator=30),
+            st.integers(min_value=-1, max_value=2),
+            st.integers(min_value=-2, max_value=2 * m + 2).map(lambda j: F(j, 2 * m) if m else F(j)),
+        )
+    )
+    return m, p_hat
+
+
+@given(_proportion_claims())
+def test_sample_trusted_agrees_with_sample(case):
+    # the integer check in the sweep constructor against Sample's own checks
+    m, p_hat = case
+    points = tuple(range(m))
+    try:
+        want = Sample(points, p_hat)
+    except ValueError:
+        want = None
+    try:
+        got = _sample_trusted(points, p_hat)
+    except ValueError:
+        got = None
+    assert got == want

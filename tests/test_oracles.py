@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llp_lab import (
     BudgetExceeded,
@@ -27,6 +29,7 @@ from llp_lab import (
     positive_count,
     subset_sum_learner,
 )
+from llp_lab.oracles import BRUTE_BUDGET, _best_count, _count_table, _matches, _nearest_count
 
 
 def test_brute_oracle_realizable_residual_zero():
@@ -185,3 +188,54 @@ def test_budget_exceeded_on_oversized_class():
     sample = Sample(((0,) * 10,), F(0))
     with pytest.raises(BudgetExceeded):
         brute_llp_oracle(desc, sample, F(0), F(1, 10), F(1, 20), budget=100)
+
+
+@st.composite
+def _count_claims(draw):
+    counts = draw(st.sets(st.integers(min_value=0, max_value=80), min_size=1, max_size=20))
+    m = draw(st.integers(min_value=0, max_value=80))
+    claimed = draw(
+        st.one_of(
+            st.fractions(min_value=-1, max_value=2, max_denominator=400),
+            # exact counts and midpoints between neighbours, where ties sit
+            st.integers(min_value=-4, max_value=2 * m + 4).map(lambda j: F(j, 2 * m) if m else F(j)),
+        )
+    )
+    return counts, m, claimed
+
+
+def _reference_match(best: int, m: int, claimed: F) -> bool:
+    return (F(best, m) if m else F(0)) == claimed
+
+
+@given(_count_claims())
+def test_nearest_count_agrees_with_best_count(case):
+    counts, m, claimed = case
+    best = _nearest_count(sorted(counts), m, claimed)
+    assert best == _best_count(dict.fromkeys(counts), m, claimed)
+    assert _matches(best, m, claimed) == _reference_match(best, m, claimed)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.tuples(*[st.integers(min_value=0, max_value=1)] * 3), max_size=9),
+    st.data(),
+)
+def test_brute_oracle_solve_agrees_with_reference(points, data):
+    # the whole solve path in both modes against the table scan it replaced
+    desc = ClassDescriptor("monotone_disjunction", 3)
+    sample = Sample(tuple(points), F(0))
+    m = sample.m
+    table = _count_table(desc, sample, BRUTE_BUDGET)
+    oracles = {mode: make_brute_oracle(desc, mode) for mode in ("arbitrary", "reject")}
+    for _ in range(5):
+        claimed = data.draw(
+            st.one_of(
+                st.integers(min_value=-1, max_value=2 * m + 1).map(lambda j: F(j, 2 * m) if m else F(j)),
+                st.fractions(min_value=-1, max_value=2, max_denominator=50),
+            )
+        )
+        best = _best_count(table, m, claimed)
+        assert oracles["arbitrary"].solve(sample, claimed, F(1, 10), F(1, 20)) == table[best]
+        want = table[best] if _reference_match(best, m, claimed) else None
+        assert oracles["reject"].solve(sample, claimed, F(1, 10), F(1, 20)) == want

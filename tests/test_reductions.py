@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llp_lab import (
     ClassDescriptor,
@@ -25,10 +27,12 @@ from llp_lab import (
     brute_x3c,
     conditional_positive_distribution,
     consistency_via_llp,
+    derive_seed,
     enumerate_class,
     epsc_to_conjunction_consistency,
     epsc_to_disjunction_consistency,
     evaluate,
+    gen_consistency,
     gen_x3c,
     hits_exactly,
     llp_to_pac,
@@ -40,6 +44,8 @@ from llp_lab import (
     weight_of,
     x3c_to_epsc,
 )
+from llp_lab.core import _sample_trusted, draw_counts, make_distribution, points_from_counts
+from llp_lab.reductions import ConsistencyRun, OracleCall
 
 
 def test_reweighted_distribution_worked_example():
@@ -319,3 +325,59 @@ def test_instance_json_round_trips():
     assert EPSCInstance.from_json(epsc.to_json()) == epsc
     cons = epsc_to_disjunction_consistency(epsc)
     assert ConsistencyInstance.from_json(cons.to_json()) == cons
+
+
+def _consistency_reference(inst, oracle, delta, seed):
+    """The sweep with no verdict memo: every response goes to hits_exactly."""
+    X = inst.total
+    dist = make_distribution((p, F(a, X)) for p, a in zip(inst.points, inst.mults))
+    eps = F(1, 2 * X)
+    m = oracle.sample_size(eps, F(delta))
+    counts = draw_counts(dist, m, derive_seed(seed, "consistency-draw"))
+    points = points_from_counts(counts)
+    transcript = []
+    for j in range(m + 1):
+        claim = F(j, m)
+        response = oracle.solve(_sample_trusted(points, claim, counts), claim, eps, F(delta))
+        if response is None:
+            transcript.append(OracleCall(claim, None))
+            continue
+        ok = hits_exactly(inst, response)
+        transcript.append(OracleCall(claim, response, accepted=ok))
+        if ok:
+            return ConsistencyRun(True, response, m, tuple(transcript))
+    return ConsistencyRun(False, None, m, tuple(transcript))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(("monotone_disjunction", "monotone_conjunction", "parity")),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(("arbitrary", "reject")),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_consistency_via_llp_agrees_with_unmemoised_sweep(class_id, n, points, mode, seed):
+    desc = ClassDescriptor(class_id, n)
+    inst = gen_consistency(desc, min(points, 2**n), seed, max_mult=2)
+    got = consistency_via_llp(inst, make_brute_oracle(desc, mode), F(1, 20), seed)
+    assert got == _consistency_reference(inst, make_brute_oracle(desc, mode), F(1, 20), seed)
+
+
+def test_consistency_via_llp_checks_each_response_once(monkeypatch):
+    from llp_lab import reductions
+
+    checked = []
+
+    def counting(inst, h):
+        checked.append(h)
+        return hits_exactly(inst, h)
+
+    monkeypatch.setattr(reductions, "hits_exactly", counting)
+    inst = ConsistencyInstance(
+        ClassDescriptor("monotone_conjunction", 2), points=((0, 1), (1, 1)), mults=(1, 2), k=1
+    )
+    run = consistency_via_llp(inst, make_brute_oracle(inst.desc), F(1, 20), seed=4)
+    assert run.decision is False
+    assert len(run.transcript) == run.drawn + 1
+    assert len(checked) == len(set(checked)) == len({c.response for c in run.transcript}) > 1
