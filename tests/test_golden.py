@@ -2,9 +2,12 @@
 
 Each case renders one family of seeded runs as text, and the test asserts
 that the text equals the committed copy under tests/golden/ byte for byte.
-The committed copies were written by the exact-Fraction oracle sweep that
-the integer sweep replaced, so they pin witnesses, tie-breaks, transcripts
-and reports across that change and every later one.  A reduction transcript
+The reduction, gap-trial, `reduce` and `oracle` copies were written by the
+exact-Fraction oracle sweep that the integer sweep replaced; the `gen`,
+`learn` and other `trials` copies were written by the per-point `evaluate`
+loops that the bit-packed labeling kernel replaced.  So they pin witnesses,
+tie-breaks, transcripts and reports across those changes and every later
+one.  A reduction transcript
 is stored as the SHA-256 of its `OracleCall.to_json` lines plus a run-length
 summary (consecutive calls with the same response and verdict), so a diff
 shows where two transcripts part.
@@ -32,11 +35,16 @@ from llp_lab import (
     ClassDescriptor,
     FiniteSubset,
     LlpError,
+    MonotoneDisjunction,
     NoisyParitySetup,
+    Parity,
     TrialConfig,
+    UniformCube,
+    config_to_json,
     consistency_via_llp,
     derive_seed,
     gen_consistency,
+    gen_distribution,
     gen_epsc,
     gen_x3c,
     hypothesis_to_json,
@@ -209,6 +217,103 @@ def _cli_inputs() -> dict[str, dict]:
     }
 
 
+def _trial_inputs() -> dict[str, dict]:
+    """Small seeded trial configs, one per learner the gap fixture leaves out."""
+    nat = gen_distribution(ClassDescriptor("finite_subset", 1), 6, derive_seed(MASTER, "golden", "nat-dist"))
+    window = gen_distribution(
+        ClassDescriptor("window", 3, k=2), 6, derive_seed(MASTER, "golden", "window-dist"), nat_range=8
+    )
+    conj = ClassDescriptor("monotone_conjunction", 4)
+    configs = {
+        "trials_improper": TrialConfig(
+            learner="improper", epsilon=F(1, 10), delta=F(1, 10), trials=8, m=20,
+            seed=derive_seed(MASTER, "golden", "improper"), distribution=TWO_ATOM,
+            target=FiniteSubset((2,)),
+        ),
+        "trials_erm_parity": TrialConfig(
+            learner="erm", epsilon=F(1, 10), delta=F(1, 10), trials=5, m=30,
+            seed=derive_seed(MASTER, "golden", "erm-parity"), distribution=UniformCube(5),
+            desc=ClassDescriptor("parity", 5),
+        ),
+        "trials_erm_conj": TrialConfig(
+            learner="erm", epsilon=F(1, 10), delta=F(1, 10), trials=5, m=30,
+            seed=derive_seed(MASTER, "golden", "erm-conj"),
+            distribution=gen_distribution(conj, 7, derive_seed(MASTER, "golden", "conj-dist")),
+            desc=conj,
+        ),
+        "trials_subset_sum": TrialConfig(
+            learner="subset_sum", epsilon=F(1, 10), delta=F(1, 10), trials=5, m=50,
+            seed=derive_seed(MASTER, "golden", "subset-sum"), distribution=nat,
+            target=FiniteSubset(tuple(p for p, _ in nat.atoms[::2])),
+        ),
+        # bit-vector points: every row is a learner precondition error
+        "trials_subset_sum_bits": TrialConfig(
+            learner="subset_sum", epsilon=F(1, 10), delta=F(1, 10), trials=2, m=10,
+            seed=derive_seed(MASTER, "golden", "subset-sum-bits"), distribution=UniformCube(2),
+            target=Parity((1, 0)),
+        ),
+        "trials_window": TrialConfig(
+            learner="window", epsilon=F(1, 10), delta=F(1, 10), trials=5, m=40,
+            seed=derive_seed(MASTER, "golden", "window"), distribution=window,
+            desc=ClassDescriptor("window", 3, k=2),
+        ),
+        "trials_halfspace_sweep": TrialConfig(
+            learner="halfspace_sweep", epsilon=F(1, 10), delta=F(1, 10), trials=6, m=40,
+            seed=derive_seed(MASTER, "golden", "halfspace"), distribution=UniformCube(6),
+            target=MonotoneDisjunction(6, (2, 5)),
+        ),
+        "trials_noisy_distinguisher": TrialConfig(
+            learner="noisy_distinguisher", epsilon=F(1, 10), delta=F(1, 10), trials=8, m=60,
+            seed=derive_seed(MASTER, "golden", "noisy"), distribution=UniformCube(4),
+            desc=ClassDescriptor("parity", 4), eta=F(1, 10), eta_prime=F(1, 5),
+        ),
+    }
+    return {name: config_to_json(config) for name, config in configs.items()}
+
+
+GEN_CASES = {
+    "gen_x3c": ["gen", "--x3c", "--universe", "9", "--triples", "6", "--seed", "11"],
+    "gen_epsc": ["gen", "--epsc", "--universe", "7", "--subsets", "4", "--seed", "12"],
+    "gen_consistency_disj": [
+        "gen", "--consistency", "--class-id", "monotone_disjunction", "--n", "4", "--points", "6", "--seed", "13",
+    ],
+    "gen_consistency_window": [
+        "gen", "--consistency", "--class-id", "window", "--n", "3", "--k", "2", "--points", "5", "--seed", "14",
+    ],
+    "gen_task_parity": ["gen", "--task", "--class-id", "parity", "--n", "5", "--cube", "--m", "40", "--seed", "15"],
+    "gen_task_conj": [
+        "gen", "--task", "--class-id", "monotone_conjunction", "--n", "4", "--support", "6", "--m", "30",
+        "--seed", "16",
+    ],
+    "gen_task_subset": [
+        "gen", "--task", "--class-id", "finite_subset", "--ground", "2,3,5,7,11,13", "--support", "30",
+        "--m", "40", "--seed", "17",
+    ],
+    "gen_task_window": [
+        "gen", "--task", "--class-id", "window", "--n", "3", "--k", "2", "--support", "30", "--m", "40",
+        "--seed", "21",
+    ],
+}
+
+LEARN_CASES = {
+    "learn_improper": ["learn", "--learner", "improper", "--task", "gen_task_subset"],
+    "learn_erm_parity": ["learn", "--learner", "erm", "--task", "gen_task_parity"],
+    "learn_erm_conj": ["learn", "--learner", "erm", "--task", "gen_task_conj"],
+    "learn_gap": ["learn", "--learner", "gap", "--task", "gen_task_subset"],
+    "learn_subset_sum": ["learn", "--learner", "subset_sum", "--task", "gen_task_subset"],
+    "learn_window": ["learn", "--learner", "window", "--task", "gen_task_window"],
+    "learn_halfspace_sweep": ["learn", "--learner", "halfspace_sweep", "--task", "gen_task_conj", "--seed", "3"],
+}
+
+TRIAL_CASES = {
+    f"{name}_{fmt}": ["trials", "--config", name, "--format", fmt]
+    for name in (
+        "trials_improper", "trials_erm_parity", "trials_erm_conj", "trials_subset_sum",
+        "trials_subset_sum_bits", "trials_window", "trials_halfspace_sweep", "trials_noisy_distinguisher",
+    )
+    for fmt in ("csv", "json")
+}
+
 CLI_CASES = {
     "reduce_consistency_disj": ["reduce", "--run", "consistency", "--in", "consistency_disj", "--seed", "3"],
     "reduce_consistency_disj_reject": [
@@ -230,21 +335,39 @@ CLI_CASES = {
     "oracle_x3c": ["oracle", "--solver", "x3c", "--in", "x3c"],
     "oracle_epsc": ["oracle", "--solver", "epsc", "--in", "epsc"],
     "oracle_subset_sum": ["oracle", "--solver", "subset-sum", "--in", "subset_sum"],
+    **GEN_CASES,
+    **LEARN_CASES,
+    **TRIAL_CASES,
 }
+INPUT_FLAGS = ("--in", "--task", "--config")
+
+
+def _run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _input(key: str) -> dict:
+    """A case's input file: a fixed object, a trial config, or a `gen` case's output."""
+    if key in GEN_CASES:
+        return json.loads(_run_cli(GEN_CASES[key])[1])
+    return {**_cli_inputs(), **_trial_inputs()}[key]
 
 
 def _cli(name: str) -> str:
-    """Exit code and stdout of one CLI case, its input written to a scratch file."""
+    """Exit code, stdout and any stderr of one CLI case, its input in a scratch file."""
     argv = list(CLI_CASES[name])
-    at = argv.index("--in") + 1
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.json"
-        path.write_text(json.dumps(_cli_inputs()[argv[at]]), encoding="utf-8")
-        argv[at] = str(path)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-    return f"exit {code}\n{out.getvalue()}"
+        for flag in INPUT_FLAGS:
+            if flag in argv and argv[0] != "gen":  # gen's --task names a kind
+                at = argv.index(flag) + 1
+                path = Path(tmp) / "in.json"
+                path.write_text(json.dumps(_input(argv[at])), encoding="utf-8")
+                argv[at] = str(path)
+        code, out, err = _run_cli(argv)
+    return f"exit {code}\n{out}" + (f"stderr {err}" if err else "")
 
 
 CASES = {
