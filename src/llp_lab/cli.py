@@ -15,6 +15,8 @@ import sys
 
 from .core import (
     UniformCube,
+    _pack,
+    check_same_domain,
     derive_seed,
     parse_rational,
     point_from_json,
@@ -25,8 +27,8 @@ from .generators import gen_consistency, gen_distribution, gen_epsc, gen_task, g
 from .hypotheses import (
     ClassDescriptor,
     class_descriptor_from_json,
-    evaluate,
     hypothesis_to_json,
+    labeler,
 )
 from .learners import (
     LearnerOutcome,
@@ -287,7 +289,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         labeled = [(point_from_json(p), lab) for p, lab in obj["labeled"]]
         oracle = make_brute_oracle(desc, args.oracle)
         run = llp_to_pac(labeled, oracle, delta, args.seed)
-        errors = sum(evaluate(run.hypothesis, p) != lab for p, lab in labeled)
+        label = labeler(run.hypothesis, check_same_domain(p for p, _ in labeled))
+        errors = sum(label(_pack(p)) != lab for p, lab in labeled)
         _emit(
             {
                 "hypothesis": hypothesis_to_json(run.hypothesis),

@@ -10,10 +10,11 @@ reported weight or proportion.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -83,6 +84,20 @@ def bits_to_string(bits: Bits) -> str:
     return "".join(str(b) for b in bits)
 
 
+def _pack(point: Point) -> int:
+    """A bit vector as an n-bit int, coordinate 1 the high bit; a natural as itself.
+
+    Bit order matches `iter_cube`: the packed form of the i-th cube vector
+    is i.  The labeling kernel in `hypotheses` works on packed points.
+    """
+    if isinstance(point, tuple):
+        x = 0
+        for b in point:
+            x = x << 1 | b
+        return x
+    return point
+
+
 def point_domain(point: Point) -> tuple[str, int | None]:
     """Return ("bits", n) for a bit vector, ("nat", None) for a natural."""
     if isinstance(point, tuple):
@@ -120,6 +135,11 @@ class ExplicitDistribution:
     """
 
     atoms: tuple[tuple[Point, Fraction], ...]
+
+    @cached_property
+    def packed(self) -> tuple[tuple[str, int | None] | None, tuple[tuple[int, Fraction], ...]]:
+        """(domain, atoms with packed points), the support checked once on first use."""
+        return check_same_domain(p for p, _ in self.atoms), tuple((_pack(p), w) for p, w in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -213,10 +233,13 @@ class Sample:
 
     `p_hat` times the sample size must be an integer: the fraction is the
     exact count of positively labeled examples over m, not an estimate.
+    `domain` is the points' common domain (None when empty), checked once
+    here so that labeling the sample never re-checks a point.
     """
 
     points: tuple[Point, ...]
     p_hat: Fraction
+    domain: tuple[str, int | None] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.p_hat, Fraction):
@@ -228,7 +251,7 @@ class Sample:
             raise ValueError(f"p_hat {self.p_hat} times m={m} is not an integer")
         if m == 0 and self.p_hat != 0:
             raise ValueError("empty sample must carry p_hat = 0")
-        check_same_domain(self.points)
+        object.__setattr__(self, "domain", check_same_domain(self.points))
 
     @property
     def m(self) -> int:
@@ -243,19 +266,17 @@ class Sample:
         """Unique points with multiplicities, sorted canonically."""
         return tuple(sorted(Counter(self.points).items()))
 
+    @cached_property
+    def packed_counts(self) -> tuple[tuple[int, int], ...]:
+        """`counts` with each point packed (`_pack`), for the labeling kernel."""
+        return tuple((_pack(p), c) for p, c in self.counts)
+
 
 def points_from_counts(counts: Iterable[tuple[Point, int]]) -> tuple[Point, ...]:
     parts: list[Point] = []
     for point, c in counts:
         parts.extend([point] * c)
     return tuple(parts)
-
-
-def _sample_with_counts(counts: tuple[tuple[Point, int], ...], p_hat: Fraction) -> Sample:
-    """Build a Sample directly from sorted counts, pre-filling the cache."""
-    sample = Sample(points_from_counts(counts), p_hat)
-    sample.__dict__["counts"] = counts
-    return sample
 
 
 def _sample_trusted(
@@ -271,7 +292,10 @@ def _sample_trusted(
     by this module's drawing helpers or already held by a validated Sample.
     The proportion gets Sample's checks, done on its lowest-terms numerator
     and denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
-    denominator divides m), and p_hat = 0 when the sample is empty.
+    denominator divides m), and p_hat = 0 when the sample is empty.  The
+    domain is read off the first point's shape, which is not re-checked;
+    `counts`, when given, must be the points' sorted multiplicities and
+    fills the `counts` cache.
     """
     if not isinstance(p_hat, Fraction):
         p_hat = Fraction(p_hat)
@@ -282,6 +306,13 @@ def _sample_trusted(
     sample = object.__new__(Sample)
     object.__setattr__(sample, "points", points)
     object.__setattr__(sample, "p_hat", p_hat)
+    if not points:
+        domain = None
+    elif isinstance(points[0], tuple):
+        domain = ("bits", len(points[0]))
+    else:
+        domain = ("nat", None)
+    object.__setattr__(sample, "domain", domain)
     if counts is not None:
         sample.__dict__["counts"] = counts
     return sample
@@ -289,6 +320,17 @@ def _sample_trusted(
 
 # ---------------------------------------------------------------------------
 # seeded drawing
+
+
+def _random_cut(p: Fraction) -> float:
+    """A float c with x < c exactly when x < p, for every x from `random.Random.random()`.
+
+    random() returns k / 2**53 for an integer 0 <= k < 2**53, and for such k,
+    k < p * 2**53 holds exactly when k < ceil(p * 2**53).  Clamped to
+    [0, 2**53], that ceiling divided by 2**53 is an exact float, so one
+    float comparison per draw replaces the exact but slow Fraction one.
+    """
+    return min(max(math.ceil(p * 2**53), 0), 2**53) / 2**53
 
 
 def derive_seed(*parts: object) -> int:

@@ -18,12 +18,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Bits,
     Point,
     Sample,
+    _pack,
     bits_from_string,
     bits_to_string,
     point_domain,
@@ -46,6 +47,8 @@ __all__ = [
     "INFINITE_VC",
     "DEFAULT_BUDGET",
     "evaluate",
+    "labeler",
+    "positive_weight",
     "positive_count",
     "domain_kind",
     "class_domain",
@@ -275,8 +278,12 @@ def _check_point(h: Hypothesis, x: Point) -> None:
 def evaluate(h: Hypothesis, x: Point, rng: random.Random | None = None) -> int:
     """Label of x under h, always 0 or 1.
 
-    The constant-random baseline needs an explicit seeded `rng`; every
-    proper hypothesis is deterministic and ignores it.
+    The checked per-point reference: every call checks x's domain against
+    h's.  Bulk counting over a sample, a distribution or an instance goes
+    through the labeling kernel (`labeler`, `positive_weight`) instead,
+    which checks a container's domain once; tests pit the two against each
+    other.  The constant-random baseline needs an explicit seeded `rng`;
+    every proper hypothesis is deterministic and ignores it.
     """
     _check_point(h, x)
     match h:
@@ -298,11 +305,68 @@ def evaluate(h: Hypothesis, x: Point, rng: random.Random | None = None) -> int:
     raise TypeError(f"not a hypothesis: {h!r}")
 
 
+def _var_mask(n: int, vars: tuple[int, ...]) -> int:
+    return sum(1 << (n - v) for v in vars)
+
+
+def labeler(h: Hypothesis, domain: tuple[str, int | None] | None) -> Callable[[int], int]:
+    """The labeling kernel: h as a 0/1 predicate on packed points.
+
+    Points are packed by `core._pack`: a bit vector becomes an n-bit int
+    with coordinate 1 as the high bit (the order of `iter_cube` and
+    `_mask_to_tuple`), a natural stays as it is.  The domain is checked
+    here, once per container: `domain` is the one the container validated
+    when it was built (`Sample.domain`, `ExplicitDistribution.packed`, a
+    cube's ("bits", n)), and DomainMismatch is raised when it differs from
+    `domain_kind(h)`, as `evaluate` would on the container's first point.
+    `domain` None stands for an empty container and is not checked.  The
+    randomized baseline has no fixed labeling and is refused.
+    """
+    if isinstance(h, ConstantRandom):
+        raise ValueError("the randomized baseline has no deterministic labeling")
+    want = domain_kind(h)
+    if domain is not None and domain != want:
+        raise DomainMismatch(f"{type(h).__name__} over {want} applied to points over {domain}")
+    match h:
+        case Parity():
+            mask = _pack(h.mask)
+            return lambda x: (mask & x).bit_count() & 1
+        case MonotoneDisjunction():
+            mask = _var_mask(h.n, h.vars)
+            return lambda x: x & mask != 0
+        case MonotoneConjunction():
+            mask = _var_mask(h.n, h.vars)
+            return lambda x: x & mask == mask
+        case FiniteSubset() | Window():
+            return frozenset(h.elems).__contains__
+        case Halfspace():
+            # <normal, x> > threshold, scaled by a common denominator so the
+            # sum over the set bits is exact integer arithmetic
+            den = math.lcm(h.threshold.denominator, *(c.denominator for c in h.normal))
+            terms = [(1 << (h.n - 1 - i), int(c * den)) for i, c in enumerate(h.normal) if c]
+            cut = int(h.threshold * den)
+            return lambda x: sum(w for bit, w in terms if x & bit) > cut
+    raise TypeError(f"not a hypothesis: {h!r}")
+
+
+def positive_weight(
+    h: Hypothesis, domain: tuple[str, int | None] | None, pairs: Iterable[tuple[int, object]]
+):
+    """Sum of the weights (multiplicities or masses) of the packed points h labels 1.
+
+    `pairs` holds (packed point, weight) from a container over `domain`;
+    see `labeler` for the packing and the domain check.  Returns int 0
+    when nothing is labeled 1.
+    """
+    label = labeler(h, domain)
+    return sum(w for x, w in pairs if label(x))
+
+
 def positive_count(h: Hypothesis, sample: Sample) -> int:
     """Number of sample points labeled 1, with multiplicity (proper h only)."""
     if isinstance(h, ConstantRandom):
         raise ValueError("positive_count is undefined for the randomized baseline")
-    return sum(c for p, c in sample.counts if evaluate(h, p) == 1)
+    return positive_weight(h, sample.domain, sample.packed_counts)
 
 
 def class_domain(desc: ClassDescriptor) -> str:
@@ -590,12 +654,13 @@ def sauer_bound(d: int, m: int) -> float:
 
 
 def _generic_labelings(
-    desc: ClassDescriptor, points: tuple[Point, ...], budget: int
+    desc: ClassDescriptor, sample: Sample, budget: int
 ) -> list[tuple[tuple[int, ...], Hypothesis]]:
     best: dict[tuple[int, ...], Hypothesis] = {}
     order: list[tuple[int, ...]] = []
+    packed = tuple(x for x, _ in sample.packed_counts)
     for h in enumerate_class(desc, budget):
-        lab = tuple(evaluate(h, p) for p in points)
+        lab = tuple(map(int, map(labeler(h, sample.domain), packed)))
         if lab not in best:  # enumeration is in encoding order, first wins
             best[lab] = h
             order.append(lab)
@@ -686,14 +751,12 @@ def distinct_labelings(
     An empty sample yields the single empty labeling.  The budget caps the
     underlying enumeration (class size, or 2^rank for parities).
     """
-    points = tuple(p for p, _ in sample.counts)
     if desc.class_id == "parity":
-        for p in points:
-            if point_domain(p) != ("bits", desc.n):
-                raise DomainMismatch(f"point {p!r} outside {{0,1}}^{desc.n}")
-        pairs = _parity_labelings(desc, points, budget)
+        if sample.domain not in (None, ("bits", desc.n)):
+            raise DomainMismatch(f"points over {sample.domain} outside {{0,1}}^{desc.n}")
+        pairs = _parity_labelings(desc, tuple(p for p, _ in sample.counts), budget)
     else:
-        pairs = _generic_labelings(desc, points, budget)
+        pairs = _generic_labelings(desc, sample, budget)
     return iter(pairs)
 
 

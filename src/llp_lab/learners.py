@@ -13,8 +13,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Sample, point_domain
-from .errors import CollisionPersistent, InvalidNoiseBound, UnreachableCount
+from .core import Sample
+from .errors import (
+    CollisionPersistent,
+    DegenerateSample,
+    DomainMismatch,
+    InvalidNoiseBound,
+    UnreachableCount,
+)
 from .hypotheses import (
     ClassDescriptor,
     ConstantRandom,
@@ -152,9 +158,8 @@ def erm_proportion_matcher(
 
 
 def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    for p, _ in sample.counts:
-        if point_domain(p)[0] != "nat":
-            raise ValueError("this learner needs natural-number points")
+    if sample.domain not in (None, ("nat", None)):
+        raise DomainMismatch("this learner needs natural-number points")
     points = tuple(p for p, _ in sample.counts)  # type: ignore[misc]
     mults = tuple(c for _, c in sample.counts)
     return points, mults  # type: ignore[return-value]
@@ -261,13 +266,11 @@ def halfspace_sweep_learner(
     can never be split (UnreachableCount), distinct points sharing a
     projection might be (CollisionPersistent).
     """
-    if sample.m == 0:
-        raise ValueError("the sweep learner needs a nonempty sample")
-    for p, _ in sample.counts:
-        dom = point_domain(p)
-        if dom[0] != "bits":
-            raise ValueError("the sweep learner needs bit-vector points")
-    n = len(sample.counts[0][0])  # type: ignore[arg-type]
+    if sample.domain is None:
+        raise DegenerateSample("the sweep learner needs a nonempty sample")
+    kind, n = sample.domain
+    if kind != "bits":
+        raise DomainMismatch("the sweep learner needs bit-vector points")
     B = precision_bits if precision_bits is not None else halfspace_precision_bits(n)
     m = sample.m
     t = _target_count(sample)

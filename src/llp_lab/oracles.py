@@ -25,8 +25,8 @@ from .hypotheses import (
     Hypothesis,
     class_size,
     enumerate_class,
-    evaluate,
     hypothesis_to_json,
+    positive_weight,
 )
 from .reductions import (
     ConsistencyInstance,
@@ -91,10 +91,9 @@ def _count_table(
     global tie-break needs.
     """
     table: dict[int, Hypothesis] = {}
-    counts = sample.counts
+    domain, counts = sample.domain, sample.packed_counts
     for h in enumerate_class(desc, budget):
-        c = sum(a for point, a in counts if evaluate(h, point))
-        table.setdefault(c, h)
+        table.setdefault(positive_weight(h, domain, counts), h)
     return table
 
 

@@ -13,13 +13,17 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .core import (
     ExplicitDistribution,
     Point,
     Sample,
+    _pack,
+    _random_cut,
     _sample_trusted,
+    check_same_domain,
     derive_seed,
     draw_counts,
     iter_cube,
@@ -44,6 +48,8 @@ from .hypotheses import (
     class_descriptor_to_json,
     evaluate,
     hypothesis_to_json,
+    labeler,
+    positive_weight,
 )
 from .sampling import draw_labeled_points
 
@@ -206,6 +212,11 @@ class ConsistencyInstance:
     def total(self) -> int:
         return sum(self.mults)
 
+    @cached_property
+    def packed(self) -> tuple[tuple[str, int | None] | None, tuple[tuple[int, int], ...]]:
+        """(domain, (packed point, multiplicity) pairs), the points checked once on first use."""
+        return check_same_domain(self.points), tuple(zip(map(_pack, self.points), self.mults))
+
     def to_json(self) -> dict:
         return {
             "class": class_descriptor_to_json(self.desc),
@@ -226,8 +237,7 @@ class ConsistencyInstance:
 
 def hits_exactly(inst: ConsistencyInstance, h: Hypothesis) -> bool:
     """Direct witness check: weighted positive count equals k."""
-    count = sum(a for p, a in zip(inst.points, inst.mults) if evaluate(h, p))
-    return count == inst.k
+    return positive_weight(h, *inst.packed) == inst.k
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +472,22 @@ def noisy_parity_via_llp(
     points, clean = draw_labeled_points(
         UniformCube(setup.n), m, derive_seed(seed, "noisy-points"), setup.target
     )
-    noisy = tuple(
-        lab ^ 1 if rng.random() < setup.eta else lab for lab in clean
-    )
+    flip = _random_cut(setup.eta)  # rng.random() < flip exactly when < eta
+    noisy = tuple(lab ^ 1 if rng.random() < flip else lab for lab in clean)
     kept = tuple(p for p, lab in zip(points, noisy) if lab)
     M = len(kept)
     kept_counts = tuple(sorted(Counter(kept).items()))
-    noisy_counter = Counter(zip(points, noisy))
+    # ((packed point, noisy label), count), packed once for every candidate
+    noisy_counter = [((_pack(p), lab), c) for (p, lab), c in Counter(zip(points, noisy)).items()]
+    domain = ("bits", setup.n) if points else None
     threshold = (setup.eta_prime + Fraction(1, 2)) / 2
     disagreement_memo: dict[Hypothesis, Fraction] = {}
 
     def disagreement(h: Hypothesis) -> Fraction:
         got = disagreement_memo.get(h)
         if got is None:
-            bad = sum(
-                c for (p, lab), c in noisy_counter.items() if evaluate(h, p) != lab
-            )
+            label = labeler(h, domain)
+            bad = sum(c for (x, lab), c in noisy_counter if label(x) != lab)
             got = disagreement_memo[h] = Fraction(bad, m)
         return got
 

@@ -20,19 +20,19 @@ from .core import (
     Point,
     Sample,
     UniformCube,
-    _sample_with_counts,
+    _pack,
+    _sample_trusted,
     derive_seed,
     distribution_from_json,
     distribution_to_json,
     draw_counts,
-    iter_cube,
     parse_rational,
-    point_domain,
+    points_from_counts,
     rational_to_json,
     sample_from_json,
     sample_to_json,
 )
-from .errors import DomainMismatch, IntractableExactProportion
+from .errors import IntractableExactProportion
 from .hypotheses import (
     ClassDescriptor,
     ConstantRandom,
@@ -42,9 +42,10 @@ from .hypotheses import (
     Parity,
     class_descriptor_from_json,
     class_descriptor_to_json,
-    domain_kind,
     enumerate_class,
     evaluate,
+    labeler,
+    positive_weight,
 )
 
 __all__ = [
@@ -67,17 +68,10 @@ __all__ = [
 CUBE_ENUM_MAX = 20
 
 
-def _check_domains(h: Hypothesis, dist: FiniteDistribution) -> None:
-    want = domain_kind(h)
-    if want[0] == "any":
-        return
+def _support_domain(dist: FiniteDistribution) -> tuple[str, int | None] | None:
     if isinstance(dist, UniformCube):
-        if want != ("bits", dist.n):
-            raise DomainMismatch(f"{type(h).__name__} over {want} vs cube of dimension {dist.n}")
-    elif dist.atoms and point_domain(dist.atoms[0][0]) != want:
-        raise DomainMismatch(
-            f"{type(h).__name__} over {want} vs support over {point_domain(dist.atoms[0][0])}"
-        )
+        return ("bits", dist.n)
+    return dist.packed[0]
 
 
 def true_proportion(h: Hypothesis, dist: FiniteDistribution) -> Fraction:
@@ -90,13 +84,9 @@ def true_proportion(h: Hypothesis, dist: FiniteDistribution) -> Fraction:
     """
     if isinstance(h, ConstantRandom):
         return h.p
-    _check_domains(h, dist)
     if isinstance(dist, ExplicitDistribution):
-        total = Fraction(0)
-        for point, w in dist.atoms:
-            if evaluate(h, point):
-                total += w
-        return total
+        return Fraction(positive_weight(h, *dist.packed))
+    label = labeler(h, ("bits", dist.n))
     if isinstance(h, Parity):
         return Fraction(0) if h.trivial else Fraction(1, 2)
     if isinstance(h, MonotoneDisjunction) and not h.vars:
@@ -107,7 +97,8 @@ def true_proportion(h: Hypothesis, dist: FiniteDistribution) -> Fraction:
         raise IntractableExactProportion(
             f"no closed form for {type(h).__name__} on a {dist.n}-cube"
         )
-    hits = sum(evaluate(h, x) for x in iter_cube(dist.n))
+    # the packed cube vectors are 0 .. 2^n - 1
+    hits = sum(1 for x in range(2**dist.n) if label(x))
     return Fraction(hits, 2**dist.n)
 
 
@@ -122,8 +113,7 @@ def empirical_proportion(h: Hypothesis, sample: Sample) -> Fraction:
         return h.p
     if sample.m == 0:
         return Fraction(0)
-    hits = sum(c for point, c in sample.counts if evaluate(h, point))
-    return Fraction(hits, sample.m)
+    return Fraction(positive_weight(h, sample.domain, sample.packed_counts), sample.m)
 
 
 def llp_success(h: Hypothesis, target: Hypothesis, dist: FiniteDistribution, epsilon) -> bool:
@@ -137,16 +127,18 @@ def draw_labeled_points(
 ) -> tuple[tuple[Point, ...], tuple[int, ...]]:
     """m seeded i.i.d. draws with their target labels.
 
-    Proper targets are labeled once per unique point; a constant-random
-    target flips one coin per example from a seed derived from `seed`.
+    Proper targets are labeled once per unique point, by the labeling
+    kernel; a constant-random target flips one coin per example from a seed
+    derived from `seed`.
     """
     if isinstance(dist, ExplicitDistribution) and m >= COUNT_DRAW_MIN and not isinstance(target, ConstantRandom):
         counts = draw_counts(dist, m, seed)
+        label = labeler(target, dist.packed[0])
         points: list[Point] = []
         labels: list[int] = []
         for point, c in counts:
             points.extend([point] * c)
-            labels.extend([evaluate(target, point)] * c)
+            labels.extend([int(label(_pack(point)))] * c)
         return tuple(points), tuple(labels)
     from .core import draw_points  # local import keeps module surface tidy
 
@@ -154,12 +146,15 @@ def draw_labeled_points(
     if isinstance(target, ConstantRandom):
         rng = random.Random(derive_seed(seed, "labels"))
         return points_t, tuple(evaluate(target, p, rng) for p in points_t)
+    if not points_t:
+        return points_t, ()
+    label = labeler(target, _support_domain(dist))
     memo: dict[Point, int] = {}
     labels_l = []
     for p in points_t:
         lab = memo.get(p)
         if lab is None:
-            lab = memo[p] = evaluate(target, p)
+            lab = memo[p] = int(label(_pack(p)))
         labels_l.append(lab)
     return points_t, tuple(labels_l)
 
@@ -172,8 +167,8 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
     """
     if isinstance(dist, ExplicitDistribution) and m >= COUNT_DRAW_MIN and not isinstance(target, ConstantRandom):
         counts = draw_counts(dist, m, seed)
-        positives = sum(c for point, c in counts if evaluate(target, point))
-        return _sample_with_counts(counts, Fraction(positives, m) if m else Fraction(0))
+        positives = positive_weight(target, dist.packed[0], ((_pack(p), c) for p, c in counts))
+        return _sample_trusted(points_from_counts(counts), Fraction(positives, m), counts)
     points, labels = draw_labeled_points(dist, m, seed, target)
     return Sample(points, Fraction(sum(labels), m) if m else Fraction(0))
 

@@ -24,6 +24,7 @@ from scipy.stats import beta as _beta_dist
 
 from .core import (
     FiniteDistribution,
+    _random_cut,
     derive_seed,
     distribution_from_json,
     distribution_to_json,
@@ -35,7 +36,7 @@ from .bounds import (
     hoeffding_sample_size,
     uniform_convergence_sample_size,
 )
-from .errors import InvalidParams
+from .errors import InvalidParams, LlpError
 from .hypotheses import (
     ClassDescriptor,
     Hypothesis,
@@ -241,7 +242,8 @@ def _dispatch(
     if config.learner == "subset_sum":
         return subset_sum_learner(sample)
     if config.learner == "window":
-        assert config.desc is not None and config.desc.k is not None
+        if config.desc is None or config.desc.k is None:
+            raise InvalidParams("the window learner needs a window class with a span bound")
         return window_learner(sample, config.desc.k)
     if config.learner == "halfspace_sweep":
         return halfspace_sweep_learner(sample, derive_seed(trial_seed, "sweep"))
@@ -251,8 +253,9 @@ def _dispatch(
 def run_single_trial(
     config: TrialConfig, m: int, index: int, values: dict[Fraction, Hypothesis] | None = None
 ) -> TrialRow:
-    """One seeded trial; any failure becomes an error row, not a crash.
+    """One seeded trial; an LlpError becomes an error row, not a crash.
 
+    Any other exception is a bug in a learner or below it and propagates.
     `values` is the gap learner's `gap_values` for the config, when the
     run has built them once for all its trials.
     """
@@ -271,9 +274,8 @@ def run_single_trial(
             )
             noise = random.Random(derive_seed(trial_seed, "noise"))
             assert config.eta is not None and config.eta_prime is not None
-            noisy_positives = sum(
-                1 - lab if noise.random() < config.eta else lab for lab in labels
-            )
+            flip = _random_cut(config.eta)  # noise.random() < flip exactly when < eta
+            noisy_positives = sum(1 - lab if noise.random() < flip else lab for lab in labels)
             n = len(points[0]) if points else 1
             outcome = noisy_parity_uniform_learner(
                 Fraction(noisy_positives, m), config.eta_prime, n
@@ -288,7 +290,7 @@ def run_single_trial(
         success = llp_success(outcome.hypothesis, target, config.distribution, config.epsilon)
         ms = round((time.perf_counter() - started) * 1000) if config.record_ms else 0
         return TrialRow(index, trial_seed, p_c, p_h, abs(p_c - p_h), success, ms)
-    except Exception as exc:  # noqa: BLE001 - per-trial faults become rows
+    except LlpError as exc:
         ms = round((time.perf_counter() - started) * 1000) if config.record_ms else 0
         return TrialRow(
             index, trial_seed, None, None, None, False, ms,
@@ -327,7 +329,7 @@ def _shared_gap_values(config: TrialConfig) -> dict[Fraction, Hypothesis] | None
     # before: in resolve_m, or in each trial as that trial's error row.
     try:
         return gap_values(config.desc, config.distribution)
-    except Exception:  # noqa: BLE001
+    except LlpError:
         return None
 
 

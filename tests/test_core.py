@@ -259,3 +259,13 @@ def test_sample_trusted_agrees_with_sample(case):
     except ValueError:
         got = None
     assert got == want
+    assert got is None or got.domain == want.domain
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), max_size=12))
+def test_sample_trusted_keeps_the_domain_and_packed_counts(points):
+    points = tuple(points)
+    want = Sample(points, F(0))
+    got = _sample_trusted(points, F(0), want.counts)
+    assert got.domain == want.domain == (("bits", 3) if points else None)
+    assert got.packed_counts == want.packed_counts

@@ -9,6 +9,8 @@ import pytest
 from llp_lab import (
     ClassDescriptor,
     ConstantRandom,
+    DegenerateSample,
+    DomainMismatch,
     FiniteSubset,
     InvalidNoiseBound,
     MonotoneDisjunction,
@@ -34,6 +36,18 @@ from llp_lab import (
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 SUBSETS_12 = ClassDescriptor("finite_subset", 1, ground_set=(1, 2))
+
+
+def test_learner_preconditions_raise_typed_errors():
+    bits = Sample(((0, 1), (1, 1)), F(1, 2))
+    with pytest.raises(DomainMismatch):
+        subset_sum_learner(bits)
+    with pytest.raises(DomainMismatch):
+        window_learner(bits, 2)
+    with pytest.raises(DomainMismatch):
+        halfspace_sweep_learner(Sample((1, 2), F(1, 2)), seed=0)
+    with pytest.raises(DegenerateSample):
+        halfspace_sweep_learner(Sample((), F(0)), seed=0)
 
 
 def test_improper_learner_returns_revealed_proportion():

@@ -138,6 +138,24 @@ def test_error_rows_carry_cause():
     assert all(row.error for row in report.rows)
     assert all(row.success is False for row in report.rows)
     assert report.successes == 0
+    assert all(row.error.startswith("DomainMismatch: ") for row in report.rows)
+
+
+def test_window_learner_without_span_bound_is_an_error_row():
+    cfg = improper_config(learner="window", desc=ClassDescriptor("finite_subset", 1, ground_set=(1, 2)), trials=2)
+    report = run_trials(cfg)
+    assert all(row.error.startswith("InvalidParams: ") for row in report.rows)
+
+
+def test_bug_inside_a_learner_propagates(monkeypatch):
+    import llp_lab.trials
+
+    def broken(sample):
+        raise TypeError("a bug, not a failed trial")
+
+    monkeypatch.setattr(llp_lab.trials, "subset_sum_learner", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run_trials(improper_config(learner="subset_sum", trials=3))
 
 
 def test_parallel_matches_serial(monkeypatch):
