@@ -14,7 +14,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -233,13 +233,10 @@ class Sample:
 
     `p_hat` times the sample size must be an integer: the fraction is the
     exact count of positively labeled examples over m, not an estimate.
-    `domain` is the points' common domain (None when empty), checked once
-    here so that labeling the sample never re-checks a point.
     """
 
     points: tuple[Point, ...]
     p_hat: Fraction
-    domain: tuple[str, int | None] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.p_hat, Fraction):
@@ -251,7 +248,7 @@ class Sample:
             raise ValueError(f"p_hat {self.p_hat} times m={m} is not an integer")
         if m == 0 and self.p_hat != 0:
             raise ValueError("empty sample must carry p_hat = 0")
-        object.__setattr__(self, "domain", check_same_domain(self.points))
+        self.__dict__["domain"] = check_same_domain(self.points)
 
     @property
     def m(self) -> int:
@@ -265,6 +262,19 @@ class Sample:
     def counts(self) -> tuple[tuple[Point, int], ...]:
         """Unique points with multiplicities, sorted canonically."""
         return tuple(sorted(Counter(self.points).items()))
+
+    @cached_property
+    def domain(self) -> tuple[str, int | None] | None:
+        """The points' common domain, None when empty.
+
+        The constructor checks every point and caches the result, so that
+        labeling the sample never re-checks a point.  A `_sample_trusted`
+        sample reads it off the first point's shape on first use.
+        """
+        if not self.points:
+            return None
+        first = self.points[0]
+        return ("bits", len(first)) if isinstance(first, tuple) else ("nat", None)
 
     @cached_property
     def packed_counts(self) -> tuple[tuple[int, int], ...]:
@@ -292,8 +302,7 @@ def _sample_trusted(
     by this module's drawing helpers or already held by a validated Sample.
     The proportion gets Sample's checks, done on its lowest-terms numerator
     and denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
-    denominator divides m), and p_hat = 0 when the sample is empty.  The
-    domain is read off the first point's shape, which is not re-checked;
+    denominator divides m), and p_hat = 0 when the sample is empty.
     `counts`, when given, must be the points' sorted multiplicities and
     fills the `counts` cache.
     """
@@ -306,13 +315,6 @@ def _sample_trusted(
     sample = object.__new__(Sample)
     object.__setattr__(sample, "points", points)
     object.__setattr__(sample, "p_hat", p_hat)
-    if not points:
-        domain = None
-    elif isinstance(points[0], tuple):
-        domain = ("bits", len(points[0]))
-    else:
-        domain = ("nat", None)
-    object.__setattr__(sample, "domain", domain)
     if counts is not None:
         sample.__dict__["counts"] = counts
     return sample
