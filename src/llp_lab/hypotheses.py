@@ -364,8 +364,6 @@ def positive_weight(
 
 def positive_count(h: Hypothesis, sample: Sample) -> int:
     """Number of sample points labeled 1, with multiplicity (proper h only)."""
-    if isinstance(h, ConstantRandom):
-        raise ValueError("positive_count is undefined for the randomized baseline")
     return positive_weight(h, sample.domain, sample.packed_counts)
 
 
