@@ -25,20 +25,13 @@ from .core import (
 from .errors import LlpError
 from .generators import gen_consistency, gen_distribution, gen_epsc, gen_task, gen_x3c
 from .hypotheses import (
+    CLASS_IDS,
     ClassDescriptor,
     class_descriptor_from_json,
     hypothesis_to_json,
     labeler,
 )
-from .learners import (
-    LearnerOutcome,
-    erm_proportion_matcher,
-    gap_learner,
-    halfspace_sweep_learner,
-    improper_learner,
-    subset_sum_learner,
-    window_learner,
-)
+from .learners import LearnerOutcome
 from .bounds import (
     gap_sample_size,
     hoeffding_sample_size,
@@ -67,12 +60,15 @@ from .reductions import (
 )
 from .sampling import task_from_json, task_to_json
 from .trials import (
+    M_MODES,
+    SAMPLE_LEARNERS,
     config_from_json,
     config_to_json,
     emit_report,
     report_to_csv,
     report_to_json,
     resolve_m,
+    run_learner,
     run_trials,
 )
 from .hypotheses import hypothesis_from_json
@@ -120,26 +116,7 @@ def _outcome_json(outcome: LearnerOutcome) -> dict:
 def _cmd_learn(args: argparse.Namespace) -> int:
     obj = _load(args.task)
     task = task_from_json(obj["task"] if "task" in obj else obj)
-    if args.learner == "improper":
-        outcome = improper_learner(task.sample)
-    elif args.learner == "erm":
-        if task.desc is None:
-            raise _UsageError("task file has no class descriptor")
-        outcome = erm_proportion_matcher(task.desc, task.sample)
-    elif args.learner == "gap":
-        if task.desc is None or task.distribution is None:
-            raise _UsageError("gap learning needs both a class and a distribution")
-        outcome = gap_learner(task.desc, task.distribution, task.sample.p_hat)
-    elif args.learner == "subset_sum":
-        outcome = subset_sum_learner(task.sample)
-    elif args.learner == "window":
-        if task.desc is None or task.desc.k is None:
-            raise _UsageError("window learning needs a window class with a span bound")
-        outcome = window_learner(task.sample, task.desc.k)
-    elif args.learner == "halfspace_sweep":
-        outcome = halfspace_sweep_learner(task.sample, args.seed)
-    else:
-        raise _UsageError(f"unknown learner {args.learner!r}")
+    outcome = run_learner(args.learner, task.desc, task.distribution, task.sample, args.seed)
     _emit(_outcome_json(outcome), args.out)
     return 0
 
@@ -394,11 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="run one learner on one task file")
     p.add_argument("--task", required=True, help="task JSON file")
-    p.add_argument(
-        "--learner",
-        required=True,
-        choices=["improper", "erm", "gap", "subset_sum", "window", "halfspace_sweep"],
-    )
+    p.add_argument("--learner", required=True, choices=list(SAMPLE_LEARNERS))
     p.add_argument("--seed", type=int, default=0, help="seed for randomized learners")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_learn)
@@ -411,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--m-mode", dest="m_mode", choices=["explicit", "hoeffding", "gap", "uniform-convergence"])
+    p.add_argument("--m-mode", dest="m_mode", choices=M_MODES)
     p.add_argument("--record-ms", action="store_true", help="record wall time per trial (breaks byte determinism)")
     p.add_argument("--print-config", action="store_true", help="echo the resolved config and exit")
     p.add_argument("--format", choices=["csv", "json"])
@@ -462,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", type=int, help="universe size for x3c/epsc")
     p.add_argument("--triples", type=int, help="triple count for x3c")
     p.add_argument("--subsets", type=int, help="subset count for epsc")
-    p.add_argument("--class-id", dest="class_id", choices=["parity", "monotone_disjunction", "monotone_conjunction", "finite_subset", "window", "halfspace"])
+    p.add_argument("--class-id", dest="class_id", choices=CLASS_IDS)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--restriction", type=int)
     p.add_argument("--k", type=int)

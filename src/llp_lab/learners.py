@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .core import Sample
 from .errors import (
@@ -31,7 +32,7 @@ from .hypotheses import (
     Window,
     DEFAULT_BUDGET,
     distinct_labelings,
-    encode,
+    ranking_key,
 )
 from .sampling import achievable_proportions
 
@@ -69,10 +70,6 @@ class LearnerOutcome:
     improper: bool = False
 
 
-def _target_count(sample: Sample) -> int:
-    return sample.positive_count
-
-
 def improper_learner(sample: Sample) -> LearnerOutcome:
     """Return the constant-random baseline tuned to the revealed fraction.
 
@@ -85,21 +82,14 @@ def improper_learner(sample: Sample) -> LearnerOutcome:
 
 
 def gap_values(
-    desc: ClassDescriptor,
-    dist,
-    ground_set: tuple[int, ...] | None = None,
-    budget: int = DEFAULT_BUDGET,
+    desc: ClassDescriptor, dist, budget: int = DEFAULT_BUDGET
 ) -> dict[Fraction, Hypothesis]:
     """The values `gap_learner` snaps to: achievable true proportion -> witness.
 
     They depend only on the class and the distribution, so a run of many
     gap trials over one (desc, dist) builds them once and passes them to
-    every `gap_learner` call.  `ground_set` replaces the class's ground set.
+    every `gap_learner` call.
     """
-    if ground_set is not None:
-        desc = ClassDescriptor(
-            desc.class_id, desc.n, desc.restriction, desc.k, tuple(sorted(ground_set))
-        )
     return achievable_proportions(desc, dist, budget)
 
 
@@ -107,7 +97,6 @@ def gap_learner(
     desc: ClassDescriptor,
     dist,
     p_hat: Fraction,
-    ground_set: tuple[int, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
     values: dict[Fraction, Hypothesis] | None = None,
 ) -> LearnerOutcome:
@@ -116,11 +105,12 @@ def gap_learner(
     Works from the known distribution: enumerate the class, collect the
     distinct achievable proportion values, pick the value closest to p_hat
     (ties resolved to the smaller value), and return its encoding-minimal
-    witness.  `values`, when given, is `gap_values(desc, dist, ground_set,
-    budget)` built earlier, and replaces the enumeration.
+    witness.  `values`, when given, is `gap_values(desc, dist, budget)`
+    built earlier, and replaces the enumeration.  Its key (distance, value)
+    never needs `ranking_key`'s encoding: the candidates are distinct values.
     """
     if values is None:
-        values = gap_values(desc, dist, ground_set, budget)
+        values = gap_values(desc, dist, budget)
     best_value = min(values, key=lambda v: (abs(v - p_hat), v))
     h = values[best_value]
     return LearnerOutcome(
@@ -137,24 +127,34 @@ def erm_proportion_matcher(
     work is bounded by the growth function instead of the class size.
     """
     mults = tuple(c for _, c in sample.counts)
+    candidates = (
+        (sum(c for bit, c in zip(labeling, mults) if bit), witness)
+        for labeling, witness in distinct_labelings(desc, sample, budget)
+    )
+    return _best_ranked(candidates, sample, "labelings")
+
+
+def _best_ranked(
+    candidates: Iterable[tuple[int, Hypothesis]], sample: Sample, work: str
+) -> LearnerOutcome:
+    """The (count, hypothesis) candidate first under `ranking_key`.
+
+    The residual is |count - positive count| / m; `work[work]` is the
+    number of candidates examined.
+    """
     m = sample.m
-    t = _target_count(sample)
-    best: tuple[Fraction, int, str] | None = None
-    best_h: Hypothesis | None = None
-    best_count = 0
+    t = sample.positive_count
+    best: tuple[tuple[Fraction, int, str], Hypothesis] | None = None
     examined = 0
-    for labeling, witness in distinct_labelings(desc, sample, budget):
+    for count, h in candidates:
         examined += 1
-        count = sum(c for bit, c in zip(labeling, mults) if bit)
-        residual = Fraction(abs(count - t), m) if m else Fraction(0)
-        key = (residual, count, encode(witness))
-        if best is None or key < best:
-            best = key
-            best_h = witness
-            best_count = count
-    assert best_h is not None and best is not None
-    achieved = Fraction(best_count, m) if m else Fraction(0)
-    return LearnerOutcome(best_h, achieved, best[0], {"labelings": examined})
+        key = ranking_key(Fraction(abs(count - t), m) if m else Fraction(0), count, h)
+        if best is None or key < best[0]:
+            best = key, h
+    assert best is not None
+    (residual, count, _), h = best
+    achieved = Fraction(count, m) if m else Fraction(0)
+    return LearnerOutcome(h, achieved, residual, {work: examined})
 
 
 def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -175,7 +175,7 @@ def subset_sum_learner(sample: Sample) -> LearnerOutcome:
     """
     points, mults = _nat_sample_items(sample)
     m = sample.m
-    t = _target_count(sample)
+    t = sample.positive_count
     u = len(points)
     cells = 0
     # reach[i] = sums achievable using items i.. (suffixes enable the greedy
@@ -212,37 +212,20 @@ def window_learner(sample: Sample, k: int) -> LearnerOutcome:
     (v, v+k] joined with v: O(2^k) candidates per unique value.
     """
     points, mults = _nat_sample_items(sample)
-    m = sample.m
-    t = _target_count(sample)
-    best_key: tuple[Fraction, int, str] | None = None
-    best_h: Hypothesis | None = None
-    best_count = 0
-    examined = 0
 
-    def consider(elems: tuple[int, ...], count: int) -> None:
-        nonlocal best_key, best_h, best_count, examined
-        examined += 1
-        h = Window(k, elems)
-        residual = Fraction(abs(count - t), m) if m else Fraction(0)
-        key = (residual, count, encode(h))
-        if best_key is None or key < best_key:
-            best_key, best_h, best_count = key, h, count
+    def candidates() -> Iterator[tuple[int, Hypothesis]]:
+        yield 0, Window(k, ())
+        for i, v in enumerate(points):
+            tail = [(points[j], mults[j]) for j in range(i + 1, len(points)) if points[j] <= v + k]
+            # depth first, each subset of the tail before its extensions
+            stack = [((v,), mults[i], 0)]
+            while stack:
+                elems, count, start = stack.pop()
+                yield count, Window(k, elems)
+                for j in range(len(tail) - 1, start - 1, -1):
+                    stack.append(((*elems, tail[j][0]), count + tail[j][1], j + 1))
 
-    consider((), 0)
-    for i, v in enumerate(points):
-        tail = [(points[j], mults[j]) for j in range(i + 1, len(points)) if points[j] <= v + k]
-
-        def extend(prefix: list[int], count: int, start: int) -> None:
-            consider((v, *prefix), count)
-            for j in range(start, len(tail)):
-                prefix.append(tail[j][0])
-                extend(prefix, count + tail[j][1], j + 1)
-                prefix.pop()
-
-        extend([], mults[i], 0)
-    assert best_h is not None and best_key is not None
-    achieved = Fraction(best_count, m) if m else Fraction(0)
-    return LearnerOutcome(best_h, achieved, best_key[0], {"candidates": examined})
+    return _best_ranked(candidates(), sample, "candidates")
 
 
 def halfspace_precision_bits(n: int) -> int:
@@ -273,7 +256,7 @@ def halfspace_sweep_learner(
         raise DomainMismatch("the sweep learner needs bit-vector points")
     B = precision_bits if precision_bits is not None else halfspace_precision_bits(n)
     m = sample.m
-    t = _target_count(sample)
+    t = sample.positive_count
     rng = random.Random(seed)
     denom = 1 << B
     failure: type[Exception] = UnreachableCount

@@ -26,6 +26,7 @@ from .core import (
     distribution_from_json,
     distribution_to_json,
     draw_counts,
+    draw_points,
     parse_rational,
     points_from_counts,
     rational_to_json,
@@ -131,32 +132,21 @@ def draw_labeled_points(
     kernel; a constant-random target flips one coin per example from a seed
     derived from `seed`.
     """
-    if isinstance(dist, ExplicitDistribution) and m >= COUNT_DRAW_MIN and not isinstance(target, ConstantRandom):
-        counts = draw_counts(dist, m, seed)
-        label = labeler(target, dist.packed[0])
-        points: list[Point] = []
-        labels: list[int] = []
-        for point, c in counts:
-            points.extend([point] * c)
-            labels.extend([int(label(_pack(point)))] * c)
-        return tuple(points), tuple(labels)
-    from .core import draw_points  # local import keeps module surface tidy
-
-    points_t = draw_points(dist, m, seed)
+    points = draw_points(dist, m, seed)
     if isinstance(target, ConstantRandom):
         rng = random.Random(derive_seed(seed, "labels"))
-        return points_t, tuple(evaluate(target, p, rng) for p in points_t)
-    if not points_t:
-        return points_t, ()
+        return points, tuple(evaluate(target, p, rng) for p in points)
+    if not points:
+        return points, ()
     label = labeler(target, _support_domain(dist))
     memo: dict[Point, int] = {}
-    labels_l = []
-    for p in points_t:
+    labels = []
+    for p in points:
         lab = memo.get(p)
         if lab is None:
             lab = memo[p] = int(label(_pack(p)))
-        labels_l.append(lab)
-    return points_t, tuple(labels_l)
+        labels.append(lab)
+    return points, tuple(labels)
 
 
 def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis) -> Sample:
@@ -206,7 +196,13 @@ def smallest_gap(values: Iterable[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class LLPTask:
-    """One learning task: a class, accuracy targets, and the training input."""
+    """One learning task: a class, accuracy targets, and the training input.
+
+    Epsilon lies in (0, 1): it is the accuracy a learner is asked for, and
+    a requested accuracy of 0 would leave no room for sampling error.
+    `TrialConfig` differs on purpose and accepts epsilon = 0, which scores
+    a trial as a success only when the proportions match exactly.
+    """
 
     desc: ClassDescriptor | None
     epsilon: Fraction

@@ -19,11 +19,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from typing import Callable, NamedTuple
 
 from scipy.stats import beta as _beta_dist
 
 from .core import (
     FiniteDistribution,
+    Sample,
     _random_cut,
     derive_seed,
     distribution_from_json,
@@ -70,6 +72,8 @@ from .sampling import (
 __all__ = [
     "LEARNER_IDS",
     "M_MODES",
+    "SAMPLE_LEARNERS",
+    "run_learner",
     "TrialConfig",
     "TrialRow",
     "TrialReport",
@@ -85,25 +89,70 @@ __all__ = [
     "config_from_json",
 ]
 
-LEARNER_IDS = (
-    "improper",
-    "erm",
-    "gap",
-    "subset_sum",
-    "window",
-    "halfspace_sweep",
-    "noisy_distinguisher",
-)
+
+class SampleLearner(NamedTuple):
+    """A learner that picks its hypothesis from a sample and its p-hat."""
+
+    needs_desc: bool
+    run: Callable[..., LearnerOutcome]  # (desc, dist, sample, seed, values)
+
+
+def _gap(desc, dist, sample, seed, values):
+    if dist is None:
+        raise InvalidParams("the gap learner needs a distribution")
+    return gap_learner(desc, dist, sample.p_hat, values=values)
+
+
+def _window(desc, dist, sample, seed, values):
+    if desc.k is None:
+        raise InvalidParams("the window learner needs a window class with a span bound")
+    return window_learner(sample, desc.k)
+
+
+# Each entry looks its learner up among this module's globals when it runs,
+# so replacing a learner here (as a tracer or a test does) takes effect.
+SAMPLE_LEARNERS = {
+    "improper": SampleLearner(False, lambda desc, dist, sample, seed, values: improper_learner(sample)),
+    "erm": SampleLearner(True, lambda desc, dist, sample, seed, values: erm_proportion_matcher(desc, sample)),
+    "gap": SampleLearner(True, _gap),
+    "subset_sum": SampleLearner(False, lambda desc, dist, sample, seed, values: subset_sum_learner(sample)),
+    "window": SampleLearner(True, _window),
+    "halfspace_sweep": SampleLearner(False, lambda desc, dist, sample, seed, values: halfspace_sweep_learner(sample, seed)),
+}
+
+# the noisy distinguisher reads noisy labels, not a Sample (see run_single_trial)
+LEARNER_IDS = (*SAMPLE_LEARNERS, "noisy_distinguisher")
 
 M_MODES = ("explicit", "hoeffding", "gap", "uniform-convergence")
 
-# learner ids that need a class descriptor to run
-_NEEDS_DESC = ("erm", "gap", "window")
+
+def run_learner(
+    learner: str, desc: ClassDescriptor | None, dist: FiniteDistribution | None,
+    sample: Sample, seed: int, values: dict[Fraction, Hypothesis] | None = None,
+) -> LearnerOutcome:
+    """Run a learner of SAMPLE_LEARNERS; `seed` feeds the halfspace sweep.
+
+    `values` is the gap learner's `gap_values`, when built once for many
+    calls.  Raises InvalidParams for an unknown learner, and for a missing
+    class, distribution (gap) or window span bound (window).
+    """
+    entry = SAMPLE_LEARNERS.get(learner)
+    if entry is None:
+        raise InvalidParams(f"unknown sample learner {learner!r}")
+    if entry.needs_desc and desc is None:
+        raise InvalidParams(f"learner {learner!r} needs a class descriptor")
+    return entry.run(desc, dist, sample, seed, values)
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Everything one Monte Carlo estimate depends on, seed included."""
+    """Everything one Monte Carlo estimate depends on, seed included.
+
+    Epsilon may be 0, unlike `LLPTask`'s, which lies in (0, 1): a trial at
+    epsilon = 0 succeeds only when the hypothesis's true proportion equals
+    the target's exactly, the rate criterion 12 estimates for the noisy
+    distinguisher.
+    """
 
     learner: str
     epsilon: Fraction
@@ -138,7 +187,8 @@ class TrialConfig:
             )
         if self.m_mode == "explicit" and (self.m is None or self.m < 1):
             raise InvalidParams(f"explicit m must be >= 1, got {self.m}")
-        if self.learner in _NEEDS_DESC and self.desc is None:
+        entry = SAMPLE_LEARNERS.get(self.learner)
+        if entry is not None and entry.needs_desc and self.desc is None:
             raise InvalidParams(f"learner {self.learner!r} needs a class descriptor")
         if self.target is None and self.desc is None:
             raise InvalidParams("random targets need a class descriptor to draw from")
@@ -230,26 +280,6 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tu
     return lo, hi
 
 
-def _dispatch(
-    config: TrialConfig, sample, trial_seed: int, values: dict[Fraction, Hypothesis] | None
-) -> LearnerOutcome:
-    if config.learner == "improper":
-        return improper_learner(sample)
-    if config.learner == "erm":
-        return erm_proportion_matcher(config.desc, sample)
-    if config.learner == "gap":
-        return gap_learner(config.desc, config.distribution, sample.p_hat, values=values)
-    if config.learner == "subset_sum":
-        return subset_sum_learner(sample)
-    if config.learner == "window":
-        if config.desc is None or config.desc.k is None:
-            raise InvalidParams("the window learner needs a window class with a span bound")
-        return window_learner(sample, config.desc.k)
-    if config.learner == "halfspace_sweep":
-        return halfspace_sweep_learner(sample, derive_seed(trial_seed, "sweep"))
-    raise InvalidParams(f"unknown learner {config.learner!r}")
-
-
 def run_single_trial(
     config: TrialConfig, m: int, index: int, values: dict[Fraction, Hypothesis] | None = None
 ) -> TrialRow:
@@ -284,7 +314,10 @@ def run_single_trial(
             sample = draw_sample(
                 config.distribution, m, derive_seed(trial_seed, "sample"), target
             )
-            outcome = _dispatch(config, sample, trial_seed, values)
+            outcome = run_learner(
+                config.learner, config.desc, config.distribution, sample,
+                derive_seed(trial_seed, "sweep"), values,
+            )
         p_c = true_proportion(target, config.distribution)
         p_h = true_proportion(outcome.hypothesis, config.distribution)
         success = llp_success(outcome.hypothesis, target, config.distribution, config.epsilon)
@@ -301,17 +334,23 @@ def run_single_trial(
 def run_trials(config: TrialConfig) -> TrialReport:
     """All trials, serial or pooled; the report is identical either way.
 
-    LLP_LAB_THREADS > 1 fans trials out to a process pool; results are
-    assembled in trial order and each trial's randomness depends only on
-    (master seed, index), so the pool size never shows in the output.  The
-    gap learner's achievable proportions depend on the config alone, so
-    they are built once here and handed to `resolve_m` and every trial.
+    LLP_LAB_THREADS > 1 fans trials out to a process pool of at most one
+    worker per trial; results are assembled in trial order and each
+    trial's randomness depends only on (master seed, index), so the pool
+    size never shows in the output.  A value that is not an integer raises
+    InvalidParams.  The gap learner's achievable proportions depend on the
+    config alone, so they are built once here and handed to `resolve_m`
+    and every trial.
     """
+    threads = os.environ.get("LLP_LAB_THREADS", "1") or "1"
+    try:
+        workers = min(int(threads), config.trials)
+    except ValueError:
+        raise InvalidParams(f"LLP_LAB_THREADS must be an integer, got {threads!r}") from None
     values = _shared_gap_values(config)
     m = resolve_m(config, values)
     resolved = replace(config, m=m, m_mode="explicit")
     trial = partial(run_single_trial, resolved, m, values=values)
-    workers = int(os.environ.get("LLP_LAB_THREADS", "1") or "1")
     indices = range(config.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -28,6 +28,7 @@ from llp_lab import (
     true_proportion,
     uniform_over,
 )
+from llp_lab.core import COUNT_DRAW_MIN, draw_counts, points_from_counts
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 
@@ -105,6 +106,14 @@ def test_draw_labeled_points_labels_match_target():
     points, labels = draw_labeled_points(UniformCube(3), 64, seed=9, target=target)
     assert len(points) == len(labels) == 64
     assert all(evaluate(target, x) == lab for x, lab in zip(points, labels))
+
+
+def test_draw_labeled_points_at_count_draw_min_uses_the_count_sampler():
+    dist = make_distribution([((0, 1), F(1, 6)), ((1, 0), F(1, 3)), ((1, 1), F(1, 2))])
+    target = Parity((1, 0))
+    points, labels = draw_labeled_points(dist, COUNT_DRAW_MIN, seed=4, target=target)
+    assert points == points_from_counts(draw_counts(dist, COUNT_DRAW_MIN, 4))
+    assert labels == tuple(evaluate(target, x) for x in points)
 
 
 def test_achievable_proportions_two_atom_subsets():

@@ -9,7 +9,9 @@ import pytest
 from llp_lab import (
     ClassDescriptor,
     FiniteSubset,
+    LLPTask,
     Parity,
+    Sample,
     TrialConfig,
     UniformCube,
     clopper_pearson,
@@ -22,9 +24,11 @@ from llp_lab import (
     report_to_json,
     resolve_m,
     run_trials,
+    task_to_json,
 )
-from llp_lab.cli import main
+from llp_lab.cli import build_parser, main
 from llp_lab.errors import InvalidParams
+from llp_lab.trials import LEARNER_IDS, SAMPLE_LEARNERS
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 CSV_HEADER = "trial,seed,p_c_num,p_c_den,p_h_num,p_h_den,residual,success,ms"
@@ -166,6 +170,39 @@ def test_parallel_matches_serial(monkeypatch):
     pooled = run_trials(cfg)
     assert report_to_csv(serial) == report_to_csv(pooled)
     assert report_to_json(serial) == report_to_json(pooled)
+
+
+def test_threads_that_are_not_an_integer_are_invalid_params(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LLP_LAB_THREADS", "abc")
+    with pytest.raises(InvalidParams, match="LLP_LAB_THREADS"):
+        run_trials(improper_config(trials=2))
+    code, _, err = run_cli(capsys, "trials", "--config", write_cli_config(tmp_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidParams"
+
+
+def test_pool_has_at_most_one_worker_per_trial(monkeypatch):
+    import llp_lab.trials
+
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(llp_lab.trials, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setenv("LLP_LAB_THREADS", "8")
+    run_trials(improper_config(trials=3))
+    assert seen == [3]
 
 
 def test_report_csv_shape():
@@ -379,3 +416,58 @@ def test_cli_trials_min_success_rate_gate(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(err)["error"] == "check_failed"
+
+
+def write_task(tmp_path, desc, distribution=None):
+    task = LLPTask(desc, F(1, 10), F(1, 20), Sample((1, 2, 2), F(2, 3)), distribution)
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"task": task_to_json(task)}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "learner, desc, distribution, detail",
+    [
+        ("erm", None, TWO_ATOM, "needs a class descriptor"),
+        ("gap", ClassDescriptor("finite_subset", 1, ground_set=(1, 2)), None, "needs a distribution"),
+        ("window", ClassDescriptor("finite_subset", 1, ground_set=(1, 2)), TWO_ATOM, "span bound"),
+    ],
+)
+def test_cli_learn_preconditions_are_invalid_params(tmp_path, capsys, learner, desc, distribution, detail):
+    task_path = write_task(tmp_path, desc, distribution)
+    code, out, err = run_cli(capsys, "learn", "--task", task_path, "--learner", learner)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "InvalidParams"
+    assert detail in error["detail"]
+
+
+def test_one_table_names_the_learners():
+    learn = next(
+        action.choices["learn"]
+        for action in build_parser()._actions
+        if action.dest == "command"
+    )
+    learner = next(action for action in learn._actions if action.dest == "learner")
+    assert list(learner.choices) == list(SAMPLE_LEARNERS)
+    assert LEARNER_IDS == (*SAMPLE_LEARNERS, "noisy_distinguisher")
+
+
+def test_trials_and_learn_call_the_learner_through_the_module(tmp_path, capsys, monkeypatch):
+    import llp_lab.trials
+
+    calls = []
+    erm = llp_lab.trials.erm_proportion_matcher
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return erm(*args, **kwargs)
+
+    monkeypatch.setattr(llp_lab.trials, "erm_proportion_matcher", counting)
+    desc = ClassDescriptor("finite_subset", 1, ground_set=(1, 2))
+    run_trials(improper_config(learner="erm", desc=desc, trials=3))
+    assert len(calls) == 3
+    code, _, _ = run_cli(
+        capsys, "learn", "--task", write_task(tmp_path, desc, TWO_ATOM), "--learner", "erm"
+    )
+    assert code == 0 and len(calls) == 4
