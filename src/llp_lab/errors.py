@@ -72,11 +72,11 @@ class ZeroGap(LlpError):
 
 
 class UnreachableCount(LlpError):
-    """No threshold can realize the target positive count: it falls strictly inside a block of identical points."""
+    """No hypothesis can realize the target positive count: it is not a sum of the sample's multiplicities."""
 
 
 class CollisionPersistent(LlpError):
-    """Distinct points kept colliding in projection across every retry."""
+    """Every retry failed to realize a target count that might be reachable: it is a sum of the sample's multiplicities."""
 
 
 class InvalidNoiseBound(LlpError):

@@ -32,7 +32,7 @@ from .hypotheses import (
     Window,
     DEFAULT_BUDGET,
     distinct_labelings,
-    ranking_key,
+    encode,
 )
 from .sampling import achievable_proportions
 
@@ -139,22 +139,34 @@ def _best_ranked(
 ) -> LearnerOutcome:
     """The (count, hypothesis) candidate first under `ranking_key`.
 
-    The residual is |count - positive count| / m; `work[work]` is the
-    number of candidates examined.
+    Every candidate shares the sample's m, so the integers
+    (|count - positive count|, count) order the candidates as
+    `ranking_key`'s (residual, count) do; the encoding is computed only for
+    candidates that tie on both.  The residual is |count - positive count| / m;
+    `work[work]` is the number of candidates examined.
     """
     m = sample.m
     t = sample.positive_count
-    best: tuple[tuple[Fraction, int, str], Hypothesis] | None = None
+    best_key: tuple[int, int] | None = None
+    best_h: Hypothesis | None = None
+    best_code: str | None = None  # encode(best_h), once a tie needs it
     examined = 0
     for count, h in candidates:
         examined += 1
-        key = ranking_key(Fraction(abs(count - t), m) if m else Fraction(0), count, h)
-        if best is None or key < best[0]:
-            best = key, h
-    assert best is not None
-    (residual, count, _), h = best
+        key = (abs(count - t), count)
+        if best_key is None or key < best_key:
+            best_key, best_h, best_code = key, h, None
+        elif key == best_key:
+            if best_code is None:
+                best_code = encode(best_h)  # type: ignore[arg-type]
+            code = encode(h)
+            if code < best_code:
+                best_h, best_code = h, code
+    assert best_key is not None and best_h is not None
+    gap, count = best_key
+    residual = Fraction(gap, m) if m else Fraction(0)
     achieved = Fraction(count, m) if m else Fraction(0)
-    return LearnerOutcome(h, achieved, residual, {work: examined})
+    return LearnerOutcome(best_h, achieved, residual, {work: examined})
 
 
 def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -165,37 +177,51 @@ def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]
     return points, mults  # type: ignore[return-value]
 
 
+def _suffix_reach(mults: tuple[int, ...], cap: int) -> list[int]:
+    """Subset sums of each suffix of `mults`, as bitsets capped at `cap`.
+
+    Bit s of `reach[i]` is set iff some subset of mults[i:] sums to s <= cap.
+    Each set is the next one shift-or'ed by the item's multiplicity and
+    masked to cap + 1 bits.
+    """
+    mask = (1 << (cap + 1)) - 1
+    reach = [0] * (len(mults) + 1)
+    reach[-1] = 1
+    for i in range(len(mults) - 1, -1, -1):
+        below = reach[i + 1]
+        reach[i] = (below | below << mults[i]) & mask
+    return reach
+
+
 def subset_sum_learner(sample: Sample) -> LearnerOutcome:
     """Pick the subset of unique points whose multiplicities sum nearest t.
 
-    Reachability is a DP over sums 0..m processed item by item (at most
-    (m+1) * u cell touches, reported in `work`); the witness is rebuilt
-    greedily so it is the lexicographically smallest element list among
-    subsets achieving the chosen sum.
+    Reachability is a DP over the sums 0..m, held as bitsets: `reach[i]`
+    has bit s set iff some subset of the items i.. sums to s, and is built
+    from `reach[i+1]` by one shift-or with item i's multiplicity.  The chosen
+    sum is the set bit of `reach[0]` nearest t, the smaller on a tie.  The
+    witness is rebuilt greedily with bit tests, so it is the lexicographically
+    smallest element list among subsets achieving that sum.  `work` reports
+    `dp_cells`, the number of reachable (item, sum) cells the DP extended:
+    the sum over i of the population count of `reach[i+1]`, at most (m+1) * u.
     """
     points, mults = _nat_sample_items(sample)
     m = sample.m
     t = sample.positive_count
-    u = len(points)
-    cells = 0
-    # reach[i] = sums achievable using items i.. (suffixes enable the greedy
-    # lex-minimal reconstruction below)
-    reach: list[set[int]] = [set() for _ in range(u + 1)]
-    reach[u] = {0}
-    for i in range(u - 1, -1, -1):
-        grown = set(reach[i + 1])
-        a = mults[i]
-        for s in reach[i + 1]:
-            if s + a <= m:
-                grown.add(s + a)
-        cells += len(reach[i + 1])
-        reach[i] = grown
-    best_sum = min(reach[0], key=lambda s: (abs(s - t), s))
+    reach = _suffix_reach(mults, m)
+    cells = sum(r.bit_count() for r in reach[1:])
+    # bit 0 is always set, so some reachable sum lies at or below t
+    below = (reach[0] & ((2 << t) - 1)).bit_length() - 1
+    above = reach[0] >> t
+    best_sum = below
+    if above:
+        nearest_above = t + (above & -above).bit_length() - 1
+        if nearest_above - t < t - below:
+            best_sum = nearest_above
     elems: list[int] = []
     current = best_sum
-    for i in range(u):
-        a = mults[i]
-        if a <= current and (current - a) in reach[i + 1]:
+    for i, a in enumerate(mults):
+        if a <= current and reach[i + 1] >> (current - a) & 1:
             elems.append(points[i])
             current -= a
     assert current == 0
@@ -245,9 +271,11 @@ def halfspace_sweep_learner(
     multiplicity) land strictly above; the threshold is the midpoint of the
     adjacent projections (or sits past the extremes for all-or-nothing
     counts).  When t falls strictly inside a block of equal projections the
-    normal is redrawn, up to `retries` times: a block of one repeated point
-    can never be split (UnreachableCount), distinct points sharing a
-    projection might be (CollisionPersistent).
+    normal is redrawn, up to `retries` times.  A halfspace labels whole
+    points, so it can reach t only if t is a subset sum of the sample's
+    multiplicities: when every draw fails, the error is UnreachableCount if
+    that subset-sum bitset proves t is not one, else CollisionPersistent
+    (another normal might still realize t).
     """
     if sample.domain is None:
         raise DegenerateSample("the sweep learner needs a nonempty sample")
@@ -259,18 +287,16 @@ def halfspace_sweep_learner(
     t = sample.positive_count
     rng = random.Random(seed)
     denom = 1 << B
-    failure: type[Exception] = UnreachableCount
     for attempt in range(retries + 1):
         nums = [rng.getrandbits(B) for _ in range(n)]
-        groups: dict[int, tuple[int, int]] = {}  # projection -> (mult, distinct points)
+        groups: dict[int, int] = {}  # projection -> multiplicity
         for point, c in sample.counts:
             proj = sum(nums[i] for i in range(n) if point[i])  # type: ignore[index]
-            mult, kinds = groups.get(proj, (0, 0))
-            groups[proj] = (mult + c, kinds + 1)
+            groups[proj] = groups.get(proj, 0) + c
         ordered = sorted(groups.items())  # ascending projection
         above = m
         boundaries = [(m, None)]  # (count strictly above, index of gap below q_j)
-        for j, (proj, (mult, _)) in enumerate(ordered):
+        for j, (proj, mult) in enumerate(ordered):
             above -= mult
             boundaries.append((above, j))
         hit = next((gap for count, gap in boundaries if count == t), -1)
@@ -289,13 +315,9 @@ def halfspace_sweep_learner(
             return LearnerOutcome(
                 h, achieved, abs(achieved - sample.p_hat), {"draws": attempt + 1}
             )
-        # classify this attempt's failure: which block straddles t?
-        above = m
-        for proj, (mult, kinds) in ordered:
-            if above - mult < t < above:
-                failure = UnreachableCount if kinds == 1 else CollisionPersistent
-                break
-            above -= mult
+    mults = tuple(c for _, c in sample.counts)
+    reachable = _suffix_reach(mults, t)[0] >> t & 1
+    failure = CollisionPersistent if reachable else UnreachableCount
     raise failure(f"count {t} of {m} not realizable after {retries + 1} draws")
 
 

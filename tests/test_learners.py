@@ -5,19 +5,27 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from llp_lab import (
     ClassDescriptor,
+    CollisionPersistent,
     ConstantRandom,
     DegenerateSample,
     DomainMismatch,
     FiniteSubset,
+    Halfspace,
     InvalidNoiseBound,
+    MonotoneConjunction,
     MonotoneDisjunction,
     Parity,
     Sample,
+    TrialConfig,
+    UniformCube,
     UnreachableCount,
     Window,
+    brute_subset_sum,
+    derive_seed,
     empirical_proportion,
     enumerate_class,
     erm_proportion_matcher,
@@ -28,11 +36,13 @@ from llp_lab import (
     noisy_parity_uniform_learner,
     positive_count,
     ranking_key,
+    run_trials,
     subset_sum_learner,
     true_proportion,
     halfspace_sweep_learner,
     window_learner,
 )
+from llp_lab.learners import _best_ranked, _suffix_reach
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 SUBSETS_12 = ClassDescriptor("finite_subset", 1, ground_set=(1, 2))
@@ -149,6 +159,99 @@ def test_subset_sum_tie_prefers_smaller_sum():
     assert out.residual == F(1, 4)
 
 
+def _set_reach(mults, cap):
+    """Reference DP over sets: suffix reach sets, and the cells it extends."""
+    reach = [set() for _ in range(len(mults) + 1)]
+    reach[-1] = {0}
+    cells = 0
+    for i in range(len(mults) - 1, -1, -1):
+        a = mults[i]
+        reach[i] = reach[i + 1] | {s + a for s in reach[i + 1] if s + a <= cap}
+        cells += len(reach[i + 1])
+    return reach, cells
+
+
+@st.composite
+def repeated_multiplicity_samples(draw):
+    """Up to 16 unique naturals whose multiplicities repeat, and a target t."""
+    pool = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    points = sorted(draw(st.sets(st.integers(0, 100), max_size=16)))
+    mults = [draw(st.sampled_from(pool)) for _ in points]
+    m = sum(mults)
+    t = draw(st.one_of(st.just(0), st.just(m), st.integers(0, m)))
+    return points, mults, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_multiplicity_samples())
+@example(([3, 7], [2, 2], 1))  # sums 0 and 2 tie around t = 1
+@example(([1, 2, 5], [4, 4, 4], 0))
+@example(([1, 2, 5], [4, 4, 4], 12))
+@example(([], [], 0))
+def test_subset_sum_matches_brute_force(case):
+    points, mults, t = case
+    m = sum(mults)
+    pts = tuple(p for p, c in zip(points, mults) for _ in range(c))
+    sample = Sample(pts, F(t, m) if m else F(0))
+    out = subset_sum_learner(sample)
+    ref = brute_subset_sum(mults, t)
+    best_sum = sum(mults[i] for i in ref.witness)
+    assert out.achieved == (F(best_sum, m) if m else 0)
+    assert out.hypothesis == FiniteSubset(tuple(points[i] for i in ref.witness))
+    assert out.residual == (F(ref.optimum, m) if m else 0)
+    assert out.work["dp_cells"] == _set_reach(mults, m)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=12), st.integers(0, 60))
+def test_suffix_reach_matches_set_dp_below_the_cap(mults, cap):
+    reach = _suffix_reach(tuple(mults), cap)
+    ref, _ = _set_reach(mults, cap)
+    assert reach == [sum(1 << s for s in sums) for sums in ref]
+
+
+RANKED_KINDS = st.one_of(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)).map(Parity),
+    st.sets(st.integers(1, 2)).map(lambda v: MonotoneDisjunction(2, tuple(sorted(v)))),
+    st.sets(st.integers(1, 2)).map(lambda v: MonotoneConjunction(2, tuple(sorted(v)))),
+    st.sets(st.integers(0, 3)).map(lambda e: FiniteSubset(tuple(sorted(e)))),
+    st.tuples(st.integers(0, 2), st.integers(0, 3)).map(lambda ke: Window(ke[0], (ke[1],))),
+    st.integers(-2, 2).map(lambda c: Halfspace((F(c), F(1)), F(1, 2))),
+)
+
+
+@st.composite
+def ranked_streams(draw):
+    """A sample size m (0 included), a target count and a candidate stream
+    whose counts fall in a narrow range, so that (residual, count) ties are
+    common and only the encoding can break them."""
+    m = draw(st.integers(0, 5))
+    t = draw(st.integers(0, m))
+    counts = st.integers(max(0, t - 1), min(m, t + 1))
+    stream = draw(st.lists(st.tuples(counts, RANKED_KINDS), min_size=1, max_size=12))
+    return m, t, stream
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranked_streams())
+@example((2, 1, [(1, Parity((1, 0))), (1, Parity((0, 1)))]))
+@example((0, 0, [(0, Window(1, (2,))), (0, FiniteSubset((1,))), (0, Parity((1, 1)))]))
+def test_best_ranked_matches_ranking_key(case):
+    m, t, stream = case
+    sample = Sample(tuple(range(m)), F(t, m)) if m else Sample((), F(0))
+
+    def key(candidate):
+        count, h = candidate
+        return ranking_key(F(abs(count - t), m) if m else F(0), count, h)
+
+    count, h = min(stream, key=key)
+    out = _best_ranked(iter(stream), sample, "candidates")
+    assert out.hypothesis == h
+    assert out.achieved == (F(count, m) if m else 0)
+    assert out.residual == key((count, h))[0]
+    assert out.work == {"candidates": len(stream)}
+
+
 def test_window_k0_forces_singletons():
     out = window_learner(Sample((3, 9, 20), F(1, 3)), 0)
     assert out.hypothesis == Window(0, (3,))
@@ -221,6 +324,19 @@ def test_halfspace_duplicate_block_unreachable():
     sample = Sample(((1, 0),) * 4, F(1, 4))
     with pytest.raises(UnreachableCount):
         halfspace_sweep_learner(sample, seed=5)
+
+
+def test_halfspace_reachable_count_is_not_called_unreachable():
+    # 500 points of the 10-cube, mostly distinct, so every count is a subset
+    # sum of the multiplicities; this trial's sample still defeats 4 normals
+    cfg = TrialConfig(
+        learner="halfspace_sweep", epsilon=F(1, 10), delta=F(1, 10), trials=10,
+        seed=derive_seed(1009, "t", 5), distribution=UniformCube(10),
+        target=Parity((1,) + (0,) * 9), m=500,
+    )
+    rows = run_trials(cfg).rows
+    assert rows[4].error.startswith(f"{CollisionPersistent.__name__}: count 243 of 500")
+    assert not any(r.error and r.error.startswith(UnreachableCount.__name__) for r in rows)
 
 
 def test_halfspace_retry_counter_bounded():
