@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     DomainMismatch,
     DuplicateSupportPoint,
@@ -348,6 +346,8 @@ def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Po
     Atoms that receive no draws are dropped, so the result obeys the same
     invariants as Sample.counts (sorted, every count >= 1).
     """
+    import numpy as np  # on first use, so `import llp_lab` does not pay for numpy
+
     rng = np.random.Generator(np.random.PCG64(seed))
     remaining = m
     rem_weight = Fraction(1)

@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-import numpy as np
-
 from .core import Sample
 from .errors import BudgetExceeded
 from .hypotheses import (
@@ -277,6 +275,8 @@ def brute_subset_sum(counts: Iterable[int], t: int, budget: int = BRUTE_BUDGET) 
     u = len(items)
     if u > 24 or 1 << u > budget:
         raise BudgetExceeded(f"{u} items means {1 << u} subsets")
+    import numpy as np  # on first use, so `import llp_lab` does not pay for numpy
+
     sums = np.zeros(1, dtype=np.int64)
     for a in items:
         sums = np.concatenate([sums, sums + a])

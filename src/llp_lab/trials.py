@@ -12,16 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
+import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
-
-from scipy.stats import beta as _beta_dist
 
 from .core import (
     FiniteDistribution,
@@ -124,6 +124,10 @@ SAMPLE_LEARNERS = {
 LEARNER_IDS = (*SAMPLE_LEARNERS, "noisy_distinguisher")
 
 M_MODES = ("explicit", "hoeffding", "gap", "uniform-convergence")
+# The most trials a run may have.  The report's exact interval sums binomial
+# tails in integers of about 55 * trials bits, so its cost grows as trials**2:
+# under 1 s at this count, 3 s at 10,000 (one core of a 2-core x86-64 VM).
+MAX_TRIALS = 5000
 
 
 def run_learner(
@@ -179,8 +183,8 @@ class TrialConfig:
             raise InvalidParams(f"unknown learner {self.learner!r}")
         if self.m_mode not in M_MODES:
             raise InvalidParams(f"unknown m_mode {self.m_mode!r}")
-        if self.trials < 1:
-            raise InvalidParams(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise InvalidParams(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
         if not 0 <= self.epsilon <= 1 or not 0 < self.delta < 1:
             raise InvalidParams(
                 f"need 0 <= epsilon <= 1 and 0 < delta < 1, got {self.epsilon}, {self.delta}"
@@ -271,13 +275,147 @@ class TrialReport:
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval for a success rate."""
-    if not 0 <= successes <= trials or trials < 1:
-        raise InvalidParams(f"bad counts {successes}/{trials}")
+    """Exact (Clopper-Pearson) binomial confidence interval for a success rate.
+
+    With X ~ Bin(trials, p) and alpha = 1 - confidence, the lower bound is
+    the p at which P(X >= successes) equals the exact rational value of the
+    double `alpha / 2`, and the upper bound is the p at which
+    P(X >= successes + 1) equals the double `1 - alpha / 2`.  Each bound is
+    the double nearest that exact quantile, ties to even, so the interval
+    is a function of its arguments alone.  The lower bound is 0.0 when
+    successes = 0, and the upper bound 1.0 when successes = trials.
+
+    Raises InvalidParams unless successes and trials are ints (not bools)
+    with 0 <= successes <= trials and 1 <= trials <= MAX_TRIALS, and
+    confidence is a float strictly inside (0, 1).
+    """
+    for count in (successes, trials):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise InvalidParams(f"counts must be ints, got {count!r}")
+    if not 0 <= successes <= trials or not 1 <= trials <= MAX_TRIALS:
+        raise InvalidParams(f"bad counts {successes}/{trials} (trials must be in 1..{MAX_TRIALS})")
+    if not isinstance(confidence, float) or not 0.0 < confidence < 1.0:
+        raise InvalidParams(f"confidence must be a float inside (0, 1), got {confidence!r}")
     alpha = 1 - confidence
-    lo = 0.0 if successes == 0 else float(_beta_dist.ppf(alpha / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(_beta_dist.ppf(1 - alpha / 2, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else _tail_quantile(trials, successes, alpha / 2)
+    hi = 1.0 if successes == trials else _tail_quantile(trials, successes + 1, 1 - alpha / 2)
     return lo, hi
+
+
+# The ulp index of a double in [0, 1]: consecutive doubles have consecutive
+# indices, and the last bit of an index is the last bit of the significand.
+_ONE = struct.unpack("<q", struct.pack("<d", 1.0))[0]
+
+
+def _double(index: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", index))[0]
+
+
+def _tail_quantile(n: int, k: int, target: float) -> float:
+    """The double nearest the p with P(X >= k) = target, X ~ Bin(n, p), 1 <= k <= n.
+
+    The tail increases strictly in p, from 0 at p = 0 to 1 at p = 1, so the
+    answer is the double of the least index j whose midpoint with double
+    j + 1 lies above the quantile, or 1.0 when there is none.  A float
+    bisection and one Newton step on the exact tail give a start index;
+    exact comparisons at midpoints then gallop from it and bisect.
+
+    No midpoint is ever the quantile, so no tie is left to break.  Above
+    2**-1022 a midpoint is a / 2**e with a odd and a > 2**53, and every term
+    of the tail there has the factor a**k, which a target's odd numerator,
+    below 2**53, cannot have; below, the tail is at most n * 2**-1022, far
+    under any target (at least 2**-54, as confidence < 1 is a double).
+    """
+    t_num, t_den = target.as_integer_ratio()
+
+    def residual(p: Fraction) -> tuple[int, int]:
+        """(r, scale) with P(X >= k) - target = r / scale at p, exactly."""
+        num, den = p.as_integer_ratio()
+        exp = den.bit_length() - 1
+        scale = t_den << exp * n
+        # sum the shorter tail: P(X >= k), or 1 - P(X <= k - 1)
+        if n - k + 1 <= k:
+            return _tail_sum(n, k, num, den - num) * t_den - (t_num << exp * n), scale
+        return ((t_den - t_num) << exp * n) - _tail_sum(n, n - k + 1, den - num, num) * t_den, scale
+
+    def above(j: int) -> bool:
+        return residual((Fraction(_double(j)) + Fraction(_double(j + 1))) / 2)[0] > 0
+
+    # The float search sums the tail on the far side of the mode, the small
+    # one: P(X >= k) < target exactly when P(X <= k - 1) > 1 - target.
+    complement = target > 0.5
+    lo, hi = 0, _ONE
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        p = _double(mid)
+        if complement:
+            under = _float_mass(n, p, 0, k - 1) > 1.0 - target
+        else:
+            under = _float_mass(n, p, k, n) < target
+        if under:
+            lo = mid
+        else:
+            hi = mid
+    # The float tail is off by a relative 1e-12 or so at a few thousand
+    # trials, tens of ulps in p; a Newton step on the exact residual, with
+    # the float slope k * comb(n, k) * p**(k - 1) * (1 - p)**(n - k), gets
+    # within about an ulp.
+    p = _double(hi)
+    if p < 1.0:
+        r, scale = residual(Fraction(p))
+        log_slope = math.log(k * math.comb(n, k)) + (k - 1) * math.log(p) + (n - k) * math.log1p(-p)
+        p = min(max(p - r / scale / math.exp(log_slope), 0.0), 1.0)
+    start = struct.unpack("<q", struct.pack("<d", p))[0]
+    # gallop away from the start until `above` flips, then bisect; the
+    # indices -1 and _ONE stand for "not above" and "above" unevaluated
+    up = start < _ONE and not above(start)
+    near, step = start, 1
+    while True:
+        far = min(start + step, _ONE) if up else max(start - step, -1)
+        if far in (-1, _ONE) or above(far) == up:
+            break
+        near, step = far, 2 * step
+    lo, hi = (near, far) if up else (far, near)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _double(hi)
+
+
+def _tail_sum(n: int, k: int, a: int, b: int) -> int:
+    """The sum of comb(n, j) * a**j * b**(n - j) over k <= j <= n, by Horner from j = n down."""
+    total = w = 1  # w = comb(n, j) * b**(n - j), by the ratio of consecutive binomials
+    for j in range(n - 1, k - 1, -1):
+        w = w * b * (j + 1) // (n - j)
+        total = total * a + w
+    return total * a**k
+
+
+def _float_mass(n: int, p: float, first: int, last: int) -> float:
+    """P(first <= X <= last) for X ~ Bin(n, p), 0 < p < 1, in floats: a search estimate only.
+
+    Sums outward from the range's largest term, whose logarithm is the one
+    costly step; the other terms follow by the ratio of consecutive terms.
+    """
+    odds = p / (1.0 - p)
+    top = min(last, max(first, int((n + 1) * p)))
+    log_top = math.log(math.comb(n, top)) + top * math.log(p) + (n - top) * math.log1p(-p)
+    total = term = 1.0
+    for j in range(top, last):
+        term *= (n - j) / (j + 1) * odds
+        total += term
+        if term < total * 1e-17:
+            break
+    term = 1.0
+    for j in range(top, first, -1):
+        term *= j / (n - j + 1) / odds
+        total += term
+        if term < total * 1e-17:
+            break
+    return math.exp(log_top) * total
 
 
 def run_single_trial(
