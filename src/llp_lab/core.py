@@ -96,6 +96,24 @@ def _pack(point: Point) -> int:
     return point
 
 
+def _pack_counts(counts: Iterable[tuple[Point, int]]) -> tuple[tuple[int, int], ...]:
+    """(point, count) pairs with each point packed; sorted pairs stay sorted."""
+    return tuple((_pack(p), c) for p, c in counts)
+
+
+def _unpack(domain: tuple[str, int | None] | None, values: Sequence[int]) -> tuple[Point, ...]:
+    """Points from their packed forms (`_pack` inverted), in order.
+
+    A natural is its own packed form.  Each distinct bit vector is built
+    once, so the memo holds at most 2^n entries however many values repeat.
+    """
+    if domain is None or domain[0] == "nat":
+        return tuple(values)
+    n = domain[1]
+    vectors = {v: tuple((v >> (n - 1 - i)) & 1 for i in range(n)) for v in set(values)}  # type: ignore[operator]
+    return tuple(map(vectors.__getitem__, values))
+
+
 def point_domain(point: Point) -> tuple[str, int | None]:
     """Return ("bits", n) for a bit vector, ("nat", None) for a natural."""
     if isinstance(point, tuple):
@@ -231,6 +249,10 @@ class Sample:
 
     `p_hat` times the sample size must be an integer: the fraction is the
     exact count of positively labeled examples over m, not an estimate.
+    `Sample(points, p_hat)` checks every point.  A trusted sample, built by
+    `_sample_packed` from packed counts, holds no tuple `points` or
+    `counts` until they are first read; it equals a checked sample over the
+    same points and p_hat, as any two samples do.
     """
 
     points: tuple[Point, ...]
@@ -248,7 +270,7 @@ class Sample:
             raise ValueError("empty sample must carry p_hat = 0")
         self.__dict__["domain"] = check_same_domain(self.points)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.points)
 
@@ -259,25 +281,42 @@ class Sample:
     @cached_property
     def counts(self) -> tuple[tuple[Point, int], ...]:
         """Unique points with multiplicities, sorted canonically."""
+        if "packed_counts" in self.__dict__:  # a trusted sample: unpack what it holds
+            packed = self.packed_counts
+            return tuple(zip(_unpack(self.domain, [x for x, _ in packed]), [c for _, c in packed]))
         return tuple(sorted(Counter(self.points).items()))
 
     @cached_property
     def domain(self) -> tuple[str, int | None] | None:
         """The points' common domain, None when empty.
 
-        The constructor checks every point and caches the result, so that
-        labeling the sample never re-checks a point.  A `_sample_trusted`
-        sample reads it off the first point's shape on first use.
+        Every constructor stores it in the instance, which this non-data
+        descriptor defers to, so its body never runs: `Sample(...)` from its
+        check of every point, `_sample_packed` from its caller, which drew
+        the points from a known domain.  Labeling a sample never re-checks
+        a point.
         """
-        if not self.points:
-            return None
-        first = self.points[0]
-        return ("bits", len(first)) if isinstance(first, tuple) else ("nat", None)
+        raise AttributeError("every Sample constructor sets domain")
 
     @cached_property
     def packed_counts(self) -> tuple[tuple[int, int], ...]:
-        """`counts` with each point packed (`_pack`), for the labeling kernel."""
-        return tuple((_pack(p), c) for p, c in self.counts)
+        """`counts` with each point packed (`_pack`, which keeps their order), for the kernel."""
+        return _pack_counts(self.counts)
+
+
+def _trusted_points(sample: Sample) -> tuple[Point, ...]:
+    draws = sample.__dict__.get("_draws")
+    if draws is None:
+        return points_from_counts(sample.counts)
+    return _unpack(sample.domain, draws)
+
+
+# `Sample(...)` stores its points in the instance; a trusted sample stores
+# none, so reading them falls through to this non-data descriptor, which
+# builds them once.  It cannot sit in the class body, where the dataclass
+# would take it for the field's default.
+Sample.points = cached_property(_trusted_points)  # type: ignore[assignment]
+Sample.points.__set_name__(Sample, "points")
 
 
 def points_from_counts(counts: Iterable[tuple[Point, int]]) -> tuple[Point, ...]:
@@ -287,34 +326,56 @@ def points_from_counts(counts: Iterable[tuple[Point, int]]) -> tuple[Point, ...]
     return tuple(parts)
 
 
+def _sample_packed(
+    domain: tuple[str, int | None] | None,
+    packed_counts: tuple[tuple[int, int], ...],
+    m: int,
+    p_hat: Fraction,
+    draws: Sequence[int] | None = None,
+) -> Sample:
+    """The trusted Sample constructor: packed counts from a known domain.
+
+    No point is checked, so callers pass only what a drawing helper built:
+    `packed_counts` sorted by packed point (`_pack`), each count >= 1,
+    summing to m, every point in `domain` (None when m is 0), and, when
+    given, `draws`, the same points packed in draw order.  A sweep passes
+    one packed-counts object to every claim, so a claim costs O(1).  The
+    proportion gets Sample's checks, done on its lowest-terms numerator and
+    denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
+    denominator divides m), and p_hat = 0 when the sample is empty.
+    `counts`, and `points` (`draws` unpacked, else the counts expanded as
+    by `points_from_counts`), are built on first read.
+    """
+    if not isinstance(p_hat, Fraction):
+        p_hat = Fraction(p_hat)
+    num, den = p_hat.numerator, p_hat.denominator
+    if not 0 <= num <= den or m % den or (m == 0 and num):
+        raise ValueError(f"p_hat {p_hat} invalid for m={m}")
+    sample = object.__new__(Sample)
+    sample.__dict__.update(p_hat=p_hat, domain=domain, packed_counts=packed_counts, m=m)
+    if draws is not None:
+        sample.__dict__["_draws"] = draws
+    return sample
+
+
 def _sample_trusted(
     points: tuple[Point, ...],
     p_hat: Fraction,
     counts: tuple[tuple[Point, int], ...] | None = None,
 ) -> Sample:
-    """Sample over a tuple whose points are already known to be valid.
+    """`_sample_packed` over a tuple of points already known to be valid.
 
-    Skips the per-point domain walk, so sweeps that re-claim many
-    proportions over one drawn tuple stay linear in the number of claims
-    instead of claims times points.  Callers must only pass tuples produced
-    by this module's drawing helpers or already held by a validated Sample.
-    The proportion gets Sample's checks, done on its lowest-terms numerator
-    and denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
-    denominator divides m), and p_hat = 0 when the sample is empty.
-    `counts`, when given, must be the points' sorted multiplicities and
-    fills the `counts` cache.
+    Callers must only pass tuples produced by this module's drawing helpers
+    or already held by a validated Sample.  The domain is read off the first
+    point's shape, and `points` is kept as given.  `counts`, when given,
+    must be the points' sorted multiplicities, and is kept too.
     """
-    if not isinstance(p_hat, Fraction):
-        p_hat = Fraction(p_hat)
-    num, den = p_hat.numerator, p_hat.denominator
-    m = len(points)
-    if not 0 <= num <= den or m % den or (m == 0 and num):
-        raise ValueError(f"p_hat {p_hat} invalid for m={m}")
-    sample = object.__new__(Sample)
-    object.__setattr__(sample, "points", points)
-    object.__setattr__(sample, "p_hat", p_hat)
-    if counts is not None:
-        sample.__dict__["counts"] = counts
+    if counts is None:
+        counts = tuple(sorted(Counter(points).items()))
+    first = points[0] if points else None
+    domain = None if first is None else ("bits", len(first)) if isinstance(first, tuple) else ("nat", None)
+    sample = _sample_packed(domain, _pack_counts(counts), len(points), p_hat)
+    sample.__dict__.update(points=points, counts=counts)
     return sample
 
 
@@ -375,6 +436,17 @@ def _draw_points_small(dist: ExplicitDistribution, m: int, rng: random.Random) -
     return tuple(pts[min(bisect_right(cum, rng.random()), last)] for _ in range(m))
 
 
+def _draw_cube(n: int, m: int, seed: int) -> list[int]:
+    """m draws from UniformCube(n), packed: one `getrandbits(n)` per draw.
+
+    The drawn int is the packed form (`_pack`) of the drawn vector.
+    """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    getrandbits = random.Random(seed).getrandbits
+    return [getrandbits(n) for _ in range(m)]
+
+
 def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...]:
     """m i.i.d. draws; identical (dist, m, seed) gives identical output.
 
@@ -383,15 +455,10 @@ def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...
     canonical order.  The dispatch depends only on the arguments, so
     reproducibility is unaffected.
     """
+    if isinstance(dist, UniformCube):
+        return _unpack(("bits", dist.n), _draw_cube(dist.n, m, seed))
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if isinstance(dist, UniformCube):
-        rng = random.Random(seed)
-        n = dist.n
-        return tuple(
-            tuple((v >> (n - 1 - i)) & 1 for i in range(n))
-            for v in (rng.getrandbits(n) for _ in range(m))
-        )
     if m >= COUNT_DRAW_MIN:
         return points_from_counts(draw_counts(dist, m, seed))
     return _draw_points_small(dist, m, random.Random(seed))

@@ -670,22 +670,24 @@ def _mask_to_tuple(mask: int, keff: int, n: int) -> Bits:
 
 
 def _parity_labelings(
-    desc: ClassDescriptor, points: tuple[Point, ...], budget: int
+    desc: ClassDescriptor, points: tuple[int, ...], budget: int
 ) -> list[tuple[tuple[int, ...], Hypothesis]]:
     """Achievable parity labelings via elimination over GF(2).
 
-    The labelings form the span of the per-coordinate rows; witnesses are
-    reduced against a kernel basis so each one is the encoding-minimal mask
-    realizing its labeling, matching what full enumeration would pick.
+    `points` are packed n-bit vectors (`core._pack`, coordinate 1 the high
+    bit).  The labelings form the span of the per-coordinate rows; witnesses
+    are reduced against a kernel basis so each one is the encoding-minimal
+    mask realizing its labeling, matching what full enumeration would pick.
     """
     keff = desc.restriction if desc.restriction is not None else desc.n
     r = len(points)
     basis: list[tuple[int, int]] = []  # (labeling vector, mask combo)
     kernel: list[int] = []
     for i in range(keff):
+        bit = 1 << (desc.n - 1 - i)
         vec = 0
-        for j, pt in enumerate(points):
-            if pt[i]:  # type: ignore[index]
+        for j, x in enumerate(points):
+            if x & bit:
                 vec |= 1 << j
         mask = 1 << (keff - 1 - i)
         # reduce by current basis (leading-bit elimination)
@@ -752,7 +754,7 @@ def distinct_labelings(
     if desc.class_id == "parity":
         if sample.domain not in (None, ("bits", desc.n)):
             raise DomainMismatch(f"points over {sample.domain} outside {{0,1}}^{desc.n}")
-        pairs = _parity_labelings(desc, tuple(p for p, _ in sample.counts), budget)
+        pairs = _parity_labelings(desc, tuple(x for x, _ in sample.packed_counts), budget)
     else:
         pairs = _generic_labelings(desc, sample, budget)
     return iter(pairs)

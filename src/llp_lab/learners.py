@@ -126,7 +126,7 @@ def erm_proportion_matcher(
     Iterates the distinct-labeling stream rather than raw hypotheses, so the
     work is bounded by the growth function instead of the class size.
     """
-    mults = tuple(c for _, c in sample.counts)
+    mults = tuple(c for _, c in sample.packed_counts)
     candidates = (
         (sum(c for bit, c in zip(labeling, mults) if bit), witness)
         for labeling, witness in distinct_labelings(desc, sample, budget)

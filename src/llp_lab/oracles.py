@@ -174,23 +174,30 @@ def make_brute_oracle(
 ) -> LLPOracle:
     """Package the exhaustive matcher as a proportion oracle.
 
-    The count table depends only on the sample's points, and reduction
-    sweeps re-claim many proportions over one drawn tuple, so the latest
-    table and its sorted counts are kept and reused while the same points
-    object keeps arriving.  Each claim then costs O(log T) integer work,
-    T the number of distinct counts: a bisection for the nearest count and,
-    in "reject" mode, one cross-multiplied equality test.
+    The count table depends only on the sample's domain and packed counts,
+    and reduction sweeps re-claim many proportions over one sample, so the
+    latest table and its sorted counts are kept and reused while samples
+    with the same (domain, packed counts) keep arriving.  A sweep passes one
+    packed-counts object to every claim, and the identity test settles it;
+    equal counts from distinct samples still match by value.  The domain
+    is part of the key: equal packed ints from bit vectors of different
+    lengths are different points, and the rebuild raises DomainMismatch
+    where the class does not fit.  Each claim then costs O(log T) integer
+    work, T the number of distinct counts: a bisection for the nearest
+    count and, in "reject" mode, one cross-multiplied equality test.
     """
     if mode not in ("arbitrary", "reject"):
         raise ValueError(f"unknown mode {mode!r}")
-    memo: dict[str, object] = {"points": None, "table": None, "counts": None}
+    memo: dict[str, object] = {"domain": None, "packed": None, "table": None, "counts": None}
 
     def solve(
         sample: Sample, claimed: Fraction, epsilon: Fraction, delta: Fraction
     ) -> Hypothesis | None:
-        if memo["points"] is not sample.points:
+        packed = sample.packed_counts
+        held = memo["packed"]
+        if not (held is packed or held == packed) or memo["domain"] != sample.domain:
             built = _count_table(desc, sample, budget)
-            memo.update(points=sample.points, table=built, counts=sorted(built))
+            memo.update(domain=sample.domain, packed=packed, table=built, counts=sorted(built))
         table: dict[int, Hypothesis] = memo["table"]  # type: ignore[assignment]
         if not isinstance(claimed, Fraction):
             claimed = Fraction(claimed)

@@ -21,8 +21,9 @@ from .core import (
     Point,
     Sample,
     _pack,
+    _pack_counts,
     _random_cut,
-    _sample_trusted,
+    _sample_packed,
     check_same_domain,
     derive_seed,
     draw_counts,
@@ -30,7 +31,6 @@ from .core import (
     make_distribution,
     point_from_json,
     point_to_json,
-    points_from_counts,
 )
 from .errors import (
     DegenerateSample,
@@ -51,7 +51,7 @@ from .hypotheses import (
     labeler,
     positive_weight,
 )
-from .sampling import draw_labeled_points
+from .sampling import _draw_labeled_cube
 
 __all__ = [
     "LLPOracle",
@@ -88,6 +88,11 @@ class LLPOracle:
     claimed proportion is the sample's true one, the returned hypothesis has
     true proportion within epsilon of the target's with probability
     1 - delta.
+
+    A sweep hands `solve` one trusted sample per claim, all over the same
+    packed counts.  `solve` should read `sample.packed_counts`,
+    `sample.domain` and `sample.m`: `points` and `counts` are built on first
+    read, which costs O(m) for each claim's sample.
     """
 
     solve: Callable[[Sample, Fraction, Fraction, Fraction], Hypothesis | None]
@@ -300,7 +305,7 @@ def llp_to_pac(
     counts = draw_counts(dist, m_prime, derive_seed(seed, "pac-draw"))
     positives = sum(c for p, c in counts if label_of[p])
     p_hat = Fraction(positives, m_prime)
-    sample = _sample_trusted(points_from_counts(counts), p_hat, counts)
+    sample = _sample_packed(dist.packed[0], _pack_counts(counts), m_prime, p_hat)
     response = oracle.solve(sample, p_hat, eps, Fraction(delta))
     call = OracleCall(p_hat, response, accepted=response is not None)
     if response is None:
@@ -343,13 +348,13 @@ def consistency_via_llp(
     eps = Fraction(1, 2 * X)
     delta = Fraction(delta)
     m = oracle.sample_size(eps, delta)
-    counts = draw_counts(dist, m, derive_seed(seed, "consistency-draw"))
-    points = points_from_counts(counts)
+    counts = _pack_counts(draw_counts(dist, m, derive_seed(seed, "consistency-draw")))
+    domain = inst.packed[0]
     verdicts: dict[Hypothesis, bool] = {}
     transcript: list[OracleCall] = []
     for j in range(m + 1):
         claim = Fraction(j, m)
-        sample = _sample_trusted(points, claim, counts)
+        sample = _sample_packed(domain, counts, m, claim)
         response = oracle.solve(sample, claim, eps, delta)
         if response is None:
             transcript.append(OracleCall(claim, None))
@@ -464,42 +469,42 @@ def noisy_parity_via_llp(
     disagreement with the noisy labels over all m examples is strictly
     below (eta' + 1/2)/2; the true parity sits near eta, impostors near 1/2.
     """
-    from .core import UniformCube
-
     eps = (Fraction(1, 2) - setup.eta_prime) / 2
     sub_delta = Fraction(delta) / 3
     rng = random.Random(derive_seed(seed, "noisy-draw"))
-    points, clean = draw_labeled_points(
-        UniformCube(setup.n), m, derive_seed(seed, "noisy-points"), setup.target
+    # packed points (`core._pack`) throughout: draws, filter, counts and checks
+    draws, clean = _draw_labeled_cube(
+        setup.n, m, derive_seed(seed, "noisy-points"), setup.target
     )
     flip = _random_cut(setup.eta)  # rng.random() < flip exactly when < eta
-    noisy = tuple(lab ^ 1 if rng.random() < flip else lab for lab in clean)
-    kept = tuple(p for p, lab in zip(points, noisy) if lab)
+    noisy = [lab ^ 1 if rng.random() < flip else lab for lab in clean]
+    kept = [x for x, lab in zip(draws, noisy) if lab]
     M = len(kept)
     kept_counts = tuple(sorted(Counter(kept).items()))
-    # ((packed point, noisy label), count), packed once for every candidate
-    noisy_counter = [((_pack(p), lab), c) for (p, lab), c in Counter(zip(points, noisy)).items()]
-    domain = ("bits", setup.n) if points else None
+    domain = ("bits", setup.n)
+    kept_domain = domain if kept else None
+    noisy_counts = Counter(zip(draws, noisy)).items()  # ((point, noisy label), count)
     threshold = (setup.eta_prime + Fraction(1, 2)) / 2
-    disagreement_memo: dict[Hypothesis, Fraction] = {}
+    verdicts: dict[Hypothesis, bool] = {}
 
-    def disagreement(h: Hypothesis) -> Fraction:
-        got = disagreement_memo.get(h)
-        if got is None:
-            label = labeler(h, domain)
-            bad = sum(c for (x, lab), c in noisy_counter if label(x) != lab)
-            got = disagreement_memo[h] = Fraction(bad, m)
-        return got
+    def accepts(h: Hypothesis) -> bool:
+        if not isinstance(h, Parity):
+            return False
+        label = labeler(h, domain)
+        bad = sum(c for (x, lab), c in noisy_counts if label(x) != lab)
+        return Fraction(bad, m) < threshold
 
     claims = [Fraction(0)] if M == 0 else [Fraction(j, M) for j in range(M + 1)]
     transcript: list[OracleCall] = []
     for claim in claims:
-        sample = _sample_trusted(kept, claim, kept_counts)
+        sample = _sample_packed(kept_domain, kept_counts, M, claim, kept)
         response = oracle.solve(sample, claim, eps, sub_delta)
         if response is None:
             transcript.append(OracleCall(claim, None))
             continue
-        ok = isinstance(response, Parity) and disagreement(response) < threshold
+        ok = verdicts.get(response)
+        if ok is None:
+            ok = verdicts[response] = accepts(response)
         transcript.append(OracleCall(claim, response, accepted=ok))
         if ok:
             return NoisyParityRun(response, M, tuple(transcript))  # type: ignore[arg-type]

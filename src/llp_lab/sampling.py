@@ -9,6 +9,7 @@ target's.  Everything here keeps those proportions as exact Fractions.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -20,15 +21,16 @@ from .core import (
     Point,
     Sample,
     UniformCube,
+    _draw_cube,
     _pack,
-    _sample_trusted,
+    _pack_counts,
+    _sample_packed,
     derive_seed,
     distribution_from_json,
     distribution_to_json,
     draw_counts,
     draw_points,
     parse_rational,
-    points_from_counts,
     rational_to_json,
     sample_from_json,
     sample_to_json,
@@ -123,6 +125,22 @@ def llp_success(h: Hypothesis, target: Hypothesis, dist: FiniteDistribution, eps
     return abs(true_proportion(h, dist) - true_proportion(target, dist)) <= eps
 
 
+def _draw_labeled_cube(
+    n: int, m: int, seed: int, target: Hypothesis
+) -> tuple[list[int], list[int]]:
+    """m packed UniformCube(n) draws and their labels under a proper target.
+
+    The draws are `draw_points`' random calls, kept packed; the kernel
+    labels each distinct draw once.
+    """
+    draws = _draw_cube(n, m, seed)
+    if not draws:
+        return draws, []
+    label = labeler(target, ("bits", n))
+    labels = {x: int(label(x)) for x in set(draws)}
+    return draws, [labels[x] for x in draws]
+
+
 def draw_labeled_points(
     dist: FiniteDistribution, m: int, seed: int, target: Hypothesis
 ) -> tuple[tuple[Point, ...], tuple[int, ...]]:
@@ -153,12 +171,21 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
     """Sample of m draws carrying the exact positive fraction under `target`.
 
     Fully reproducible: identical (dist, m, seed, target) gives an identical
-    Sample object, field for field.
+    Sample object, field for field.  With a proper target, cube draws and
+    large explicit draws (m >= COUNT_DRAW_MIN) are counted packed and give
+    a trusted sample; the kernel labels each distinct point once.
     """
-    if isinstance(dist, ExplicitDistribution) and m >= COUNT_DRAW_MIN and not isinstance(target, ConstantRandom):
-        counts = draw_counts(dist, m, seed)
-        positives = positive_weight(target, dist.packed[0], ((_pack(p), c) for p, c in counts))
-        return _sample_trusted(points_from_counts(counts), Fraction(positives, m), counts)
+    if not isinstance(target, ConstantRandom):
+        if isinstance(dist, UniformCube):
+            draws = _draw_cube(dist.n, m, seed)
+            domain = ("bits", dist.n) if draws else None
+            packed = tuple(sorted(Counter(draws).items()))
+            positives = positive_weight(target, domain, packed)
+            return _sample_packed(domain, packed, m, Fraction(positives, m) if m else Fraction(0), draws)
+        if m >= COUNT_DRAW_MIN:
+            domain = dist.packed[0]
+            packed = _pack_counts(draw_counts(dist, m, seed))
+            return _sample_packed(domain, packed, m, Fraction(positive_weight(target, domain, packed), m))
     points, labels = draw_labeled_points(dist, m, seed, target)
     return Sample(points, Fraction(sum(labels), m) if m else Fraction(0))
 
