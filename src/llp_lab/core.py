@@ -425,15 +425,24 @@ def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Po
     return tuple(out)
 
 
-def _draw_points_small(dist: ExplicitDistribution, m: int, rng: random.Random) -> tuple[Point, ...]:
+def _draw_small(dist: ExplicitDistribution, m: int, seed: int, forms: Sequence) -> list:
+    """m draws by one `random()` and one bisection of the float CDF each.
+
+    `forms[i]` stands for atom i in the output: the atom's point for
+    `draw_points`, its packed point for `draw_sample`.  Either way the
+    random calls and the atoms drawn are the same.
+    """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     cum: list[float] = []
     total = 0.0
     for _, w in dist.atoms:
         total += float(w)
         cum.append(total)
-    pts = [p for p, _ in dist.atoms]
-    last = len(pts) - 1
-    return tuple(pts[min(bisect_right(cum, rng.random()), last)] for _ in range(m))
+    # the float total may fall short of 1; past it, the last atom is drawn
+    cum[-1] = math.inf
+    rand = random.Random(seed).random
+    return [forms[bisect_right(cum, rand())] for _ in range(m)]
 
 
 def _draw_cube(n: int, m: int, seed: int) -> list[int]:
@@ -457,11 +466,9 @@ def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...
     """
     if isinstance(dist, UniformCube):
         return _unpack(("bits", dist.n), _draw_cube(dist.n, m, seed))
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
     if m >= COUNT_DRAW_MIN:
         return points_from_counts(draw_counts(dist, m, seed))
-    return _draw_points_small(dist, m, random.Random(seed))
+    return tuple(_draw_small(dist, m, seed, [p for p, _ in dist.atoms]))
 
 
 # ---------------------------------------------------------------------------

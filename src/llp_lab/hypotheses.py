@@ -653,16 +653,15 @@ def sauer_bound(d: int, m: int) -> float:
 
 def _generic_labelings(
     desc: ClassDescriptor, sample: Sample, budget: int
-) -> list[tuple[tuple[int, ...], Hypothesis]]:
-    best: dict[tuple[int, ...], Hypothesis] = {}
-    order: list[tuple[int, ...]] = []
-    packed = tuple(x for x, _ in sample.packed_counts)
+) -> list[tuple[int, Hypothesis]]:
+    bits = [(x, 1 << j) for j, (x, _) in enumerate(sample.packed_counts)]
+    best: dict[int, Hypothesis] = {}
     for h in enumerate_class(desc, budget):
-        lab = tuple(map(int, map(labeler(h, sample.domain), packed)))
-        if lab not in best:  # enumeration is in encoding order, first wins
-            best[lab] = h
-            order.append(lab)
-    return [(lab, best[lab]) for lab in order]
+        label = labeler(h, sample.domain)
+        vec = sum(bit for x, bit in bits if label(x))
+        if vec not in best:  # enumeration is in encoding order, first wins
+            best[vec] = h
+    return list(best.items())
 
 
 def _mask_to_tuple(mask: int, keff: int, n: int) -> Bits:
@@ -671,16 +670,19 @@ def _mask_to_tuple(mask: int, keff: int, n: int) -> Bits:
 
 def _parity_labelings(
     desc: ClassDescriptor, points: tuple[int, ...], budget: int
-) -> list[tuple[tuple[int, ...], Hypothesis]]:
-    """Achievable parity labelings via elimination over GF(2).
+) -> list[tuple[int, int]]:
+    """Achievable parity labelings via elimination over GF(2), as (bitset, mask).
 
     `points` are packed n-bit vectors (`core._pack`, coordinate 1 the high
-    bit).  The labelings form the span of the per-coordinate rows; witnesses
-    are reduced against a kernel basis so each one is the encoding-minimal
-    mask realizing its labeling, matching what full enumeration would pick.
+    bit); bit j of a labeling is the label of points[j], and a mask is the
+    keff-bit int whose high bit is coordinate 1.  The labelings form the
+    span of the per-coordinate rows.  Each mask is reduced against a kernel
+    basis, so it is the encoding-minimal mask realizing its labeling,
+    matching what full enumeration would pick.  That reduction is linear
+    (the basis is fully reduced), so it is applied once to each row's mask
+    and every combination of reduced rows comes out reduced.
     """
     keff = desc.restriction if desc.restriction is not None else desc.n
-    r = len(points)
     basis: list[tuple[int, int]] = []  # (labeling vector, mask combo)
     kernel: list[int] = []
     for i in range(keff):
@@ -720,22 +722,39 @@ def _parity_labelings(
                 kernel_rref[j] ^= kernel_rref[i]
     kernel_rref.sort(reverse=True)  # pivots from coordinate 1 downward
 
-    out: list[tuple[tuple[int, ...], Hypothesis]] = []
-    rank = len(basis)
-    for combo in range(2**rank):
-        vec = 0
-        mask = 0
-        for i in range(rank):
-            if (combo >> i) & 1:
-                vec ^= basis[i][0]
-                mask ^= basis[i][1]
-        for kb in kernel_rref:  # lex-minimal coset representative
-            high = 1 << (kb.bit_length() - 1)
-            if mask & high:
+    def reduced(mask: int) -> int:  # lex-minimal coset representative
+        for kb in kernel_rref:
+            if mask >> (kb.bit_length() - 1) & 1:
                 mask ^= kb
-        lab = tuple((vec >> j) & 1 for j in range(r))
-        out.append((lab, Parity(_mask_to_tuple(mask, keff, desc.n))))
+        return mask
+
+    # combination `combo` sits at index combo: row i joins where bit i is set
+    out = [(0, 0)]
+    for vec, mask in basis:
+        mask = reduced(mask)
+        out += [(v ^ vec, w ^ mask) for v, w in out]
     return out
+
+
+def _labeling_bitsets(
+    desc: ClassDescriptor, sample: Sample, budget: int
+) -> tuple[list[tuple[int, object]], Callable[[object], Hypothesis]]:
+    """The kernel under `distinct_labelings`: (bitset, witness) pairs and a build.
+
+    Bit j of a bitset is the label of the sample's j-th unique point
+    (`packed_counts` order).  A witness is what `build` turns into the
+    encoding-minimal hypothesis realizing that labeling: a parity mask as
+    an int (keff bits, coordinate 1 high), or, for the other classes, the
+    hypothesis itself.  So a caller that ranks labelings builds only the
+    hypotheses it keeps.  Pairs come in `distinct_labelings`' order.
+    """
+    if desc.class_id != "parity":
+        return _generic_labelings(desc, sample, budget), lambda h: h  # type: ignore[return-value]
+    if sample.domain not in (None, ("bits", desc.n)):
+        raise DomainMismatch(f"points over {sample.domain} outside {{0,1}}^{desc.n}")
+    keff = desc.restriction if desc.restriction is not None else desc.n
+    pairs = _parity_labelings(desc, tuple(x for x, _ in sample.packed_counts), budget)
+    return pairs, lambda mask: Parity(_mask_to_tuple(mask, keff, desc.n))  # type: ignore[return-value,arg-type]
 
 
 def distinct_labelings(
@@ -749,15 +768,14 @@ def distinct_labelings(
     full scan of the class would select under the shared tie-break.
 
     An empty sample yields the single empty labeling.  The budget caps the
-    underlying enumeration (class size, or 2^rank for parities).
+    underlying enumeration (class size, or 2^rank for parities).  This is a
+    view of the kernel `_labeling_bitsets`, which holds each labeling as an
+    int bitset and each parity witness as a mask: it decodes them into 0/1
+    tuples and hypotheses.  Learners rank the bitsets directly.
     """
-    if desc.class_id == "parity":
-        if sample.domain not in (None, ("bits", desc.n)):
-            raise DomainMismatch(f"points over {sample.domain} outside {{0,1}}^{desc.n}")
-        pairs = _parity_labelings(desc, tuple(x for x, _ in sample.packed_counts), budget)
-    else:
-        pairs = _generic_labelings(desc, sample, budget)
-    return iter(pairs)
+    pairs, build = _labeling_bitsets(desc, sample, budget)
+    r = len(sample.packed_counts)
+    return iter([(tuple((vec >> j) & 1 for j in range(r)), build(w)) for vec, w in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Sample
 from .errors import (
@@ -31,7 +31,7 @@ from .hypotheses import (
     Parity,
     Window,
     DEFAULT_BUDGET,
-    distinct_labelings,
+    _labeling_bitsets,
     encode,
 )
 from .sampling import achievable_proportions
@@ -123,50 +123,81 @@ def erm_proportion_matcher(
 ) -> LearnerOutcome:
     """Minimize |count/m - p_hat| over the achievable labelings of the sample.
 
-    Iterates the distinct-labeling stream rather than raw hypotheses, so the
-    work is bounded by the growth function instead of the class size.
+    Iterates the distinct labelings rather than raw hypotheses, so the work
+    is bounded by the growth function instead of the class size.  Each
+    labeling comes from the kernel under `distinct_labelings` as an int
+    bitset over the unique points, and its positive count is read from
+    byte tables (`_bitset_weigher`); a witness (a parity mask, or the
+    hypothesis) becomes a hypothesis only when `_best_ranked` keeps it.
     """
-    mults = tuple(c for _, c in sample.packed_counts)
-    candidates = (
-        (sum(c for bit, c in zip(labeling, mults) if bit), witness)
-        for labeling, witness in distinct_labelings(desc, sample, budget)
-    )
-    return _best_ranked(candidates, sample, "labelings")
+    pairs, build = _labeling_bitsets(desc, sample, budget)
+    weigh = _bitset_weigher([c for _, c in sample.packed_counts])
+    return _best_ranked(((weigh(vec), w) for vec, w in pairs), sample, "labelings", build)
+
+
+def _bitset_weigher(mults: Sequence[int]) -> Callable[[int], int]:
+    """bitset -> the sum of mults[j] over its set bits j, by table lookups.
+
+    The "four Russians" trick: one table per 8-bit chunk of the items holds
+    the weight of each of its 256 subsets, so weighing a bitset reads one
+    entry per byte of `vec.to_bytes(..., "little")` (byte c is items
+    8c .. 8c+7).  Each table doubles from [0] once per item of its chunk.
+    """
+    tables = []
+    for start in range(0, len(mults), 8):
+        table = [0]
+        for c in mults[start : start + 8]:
+            table += [s + c for s in table]
+        tables.append(table)
+    size = len(tables)
+    entry = list.__getitem__
+    return lambda vec: sum(map(entry, tables, vec.to_bytes(size, "little")))
 
 
 def _best_ranked(
-    candidates: Iterable[tuple[int, Hypothesis]], sample: Sample, work: str
+    candidates: Iterable[tuple[int, object]],
+    sample: Sample,
+    work: str,
+    build: Callable[[object], Hypothesis] | None = None,
 ) -> LearnerOutcome:
-    """The (count, hypothesis) candidate first under `ranking_key`.
+    """The (count, witness) candidate first under `ranking_key`.
 
     Every candidate shares the sample's m, so the integers
     (|count - positive count|, count) order the candidates as
-    `ranking_key`'s (residual, count) do; the encoding is computed only for
-    candidates that tie on both.  The residual is |count - positive count| / m;
+    `ranking_key`'s (residual, count) do.  `build` turns a witness into
+    its hypothesis (the identity when None), and runs only for a candidate
+    that ties the leader on both integers, whose encodings then decide, and
+    for the winner.  The residual is |count - positive count| / m;
     `work[work]` is the number of candidates examined.
     """
+    if build is None:
+        build = _identity
     m = sample.m
     t = sample.positive_count
     best_key: tuple[int, int] | None = None
-    best_h: Hypothesis | None = None
-    best_code: str | None = None  # encode(best_h), once a tie needs it
+    best: object = None
+    best_code: str | None = None  # encode(build(best)), once a tie needs it
     examined = 0
-    for count, h in candidates:
+    for count, w in candidates:
         examined += 1
         key = (abs(count - t), count)
         if best_key is None or key < best_key:
-            best_key, best_h, best_code = key, h, None
+            best_key, best, best_code = key, w, None
         elif key == best_key:
             if best_code is None:
-                best_code = encode(best_h)  # type: ignore[arg-type]
-            code = encode(h)
+                best_code = encode(build(best))
+            code = encode(build(w))
             if code < best_code:
-                best_h, best_code = h, code
-    assert best_key is not None and best_h is not None
+                best, best_code = w, code
+    assert best_key is not None
     gap, count = best_key
     residual = Fraction(gap, m) if m else Fraction(0)
     achieved = Fraction(count, m) if m else Fraction(0)
-    return LearnerOutcome(best_h, achieved, residual, {work: examined})
+    return LearnerOutcome(build(best), achieved, residual, {work: examined})
+
+
+def _identity(h):
+    return h
 
 
 def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -235,23 +266,25 @@ def window_learner(sample: Sample, k: int) -> LearnerOutcome:
 
     Candidates are the empty window plus, for each unique value v taken as
     the leftmost positive, every subset of the unique values within
-    (v, v+k] joined with v: O(2^k) candidates per unique value.
+    (v, v+k] joined with v: O(2^k) candidates per unique value.  Each is
+    ranked as its element tuple, and only the tuples `_best_ranked` keeps
+    become `Window`s.
     """
     points, mults = _nat_sample_items(sample)
 
-    def candidates() -> Iterator[tuple[int, Hypothesis]]:
-        yield 0, Window(k, ())
+    def candidates() -> Iterator[tuple[int, tuple[int, ...]]]:
+        yield 0, ()
         for i, v in enumerate(points):
             tail = [(points[j], mults[j]) for j in range(i + 1, len(points)) if points[j] <= v + k]
             # depth first, each subset of the tail before its extensions
             stack = [((v,), mults[i], 0)]
             while stack:
                 elems, count, start = stack.pop()
-                yield count, Window(k, elems)
+                yield count, elems
                 for j in range(len(tail) - 1, start - 1, -1):
                     stack.append(((*elems, tail[j][0]), count + tail[j][1], j + 1))
 
-    return _best_ranked(candidates(), sample, "candidates")
+    return _best_ranked(candidates(), sample, "candidates", lambda elems: Window(k, elems))
 
 
 def halfspace_precision_bits(n: int) -> int:

@@ -22,6 +22,7 @@ from .core import (
     Sample,
     UniformCube,
     _draw_cube,
+    _draw_small,
     _pack,
     _pack_counts,
     _sample_packed,
@@ -171,21 +172,31 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
     """Sample of m draws carrying the exact positive fraction under `target`.
 
     Fully reproducible: identical (dist, m, seed, target) gives an identical
-    Sample object, field for field.  With a proper target, cube draws and
-    large explicit draws (m >= COUNT_DRAW_MIN) are counted packed and give
-    a trusted sample; the kernel labels each distinct point once.
+    Sample object, field for field.  With a proper target every draw is
+    made packed and gives a trusted sample (`_sample_packed`), with the
+    random calls of `draw_points`: cube draws, small explicit draws (atom
+    by atom, in draw order) and large ones (m >= COUNT_DRAW_MIN, counted
+    per atom).  No drawn point is re-checked (an explicit distribution's
+    atoms are checked once, by `ExplicitDistribution.packed`), and the
+    kernel labels each distinct point once.  A constant-random target
+    flips one coin per draw and gives a checked `Sample`.
     """
     if not isinstance(target, ConstantRandom):
         if isinstance(dist, UniformCube):
+            domain = ("bits", dist.n)
             draws = _draw_cube(dist.n, m, seed)
-            domain = ("bits", dist.n) if draws else None
-            packed = tuple(sorted(Counter(draws).items()))
-            positives = positive_weight(target, domain, packed)
-            return _sample_packed(domain, packed, m, Fraction(positives, m) if m else Fraction(0), draws)
-        if m >= COUNT_DRAW_MIN:
+        elif m >= COUNT_DRAW_MIN:
             domain = dist.packed[0]
             packed = _pack_counts(draw_counts(dist, m, seed))
             return _sample_packed(domain, packed, m, Fraction(positive_weight(target, domain, packed), m))
+        else:
+            domain, atoms = dist.packed
+            draws = _draw_small(dist, m, seed, [x for x, _ in atoms])
+        if not draws:
+            domain = None
+        packed = tuple(sorted(Counter(draws).items()))
+        positives = positive_weight(target, domain, packed)
+        return _sample_packed(domain, packed, m, Fraction(positives, m) if m else Fraction(0), draws)
     points, labels = draw_labeled_points(dist, m, seed, target)
     return Sample(points, Fraction(sum(labels), m) if m else Fraction(0))
 

@@ -252,6 +252,66 @@ def test_best_ranked_matches_ranking_key(case):
     assert out.work == {"candidates": len(stream)}
 
 
+def _mask_parity(mask):
+    return Parity(tuple((mask >> (2 - i)) & 1 for i in range(3)))
+
+
+def _window_2(elems):
+    return Window(2, elems)
+
+
+@st.composite
+def built_streams(draw):
+    """As `ranked_streams`, but the candidates carry raw witnesses (3-bit
+    parity masks, or element tuples of span <= 2) and a build turns them
+    into hypotheses."""
+    m = draw(st.integers(0, 5))
+    t = draw(st.integers(0, m))
+    counts = st.integers(max(0, t - 1), min(m, t + 1))
+    if draw(st.booleans()):
+        witnesses, build = st.integers(0, 7), _mask_parity
+    else:
+        witnesses = st.tuples(st.integers(0, 4), st.sets(st.integers(1, 2))).map(
+            lambda vs: (vs[0], *sorted(vs[0] + d for d in vs[1]))
+        )
+        build = _window_2
+    stream = draw(st.lists(st.tuples(counts, witnesses), min_size=1, max_size=12))
+    return m, t, stream, build
+
+
+@settings(max_examples=400, deadline=None)
+@given(built_streams())
+@example((2, 1, [(1, 0b011), (1, 0b101), (1, 0b001)], _mask_parity))
+@example((3, 0, [(0, (3, 4)), (0, (1,)), (0, (1, 3))], _window_2))
+def test_best_ranked_builds_witnesses_and_matches_ranking_key(case):
+    m, t, stream, build = case
+    sample = Sample(tuple(range(m)), F(t, m)) if m else Sample((), F(0))
+    built = [(count, build(w)) for count, w in stream]
+
+    def key(candidate):
+        count, h = candidate
+        return ranking_key(F(abs(count - t), m) if m else F(0), count, h)
+
+    count, h = min(built, key=key)
+    out = _best_ranked(iter(stream), sample, "labelings", build)
+    assert out.hypothesis == h
+    assert out.achieved == (F(count, m) if m else 0)
+    assert out.residual == key((count, h))[0]
+    assert out.work == {"labelings": len(stream)}
+
+
+def test_best_ranked_builds_only_the_winner_without_ties():
+    calls = []
+
+    def build(mask):
+        calls.append(mask)
+        return _mask_parity(mask)
+
+    sample = Sample((0, 1, 2, 3), F(2, 4))
+    out = _best_ranked(iter([(0, 7), (4, 6), (1, 5), (3, 4), (2, 3)]), sample, "labelings", build)
+    assert out.hypothesis == _mask_parity(3) and calls == [3]
+
+
 def test_window_k0_forces_singletons():
     out = window_learner(Sample((3, 9, 20), F(1, 3)), 0)
     assert out.hypothesis == Window(0, (3,))

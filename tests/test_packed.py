@@ -1,4 +1,4 @@
-"""Packed cube draws and trusted samples against the tuple path they replaced.
+"""Packed draws and trusted samples against the tuple path they replaced.
 
 The references below draw n-tuples, label them with `evaluate` and build
 checked `Sample`s; the library draws packed ints, labels them with the
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from llp_lab import (
     ClassDescriptor,
     DomainMismatch,
+    FiniteSubset,
     Halfspace,
     MonotoneConjunction,
     MonotoneDisjunction,
@@ -24,6 +25,7 @@ from llp_lab import (
     Parity,
     Sample,
     UniformCube,
+    Window,
     consistency_via_llp,
     derive_seed,
     draw_labeled_points,
@@ -34,6 +36,7 @@ from llp_lab import (
     gen_consistency,
     make_brute_oracle,
     noisy_parity_via_llp,
+    normalized,
     sample_to_json,
 )
 from llp_lab import oracles
@@ -105,6 +108,46 @@ def test_packed_labeled_draw_matches_the_tuple_path(case, m, seed):
     n, target = case
     assert draw_points(UniformCube(n), m, seed) == _tuple_points(n, m, seed)
     assert draw_labeled_points(UniformCube(n), m, seed, target) == _tuple_labeled(n, m, seed, target)
+
+
+@st.composite
+def _explicit_targets(draw):
+    """An explicit distribution over naturals or over n-bit vectors, with a
+    proper target over the same domain."""
+    weights = st.integers(1, 9)
+    if draw(st.booleans()):
+        atoms = draw(st.lists(st.integers(0, 40), min_size=1, max_size=20, unique=True))
+        chosen = tuple(sorted(draw(st.sets(st.sampled_from(atoms)))))
+        target = FiniteSubset(chosen) if draw(st.booleans()) else Window(40, chosen)
+    else:
+        n, target = draw(_cube_targets(max_n=6))
+        values = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=20, unique=True))
+        atoms = [tuple((v >> (n - 1 - i)) & 1 for i in range(n)) for v in values]
+    return normalized((a, draw(weights)) for a in atoms), target
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _explicit_targets(),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.booleans(),
+)
+def test_packed_explicit_draw_sample_matches_the_tuple_path(case, m, seed, counts_first):
+    dist, target = case
+    points = draw_points(dist, m, seed)
+    want = Sample(points, F(sum(evaluate(target, p) for p in points), m) if m else F(0))
+    got = draw_sample(dist, m, seed, target)
+    assert "points" not in vars(got) and "counts" not in vars(got)
+    if counts_first:
+        assert got.counts == want.counts
+    assert got.points == want.points
+    assert got.counts == want.counts
+    assert got == want
+    assert got.packed_counts == want.packed_counts
+    assert got.domain == want.domain
+    assert got.m == want.m == m
+    assert sample_to_json(draw_sample(dist, m, seed, target)) == sample_to_json(want)
 
 
 def _noisy_parity_reference(setup, m, oracle, delta, seed):
