@@ -338,8 +338,7 @@ def _sample_packed(
     No point is checked, so callers pass only what a drawing helper built:
     `packed_counts` sorted by packed point (`_pack`), each count >= 1,
     summing to m, every point in `domain` (None when m is 0), and, when
-    given, `draws`, the same points packed in draw order.  A sweep passes
-    one packed-counts object to every claim, so a claim costs O(1).  The
+    given, `draws`, the same points packed in draw order.  The
     proportion gets Sample's checks, done on its lowest-terms numerator and
     denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
     denominator divides m), and p_hat = 0 when the sample is empty.
@@ -358,25 +357,27 @@ def _sample_packed(
     return sample
 
 
-def _sample_trusted(
-    points: tuple[Point, ...],
-    p_hat: Fraction,
-    counts: tuple[tuple[Point, int], ...] | None = None,
-) -> Sample:
-    """`_sample_packed` over a tuple of points already known to be valid.
+def _claim_samples(
+    domain: tuple[str, int | None] | None, packed_counts: tuple[tuple[int, int], ...], m: int,
+    draws: Sequence[int] | None = None,
+) -> Iterator[tuple[Fraction, Sample]]:
+    """Each claim j/m, j = 0..m (just 0 when m = 0), lazily, with a trusted sample carrying it.
 
-    Callers must only pass tuples produced by this module's drawing helpers
-    or already held by a validated Sample.  The domain is read off the first
-    point's shape, and `points` is kept as given.  `counts`, when given,
-    must be the points' sorted multiplicities, and is kept too.
+    One `_sample_packed` base is built from the arguments and checked.  Each
+    claim's sample is a fresh Sample holding a copy of the base's attributes
+    with `p_hat` set, so the samples share the packed counts and `draws` but
+    no cache of `points` or `counts`; j/m is valid for m by construction.
     """
-    if counts is None:
-        counts = tuple(sorted(Counter(points).items()))
-    first = points[0] if points else None
-    domain = None if first is None else ("bits", len(first)) if isinstance(first, tuple) else ("nat", None)
-    sample = _sample_packed(domain, _pack_counts(counts), len(points), p_hat)
-    sample.__dict__.update(points=points, counts=counts)
-    return sample
+    state = _sample_packed(domain, packed_counts, m, Fraction(0), draws).__dict__
+    den = m or 1
+    new = object.__new__
+    for j in range(m + 1):
+        claim = Fraction(j, den)
+        sample = new(Sample)
+        fields = sample.__dict__
+        fields.update(state)
+        fields["p_hat"] = claim
+        yield claim, sample
 
 
 # ---------------------------------------------------------------------------

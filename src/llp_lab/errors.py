@@ -63,8 +63,8 @@ class BudgetExceeded(LlpError):
     """An enumeration or search would exceed its candidate budget."""
 
 
-class InvalidParams(LlpError):
-    """Arguments outside a formula's precondition (e.g. m < d)."""
+class InvalidParams(LlpError, ValueError):
+    """Arguments outside a formula's precondition (e.g. m < d); also a ValueError, for callers catching one."""
 
 
 class ZeroGap(LlpError):

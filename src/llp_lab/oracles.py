@@ -114,7 +114,7 @@ def _nearest_count(sorted_counts: list[int], m: int, claimed: Fraction) -> int:
     """
     if not m:
         return sorted_counts[0]
-    p, q = claimed.numerator, claimed.denominator
+    p, q = claimed.as_integer_ratio()
     target = p * m
     i = bisect_left(sorted_counts, -(-target // q))
     if i == len(sorted_counts):
@@ -188,21 +188,23 @@ def make_brute_oracle(
     """
     if mode not in ("arbitrary", "reject"):
         raise ValueError(f"unknown mode {mode!r}")
-    memo: dict[str, object] = {"domain": None, "packed": None, "table": None, "counts": None}
+    reject = mode == "reject"
+    held_domain = held_packed = None  # the (domain, packed counts) `table` and `counts` were built from
+    table: dict[int, Hypothesis] = {}
+    counts: list[int] = []
 
     def solve(
         sample: Sample, claimed: Fraction, epsilon: Fraction, delta: Fraction
     ) -> Hypothesis | None:
+        nonlocal held_domain, held_packed, table, counts
         packed = sample.packed_counts
-        held = memo["packed"]
-        if not (held is packed or held == packed) or memo["domain"] != sample.domain:
-            built = _count_table(desc, sample, budget)
-            memo.update(domain=sample.domain, packed=packed, table=built, counts=sorted(built))
-        table: dict[int, Hypothesis] = memo["table"]  # type: ignore[assignment]
+        if not (packed is held_packed or packed == held_packed) or sample.domain != held_domain:
+            table = _count_table(desc, sample, budget)
+            held_domain, held_packed, counts = sample.domain, packed, sorted(table)
         if not isinstance(claimed, Fraction):
             claimed = Fraction(claimed)
-        best = _nearest_count(memo["counts"], sample.m, claimed)  # type: ignore[arg-type]
-        if mode == "reject" and not _matches(best, sample.m, claimed):
+        best = _nearest_count(counts, sample.m, claimed)
+        if reject and not _matches(best, sample.m, claimed):
             return None
         return table[best]
 

@@ -13,13 +13,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable
+from functools import cached_property, partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     ExplicitDistribution,
     Point,
     Sample,
+    _claim_samples,
     _pack,
     _pack_counts,
     _random_cut,
@@ -89,19 +90,21 @@ class LLPOracle:
     true proportion within epsilon of the target's with probability
     1 - delta.
 
-    A sweep hands `solve` one trusted sample per claim, all over the same
-    packed counts.  `solve` should read `sample.packed_counts`,
-    `sample.domain` and `sample.m`: `points` and `counts` are built on first
-    read, which costs O(m) for each claim's sample.
+    A sweep calls `solve` once per claim j/m, in order, each time with a
+    fresh trusted sample over one shared packed-counts object.  `solve`
+    should read `sample.packed_counts`, `sample.domain` and `sample.m`:
+    `points` and `counts` are built on first read, O(m) for each sample.
     """
 
     solve: Callable[[Sample, Fraction, Fraction, Fraction], Hypothesis | None]
     sample_size: Callable[[Fraction, Fraction], int]
 
 
-@dataclass(frozen=True)
-class OracleCall:
-    """Transcript line: the proportion fed and what came back."""
+class OracleCall(NamedTuple):
+    """Transcript line: the proportion fed and what came back (`accepted` None on a refusal).
+
+    A named tuple: immutable, hashable, equal to the plain tuple (claimed, response, accepted).
+    """
 
     claimed: Fraction
     response: Hypothesis | None
@@ -114,6 +117,40 @@ class OracleCall:
             "response": None if self.response is None else hypothesis_to_json(self.response),
             "accepted": self.accepted,
         }
+
+
+def _sweep(
+    oracle: LLPOracle, domain: tuple[str, int | None] | None, packed_counts: tuple[tuple[int, int], ...],
+    m: int, eps: Fraction, delta: Fraction, accepts: Callable[[Hypothesis], bool],
+    draws: Sequence[int] | None = None,
+) -> tuple[Hypothesis | None, tuple[OracleCall, ...]]:
+    """Ask about every claim of `core._claim_samples` in turn; return the first accepted response.
+
+    Returns it (None if none passed) and the transcript up to it.  `accepts`
+    sees each distinct response once: one identical to the previous
+    response reuses that verdict, and any other is looked up by value first.
+    """
+    solve = oracle.solve
+    verdicts: dict[Hypothesis, bool] = {}
+    transcript: list[OracleCall] = []
+    add = transcript.append
+    last = last_ok = None
+    for claim, sample in _claim_samples(domain, packed_counts, m, draws):
+        response = solve(sample, claim, eps, delta)
+        if response is None:
+            add(OracleCall(claim, None))
+            continue
+        if response is last:
+            ok = last_ok
+        else:
+            ok = verdicts.get(response)
+            if ok is None:
+                ok = verdicts[response] = accepts(response)
+            last, last_ok = response, ok
+        add(OracleCall(claim, response, ok))
+        if ok:
+            return response, tuple(transcript)
+    return None, tuple(transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +374,8 @@ def consistency_via_llp(
     1/(2 |X|) so a proportion guarantee pins the exact weighted count, and
     each returned hypothesis is accepted only after `hits_exactly` verifies
     it on the instance itself: acceptances are sound unconditionally.  The
-    oracle is still asked about every claim, but a sweep returns the same
-    few hypotheses over and over, so each distinct response is checked once
-    and its verdict reused.
+    oracle is asked about every claim (`_sweep`) until a response passes,
+    and each distinct response is checked once.
     """
     X = inst.total
     dist = make_distribution(
@@ -349,23 +385,10 @@ def consistency_via_llp(
     delta = Fraction(delta)
     m = oracle.sample_size(eps, delta)
     counts = _pack_counts(draw_counts(dist, m, derive_seed(seed, "consistency-draw")))
-    domain = inst.packed[0]
-    verdicts: dict[Hypothesis, bool] = {}
-    transcript: list[OracleCall] = []
-    for j in range(m + 1):
-        claim = Fraction(j, m)
-        sample = _sample_packed(domain, counts, m, claim)
-        response = oracle.solve(sample, claim, eps, delta)
-        if response is None:
-            transcript.append(OracleCall(claim, None))
-            continue
-        ok = verdicts.get(response)
-        if ok is None:
-            ok = verdicts[response] = hits_exactly(inst, response)
-        transcript.append(OracleCall(claim, response, accepted=ok))
-        if ok:
-            return ConsistencyRun(True, response, m, tuple(transcript))
-    return ConsistencyRun(False, None, m, tuple(transcript))
+    witness, transcript = _sweep(
+        oracle, inst.packed[0], counts, m, eps, delta, partial(hits_exactly, inst)
+    )
+    return ConsistencyRun(witness is not None, witness, m, transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +488,10 @@ def noisy_parity_via_llp(
     Draw m uniform examples, flip each label with probability eta, keep the
     examples whose noisy label is 1 (conditionally i.i.d. from the law in
     `conditional_positive_distribution`), and sweep claimed proportions
-    j/M over the filtered sample.  A candidate is accepted when its
-    disagreement with the noisy labels over all m examples is strictly
-    below (eta' + 1/2)/2; the true parity sits near eta, impostors near 1/2.
+    j/M over the filtered sample, kept in draw order (`_sweep`).  A
+    candidate is accepted when its disagreement with the noisy labels over
+    all m examples is strictly below (eta' + 1/2)/2; the true parity sits
+    near eta, impostors near 1/2.
     """
     eps = (Fraction(1, 2) - setup.eta_prime) / 2
     sub_delta = Fraction(delta) / 3
@@ -482,10 +506,8 @@ def noisy_parity_via_llp(
     M = len(kept)
     kept_counts = tuple(sorted(Counter(kept).items()))
     domain = ("bits", setup.n)
-    kept_domain = domain if kept else None
     noisy_counts = Counter(zip(draws, noisy)).items()  # ((point, noisy label), count)
     threshold = (setup.eta_prime + Fraction(1, 2)) / 2
-    verdicts: dict[Hypothesis, bool] = {}
 
     def accepts(h: Hypothesis) -> bool:
         if not isinstance(h, Parity):
@@ -494,21 +516,12 @@ def noisy_parity_via_llp(
         bad = sum(c for (x, lab), c in noisy_counts if label(x) != lab)
         return Fraction(bad, m) < threshold
 
-    claims = [Fraction(0)] if M == 0 else [Fraction(j, M) for j in range(M + 1)]
-    transcript: list[OracleCall] = []
-    for claim in claims:
-        sample = _sample_packed(kept_domain, kept_counts, M, claim, kept)
-        response = oracle.solve(sample, claim, eps, sub_delta)
-        if response is None:
-            transcript.append(OracleCall(claim, None))
-            continue
-        ok = verdicts.get(response)
-        if ok is None:
-            ok = verdicts[response] = accepts(response)
-        transcript.append(OracleCall(claim, response, accepted=ok))
-        if ok:
-            return NoisyParityRun(response, M, tuple(transcript))  # type: ignore[arg-type]
-    raise NoCandidateAccepted(f"no parity beat disagreement {threshold} over {m} examples")
+    response, transcript = _sweep(
+        oracle, domain if kept else None, kept_counts, M, eps, sub_delta, accepts, kept
+    )
+    if response is None:
+        raise NoCandidateAccepted(f"no parity beat disagreement {threshold} over {m} examples")
+    return NoisyParityRun(response, M, transcript)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

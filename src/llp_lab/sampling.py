@@ -36,7 +36,7 @@ from .core import (
     sample_from_json,
     sample_to_json,
 )
-from .errors import IntractableExactProportion
+from .errors import IntractableExactProportion, InvalidParams
 from .hypotheses import (
     ClassDescriptor,
     ConstantRandom,
@@ -251,9 +251,9 @@ class LLPTask:
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon {self.epsilon} outside (0, 1)")
+            raise InvalidParams(f"epsilon {self.epsilon} outside (0, 1)")
         if not 0 < self.delta < 1:
-            raise ValueError(f"delta {self.delta} outside (0, 1)")
+            raise InvalidParams(f"delta {self.delta} outside (0, 1)")
 
 
 def task_to_json(task: LLPTask) -> dict:

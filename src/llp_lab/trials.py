@@ -63,7 +63,6 @@ from .learners import (
 from .sampling import (
     draw_labeled_points,
     draw_sample,
-    llp_success,
     proportion_gap,
     smallest_gap,
     true_proportion,
@@ -458,9 +457,9 @@ def run_single_trial(
             )
         p_c = true_proportion(target, config.distribution)
         p_h = true_proportion(outcome.hypothesis, config.distribution)
-        success = llp_success(outcome.hypothesis, target, config.distribution, config.epsilon)
+        residual = abs(p_c - p_h)  # `llp_success`'s test; config.epsilon is a Fraction already
         ms = round((time.perf_counter() - started) * 1000) if config.record_ms else 0
-        return TrialRow(index, trial_seed, p_c, p_h, abs(p_c - p_h), success, ms)
+        return TrialRow(index, trial_seed, p_c, p_h, residual, residual <= config.epsilon, ms)
     except LlpError as exc:
         ms = round((time.perf_counter() - started) * 1000) if config.record_ms else 0
         return TrialRow(

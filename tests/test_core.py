@@ -35,7 +35,7 @@ from llp_lab import (
     uniform_over,
     weight_of,
 )
-from llp_lab.core import _sample_trusted
+from llp_lab.core import _pack_counts, _sample_packed
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 
@@ -247,7 +247,7 @@ def _proportion_claims(draw):
 
 @given(_proportion_claims())
 def test_sample_trusted_agrees_with_sample(case):
-    # the integer check in the sweep constructor against Sample's own checks
+    # the integer check in the trusted constructor against Sample's own checks
     m, p_hat = case
     points = tuple(range(m))
     try:
@@ -255,7 +255,7 @@ def test_sample_trusted_agrees_with_sample(case):
     except ValueError:
         want = None
     try:
-        got = _sample_trusted(points, p_hat)
+        got = _sample_packed(("nat", None) if m else None, tuple((x, 1) for x in points), m, p_hat)
     except ValueError:
         got = None
     assert got == want
@@ -266,6 +266,7 @@ def test_sample_trusted_agrees_with_sample(case):
 def test_sample_trusted_keeps_the_domain_and_packed_counts(points):
     points = tuple(points)
     want = Sample(points, F(0))
-    got = _sample_trusted(points, F(0), want.counts)
+    got = _sample_packed(("bits", 3) if points else None, _pack_counts(want.counts), len(points), F(0))
     assert got.domain == want.domain == (("bits", 3) if points else None)
     assert got.packed_counts == want.packed_counts
+    assert got.counts == want.counts

@@ -44,7 +44,14 @@ from llp_lab import (
     weight_of,
     x3c_to_epsc,
 )
-from llp_lab.core import _sample_trusted, draw_counts, make_distribution, points_from_counts
+from llp_lab.core import (
+    _pack_counts,
+    _sample_packed,
+    check_same_domain,
+    draw_counts,
+    make_distribution,
+    points_from_counts,
+)
 from llp_lab.reductions import ConsistencyRun, OracleCall
 
 
@@ -334,11 +341,11 @@ def _consistency_reference(inst, oracle, delta, seed):
     eps = F(1, 2 * X)
     m = oracle.sample_size(eps, F(delta))
     counts = draw_counts(dist, m, derive_seed(seed, "consistency-draw"))
-    points = points_from_counts(counts)
+    domain, packed = check_same_domain(points_from_counts(counts)), _pack_counts(counts)
     transcript = []
     for j in range(m + 1):
         claim = F(j, m)
-        response = oracle.solve(_sample_trusted(points, claim, counts), claim, eps, F(delta))
+        response = oracle.solve(_sample_packed(domain, packed, m, claim), claim, eps, F(delta))
         if response is None:
             transcript.append(OracleCall(claim, None))
             continue

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -440,6 +441,16 @@ def test_cli_learn_preconditions_are_invalid_params(tmp_path, capsys, learner, d
     error = json.loads(err)
     assert error["error"] == "InvalidParams"
     assert detail in error["detail"]
+
+
+def test_cli_learn_task_with_epsilon_zero_is_invalid_params(tmp_path, capsys):
+    task_path = Path(write_task(tmp_path, ClassDescriptor("finite_subset", 1, ground_set=(1, 2))))
+    obj = json.loads(task_path.read_text())
+    obj["task"]["epsilon"] = {"num": 0, "den": 1}
+    task_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "learn", "--task", str(task_path), "--learner", "erm")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "InvalidParams", "detail": "epsilon 0 outside (0, 1)"}
 
 
 def test_one_table_names_the_learners():
