@@ -14,9 +14,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import Sample
+from .core import Sample, _sample_packed
 from .errors import BudgetExceeded
 from .hypotheses import (
     ClassDescriptor,
@@ -182,9 +182,16 @@ def make_brute_oracle(
     equal counts from distinct samples still match by value.  The domain
     is part of the key: equal packed ints from bit vectors of different
     lengths are different points, and the rebuild raises DomainMismatch
-    where the class does not fit.  Each claim then costs O(log T) integer
+    where the class does not fit.  Each `solve` then costs O(log T) integer
     work, T the number of distinct counts: a bisection for the nearest
     count and, in "reject" mode, one cross-multiplied equality test.
+
+    `sweep` answers a whole ladder j/m, j = 0..m, from the same table as
+    at most 2T + 1 runs, so a ladder costs O(T) after the table where
+    claim-by-claim `solve` costs O(m log T).  In "arbitrary" mode count
+    c_i answers the claims up to min(m, (c_i + c_(i+1)) // 2), so a tie
+    goes to the smaller count, as in `_nearest_count`; in "reject" mode
+    claim j gets count j's hypothesis when j is a count and None otherwise.
     """
     if mode not in ("arbitrary", "reject"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -193,14 +200,17 @@ def make_brute_oracle(
     table: dict[int, Hypothesis] = {}
     counts: list[int] = []
 
-    def solve(
-        sample: Sample, claimed: Fraction, epsilon: Fraction, delta: Fraction
-    ) -> Hypothesis | None:
+    def hold(sample: Sample) -> None:
         nonlocal held_domain, held_packed, table, counts
         packed = sample.packed_counts
         if not (packed is held_packed or packed == held_packed) or sample.domain != held_domain:
             table = _count_table(desc, sample, budget)
             held_domain, held_packed, counts = sample.domain, packed, sorted(table)
+
+    def solve(
+        sample: Sample, claimed: Fraction, epsilon: Fraction, delta: Fraction
+    ) -> Hypothesis | None:
+        hold(sample)
         if not isinstance(claimed, Fraction):
             claimed = Fraction(claimed)
         best = _nearest_count(counts, sample.m, claimed)
@@ -208,7 +218,32 @@ def make_brute_oracle(
             return None
         return table[best]
 
-    return LLPOracle(solve, lambda eps, d: erm_oracle_sample_size(desc, eps, d))
+    def sweep(
+        domain: tuple[str, int | None] | None, packed_counts: tuple[tuple[int, int], ...], m: int,
+        epsilon: Fraction, delta: Fraction,
+    ) -> Iterator[tuple[int, int, Hypothesis | None]]:
+        hold(_sample_packed(domain, packed_counts, m, Fraction(0)))
+        answers, ladder = table, counts  # a later `hold` may replace them
+        if not m:  # the single claim 0 matches any count
+            yield 0, 0, answers[ladder[0]]
+            return
+        first = 0
+        if reject:
+            for c in ladder:
+                if c > first:
+                    yield first, c - 1, None
+                yield c, c, answers[c]
+                first = c + 1
+            if first <= m:
+                yield first, m, None
+            return
+        for c, above in zip(ladder, ladder[1:] + [2 * m]):  # 2m past the top count sends it to m
+            last = min(m, (c + above) // 2)
+            yield first, last, answers[c]
+            first = last + 1
+
+    sweep.solve = solve  # type: ignore[attr-defined]
+    return LLPOracle(solve, lambda eps, d: erm_oracle_sample_size(desc, eps, d), sweep)
 
 
 # ---------------------------------------------------------------------------

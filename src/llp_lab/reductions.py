@@ -9,12 +9,15 @@ trusted from the oracle.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     ExplicitDistribution,
@@ -57,6 +60,7 @@ from .sampling import _draw_labeled_cube
 __all__ = [
     "LLPOracle",
     "OracleCall",
+    "Transcript",
     "X3CInstance",
     "EPSCInstance",
     "ConsistencyInstance",
@@ -94,10 +98,28 @@ class LLPOracle:
     fresh trusted sample over one shared packed-counts object.  `solve`
     should read `sample.packed_counts`, `sample.domain` and `sample.m`:
     `points` and `counts` are built on first read, O(m) for each sample.
+
+    `sweep(domain, packed_counts, m, epsilon, delta)`, optional, answers a
+    whole claim ladder at once: it yields runs (first_j, last_j, response),
+    lazily and in claim order, covering j = 0..m (just 0 when m = 0), and
+    claim j/m of a run must get the response `solve` would give it on that
+    sample.  `_sweep` reads it when set and stops at the first run it
+    accepts; without it, every claim goes through `solve`.  A sweep speaks
+    for one solve, named by its `solve` attribute: an oracle built with any
+    other solve, as `dataclasses.replace(oracle, solve=wrapper)` builds one,
+    drops the sweep, so a wrapped solve still sees every claim.
     """
 
     solve: Callable[[Sample, Fraction, Fraction, Fraction], Hypothesis | None]
     sample_size: Callable[[Fraction, Fraction], int]
+    sweep: Callable[
+        [tuple[str, int | None] | None, tuple[tuple[int, int], ...], int, Fraction, Fraction],
+        Iterable[tuple[int, int, Hypothesis | None]],
+    ] | None = None
+
+    def __post_init__(self) -> None:
+        if self.sweep is not None and getattr(self.sweep, "solve", None) is not self.solve:
+            object.__setattr__(self, "sweep", None)
 
 
 class OracleCall(NamedTuple):
@@ -119,38 +141,103 @@ class OracleCall(NamedTuple):
         }
 
 
+class Transcript(Sequence):
+    """A sweep's transcript, stored as runs of consecutive lines that share one response.
+
+    Line j is `OracleCall(Fraction(j, den), response, accepted)` for the run
+    holding j; run i covers j from `ends[i - 1]` (0 for the first run) up to
+    `ends[i]`, exclusive.  Lines are built only when read.  It reads like
+    the tuple of its lines: `len`, indexing (negative too), iteration,
+    equality with that tuple (either way round) and its hash.
+    """
+
+    __slots__ = ("_den", "_ends", "_responses", "_accepted")
+
+    def __init__(
+        self, den: int, ends: Sequence[int], responses: Sequence[Hypothesis | None],
+        accepted: Sequence[bool | None],
+    ) -> None:
+        self._den = den
+        self._ends = tuple(ends)
+        self._responses = tuple(responses)
+        self._accepted = tuple(accepted)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index: int) -> OracleCall:
+        j = operator.index(index)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError("transcript index out of range")
+        i = bisect_right(self._ends, j)
+        return OracleCall(Fraction(j, self._den), self._responses[i], self._accepted[i])
+
+    def __iter__(self) -> Iterator[OracleCall]:
+        den, j = self._den, 0
+        for end, response, accepted in zip(self._ends, self._responses, self._accepted):
+            for j in range(j, end):
+                yield OracleCall(Fraction(j, den), response, accepted)
+            j = end
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Transcript, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        first, runs = 0, []
+        for end, response, accepted in zip(self._ends, self._responses, self._accepted):
+            runs.append((first, end - 1, response, accepted))
+            first = end
+        return f"Transcript(den={self._den}, runs={runs!r})"
+
+
 def _sweep(
     oracle: LLPOracle, domain: tuple[str, int | None] | None, packed_counts: tuple[tuple[int, int], ...],
     m: int, eps: Fraction, delta: Fraction, accepts: Callable[[Hypothesis], bool],
     draws: Sequence[int] | None = None,
-) -> tuple[Hypothesis | None, tuple[OracleCall, ...]]:
-    """Ask about every claim of `core._claim_samples` in turn; return the first accepted response.
+) -> tuple[Hypothesis | None, Transcript]:
+    """Ask about every claim j/m in turn; return the first accepted response.
 
-    Returns it (None if none passed) and the transcript up to it.  `accepts`
-    sees each distinct response once: one identical to the previous
-    response reuses that verdict, and any other is looked up by value first.
+    Returns it (None if none passed) and the transcript up to it.  The
+    claims come as runs from `oracle.sweep` when the oracle has one, and
+    otherwise one at a time from `solve` over `core._claim_samples`.  An
+    accepted run is cut at its first claim.  `accepts` sees each distinct
+    response once: one identical to the previous run's extends that run,
+    and any other is looked up by value first.
     """
-    solve = oracle.solve
+    if oracle.sweep is None:
+        solve = oracle.solve
+        runs: Iterable[tuple[int, int, Hypothesis | None]] = (
+            (j, j, solve(sample, claim, eps, delta))
+            for j, (claim, sample) in enumerate(_claim_samples(domain, packed_counts, m, draws))
+        )
+    else:
+        runs = oracle.sweep(domain, packed_counts, m, eps, delta)
     verdicts: dict[Hypothesis, bool] = {}
-    transcript: list[OracleCall] = []
-    add = transcript.append
-    last = last_ok = None
-    for claim, sample in _claim_samples(domain, packed_counts, m, draws):
-        response = solve(sample, claim, eps, delta)
-        if response is None:
-            add(OracleCall(claim, None))
+    ends: list[int] = []
+    responses: list[Hypothesis | None] = []
+    oks: list[bool | None] = []
+    for first, final, response in runs:
+        if responses and response is responses[-1]:  # same verdict, not an acceptance
+            ends[-1] = final + 1
             continue
-        if response is last:
-            ok = last_ok
-        else:
-            ok = verdicts.get(response)
-            if ok is None:
-                ok = verdicts[response] = accepts(response)
-            last, last_ok = response, ok
-        add(OracleCall(claim, response, ok))
+        ok = None if response is None else verdicts.get(response)
+        if ok is None and response is not None:
+            ok = verdicts[response] = accepts(response)
         if ok:
-            return response, tuple(transcript)
-    return None, tuple(transcript)
+            final = first
+        ends.append(final + 1)
+        responses.append(response)
+        oks.append(ok)
+        if ok:
+            return response, Transcript(m or 1, ends, responses, oks)
+    return None, Transcript(m or 1, ends, responses, oks)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +446,7 @@ class ConsistencyRun:
     decision: bool
     witness: Hypothesis | None
     drawn: int
-    transcript: tuple[OracleCall, ...]
+    transcript: Transcript
 
 
 def consistency_via_llp(
@@ -428,7 +515,7 @@ class NoisyParitySetup:
 class NoisyParityRun:
     hypothesis: Parity
     filtered_size: int
-    transcript: tuple[OracleCall, ...]
+    transcript: Transcript
 
 
 def noisy_parity_sample_size(

@@ -17,7 +17,6 @@ import os
 import random
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -490,6 +489,8 @@ def run_trials(config: TrialConfig) -> TrialReport:
     trial = partial(run_single_trial, resolved, m, values=values)
     indices = range(config.trials)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 30 ms to import, paid only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(trial, indices))
     else:

@@ -183,7 +183,7 @@ def test_threads_that_are_not_an_integer_are_invalid_params(tmp_path, capsys, mo
 
 
 def test_pool_has_at_most_one_worker_per_trial(monkeypatch):
-    import llp_lab.trials
+    import concurrent.futures
 
     seen = []
 
@@ -200,7 +200,8 @@ def test_pool_has_at_most_one_worker_per_trial(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(llp_lab.trials, "ProcessPoolExecutor", Recorder)
+    # run_trials imports the pool class only when it fans out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setenv("LLP_LAB_THREADS", "8")
     run_trials(improper_config(trials=3))
     assert seen == [3]
