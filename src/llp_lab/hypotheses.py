@@ -15,10 +15,13 @@ prefix-free, so comparing encodings equals comparing sorted element lists.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Bits,
@@ -309,6 +312,12 @@ def _var_mask(n: int, vars: tuple[int, ...]) -> int:
     return sum(1 << (n - v) for v in vars)
 
 
+def _check_domain(name: str, want: tuple[str, int | None], domain: tuple[str, int | None] | None) -> None:
+    """DomainMismatch unless points over `domain` (None: no points) fit a `name` over `want`."""
+    if domain is not None and domain != want:
+        raise DomainMismatch(f"{name} over {want} applied to points over {domain}")
+
+
 def labeler(h: Hypothesis, domain: tuple[str, int | None] | None) -> Callable[[int], int]:
     """The labeling kernel: h as a 0/1 predicate on packed points.
 
@@ -324,9 +333,7 @@ def labeler(h: Hypothesis, domain: tuple[str, int | None] | None) -> Callable[[i
     """
     if isinstance(h, ConstantRandom):
         raise ValueError("the randomized baseline has no deterministic labeling")
-    want = domain_kind(h)
-    if domain is not None and domain != want:
-        raise DomainMismatch(f"{type(h).__name__} over {want} applied to points over {domain}")
+    _check_domain(type(h).__name__, domain_kind(h), domain)
     match h:
         case Parity():
             mask = _pack(h.mask)
@@ -447,16 +454,9 @@ def enumerate_class(desc: ClassDescriptor, budget: int = DEFAULT_BUDGET) -> Iter
 
     def gen() -> Iterator[Hypothesis]:
         match desc.class_id:
-            case "parity":
-                keff = desc.restriction if desc.restriction is not None else desc.n
-                pad = (0,) * (desc.n - keff)
-                for value in range(2**keff):
-                    yield Parity(tuple((value >> (keff - 1 - i)) & 1 for i in range(keff)) + pad)
-            case "monotone_disjunction" | "monotone_conjunction":
-                cls = MonotoneDisjunction if desc.class_id == "monotone_disjunction" else MonotoneConjunction
-                for value in range(2**desc.n):
-                    vars = tuple(j + 1 for j in range(desc.n) if (value >> (desc.n - 1 - j)) & 1)
-                    yield cls(desc.n, vars)
+            case "parity" | "monotone_disjunction" | "monotone_conjunction":
+                for value in range(size):
+                    yield _class_member(desc, value)
             case "finite_subset":
                 for elems in _subsets_lex(tuple(sorted(desc.ground_set))):  # type: ignore[arg-type]
                     yield FiniteSubset(elems)
@@ -469,6 +469,24 @@ def enumerate_class(desc: ClassDescriptor, budget: int = DEFAULT_BUDGET) -> Iter
                         yield Window(desc.k, (v,) + extra)  # type: ignore[arg-type]
 
     return gen()
+
+
+def _class_member(desc: ClassDescriptor, value: int) -> Hypothesis:
+    """Member number `value` of a parity, disjunction or conjunction class.
+
+    `enumerate_class` yields these for value 0, 1, ..., in that order: the
+    value's high bit is coordinate 1, over keff bits for parities (the
+    restriction, or n) and n bits otherwise.  The fields are valid by
+    construction, so they are set without the constructor's checks.
+    """
+    n = desc.n
+    member = object.__new__(_FOLDS[desc.class_id][0])
+    if desc.class_id == "parity":
+        keff = desc.restriction if desc.restriction is not None else n
+        member.__dict__["mask"] = _mask_to_tuple(value, keff, n)
+    else:
+        member.__dict__.update(n=n, vars=tuple(j + 1 for j in range(n) if (value >> (n - 1 - j)) & 1))
+    return member
 
 
 def random_hypothesis(desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
@@ -648,6 +666,108 @@ def sauer_bound(d: int, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the column-bitset kernel: labelings and weights as int bitsets over points
+
+# _BIT_DIGITS[b] maps a byte to b"1" when its bit b is set, else to b"0"
+_BIT_DIGITS = tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
+
+
+def _bit_planes(values: Sequence[int], width: int) -> list[int]:
+    """The transpose of `values`: planes[b] has bit j set iff values[j] has bit b set.
+
+    One plane for each b < width.  For packed points (`core._pack`) plane b
+    is the column of coordinate n - b; for multiplicities it is a bit plane
+    of the weights.  The work is done a byte at a time in C: each 8-bit
+    slice of every value, values[0] last so that it lands on bit 0, goes
+    into one `bytes`, and `bytes.translate` spells each of its 8 bits as a
+    string of b"0"/b"1" digits that `int(..., 2)` reads.
+    """
+    if not values:
+        return [0] * width
+    last_first = values[::-1]
+    planes: list[int] = []
+    for shift in range(0, width, 8):
+        sliced = map(int.__rshift__, last_first, repeat(shift)) if shift else last_first
+        row = bytes(map((255).__and__, sliced))
+        for digits in _BIT_DIGITS[: width - shift]:
+            planes.append(int(row.translate(digits), 2))
+    return planes
+
+
+def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:
+    """bitset -> the sum of weights[j] over its set bits j, by bit planes.
+
+    With P_b the plane of bit b of the weights (`_bit_planes`), the weight
+    of `vec` is the sum over b of popcount(vec & P_b) << b: one AND and one
+    popcount per bit of the largest weight, whatever the number of items.
+    No tables: building them cost more than the few weighs an oracle's
+    count table or a noisy-parity check makes.
+    """
+    top_first = _bit_planes(weights, max(weights, default=0).bit_length())[::-1]
+
+    def weigh(vec: int) -> int:
+        total = 0
+        for plane in top_first:  # Horner: double, then add the next bit's popcount
+            total += total + (vec & plane).bit_count()
+        return total
+
+    return weigh
+
+
+# each class the kernel walks: its member type and the fold of its columns
+_FOLDS: dict[str, tuple[type, Callable[[int, int], int]]] = {
+    "parity": (Parity, operator.xor),
+    "monotone_disjunction": (MonotoneDisjunction, operator.or_),
+    "monotone_conjunction": (MonotoneConjunction, operator.and_),
+}
+
+
+def _fold_walk(fold: Callable[[int, int], int], columns: Sequence[int], unit: int) -> Iterator[int]:
+    """fold(unit, columns[b] for each set bit b of value), for value = 0, 1, ..., 2^k - 1.
+
+    A stack holds the partial folds over the set bits of the current value,
+    highest bit first.  Going from value - 1 to value clears its trailing
+    ones, which pops as many entries, and sets the next bit, which pushes
+    one: O(k) memory and amortized O(1) folds per value.
+    """
+    stack = [unit]
+    yield unit
+    for value in range(1, 1 << len(columns)):
+        low = (value & -value).bit_length() - 1
+        if low:
+            del stack[-low:]
+        top = fold(stack[-1], columns[low])
+        stack.append(top)
+        yield top
+
+
+def _class_labelings(
+    desc: ClassDescriptor, domain: tuple[str, int | None] | None, points: Sequence[int], budget: int
+) -> Iterator[int]:
+    """Every member's labeling of `points`, in `enumerate_class` order.
+
+    For a parity, disjunction or conjunction class.  Bit j of a labeling is
+    the member's label of the packed point points[j].  Member `value`
+    (`_class_member`) folds the columns of its coordinates: XOR for
+    parities, OR for disjunctions and AND for conjunctions, whose empty
+    member labels every point 1.  Value bit b is coordinate keff - b, that
+    is plane n - keff + b of the points, so `_fold_walk` over those planes
+    yields the labelings in class order, streaming.  Like `enumerate_class`
+    followed by `labeler`, it raises BudgetExceeded when the class size
+    exceeds `budget`, then DomainMismatch when `domain` does not fit.
+    """
+    size = class_size(desc)
+    if size > budget:
+        raise BudgetExceeded(f"class size {size} exceeds budget {budget}")
+    member, fold = _FOLDS[desc.class_id]
+    _check_domain(member.__name__, ("bits", desc.n), domain)
+    keff = size.bit_length() - 1
+    columns = _bit_planes(points, desc.n)[desc.n - keff :]
+    unit = (1 << len(points)) - 1 if member is MonotoneConjunction else 0
+    return _fold_walk(fold, columns, unit)
+
+
+# ---------------------------------------------------------------------------
 # distinct labelings on a sample
 
 
@@ -668,30 +788,22 @@ def _mask_to_tuple(mask: int, keff: int, n: int) -> Bits:
     return tuple((mask >> (keff - 1 - i)) & 1 for i in range(keff)) + (0,) * (n - keff)
 
 
-def _parity_labelings(
-    desc: ClassDescriptor, points: tuple[int, ...], budget: int
-) -> list[tuple[int, int]]:
+def _parity_labelings(columns: Sequence[int], budget: int) -> list[tuple[int, int]]:
     """Achievable parity labelings via elimination over GF(2), as (bitset, mask).
 
-    `points` are packed n-bit vectors (`core._pack`, coordinate 1 the high
-    bit); bit j of a labeling is the label of points[j], and a mask is the
-    keff-bit int whose high bit is coordinate 1.  The labelings form the
-    span of the per-coordinate rows.  Each mask is reduced against a kernel
-    basis, so it is the encoding-minimal mask realizing its labeling,
-    matching what full enumeration would pick.  That reduction is linear
-    (the basis is fully reduced), so it is applied once to each row's mask
-    and every combination of reduced rows comes out reduced.
+    columns[b] is the labeling of the parity whose keff-bit mask is 1 << b
+    (value bit b, coordinate keff - b): the transposed points' plane, as in
+    `_class_labelings`.  The labelings form the span of these rows, which
+    are eliminated coordinate 1 first.  Each mask is reduced against a
+    kernel basis, so it is the encoding-minimal mask realizing its
+    labeling, matching what full enumeration would pick.  That reduction is
+    linear (the basis is fully reduced), so it is applied once to each
+    row's mask and every combination of reduced rows comes out reduced.
     """
-    keff = desc.restriction if desc.restriction is not None else desc.n
     basis: list[tuple[int, int]] = []  # (labeling vector, mask combo)
     kernel: list[int] = []
-    for i in range(keff):
-        bit = 1 << (desc.n - 1 - i)
-        vec = 0
-        for j, x in enumerate(points):
-            if x & bit:
-                vec |= 1 << j
-        mask = 1 << (keff - 1 - i)
+    for b in range(len(columns) - 1, -1, -1):
+        vec, mask = columns[b], 1 << b
         # reduce by current basis (leading-bit elimination)
         for bv, bm in basis:
             high = 1 << (bv.bit_length() - 1)
@@ -743,18 +855,29 @@ def _labeling_bitsets(
 
     Bit j of a bitset is the label of the sample's j-th unique point
     (`packed_counts` order).  A witness is what `build` turns into the
-    encoding-minimal hypothesis realizing that labeling: a parity mask as
-    an int (keff bits, coordinate 1 high), or, for the other classes, the
-    hypothesis itself.  So a caller that ranks labelings builds only the
-    hypotheses it keeps.  Pairs come in `distinct_labelings`' order.
+    encoding-minimal hypothesis realizing that labeling.  For parities,
+    disjunctions and conjunctions it is the member's value, built by
+    `_class_member`: for parities the keff-bit mask (coordinate 1 high)
+    that GF(2) elimination over the transposed points (`_parity_labelings`)
+    gives, for the others the first value to give each labeling in the
+    column fold `_class_labelings`, which runs in encoding order.  Windows and finite subsets label with `labeler` per
+    hypothesis of `enumerate_class` and carry the hypothesis itself.  So a
+    caller that ranks labelings builds only the hypotheses it keeps.  Pairs
+    come in `distinct_labelings`' order.
     """
-    if desc.class_id != "parity":
-        return _generic_labelings(desc, sample, budget), lambda h: h  # type: ignore[return-value]
-    if sample.domain not in (None, ("bits", desc.n)):
-        raise DomainMismatch(f"points over {sample.domain} outside {{0,1}}^{desc.n}")
-    keff = desc.restriction if desc.restriction is not None else desc.n
-    pairs = _parity_labelings(desc, tuple(x for x, _ in sample.packed_counts), budget)
-    return pairs, lambda mask: Parity(_mask_to_tuple(mask, keff, desc.n))  # type: ignore[return-value,arg-type]
+    points = [x for x, _ in sample.packed_counts]
+    build = partial(_class_member, desc)
+    if desc.class_id == "parity":
+        if sample.domain not in (None, ("bits", desc.n)):
+            raise DomainMismatch(f"points over {sample.domain} outside {{0,1}}^{desc.n}")
+        keff = desc.restriction if desc.restriction is not None else desc.n
+        return _parity_labelings(_bit_planes(points, desc.n)[desc.n - keff :], budget), build  # type: ignore[return-value]
+    if desc.class_id in _FOLDS:  # disjunctions and conjunctions
+        first: dict[int, int] = {}
+        for value, vec in enumerate(_class_labelings(desc, sample.domain, points, budget)):
+            first.setdefault(vec, value)  # first in encoding order wins
+        return list(first.items()), build  # type: ignore[return-value]
+    return _generic_labelings(desc, sample, budget), lambda h: h  # type: ignore[return-value]
 
 
 def distinct_labelings(

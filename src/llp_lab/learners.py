@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .core import Sample
 from .errors import (
@@ -31,6 +31,7 @@ from .hypotheses import (
     Parity,
     Window,
     DEFAULT_BUDGET,
+    _bitset_weigher,
     _labeling_bitsets,
     encode,
 )
@@ -126,32 +127,14 @@ def erm_proportion_matcher(
     Iterates the distinct labelings rather than raw hypotheses, so the work
     is bounded by the growth function instead of the class size.  Each
     labeling comes from the kernel under `distinct_labelings` as an int
-    bitset over the unique points, and its positive count is read from
-    byte tables (`_bitset_weigher`); a witness (a parity mask, or the
-    hypothesis) becomes a hypothesis only when `_best_ranked` keeps it.
+    bitset over the unique points, and its positive count is read from the
+    bit planes of the multiplicities (`_bitset_weigher`); a witness (a
+    parity mask, a disjunction's or conjunction's value, or the hypothesis)
+    becomes a hypothesis only when `_best_ranked` keeps it.
     """
     pairs, build = _labeling_bitsets(desc, sample, budget)
     weigh = _bitset_weigher([c for _, c in sample.packed_counts])
     return _best_ranked(((weigh(vec), w) for vec, w in pairs), sample, "labelings", build)
-
-
-def _bitset_weigher(mults: Sequence[int]) -> Callable[[int], int]:
-    """bitset -> the sum of mults[j] over its set bits j, by table lookups.
-
-    The "four Russians" trick: one table per 8-bit chunk of the items holds
-    the weight of each of its 256 subsets, so weighing a bitset reads one
-    entry per byte of `vec.to_bytes(..., "little")` (byte c is items
-    8c .. 8c+7).  Each table doubles from [0] once per item of its chunk.
-    """
-    tables = []
-    for start in range(0, len(mults), 8):
-        table = [0]
-        for c in mults[start : start + 8]:
-            table += [s + c for s in table]
-        tables.append(table)
-    size = len(tables)
-    entry = list.__getitem__
-    return lambda vec: sum(map(entry, tables, vec.to_bytes(size, "little")))
 
 
 def _best_ranked(

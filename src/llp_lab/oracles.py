@@ -21,6 +21,10 @@ from .errors import BudgetExceeded
 from .hypotheses import (
     ClassDescriptor,
     Hypothesis,
+    _FOLDS,
+    _bitset_weigher,
+    _class_labelings,
+    _class_member,
     class_size,
     enumerate_class,
     hypothesis_to_json,
@@ -84,15 +88,28 @@ def _count_table(
 ) -> dict[int, Hypothesis]:
     """Positive count -> encoding-minimal hypothesis achieving it.
 
-    Enumeration is ascending in canonical encoding, so the first hypothesis
-    seen with a given count is the smallest one, which is exactly what the
-    global tie-break needs.
+    Both paths visit the class in ascending canonical encoding, so the
+    first hypothesis seen with a given count is the smallest one, which is
+    exactly what the global tie-break needs.  Parities, disjunctions and
+    conjunctions go through the column-bitset kernel: each member's
+    labeling of the unique points (`_class_labelings`) is weighed by the
+    bit planes of their multiplicities (`_bitset_weigher`), the first value
+    per count is kept, and only the kept values become hypotheses.  Finite
+    subsets and windows run `positive_weight` per hypothesis of
+    `enumerate_class`, which is also the reference the tests hold the
+    kernel to.
     """
-    table: dict[int, Hypothesis] = {}
     domain, counts = sample.domain, sample.packed_counts
-    for h in enumerate_class(desc, budget):
-        table.setdefault(positive_weight(h, domain, counts), h)
-    return table
+    table: dict[int, Hypothesis] = {}
+    if desc.class_id not in _FOLDS:
+        for h in enumerate_class(desc, budget):
+            table.setdefault(positive_weight(h, domain, counts), h)
+        return table
+    weigh = _bitset_weigher([c for _, c in counts])
+    first: dict[int, int] = {}
+    for value, vec in enumerate(_class_labelings(desc, domain, [x for x, _ in counts], budget)):
+        first.setdefault(weigh(vec), value)
+    return {count: _class_member(desc, value) for count, value in first.items()}
 
 
 def _best_count(table: dict[int, Hypothesis], m: int, claimed: Fraction) -> int:

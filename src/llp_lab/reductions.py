@@ -48,11 +48,13 @@ from .hypotheses import (
     ClassDescriptor,
     Hypothesis,
     Parity,
+    _bit_planes,
+    _bitset_weigher,
+    _check_domain,
     class_descriptor_from_json,
     class_descriptor_to_json,
     evaluate,
     hypothesis_to_json,
-    labeler,
     positive_weight,
 )
 from .sampling import _draw_labeled_cube
@@ -563,6 +565,35 @@ def conditional_positive_distribution(setup: NoisyParitySetup) -> ExplicitDistri
     )
 
 
+def _disagreement_counter(n: int, noisy_counts: Counter) -> Callable[[Parity], int]:
+    """parity -> the number of draws whose noisy label it contradicts.
+
+    `noisy_counts` maps (packed point, noisy label) to its number of draws.
+    The column-bitset kernel counts: bit k of a labeling stands for the
+    k-th distinct pair, the parity's labeling L is the XOR of its mask's
+    columns (`_bit_planes` of the points), and the weight of L XOR the
+    noisy labels, read from the bit planes of the pair counts, is the
+    disagreement P + neg(L) - pos(L), with P the noisy positives.  A parity
+    over other than n coordinates raises DomainMismatch, as `labeler` would.
+    """
+    pairs = list(noisy_counts)
+    columns = _bit_planes([x for x, _ in pairs], n)
+    labels = _bit_planes([lab for _, lab in pairs], 1)[0]
+    weigh = _bitset_weigher(list(noisy_counts.values()))
+    domain = ("bits", n)
+
+    def count(h: Parity) -> int:
+        _check_domain("Parity", ("bits", h.n), domain)
+        vec, mask = labels, _pack(h.mask)
+        while mask:
+            low = mask & -mask
+            vec ^= columns[low.bit_length() - 1]
+            mask ^= low
+        return weigh(vec)
+
+    return count
+
+
 def noisy_parity_via_llp(
     setup: NoisyParitySetup,
     m: int,
@@ -578,7 +609,9 @@ def noisy_parity_via_llp(
     j/M over the filtered sample, kept in draw order (`_sweep`).  A
     candidate is accepted when its disagreement with the noisy labels over
     all m examples is strictly below (eta' + 1/2)/2; the true parity sits
-    near eta, impostors near 1/2.
+    near eta, impostors near 1/2.  The disagreement comes from the
+    column-bitset kernel (`_disagreement_counter`), built once per run; the
+    kept sample's counts are read off the same (point, noisy label) counts.
     """
     eps = (Fraction(1, 2) - setup.eta_prime) / 2
     sub_delta = Fraction(delta) / 3
@@ -591,17 +624,14 @@ def noisy_parity_via_llp(
     noisy = [lab ^ 1 if rng.random() < flip else lab for lab in clean]
     kept = [x for x, lab in zip(draws, noisy) if lab]
     M = len(kept)
-    kept_counts = tuple(sorted(Counter(kept).items()))
+    noisy_counts = Counter(zip(draws, noisy))  # (point, noisy label) -> count
+    kept_counts = tuple(sorted((x, c) for (x, lab), c in noisy_counts.items() if lab))
     domain = ("bits", setup.n)
-    noisy_counts = Counter(zip(draws, noisy)).items()  # ((point, noisy label), count)
+    disagreements = _disagreement_counter(setup.n, noisy_counts)
     threshold = (setup.eta_prime + Fraction(1, 2)) / 2
 
     def accepts(h: Hypothesis) -> bool:
-        if not isinstance(h, Parity):
-            return False
-        label = labeler(h, domain)
-        bad = sum(c for (x, lab), c in noisy_counts if label(x) != lab)
-        return Fraction(bad, m) < threshold
+        return isinstance(h, Parity) and Fraction(disagreements(h), m) < threshold
 
     response, transcript = _sweep(
         oracle, domain if kept else None, kept_counts, M, eps, sub_delta, accepts, kept

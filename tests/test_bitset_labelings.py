@@ -1,11 +1,14 @@
 """ERM and `distinct_labelings` against a scan of the whole class.
 
-The library walks labelings as int bitsets from the GF(2) or labeler
-kernel, weighs them with byte tables and builds a witness only for the
-candidate it keeps.  The reference here does none of that: it enumerates
-every hypothesis, labels each unique point with `evaluate`, and ranks with
-`ranking_key`.  Unique-point counts around the 8-point table chunks (0, 7,
-8, 9, 64, 65) are drawn on purpose.
+The library walks labelings as int bitsets from the column-bitset kernel
+(GF(2) elimination over the transposed points for parities, the column
+fold for disjunctions and conjunctions) or, for windows and finite
+subsets, from `labeler`; it weighs them by the bit planes of the
+multiplicities and builds a witness only for the candidate it keeps.  The
+reference here does none of that: it enumerates every hypothesis, labels
+each unique point with `evaluate`, and ranks with `ranking_key`.
+Unique-point counts around the transpose's byte chunks (0, 7, 8, 9, 64,
+65) are drawn on purpose.
 """
 
 from fractions import Fraction as F

@@ -1,0 +1,279 @@
+"""The column-bitset kernel against `enumerate_class` with `labeler` and `positive_weight`.
+
+`hypotheses._bit_planes` transposes a list of ints into bit columns once;
+`_class_labelings` folds a sample's columns into every member's labeling
+(XOR for parities, OR for disjunctions, AND for conjunctions);
+`_bitset_weigher` weighs a labeling by the bit planes of the
+multiplicities.  The brute oracle's count table, ERM's labelings and the
+noisy-parity disagreement count run on them.  Each test holds one of those
+callers to the per-hypothesis scan it replaced.  Sizes are drawn around
+the byte chunks of the transpose on purpose: n in {1, 7, 8, 9, 16, 17},
+0, 1, 7, 8, 9, 64 or 65 unique points, and multiplicities that cross
+255/256.  Classes over 16 or 17 coordinates are parities restricted to a
+few of them, so that the reference scan stays small.
+"""
+
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from llp_lab import (
+    BudgetExceeded,
+    ClassDescriptor,
+    DomainMismatch,
+    MonotoneDisjunction,
+    NoCandidateAccepted,
+    NoisyParitySetup,
+    LLPOracle,
+    Parity,
+    enumerate_class,
+    erm_proportion_matcher,
+    make_brute_oracle,
+    noisy_parity_via_llp,
+    ranking_key,
+)
+from llp_lab.core import _sample_packed
+from llp_lab.hypotheses import (
+    _bit_planes,
+    _bitset_weigher,
+    _generic_labelings,
+    _labeling_bitsets,
+    labeler,
+    positive_weight,
+)
+from llp_lab.oracles import BRUTE_BUDGET, _best_count, _count_table, _matches
+from llp_lab.reductions import _disagreement_counter
+
+CUBE_CLASSES = ("parity", "monotone_disjunction", "monotone_conjunction")
+BYTE_EDGES = (1, 7, 8, 9, 16, 17)
+UNIQUE_EDGES = (0, 1, 7, 8, 9, 64, 65)
+WEIGHT_EDGES = (1, 255, 256, 257, 511, 512, 65535, 65536)
+
+
+def _unique_counts(limit):
+    return st.one_of(st.sampled_from([u for u in UNIQUE_EDGES if u <= limit]), st.integers(0, limit))
+
+
+def _weights():
+    return st.one_of(st.integers(1, 3), st.sampled_from(WEIGHT_EDGES), st.integers(1, 70000))
+
+
+def _set_bits(vec):
+    return [j for j in range(vec.bit_length()) if vec >> j & 1]
+
+
+@st.composite
+def _cube_cases(draw, weights=_weights()):
+    """A parity, disjunction or conjunction class and a trusted sample of packed counts."""
+    class_id = draw(st.sampled_from(CUBE_CLASSES))
+    if class_id == "parity":
+        n = draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(1, 17)))
+        restriction = draw(st.integers(0, min(n, 6)))
+        if n <= 9 and draw(st.booleans()):
+            restriction = None
+        desc = ClassDescriptor("parity", n, restriction=restriction)
+    else:
+        desc = ClassDescriptor(class_id, draw(st.one_of(st.sampled_from(BYTE_EDGES[:4]), st.integers(1, 9))))
+    u = draw(_unique_counts(min(65, 2**desc.n)))
+    points = sorted(draw(st.lists(st.integers(0, 2**desc.n - 1), min_size=u, max_size=u, unique=True)))
+    mults = draw(st.lists(weights, min_size=u, max_size=u))
+    packed = tuple(zip(points, mults))
+    domain = ("bits", desc.n) if packed else None
+    return desc, _sample_packed(domain, packed, sum(mults), F(0))
+
+
+def _reference_table(desc, sample, budget=BRUTE_BUDGET):
+    """The count table as the library built it before the kernel: one scan of the class."""
+    table = {}
+    for h in enumerate_class(desc, budget):
+        table.setdefault(positive_weight(h, sample.domain, sample.packed_counts), h)
+    return table
+
+
+# ---------------------------------------------------------------------------
+# the transpose and the weigher
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bit_planes_transpose_values(data):
+    width = data.draw(st.one_of(st.sampled_from((0,) + BYTE_EDGES + (24, 25)), st.integers(0, 40)))
+    u = data.draw(_unique_counts(65))
+    values = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=u, max_size=u))
+    planes = _bit_planes(values, width)
+    assert len(planes) == width
+    for b, plane in enumerate(planes):
+        assert plane == sum(1 << j for j, v in enumerate(values) if v >> b & 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weigher_sums_the_weights_of_the_set_bits(data):
+    u = data.draw(_unique_counts(65))
+    weights = data.draw(st.lists(_weights(), min_size=u, max_size=u))
+    weigh = _bitset_weigher(weights)
+    for vec in data.draw(st.lists(st.integers(0, 2**u - 1), min_size=1, max_size=8)) + [0, 2**u - 1]:
+        assert weigh(vec) == sum(weights[j] for j in _set_bits(vec))
+
+
+# ---------------------------------------------------------------------------
+# the brute oracle: count table, solve and ladder
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cube_cases())
+def test_count_table_matches_the_class_scan(case):
+    desc, sample = case
+    table = _count_table(desc, sample, BRUTE_BUDGET)
+    assert list(table.items()) == list(_reference_table(desc, sample).items())
+
+
+def _reference_answer(table, m, claim, mode):
+    best = _best_count(table, m, claim)
+    if mode == "reject" and not _matches(best, m, claim):
+        return None
+    return table[best]
+
+
+def _at_most(data, items, size):
+    """`items`, or `size` of them drawn when there are more (the reference scans the table per claim)."""
+    items = sorted(items)
+    return items if len(items) <= size else data.draw(st.lists(st.sampled_from(items), min_size=size, max_size=size))
+
+
+@pytest.mark.parametrize("mode", ["arbitrary", "reject"])
+@settings(max_examples=80, deadline=None)
+@given(case=_cube_cases(weights=st.one_of(st.integers(1, 3), st.sampled_from((255, 256, 257)))), data=st.data())
+def test_brute_oracle_solve_and_ladder_match_the_class_scan(mode, case, data):
+    desc, sample = case
+    m = sample.m
+    table = _reference_table(desc, sample)
+    oracle = make_brute_oracle(desc, mode)
+    claims = {F(0)}
+    if m:
+        claims |= {F(c, m) for c in table} | {F(2 * c + 1, 2 * m) for c in table if c < m}  # ties at midpoints
+        claims |= {F(j, m) for j in data.draw(st.lists(st.integers(0, m), max_size=6))}
+    for claim in _at_most(data, claims, 30):
+        assert oracle.solve(sample, claim, F(1, 10), F(1, 10)) == _reference_answer(table, m, claim, mode)
+    runs = list(oracle.sweep(sample.domain, sample.packed_counts, m, F(1, 10), F(1, 10)))
+    assert [first for first, _, _ in runs] == [0] + [last + 1 for _, last, _ in runs[:-1]]
+    assert runs[-1][1] == m
+    for first, last, response in _at_most(data, runs, 30):
+        for j in {first, last, (first + last) // 2}:
+            assert response == _reference_answer(table, m, F(j, m) if m else F(0), mode)
+
+
+# ---------------------------------------------------------------------------
+# ERM's labelings
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cube_cases())
+def test_labeling_bitsets_match_the_generic_scan(case):
+    desc, sample = case
+    pairs, build = _labeling_bitsets(desc, sample, BRUTE_BUDGET)
+    got = [(vec, build(w)) for vec, w in pairs]
+    want = _generic_labelings(desc, sample, BRUTE_BUDGET)
+    if desc.class_id == "parity":  # the span comes in its own order
+        assert dict(got) == dict(want) and len(got) == len(want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_cube_cases(), data=st.data())
+def test_erm_matches_the_class_scan_with_large_multiplicities(case, data):
+    desc, sample = case
+    m = sample.m
+    t = data.draw(st.integers(0, m))
+    sample = _sample_packed(sample.domain, sample.packed_counts, m, F(t, m) if m else F(0))
+    best = None
+    for h in enumerate_class(desc):
+        count = positive_weight(h, sample.domain, sample.packed_counts)
+        key = ranking_key(F(abs(count - t), m) if m else F(0), count, h)
+        if best is None or key < best[0]:
+            best = (key, h)
+    (residual, count, _), h = best
+    out = erm_proportion_matcher(desc, sample)
+    assert (out.hypothesis, out.residual, out.achieved) == (h, residual, F(count, m) if m else 0)
+
+
+# ---------------------------------------------------------------------------
+# errors where the scans raise them
+
+
+def _raised(fn):
+    """The error class `fn` raises, or None."""
+    try:
+        fn()
+    except (BudgetExceeded, DomainMismatch) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_budget_and_domain_errors_match_the_scans(data):
+    class_id = data.draw(st.sampled_from(CUBE_CLASSES))
+    n = data.draw(st.integers(1, 5))
+    restriction = data.draw(st.one_of(st.none(), st.integers(0, n))) if class_id == "parity" else None
+    desc = ClassDescriptor(class_id, n, restriction=restriction)
+    size = 2 ** (n if restriction is None else restriction)
+    budget = data.draw(st.one_of(st.sampled_from((size - 1, size, 1)), st.integers(0, size + 2)))
+    domain = data.draw(st.sampled_from([("bits", n), ("bits", n + 1), ("nat", None)]))
+    points = sorted(data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=6, unique=True)))
+    sample = _sample_packed(domain, tuple((x, 1) for x in points), len(points), F(0))
+
+    table = _raised(lambda: _count_table(desc, sample, budget))
+    assert table == _raised(lambda: _reference_table(desc, sample, budget))
+    kernel = _raised(lambda: _labeling_bitsets(desc, sample, budget))
+    if class_id != "parity":
+        assert kernel == _raised(lambda: _generic_labelings(desc, sample, budget))
+    elif domain != ("bits", n):
+        assert kernel is DomainMismatch
+    else:  # parities are budgeted by the number of labelings, 2^rank
+        found = len(_generic_labelings(desc, sample, BRUTE_BUDGET))
+        assert (kernel is BudgetExceeded) == (found > budget)
+
+
+# ---------------------------------------------------------------------------
+# the noisy-parity disagreement count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_disagreement_count_matches_the_labeler(data):
+    n = data.draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(1, 17)))
+    u = data.draw(_unique_counts(65))
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 1)), min_size=u, max_size=u, unique=True)
+    )
+    noisy_counts = Counter(dict(zip(pairs, data.draw(st.lists(_weights(), min_size=u, max_size=u)))))
+    count = _disagreement_counter(n, noisy_counts)
+    for _ in range(4):
+        mask = data.draw(st.integers(0, 2**n - 1))
+        h = Parity(tuple(mask >> (n - 1 - i) & 1 for i in range(n)))
+        label = labeler(h, ("bits", n))
+        assert count(h) == sum(c for (x, lab), c in noisy_counts.items() if label(x) != lab)
+    wrong = Parity((1,) * (n + 1))
+    with pytest.raises(DomainMismatch):
+        labeler(wrong, ("bits", n))
+    with pytest.raises(DomainMismatch):
+        count(wrong)
+
+
+def _fixed_oracle(response):
+    return LLPOracle(lambda sample, claimed, eps, delta: response, lambda eps, delta: 1)
+
+
+def test_noisy_parity_refuses_a_parity_of_the_wrong_length_and_rejects_other_kinds():
+    setup = NoisyParitySetup(4, Parity((1, 0, 0, 0)), F(1, 10), F(1, 5))
+    with pytest.raises(DomainMismatch):
+        noisy_parity_via_llp(setup, 40, _fixed_oracle(Parity((1, 0, 0))), F(1, 10), seed=3)
+    with pytest.raises(NoCandidateAccepted):
+        noisy_parity_via_llp(setup, 40, _fixed_oracle(MonotoneDisjunction(4, (1,))), F(1, 10), seed=3)
+    run = noisy_parity_via_llp(setup, 40, _fixed_oracle(Parity((1, 0, 0, 0))), F(1, 10), seed=3)
+    assert run.hypothesis == Parity((1, 0, 0, 0))

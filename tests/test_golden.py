@@ -69,19 +69,36 @@ def _dumps(obj: object) -> str:
 
 
 def _transcript(transcript) -> dict:
-    lines = "\n".join(json.dumps(c.to_json(), sort_keys=True) for c in transcript)
-    runs: list[list] = []
+    """Calls, the SHA-256 of the `OracleCall.to_json` lines and the runs.
+
+    Every line is read from the transcript, but the JSON of its response
+    and verdict is rendered once per run of lines that share them: each
+    line is spelled from that run's template, and the first line of each
+    run is checked against `json.dumps(call.to_json(), sort_keys=True)`, so
+    the hashed text is that of `to_json` line for line.
+    """
+    lines: list[str] = []
+    runs: list[list] = []  # [first claim, last claim, calls, response, verdict]
+    held: tuple = (object(), object())  # the (response, verdict) of `head` and `tail`
+    head = tail = ""
     for call in transcript:
-        response = None if call.response is None else hypothesis_to_json(call.response)
-        if runs and runs[-1][3] == response and runs[-1][4] == call.accepted:
-            runs[-1][1] = str(call.claimed)
-            runs[-1][2] += 1
-        else:
-            runs.append([str(call.claimed), str(call.claimed), 1, response, call.accepted])
+        claimed = call.claimed
+        if call.response is not held[0] or call.accepted is not held[1]:
+            held = (call.response, call.accepted)
+            response = None if call.response is None else hypothesis_to_json(call.response)
+            head = f'{{"accepted": {json.dumps(call.accepted)}, "claimed_den": '
+            tail = f', "response": {json.dumps(response, sort_keys=True)}}}'
+            line = f'{head}{claimed.denominator}, "claimed_num": {claimed.numerator}{tail}'
+            assert line == json.dumps(call.to_json(), sort_keys=True)
+            if not (runs and runs[-1][3] == response and runs[-1][4] == call.accepted):
+                runs.append([claimed, claimed, 0, response, call.accepted])
+        lines.append(f'{head}{claimed.denominator}, "claimed_num": {claimed.numerator}{tail}')
+        runs[-1][1] = claimed
+        runs[-1][2] += 1
     return {
         "calls": len(transcript),
-        "sha256": hashlib.sha256(lines.encode()).hexdigest(),
-        "runs": [json.dumps(r, sort_keys=True) for r in runs],
+        "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        "runs": [json.dumps([str(a), str(b), *rest], sort_keys=True) for a, b, *rest in runs],
     }
 
 
