@@ -789,63 +789,34 @@ def _mask_to_tuple(mask: int, keff: int, n: int) -> Bits:
 
 
 def _parity_labelings(columns: Sequence[int], budget: int) -> list[tuple[int, int]]:
-    """Achievable parity labelings via elimination over GF(2), as (bitset, mask).
+    """Achievable parity labelings as (bitset, mask), in ascending mask.
 
     columns[b] is the labeling of the parity whose keff-bit mask is 1 << b
     (value bit b, coordinate keff - b): the transposed points' plane, as in
-    `_class_labelings`.  The labelings form the span of these rows, which
-    are eliminated coordinate 1 first.  Each mask is reduced against a
-    kernel basis, so it is the encoding-minimal mask realizing its
-    labeling, matching what full enumeration would pick.  That reduction is
-    linear (the basis is fully reduced), so it is applied once to each
-    row's mask and every combination of reduced rows comes out reduced.
+    `_class_labelings`.  The span grows from bit 0 up.  `pairs` holds every
+    labeling of the masks below 2^b, each with its least mask, in ascending
+    mask.  A column in the span of the lower ones adds no labeling, since a
+    smaller mask already gives each one it reaches; any other doubles the
+    list.  So the first mask to reach a labeling is the encoding-minimal
+    one, as full enumeration would pick.  Raises BudgetExceeded when the
+    2^rank labelings exceed `budget`.
     """
-    basis: list[tuple[int, int]] = []  # (labeling vector, mask combo)
-    kernel: list[int] = []
-    for b in range(len(columns) - 1, -1, -1):
-        vec, mask = columns[b], 1 << b
-        # reduce by current basis (leading-bit elimination)
-        for bv, bm in basis:
-            high = 1 << (bv.bit_length() - 1)
-            if vec & high:
-                vec ^= bv
-                mask ^= bm
-        if vec:
-            basis.append((vec, mask))
-            basis.sort(key=lambda t: -t[0])
-        else:
-            kernel.append(mask)
-    if 2 ** len(basis) > budget:
-        raise BudgetExceeded(f"2^{len(basis)} labelings exceed budget {budget}")
-    # fully reduce the kernel: unique pivot bit per vector, pivots descending
-    kernel_rref: list[int] = []
-    for vec in kernel:
-        for kb in sorted(kernel_rref, reverse=True):
-            high = 1 << (kb.bit_length() - 1)
-            if vec & high:
-                vec ^= kb
-        if vec:
-            kernel_rref.append(vec)
-    kernel_rref.sort(reverse=True)
-    for i in range(len(kernel_rref)):
-        high = 1 << (kernel_rref[i].bit_length() - 1)
-        for j in range(len(kernel_rref)):
-            if j != i and kernel_rref[j] & high:
-                kernel_rref[j] ^= kernel_rref[i]
-    kernel_rref.sort(reverse=True)  # pivots from coordinate 1 downward
-
-    def reduced(mask: int) -> int:  # lex-minimal coset representative
-        for kb in kernel_rref:
-            if mask >> (kb.bit_length() - 1) & 1:
-                mask ^= kb
-        return mask
-
-    # combination `combo` sits at index combo: row i joins where bit i is set
-    out = [(0, 0)]
-    for vec, mask in basis:
-        mask = reduced(mask)
-        out += [(v ^ vec, w ^ mask) for v, w in out]
-    return out
+    if budget < 1:
+        raise BudgetExceeded(f"1 labeling exceeds budget {budget}")
+    pivots: dict[int, int] = {}  # leading bit length -> independent column
+    pairs = [(0, 0)]
+    for b, column in enumerate(columns):
+        vec = column
+        while vec and (pivot := pivots.get(vec.bit_length())):  # leading-bit elimination
+            vec ^= pivot
+        if not vec:
+            continue
+        if 2 * len(pairs) > budget:
+            raise BudgetExceeded(f"at least {2 * len(pairs)} labelings exceed budget {budget}")
+        pivots[vec.bit_length()] = vec
+        bit = 1 << b
+        pairs += [(v ^ column, w | bit) for v, w in pairs]
+    return pairs
 
 
 def _labeling_bitsets(
@@ -857,13 +828,14 @@ def _labeling_bitsets(
     (`packed_counts` order).  A witness is what `build` turns into the
     encoding-minimal hypothesis realizing that labeling.  For parities,
     disjunctions and conjunctions it is the member's value, built by
-    `_class_member`: for parities the keff-bit mask (coordinate 1 high)
-    that GF(2) elimination over the transposed points (`_parity_labelings`)
-    gives, for the others the first value to give each labeling in the
-    column fold `_class_labelings`, which runs in encoding order.  Windows and finite subsets label with `labeler` per
-    hypothesis of `enumerate_class` and carry the hypothesis itself.  So a
-    caller that ranks labelings builds only the hypotheses it keeps.  Pairs
-    come in `distinct_labelings`' order.
+    `_class_member`: for parities the least keff-bit mask (coordinate 1
+    high) of the span grown over the transposed points
+    (`_parity_labelings`), for the others the first value to give each
+    labeling in the column fold `_class_labelings`.  Windows and finite
+    subsets label with `labeler` per hypothesis of `enumerate_class` and
+    carry the hypothesis itself.  So a caller that ranks labelings builds
+    only the hypotheses it keeps.  For every class the pairs come in
+    ascending witness encoding.
     """
     points = [x for x, _ in sample.packed_counts]
     build = partial(_class_member, desc)
@@ -890,11 +862,13 @@ def distinct_labelings(
     realizing it, so optimizing over this stream reproduces exactly what a
     full scan of the class would select under the shared tie-break.
 
-    An empty sample yields the single empty labeling.  The budget caps the
-    underlying enumeration (class size, or 2^rank for parities).  This is a
-    view of the kernel `_labeling_bitsets`, which holds each labeling as an
-    int bitset and each parity witness as a mask: it decodes them into 0/1
-    tuples and hypotheses.  Learners rank the bitsets directly.
+    Labelings come in ascending encoding of their witnesses, for every
+    class.  An empty sample yields the single empty labeling.  The budget
+    caps the underlying enumeration: the class size, or for parities the
+    2^rank labelings of the span.  This is a view of the kernel
+    `_labeling_bitsets`, which holds each labeling as an int bitset and
+    each parity witness as a mask: it decodes them into 0/1 tuples and
+    hypotheses.  Learners rank the bitsets directly.
     """
     pairs, build = _labeling_bitsets(desc, sample, budget)
     r = len(sample.packed_counts)

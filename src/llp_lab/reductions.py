@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import compress
 from typing import NamedTuple
 
 from .core import (
@@ -41,6 +42,7 @@ from .errors import (
     DomainMismatch,
     InvalidAuxiliaryCount,
     InvalidNoiseBound,
+    InvalidParams,
     NoCandidateAccepted,
     OracleReject,
 )
@@ -501,6 +503,8 @@ class NoisyParitySetup:
     restriction: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.target, Parity):
+            raise InvalidParams(f"noisy-parity target must be a parity, got {type(self.target).__name__}")
         if self.target.n != self.n:
             raise DomainMismatch(f"target over {self.target.n} bits, setup says {self.n}")
         if not 0 <= self.eta <= self.eta_prime or not self.eta_prime < Fraction(1, 2):
@@ -622,7 +626,7 @@ def noisy_parity_via_llp(
     )
     flip = _random_cut(setup.eta)  # rng.random() < flip exactly when < eta
     noisy = [lab ^ 1 if rng.random() < flip else lab for lab in clean]
-    kept = [x for x, lab in zip(draws, noisy) if lab]
+    kept = list(compress(draws, noisy))
     M = len(kept)
     noisy_counts = Counter(zip(draws, noisy))  # (point, noisy label) -> count
     kept_counts = tuple(sorted((x, c) for (x, lab), c in noisy_counts.items() if lab))

@@ -60,6 +60,7 @@ from .learners import (
     window_learner,
 )
 from .sampling import (
+    _support_domain,
     draw_labeled_points,
     draw_sample,
     proportion_gap,
@@ -194,10 +195,11 @@ class TrialConfig:
             raise InvalidParams(f"learner {self.learner!r} needs a class descriptor")
         if self.target is None and self.desc is None:
             raise InvalidParams("random targets need a class descriptor to draw from")
-        if self.learner == "noisy_distinguisher" and (
-            self.eta is None or self.eta_prime is None
-        ):
-            raise InvalidParams("the noisy distinguisher needs eta and eta_prime")
+        if self.learner == "noisy_distinguisher":
+            if self.eta is None or self.eta_prime is None:
+                raise InvalidParams("the noisy distinguisher needs eta and eta_prime")
+            if _support_domain(self.distribution)[0] != "bits":  # type: ignore[index]
+                raise InvalidParams("the noisy distinguisher needs a distribution over bit vectors")
 
 
 def resolve_m(config: TrialConfig, values: dict[Fraction, Hypothesis] | None = None) -> int:
@@ -435,14 +437,14 @@ def run_single_trial(
                 config.desc, random.Random(derive_seed(trial_seed, "target"))
             )
         if config.learner == "noisy_distinguisher":
-            points, labels = draw_labeled_points(
+            _, labels = draw_labeled_points(
                 config.distribution, m, derive_seed(trial_seed, "sample"), target
             )
             noise = random.Random(derive_seed(trial_seed, "noise"))
             assert config.eta is not None and config.eta_prime is not None
             flip = _random_cut(config.eta)  # noise.random() < flip exactly when < eta
             noisy_positives = sum(1 - lab if noise.random() < flip else lab for lab in labels)
-            n = len(points[0]) if points else 1
+            _, n = _support_domain(config.distribution)  # type: ignore[misc]  # ("bits", n), checked by TrialConfig
             outcome = noisy_parity_uniform_learner(
                 Fraction(noisy_positives, m), config.eta_prime, n
             )

@@ -1,12 +1,13 @@
 """ERM and `distinct_labelings` against a scan of the whole class.
 
 The library walks labelings as int bitsets from the column-bitset kernel
-(GF(2) elimination over the transposed points for parities, the column
-fold for disjunctions and conjunctions) or, for windows and finite
-subsets, from `labeler`; it weighs them by the bit planes of the
-multiplicities and builds a witness only for the candidate it keeps.  The
-reference here does none of that: it enumerates every hypothesis, labels
-each unique point with `evaluate`, and ranks with `ranking_key`.
+(for parities the GF(2) span of the transposed points, grown from the
+last coordinate up in ascending mask; the column fold for disjunctions
+and conjunctions) or, for windows and finite subsets, from `labeler`; it
+weighs them by the bit planes of the multiplicities and builds a witness
+only for the candidate it keeps.  The reference here does none of that:
+it enumerates every hypothesis, labels each unique point with
+`evaluate`, and ranks with `ranking_key`.
 Unique-point counts around the transpose's byte chunks (0, 7, 8, 9, 64,
 65) are drawn on purpose.
 """

@@ -151,7 +151,8 @@ def test_trial_config_refuses_more_than_max_trials():
 def test_import_loads_neither_scipy_nor_numpy():
     src = str(Path(llp_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, llp_lab; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    # the process pool is imported only when run_trials uses one
+    code = "import sys, llp_lab; print(sorted({'scipy', 'numpy', 'concurrent.futures'} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )

@@ -1,5 +1,6 @@
 """Oracle-driven reductions and the hardness instance translations."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -13,8 +14,10 @@ from llp_lab import (
     DegenerateSample,
     DomainMismatch,
     EPSCInstance,
+    FiniteSubset,
     InvalidAuxiliaryCount,
     InvalidNoiseBound,
+    InvalidParams,
     LLPOracle,
     MonotoneConjunction,
     MonotoneDisjunction,
@@ -44,6 +47,7 @@ from llp_lab import (
     weight_of,
     x3c_to_epsc,
 )
+from llp_lab.cli import main
 from llp_lab.core import (
     _pack_counts,
     _sample_packed,
@@ -226,6 +230,18 @@ def test_noisy_parity_setup_validation():
         NoisyParitySetup(3, Parity((1, 0, 0)), F(1, 4), F(1, 2))  # bound not < 1/2
     with pytest.raises(DomainMismatch):
         NoisyParitySetup(3, Parity((0, 1, 0)), F(0), F(0), restriction=1)
+    for target in (FiniteSubset((1,)), MonotoneDisjunction(3, (1,))):
+        with pytest.raises(InvalidParams, match="parity"):
+            NoisyParitySetup(3, target, F(0), F(0))  # type: ignore[arg-type]
+
+
+def test_cli_noisy_parity_with_a_non_parity_target_is_invalid_params(tmp_path, capsys):
+    path = tmp_path / "setup.json"
+    path.write_text(
+        json.dumps({"n": 3, "target": {"kind": "finite_subset", "elems": [1]}, "eta": "0", "eta_prime": "0"})
+    )
+    assert main(["reduce", "--run", "noisy-parity", "--in", str(path), "--seed", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
 
 
 def test_conditional_positive_distribution_masses():

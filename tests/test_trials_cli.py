@@ -18,6 +18,7 @@ from llp_lab import (
     clopper_pearson,
     config_from_json,
     config_to_json,
+    distribution_to_json,
     emit_report,
     make_distribution,
     report_from_json,
@@ -67,6 +68,26 @@ def test_trial_config_validation():
         improper_config(epsilon=F(3, 2))
     with pytest.raises(InvalidParams):
         improper_config(target=None)  # no class to draw random targets from
+
+
+def test_noisy_distinguisher_needs_bit_vectors(tmp_path, capsys):
+    noisy = dict(learner="noisy_distinguisher", eta=F(1, 10), eta_prime=F(1, 5))
+    with pytest.raises(InvalidParams, match="bit vectors"):
+        improper_config(**noisy)  # TWO_ATOM is over naturals
+    bits = make_distribution([((0, 1), F(1, 2)), ((1, 1), F(1, 2))])
+    report = run_trials(improper_config(**noisy, distribution=bits, target=Parity((1, 0)), trials=3))
+    assert len(report.rows) == 3 and all(row.error is None for row in report.rows)
+    cfg_path = write_cli_config(
+        tmp_path,
+        learner="noisy_distinguisher",
+        eta="1/10",
+        eta_prime="1/5",
+        distribution=distribution_to_json(TWO_ATOM),
+        target={"kind": "finite_subset", "elems": [2]},
+    )
+    code, _, err = run_cli(capsys, "trials", "--config", cfg_path)
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidParams"
 
 
 def test_resolve_m_modes():
