@@ -10,6 +10,8 @@ and oracle in the package: among candidates with equal residual, prefer the
 smaller positive count, then the lexicographically smallest encoding.  For
 list-shaped hypotheses the element codes are order-preserving and
 prefix-free, so comparing encodings equals comparing sorted element lists.
+Candidate streams ascend in encoding, so rankers keep the first best
+candidate; `ranking_key` is the reference they are tested against.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Each learner returns a LearnerOutcome whose `achieved` field reproduces
 exactly under `empirical_proportion` (or `true_proportion` for the
 distribution-based gap learner).  Ties are always broken the same way:
 smaller residual, then smaller positive count, then lexicographically
-smallest canonical encoding.
+smallest canonical encoding (`ranking_key`), which ERM and the window
+learner get by keeping the first best of candidates ascending in encoding.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .hypotheses import (
     DEFAULT_BUDGET,
     _bitset_weigher,
     _labeling_bitsets,
-    encode,
 )
 from .sampling import achievable_proportions
 
@@ -128,9 +128,9 @@ def erm_proportion_matcher(
     is bounded by the growth function instead of the class size.  Each
     labeling comes from the kernel under `distinct_labelings` as an int
     bitset over the unique points, and its positive count is read from the
-    bit planes of the multiplicities (`_bitset_weigher`); a witness (a
-    parity mask, a disjunction's or conjunction's value, or the hypothesis)
-    becomes a hypothesis only when `_best_ranked` keeps it.
+    bit planes of the multiplicities (`_bitset_weigher`).  The pairs ascend
+    in witness encoding, and only the winner's witness (a parity mask, a
+    disjunction's or conjunction's value, or the hypothesis) is built.
     """
     pairs, build = _labeling_bitsets(desc, sample, budget)
     weigh = _bitset_weigher([c for _, c in sample.packed_counts])
@@ -145,42 +145,30 @@ def _best_ranked(
 ) -> LearnerOutcome:
     """The (count, witness) candidate first under `ranking_key`.
 
-    Every candidate shares the sample's m, so the integers
-    (|count - positive count|, count) order the candidates as
-    `ranking_key`'s (residual, count) do.  `build` turns a witness into
-    its hypothesis (the identity when None), and runs only for a candidate
-    that ties the leader on both integers, whose encodings then decide, and
-    for the winner.  The residual is |count - positive count| / m;
-    `work[work]` is the number of candidates examined.
+    The candidates must arrive in ascending encoding.  They share the
+    sample's m, so the integers (|count - positive count|, count) order
+    them as `ranking_key`'s (residual, count) do, and the first candidate
+    with the least integers is the one `ranking_key` puts first.  `build`
+    runs once, on the winner's witness (returned as it is when None).  The
+    residual is |count - positive count| / m; `work[work]` is the number
+    of candidates examined.
     """
-    if build is None:
-        build = _identity
     m = sample.m
     t = sample.positive_count
     best_key: tuple[int, int] | None = None
     best: object = None
-    best_code: str | None = None  # encode(build(best)), once a tie needs it
     examined = 0
     for count, w in candidates:
         examined += 1
         key = (abs(count - t), count)
         if best_key is None or key < best_key:
-            best_key, best, best_code = key, w, None
-        elif key == best_key:
-            if best_code is None:
-                best_code = encode(build(best))
-            code = encode(build(w))
-            if code < best_code:
-                best, best_code = w, code
+            best_key, best = key, w
     assert best_key is not None
     gap, count = best_key
     residual = Fraction(gap, m) if m else Fraction(0)
     achieved = Fraction(count, m) if m else Fraction(0)
-    return LearnerOutcome(build(best), achieved, residual, {work: examined})
-
-
-def _identity(h):
-    return h
+    h = best if build is None else build(best)
+    return LearnerOutcome(h, achieved, residual, {work: examined})  # type: ignore[arg-type]
 
 
 def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -249,9 +237,9 @@ def window_learner(sample: Sample, k: int) -> LearnerOutcome:
 
     Candidates are the empty window plus, for each unique value v taken as
     the leftmost positive, every subset of the unique values within
-    (v, v+k] joined with v: O(2^k) candidates per unique value.  Each is
-    ranked as its element tuple, and only the tuples `_best_ranked` keeps
-    become `Window`s.
+    (v, v+k] joined with v: O(2^k) candidates per unique value.  They come
+    in ascending encoding (each v in turn, then a preorder whose children
+    pop ascending), and only the winner's element tuple becomes a `Window`.
     """
     points, mults = _nat_sample_items(sample)
 
@@ -259,7 +247,7 @@ def window_learner(sample: Sample, k: int) -> LearnerOutcome:
         yield 0, ()
         for i, v in enumerate(points):
             tail = [(points[j], mults[j]) for j in range(i + 1, len(points)) if points[j] <= v + k]
-            # depth first, each subset of the tail before its extensions
+            # depth first, each subset of the tail before its extensions, ascending
             stack = [((v,), mults[i], 0)]
             while stack:
                 elems, count, start = stack.pop()

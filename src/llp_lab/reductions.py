@@ -551,22 +551,15 @@ def conditional_positive_distribution(setup: NoisyParitySetup) -> ExplicitDistri
 
     Mass eta / 2^(n-1) on each point the target labels 0 and
     (1 - eta) / 2^(n-1) on each point it labels 1; with a nontrivial parity
-    both regions have 2^(n-1) points, so this normalizes exactly.
+    both regions have 2^(n-1) points, so this normalizes exactly.  Points
+    of mass 0 (the target's zeros when eta = 0) are left out of the support.
     """
     if setup.target.trivial:
         raise ValueError("conditioning degenerates for the trivial parity")
-    if setup.eta == 0:
-        entries = [
-            (x, Fraction(1, 2 ** (setup.n - 1)))
-            for x in iter_cube(setup.n)
-            if evaluate(setup.target, x)
-        ]
-        return make_distribution(entries)
     half = 2 ** (setup.n - 1)
-    return make_distribution(
-        (x, Fraction(1 - setup.eta, half) if evaluate(setup.target, x) else Fraction(setup.eta, half))
-        for x in iter_cube(setup.n)
-    )
+    masses = (Fraction(setup.eta, half), Fraction(1 - setup.eta, half))
+    entries = ((x, masses[evaluate(setup.target, x)]) for x in iter_cube(setup.n))
+    return make_distribution((x, w) for x, w in entries if w)
 
 
 def _disagreement_counter(n: int, noisy_counts: Counter) -> Callable[[Parity], int]:
@@ -674,6 +667,8 @@ def x3c_to_epsc(inst: X3CInstance, ell: int | None = None) -> EPSCInstance:
 
 
 def _epsc_points(inst: EPSCInstance, positive_bit: int) -> ConsistencyInstance:
+    if not inst.subsets:
+        raise InvalidParams("need at least one subset to build bit vectors")
     elements = sorted(inst.universe)
     patterns = Counter(
         tuple(positive_bit if e in s else 1 - positive_bit for s in inst.subsets)
@@ -695,8 +690,6 @@ def epsc_to_disjunction_consistency(inst: EPSCInstance) -> ConsistencyInstance:
     points is precisely a subfamily with union size k.  Elements sharing a
     membership pattern collapse into one point with multiplicity.
     """
-    if not inst.subsets:
-        raise ValueError("need at least one subset to build bit vectors")
     return _epsc_points(inst, 1)
 
 
@@ -706,6 +699,4 @@ def epsc_to_conjunction_consistency(inst: EPSCInstance) -> ConsistencyInstance:
     A conjunction over J is positive exactly on elements outside the union,
     so the count flips to |U| - k.
     """
-    if not inst.subsets:
-        raise ValueError("need at least one subset to build bit vectors")
     return _epsc_points(inst, 0)

@@ -158,14 +158,8 @@ def draw_labeled_points(
     if not points:
         return points, ()
     label = labeler(target, _support_domain(dist))
-    memo: dict[Point, int] = {}
-    labels = []
-    for p in points:
-        lab = memo.get(p)
-        if lab is None:
-            lab = memo[p] = int(label(_pack(p)))
-        labels.append(lab)
-    return points, tuple(labels)
+    labels = {p: int(label(_pack(p))) for p in set(points)}
+    return points, tuple(map(labels.__getitem__, points))
 
 
 def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis) -> Sample:

@@ -27,6 +27,7 @@ from llp_lab import (
     brute_subset_sum,
     derive_seed,
     empirical_proportion,
+    encode,
     enumerate_class,
     erm_proportion_matcher,
     evaluate,
@@ -42,6 +43,7 @@ from llp_lab import (
     halfspace_sweep_learner,
     window_learner,
 )
+from llp_lab import learners
 from llp_lab.learners import _best_ranked, _suffix_reach
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
@@ -238,6 +240,7 @@ def ranked_streams(draw):
 @example((0, 0, [(0, Window(1, (2,))), (0, FiniteSubset((1,))), (0, Parity((1, 1)))]))
 def test_best_ranked_matches_ranking_key(case):
     m, t, stream = case
+    stream = sorted(stream, key=lambda c: encode(c[1]))  # `_best_ranked`'s precondition
     sample = Sample(tuple(range(m)), F(t, m)) if m else Sample((), F(0))
 
     def key(candidate):
@@ -285,6 +288,7 @@ def built_streams(draw):
 @example((3, 0, [(0, (3, 4)), (0, (1,)), (0, (1, 3))], _window_2))
 def test_best_ranked_builds_witnesses_and_matches_ranking_key(case):
     m, t, stream, build = case
+    stream = sorted(stream, key=lambda c: encode(build(c[1])))  # `_best_ranked`'s precondition
     sample = Sample(tuple(range(m)), F(t, m)) if m else Sample((), F(0))
     built = [(count, build(w)) for count, w in stream]
 
@@ -310,6 +314,47 @@ def test_best_ranked_builds_only_the_winner_without_ties():
     sample = Sample((0, 1, 2, 3), F(2, 4))
     out = _best_ranked(iter([(0, 7), (4, 6), (1, 5), (3, 4), (2, 3)]), sample, "labelings", build)
     assert out.hypothesis == _mask_parity(3) and calls == [3]
+    # masks 3, 5 and 7 tie on (residual, count): the first wins, and no other is built
+    calls.clear()
+    out = _best_ranked(iter([(2, 3), (1, 4), (2, 5), (3, 6), (2, 7)]), sample, "labelings", build)
+    assert out.hypothesis == _mask_parity(3) and calls == [3]
+    assert out.work == {"labelings": 5}
+
+
+def test_learners_hand_best_ranked_streams_in_ascending_encoding(monkeypatch):
+    """The precondition of `_best_ranked`, checked on every stream the window
+    learner and ERM give it: built encodings ascend strictly."""
+    streams = []
+
+    def spy(candidates, sample, work, build=None):
+        stream = list(candidates)
+        streams.append([encode(w if build is None else build(w)) for _, w in stream])
+        return _best_ranked(iter(stream), sample, work, build)
+
+    monkeypatch.setattr(learners, "_best_ranked", spy)
+    rng = random.Random(23)
+    for _ in range(150):
+        k = rng.randint(0, 6)
+        m = rng.randint(0, 16)
+        pts = tuple(rng.randint(1, 14) for _ in range(m))
+        window_learner(Sample(pts, F(rng.randint(0, m), m) if m else F(0)), k)
+    descs = [
+        ClassDescriptor("parity", 5),
+        ClassDescriptor("parity", 6, restriction=3),
+        ClassDescriptor("monotone_disjunction", 4),
+        ClassDescriptor("monotone_conjunction", 4),
+        ClassDescriptor("finite_subset", 1, ground_set=(2, 3, 5, 7)),
+    ]
+    for desc in descs:
+        for m in (0, 1, 6, 20):
+            if desc.class_id == "finite_subset":
+                pts = tuple(rng.choice(desc.ground_set) for _ in range(m))
+            else:
+                pts = tuple(tuple(rng.randint(0, 1) for _ in range(desc.n)) for _ in range(m))
+            erm_proportion_matcher(desc, Sample(pts, F(rng.randint(0, m), m) if m else F(0)))
+    assert len(streams) == 150 + 4 * len(descs)
+    for codes in streams:
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_window_k0_forces_singletons():

@@ -262,6 +262,18 @@ def test_conditional_positive_distribution_noiseless():
     assert true_proportion(setup.target, dist) == 1
 
 
+def test_epsc_transforms_need_a_subset(tmp_path, capsys):
+    inst = EPSCInstance(universe=(1, 2, 3), subsets=(), k=0)
+    for transform in (epsc_to_disjunction_consistency, epsc_to_conjunction_consistency):
+        with pytest.raises(InvalidParams, match="at least one subset"):
+            transform(inst)
+    path = tmp_path / "x3c.json"
+    path.write_text(json.dumps({"universe": [1, 2, 3], "triples": []}))
+    for chain in ("x3c-epsc-disjunction", "x3c-epsc-conjunction"):
+        assert main(["reduce", "--chain", chain, "--in", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
+
+
 def test_x3c_to_epsc_single_triple():
     inst = X3CInstance(universe=(1, 2, 3), triples=((1, 2, 3),))
     out = x3c_to_epsc(inst, ell=4)
