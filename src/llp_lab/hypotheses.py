@@ -10,8 +10,9 @@ and oracle in the package: among candidates with equal residual, prefer the
 smaller positive count, then the lexicographically smallest encoding.  For
 list-shaped hypotheses the element codes are order-preserving and
 prefix-free, so comparing encodings equals comparing sorted element lists.
-Candidate streams ascend in encoding, so rankers keep the first best
-candidate; `ranking_key` is the reference they are tested against.
+Candidate streams ascend in encoding, so one rule ranks for every learner
+and oracle: `_least_per_count` keeps the first witness of each count and
+`_nearest_count` picks the count; `ranking_key` is their reference.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -431,6 +433,14 @@ def class_size(desc: ClassDescriptor) -> int:
     raise ValueError(desc.class_id)
 
 
+def _sized(desc: ClassDescriptor, budget: int) -> int:
+    """`class_size(desc)`, or BudgetExceeded when it exceeds `budget`."""
+    size = class_size(desc)
+    if size > budget:
+        raise BudgetExceeded(f"class size {size} exceeds budget {budget}")
+    return size
+
+
 def _subsets_lex(universe: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All subsets of a sorted universe, ascending in sorted-list lex order."""
 
@@ -450,9 +460,7 @@ def enumerate_class(desc: ClassDescriptor, budget: int = DEFAULT_BUDGET) -> Iter
     Raises BudgetExceeded up front when the class size exceeds `budget`, and
     InfiniteClass for halfspaces or un-grounded finite subsets.
     """
-    size = class_size(desc)
-    if size > budget:
-        raise BudgetExceeded(f"class size {size} exceeds budget {budget}")
+    size = _sized(desc, budget)
 
     def gen() -> Iterator[Hypothesis]:
         match desc.class_id:
@@ -482,11 +490,12 @@ def _class_member(desc: ClassDescriptor, value: int) -> Hypothesis:
     construction, so they are set without the constructor's checks.
     """
     n = desc.n
-    member = object.__new__(_FOLDS[desc.class_id][0])
     if desc.class_id == "parity":
+        member = object.__new__(Parity)
         keff = desc.restriction if desc.restriction is not None else n
         member.__dict__["mask"] = _mask_to_tuple(value, keff, n)
     else:
+        member = object.__new__(_FOLDS[desc.class_id][0])
         member.__dict__.update(n=n, vars=tuple(j + 1 for j in range(n) if (value >> (n - 1 - j)) & 1))
     return member
 
@@ -656,8 +665,47 @@ def decode(bits: str) -> Hypothesis:
 
 
 def ranking_key(residual: Fraction, count: int, h: Hypothesis) -> tuple[Fraction, int, str]:
-    """Shared tie-break: residual, then positive count, then encoding."""
+    """Shared tie-break: residual, then positive count, then encoding.
+
+    The reference for `_least_per_count` followed by `_nearest_count`.
+    """
     return (residual, count, encode(h))
+
+
+def _least_per_count(candidates: Iterable[tuple[int, object]]) -> tuple[dict[int, object], int]:
+    """count -> the first witness with that count, and the number of candidates.
+
+    The candidates must arrive in ascending encoding, so each count keeps
+    its encoding-least witness, the one `ranking_key` puts first.
+    """
+    first: dict[int, object] = {}
+    examined = 0
+    for examined, (count, w) in enumerate(candidates, 1):
+        if count not in first:
+            first[count] = w
+    return first, examined
+
+
+def _nearest_count(sorted_counts: list[int], m: int, claimed: Fraction) -> int:
+    """The count nearest claimed * m, the smaller on a tie, by bisection in integers.
+
+    For a claim p/q the distance of count c is |c*q - p*m| / (m*q), so only
+    the largest count below p*m/q and the smallest at or above it can win;
+    a tie goes to the smaller one.  With m = 0 every distance is 0 and the
+    smallest count wins.  `oracles._best_count` is the Fraction reference.
+    """
+    if not m:
+        return sorted_counts[0]
+    p, q = claimed.as_integer_ratio()
+    target = p * m
+    i = bisect_left(sorted_counts, -(-target // q))
+    if i == len(sorted_counts):
+        return sorted_counts[-1]
+    above = sorted_counts[i]
+    if i == 0:
+        return above
+    below = sorted_counts[i - 1]
+    return below if target - below * q <= above * q - target else above
 
 
 def sauer_bound(d: int, m: int) -> float:
@@ -716,9 +764,8 @@ def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:
     return weigh
 
 
-# each class the kernel walks: its member type and the fold of its columns
+# each class the kernel folds: its member type and the fold of its columns
 _FOLDS: dict[str, tuple[type, Callable[[int, int], int]]] = {
-    "parity": (Parity, operator.xor),
     "monotone_disjunction": (MonotoneDisjunction, operator.or_),
     "monotone_conjunction": (MonotoneConjunction, operator.and_),
 }
@@ -741,32 +788,6 @@ def _fold_walk(fold: Callable[[int, int], int], columns: Sequence[int], unit: in
         top = fold(stack[-1], columns[low])
         stack.append(top)
         yield top
-
-
-def _class_labelings(
-    desc: ClassDescriptor, domain: tuple[str, int | None] | None, points: Sequence[int], budget: int
-) -> Iterator[int]:
-    """Every member's labeling of `points`, in `enumerate_class` order.
-
-    For a parity, disjunction or conjunction class.  Bit j of a labeling is
-    the member's label of the packed point points[j].  Member `value`
-    (`_class_member`) folds the columns of its coordinates: XOR for
-    parities, OR for disjunctions and AND for conjunctions, whose empty
-    member labels every point 1.  Value bit b is coordinate keff - b, that
-    is plane n - keff + b of the points, so `_fold_walk` over those planes
-    yields the labelings in class order, streaming.  Like `enumerate_class`
-    followed by `labeler`, it raises BudgetExceeded when the class size
-    exceeds `budget`, then DomainMismatch when `domain` does not fit.
-    """
-    size = class_size(desc)
-    if size > budget:
-        raise BudgetExceeded(f"class size {size} exceeds budget {budget}")
-    member, fold = _FOLDS[desc.class_id]
-    _check_domain(member.__name__, ("bits", desc.n), domain)
-    keff = size.bit_length() - 1
-    columns = _bit_planes(points, desc.n)[desc.n - keff :]
-    unit = (1 << len(points)) - 1 if member is MonotoneConjunction else 0
-    return _fold_walk(fold, columns, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +815,8 @@ def _parity_labelings(columns: Sequence[int], budget: int) -> list[tuple[int, in
     """Achievable parity labelings as (bitset, mask), in ascending mask.
 
     columns[b] is the labeling of the parity whose keff-bit mask is 1 << b
-    (value bit b, coordinate keff - b): the transposed points' plane, as in
-    `_class_labelings`.  The span grows from bit 0 up.  `pairs` holds every
+    (value bit b, coordinate keff - b): plane n - keff + b of the transposed
+    points.  The span grows from bit 0 up.  `pairs` holds every
     labeling of the masks below 2^b, each with its least mask, in ascending
     mask.  A column in the span of the lower ones adds no labeling, since a
     smaller mask already gives each one it reaches; any other doubles the
@@ -824,31 +845,37 @@ def _parity_labelings(columns: Sequence[int], budget: int) -> list[tuple[int, in
 def _labeling_bitsets(
     desc: ClassDescriptor, sample: Sample, budget: int
 ) -> tuple[list[tuple[int, object]], Callable[[object], Hypothesis]]:
-    """The kernel under `distinct_labelings`: (bitset, witness) pairs and a build.
+    """The one walk of a class over a sample: (bitset, witness) pairs and a build.
 
+    ERM, the brute oracle's count table and `distinct_labelings` read it.
     Bit j of a bitset is the label of the sample's j-th unique point
-    (`packed_counts` order).  A witness is what `build` turns into the
-    encoding-minimal hypothesis realizing that labeling.  For parities,
-    disjunctions and conjunctions it is the member's value, built by
-    `_class_member`: for parities the least keff-bit mask (coordinate 1
-    high) of the span grown over the transposed points
-    (`_parity_labelings`), for the others the first value to give each
-    labeling in the column fold `_class_labelings`.  Windows and finite
-    subsets label with `labeler` per hypothesis of `enumerate_class` and
-    carry the hypothesis itself.  So a caller that ranks labelings builds
-    only the hypotheses it keeps.  For every class the pairs come in
-    ascending witness encoding.
+    (`packed_counts` order).  `build` turns a witness into the
+    encoding-minimal hypothesis realizing that labeling.  For parities the
+    witness is the least keff-bit mask (coordinate 1 high) of the span grown
+    over the transposed points (`_parity_labelings`).  A disjunction or
+    conjunction member ORs or ANDs the columns of its coordinates: value bit
+    b is plane b of the points, so `_fold_walk` yields the labelings in
+    class order, and the first value to give each one is its witness.
+    `_class_member` builds both.  Windows and finite subsets label with
+    `labeler` per hypothesis of `enumerate_class` and carry the hypothesis.
+    For every class the pairs ascend in witness encoding.  BudgetExceeded
+    (class size over `budget`) comes before DomainMismatch, as in a scan of
+    the class, except that parities check the domain first and cap their
+    2^rank labelings instead.
     """
     points = [x for x, _ in sample.packed_counts]
     build = partial(_class_member, desc)
     if desc.class_id == "parity":
-        if sample.domain not in (None, ("bits", desc.n)):
-            raise DomainMismatch(f"points over {sample.domain} outside {{0,1}}^{desc.n}")
+        _check_domain("Parity", ("bits", desc.n), sample.domain)
         keff = desc.restriction if desc.restriction is not None else desc.n
         return _parity_labelings(_bit_planes(points, desc.n)[desc.n - keff :], budget), build  # type: ignore[return-value]
     if desc.class_id in _FOLDS:  # disjunctions and conjunctions
+        _sized(desc, budget)
+        member, fold = _FOLDS[desc.class_id]
+        _check_domain(member.__name__, ("bits", desc.n), sample.domain)
+        unit = (1 << len(points)) - 1 if member is MonotoneConjunction else 0
         first: dict[int, int] = {}
-        for value, vec in enumerate(_class_labelings(desc, sample.domain, points, budget)):
+        for value, vec in enumerate(_fold_walk(fold, _bit_planes(points, desc.n), unit)):
             first.setdefault(vec, value)  # first in encoding order wins
         return list(first.items()), build  # type: ignore[return-value]
     return _generic_labelings(desc, sample, budget), lambda h: h  # type: ignore[return-value]

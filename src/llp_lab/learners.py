@@ -4,8 +4,9 @@ Each learner returns a LearnerOutcome whose `achieved` field reproduces
 exactly under `empirical_proportion` (or `true_proportion` for the
 distribution-based gap learner).  Ties are always broken the same way:
 smaller residual, then smaller positive count, then lexicographically
-smallest canonical encoding (`ranking_key`), which ERM and the window
-learner get by keeping the first best of candidates ascending in encoding.
+smallest canonical encoding (`ranking_key`).  ERM and the window learner
+get it from the brute oracle's rule: the first witness per count of
+candidates ascending in encoding, then the count nearest the target.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     DegenerateSample,
     DomainMismatch,
     InvalidNoiseBound,
+    InvalidParams,
     UnreachableCount,
 )
 from .hypotheses import (
@@ -34,6 +36,8 @@ from .hypotheses import (
     DEFAULT_BUDGET,
     _bitset_weigher,
     _labeling_bitsets,
+    _least_per_count,
+    _nearest_count,
 )
 from .sampling import achievable_proportions
 
@@ -129,8 +133,11 @@ def erm_proportion_matcher(
     labeling comes from the kernel under `distinct_labelings` as an int
     bitset over the unique points, and its positive count is read from the
     bit planes of the multiplicities (`_bitset_weigher`).  The pairs ascend
-    in witness encoding, and only the winner's witness (a parity mask, a
-    disjunction's or conjunction's value, or the hypothesis) is built.
+    in witness encoding; `_best_ranked` keeps the first witness per count
+    and takes the count nearest the positive count, so the result is what
+    the brute oracle's count table answers to the claim p_hat.  Only the
+    winner's witness (a parity mask, a disjunction's or conjunction's
+    value, or the hypothesis) is built.
     """
     pairs, build = _labeling_bitsets(desc, sample, budget)
     weigh = _bitset_weigher([c for _, c in sample.packed_counts])
@@ -145,29 +152,21 @@ def _best_ranked(
 ) -> LearnerOutcome:
     """The (count, witness) candidate first under `ranking_key`.
 
-    The candidates must arrive in ascending encoding.  They share the
-    sample's m, so the integers (|count - positive count|, count) order
-    them as `ranking_key`'s (residual, count) do, and the first candidate
-    with the least integers is the one `ranking_key` puts first.  `build`
-    runs once, on the winner's witness (returned as it is when None).  The
-    residual is |count - positive count| / m; `work[work]` is the number
-    of candidates examined.
+    The candidates must arrive in ascending encoding.  `_least_per_count`
+    keeps the first, encoding-least witness of each count, and
+    `_nearest_count` picks the count nearest the sample's positive count,
+    the smaller on a tie: the brute oracle's rule for the claim p_hat.
+    `build` runs once, on the winner's witness (returned as it is when
+    None).  The residual is |count - positive count| / m; `work[work]` is
+    the number of candidates examined.
     """
+    first, examined = _least_per_count(candidates)
     m = sample.m
-    t = sample.positive_count
-    best_key: tuple[int, int] | None = None
-    best: object = None
-    examined = 0
-    for count, w in candidates:
-        examined += 1
-        key = (abs(count - t), count)
-        if best_key is None or key < best_key:
-            best_key, best = key, w
-    assert best_key is not None
-    gap, count = best_key
-    residual = Fraction(gap, m) if m else Fraction(0)
+    count = _nearest_count(sorted(first), m, sample.p_hat)
+    residual = Fraction(abs(count - sample.positive_count), m) if m else Fraction(0)
     achieved = Fraction(count, m) if m else Fraction(0)
-    h = best if build is None else build(best)
+    w = first[count]
+    h = w if build is None else build(w)
     return LearnerOutcome(h, achieved, residual, {work: examined})  # type: ignore[arg-type]
 
 
@@ -340,7 +339,7 @@ def noisy_parity_uniform_learner(
     if not 0 <= bound < Fraction(1, 2):
         raise InvalidNoiseBound(f"eta' {bound} outside [0, 1/2)")
     if not 0 <= p_hat_noisy <= 1:
-        raise ValueError(f"noisy fraction {p_hat_noisy} outside [0, 1]")
+        raise InvalidParams(f"noisy fraction {p_hat_noisy} outside [0, 1]")
     threshold = (bound + Fraction(1, 2)) / 2
     if p_hat_noisy < threshold:
         h = Parity((0,) * n)

@@ -10,25 +10,24 @@ so equivalence tests can assert exact witness equality.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import Sample, _sample_packed
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidParams
 from .hypotheses import (
     ClassDescriptor,
     Hypothesis,
-    _FOLDS,
     _bitset_weigher,
-    _class_labelings,
-    _class_member,
+    _labeling_bitsets,
+    _least_per_count,
+    _nearest_count,
+    _sized,
     class_size,
     enumerate_class,
     hypothesis_to_json,
-    positive_weight,
 )
 from .reductions import (
     ConsistencyInstance,
@@ -88,28 +87,19 @@ def _count_table(
 ) -> dict[int, Hypothesis]:
     """Positive count -> encoding-minimal hypothesis achieving it.
 
-    Both paths visit the class in ascending canonical encoding, so the
-    first hypothesis seen with a given count is the smallest one, which is
-    exactly what the global tie-break needs.  Parities, disjunctions and
-    conjunctions go through the column-bitset kernel: each member's
-    labeling of the unique points (`_class_labelings`) is weighed by the
-    bit planes of their multiplicities (`_bitset_weigher`), the first value
-    per count is kept, and only the kept values become hypotheses.  Finite
-    subsets and windows run `positive_weight` per hypothesis of
-    `enumerate_class`, which is also the reference the tests hold the
-    kernel to.
+    The class must fit `budget` (BudgetExceeded before any domain check).
+    The kernel's labelings (`_labeling_bitsets`), which ascend in witness
+    encoding, are weighed by the bit planes of the sample's multiplicities
+    (`_bitset_weigher`); `_least_per_count` keeps the first witness per
+    count, which is the encoding-minimal one, and only those become
+    hypotheses.  The tests hold this to a scan of `enumerate_class` with
+    `positive_weight`.
     """
-    domain, counts = sample.domain, sample.packed_counts
-    table: dict[int, Hypothesis] = {}
-    if desc.class_id not in _FOLDS:
-        for h in enumerate_class(desc, budget):
-            table.setdefault(positive_weight(h, domain, counts), h)
-        return table
-    weigh = _bitset_weigher([c for _, c in counts])
-    first: dict[int, int] = {}
-    for value, vec in enumerate(_class_labelings(desc, domain, [x for x, _ in counts], budget)):
-        first.setdefault(weigh(vec), value)
-    return {count: _class_member(desc, value) for count, value in first.items()}
+    _sized(desc, budget)
+    pairs, build = _labeling_bitsets(desc, sample, budget)
+    weigh = _bitset_weigher([c for _, c in sample.packed_counts])
+    first, _ = _least_per_count((weigh(vec), w) for vec, w in pairs)
+    return {count: build(w) for count, w in first.items()}
 
 
 def _best_count(table: dict[int, Hypothesis], m: int, claimed: Fraction) -> int:
@@ -119,28 +109,6 @@ def _best_count(table: dict[int, Hypothesis], m: int, claimed: Fraction) -> int:
     integer bisection the oracle uses, and tests check it against this.
     """
     return min(table, key=lambda c: (abs(Fraction(c, m) - claimed) if m else Fraction(0), c))
-
-
-def _nearest_count(sorted_counts: list[int], m: int, claimed: Fraction) -> int:
-    """The count `_best_count` picks, found by bisection in integers.
-
-    For a claim p/q the distance of count c is |c*q - p*m| / (m*q), so only
-    the largest count below p*m/q and the smallest at or above it can win;
-    a tie goes to the smaller one.  With m = 0 every distance is 0 and the
-    smallest count wins.
-    """
-    if not m:
-        return sorted_counts[0]
-    p, q = claimed.as_integer_ratio()
-    target = p * m
-    i = bisect_left(sorted_counts, -(-target // q))
-    if i == len(sorted_counts):
-        return sorted_counts[-1]
-    above = sorted_counts[i]
-    if i == 0:
-        return above
-    below = sorted_counts[i - 1]
-    return below if target - below * q <= above * q - target else above
 
 
 def _matches(count: int, m: int, claimed: Fraction) -> bool:
@@ -182,7 +150,7 @@ def erm_oracle_sample_size(desc: ClassDescriptor, epsilon, delta) -> int:
     eps = float(epsilon)
     d = float(delta)
     if not (0 < eps and 0 < d < 1):
-        raise ValueError(f"need epsilon > 0 and 0 < delta < 1, got {epsilon}, {delta}")
+        raise InvalidParams(f"need epsilon > 0 and 0 < delta < 1, got {epsilon}, {delta}")
     return math.ceil(2 * math.log(2 * class_size(desc) / d) / eps**2)
 
 
@@ -201,7 +169,9 @@ def make_brute_oracle(
     lengths are different points, and the rebuild raises DomainMismatch
     where the class does not fit.  Each `solve` then costs O(log T) integer
     work, T the number of distinct counts: a bisection for the nearest
-    count and, in "reject" mode, one cross-multiplied equality test.
+    count (`_nearest_count`, the rule ERM ranks by, so ERM's answer is the
+    oracle's answer to the claim p_hat) and, in "reject" mode, one
+    cross-multiplied equality test.
 
     `sweep` answers a whole ladder j/m, j = 0..m, from the same table as
     at most 2T + 1 runs, so a ladder costs O(T) after the table where
@@ -211,7 +181,7 @@ def make_brute_oracle(
     claim j gets count j's hypothesis when j is a count and None otherwise.
     """
     if mode not in ("arbitrary", "reject"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParams(f"unknown mode {mode!r}")
     reject = mode == "reject"
     held_domain = held_packed = None  # the (domain, packed counts) `table` and `counts` were built from
     table: dict[int, Hypothesis] = {}
@@ -330,9 +300,9 @@ def brute_subset_sum(counts: Iterable[int], t: int, budget: int = BRUTE_BUDGET) 
     """
     items = list(counts)
     if any(not isinstance(a, int) or a < 1 for a in items):
-        raise ValueError(f"counts must be positive integers, got {items!r}")
+        raise InvalidParams(f"counts must be positive integers, got {items!r}")
     if t < 0:
-        raise ValueError(f"target must be nonnegative, got {t}")
+        raise InvalidParams(f"target must be nonnegative, got {t}")
     u = len(items)
     if u > 24 or 1 << u > budget:
         raise BudgetExceeded(f"{u} items means {1 << u} subsets")

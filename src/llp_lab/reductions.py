@@ -151,8 +151,9 @@ class Transcript(Sequence):
     Line j is `OracleCall(Fraction(j, den), response, accepted)` for the run
     holding j; run i covers j from `ends[i - 1]` (0 for the first run) up to
     `ends[i]`, exclusive.  Lines are built only when read.  It reads like
-    the tuple of its lines: `len`, indexing (negative too), iteration,
-    equality with that tuple (either way round) and its hash.
+    the tuple of its lines: `len`, indexing (negative too), slicing (to
+    that tuple's slice), iteration, equality with that tuple (either way
+    round) and its hash.
     """
 
     __slots__ = ("_den", "_ends", "_responses", "_accepted")
@@ -169,7 +170,9 @@ class Transcript(Sequence):
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
-    def __getitem__(self, index: int) -> OracleCall:
+    def __getitem__(self, index: int | slice) -> OracleCall | tuple[OracleCall, ...]:
+        if isinstance(index, slice):
+            return tuple(self[j] for j in range(*index.indices(len(self))))
         j = operator.index(index)
         if j < 0:
             j += len(self)

@@ -1,16 +1,20 @@
 """The column-bitset kernel against `enumerate_class` with `labeler` and `positive_weight`.
 
 `hypotheses._bit_planes` transposes a list of ints into bit columns once;
-`_class_labelings` folds a sample's columns into every member's labeling
-(XOR for parities, OR for disjunctions, AND for conjunctions);
-`_bitset_weigher` weighs a labeling by the bit planes of the
-multiplicities.  The brute oracle's count table, ERM's labelings and the
-noisy-parity disagreement count run on them.  Each test holds one of those
-callers to the per-hypothesis scan it replaced.  Sizes are drawn around
-the byte chunks of the transpose on purpose: n in {1, 7, 8, 9, 16, 17},
-0, 1, 7, 8, 9, 64 or 65 unique points, and multiplicities that cross
+`_labeling_bitsets` walks a class over a sample as distinct labelings
+(the GF(2) span of the columns for parities, OR and AND folds of them for
+disjunctions and conjunctions, one `labeler` per member for windows and
+finite subsets); `_bitset_weigher` weighs a labeling by the bit planes of
+the multiplicities.  The brute oracle's count table, ERM's labelings and
+the noisy-parity disagreement count run on them.  Each test holds one of
+those callers to the per-hypothesis scan it replaced.  Sizes are drawn
+around the byte chunks of the transpose on purpose: n in {1, 7, 8, 9, 16,
+17}, 0, 1, 7, 8, 9, 64 or 65 unique points, and multiplicities that cross
 255/256.  Classes over 16 or 17 coordinates are parities restricted to a
-few of them, so that the reference scan stays small.
+few of them, so that the reference scan stays small.  The count table,
+the oracle and the error tests also draw windows and grounded finite
+subsets over natural-number samples, whose points may fall outside the
+class's ground.
 """
 
 from collections import Counter
@@ -24,6 +28,7 @@ from llp_lab import (
     BudgetExceeded,
     ClassDescriptor,
     DomainMismatch,
+    InfiniteClass,
     MonotoneDisjunction,
     NoCandidateAccepted,
     NoisyParitySetup,
@@ -41,6 +46,7 @@ from llp_lab.hypotheses import (
     _bitset_weigher,
     _generic_labelings,
     _labeling_bitsets,
+    class_size,
     labeler,
     positive_weight,
 )
@@ -48,6 +54,7 @@ from llp_lab.oracles import BRUTE_BUDGET, _best_count, _count_table, _matches
 from llp_lab.reductions import _disagreement_counter
 
 CUBE_CLASSES = ("parity", "monotone_disjunction", "monotone_conjunction")
+NAT_CLASSES = ("window", "finite_subset")
 BYTE_EDGES = (1, 7, 8, 9, 16, 17)
 UNIQUE_EDGES = (0, 1, 7, 8, 9, 64, 65)
 WEIGHT_EDGES = (1, 255, 256, 257, 511, 512, 65535, 65536)
@@ -82,6 +89,31 @@ def _cube_cases(draw, weights=_weights()):
     mults = draw(st.lists(weights, min_size=u, max_size=u))
     packed = tuple(zip(points, mults))
     domain = ("bits", desc.n) if packed else None
+    return desc, _sample_packed(domain, packed, sum(mults), F(0))
+
+
+def _nat_desc(draw, class_id, n):
+    """A window class over 1..2^n, or a finite-subset class grounded on a few naturals."""
+    if class_id == "window":
+        return ClassDescriptor("window", n, k=draw(st.integers(0, 3)))
+    ground = draw(st.lists(st.integers(0, 2**n + 1), max_size=7, unique=True))
+    return ClassDescriptor("finite_subset", n, ground_set=tuple(sorted(ground)))
+
+
+@st.composite
+def _nat_cases(draw, weights=_weights()):
+    """A window or grounded finite-subset class and a trusted sample of naturals.
+
+    The points range over 0..2^n + 1, so some fall outside a window's domain
+    1..2^n or a finite subset's ground set.
+    """
+    n = draw(st.integers(1, 4))
+    desc = _nat_desc(draw, draw(st.sampled_from(NAT_CLASSES)), n)
+    u = draw(_unique_counts(2**n + 2))
+    points = sorted(draw(st.lists(st.integers(0, 2**n + 1), min_size=u, max_size=u, unique=True)))
+    mults = draw(st.lists(weights, min_size=u, max_size=u))
+    packed = tuple(zip(points, mults))
+    domain = ("nat", None) if packed else None
     return desc, _sample_packed(domain, packed, sum(mults), F(0))
 
 
@@ -123,8 +155,8 @@ def test_weigher_sums_the_weights_of_the_set_bits(data):
 # the brute oracle: count table, solve and ladder
 
 
-@settings(max_examples=200, deadline=None)
-@given(_cube_cases())
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_cube_cases(), _nat_cases()))
 def test_count_table_matches_the_class_scan(case):
     desc, sample = case
     table = _count_table(desc, sample, BRUTE_BUDGET)
@@ -144,9 +176,13 @@ def _at_most(data, items, size):
     return items if len(items) <= size else data.draw(st.lists(st.sampled_from(items), min_size=size, max_size=size))
 
 
+def _small_weights():
+    return st.one_of(st.integers(1, 3), st.sampled_from((255, 256, 257)))
+
+
 @pytest.mark.parametrize("mode", ["arbitrary", "reject"])
-@settings(max_examples=80, deadline=None)
-@given(case=_cube_cases(weights=st.one_of(st.integers(1, 3), st.sampled_from((255, 256, 257)))), data=st.data())
+@settings(max_examples=160, deadline=None)
+@given(case=st.one_of(_cube_cases(weights=_small_weights()), _nat_cases(weights=_small_weights())), data=st.data())
 def test_brute_oracle_solve_and_ladder_match_the_class_scan(mode, case, data):
     desc, sample = case
     m = sample.m
@@ -205,19 +241,27 @@ def _raised(fn):
     """The error class `fn` raises, or None."""
     try:
         fn()
-    except (BudgetExceeded, DomainMismatch) as exc:
+    except (BudgetExceeded, DomainMismatch, InfiniteClass) as exc:
         return type(exc)
     return None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=340, deadline=None)
 @given(st.data())
 def test_budget_and_domain_errors_match_the_scans(data):
-    class_id = data.draw(st.sampled_from(CUBE_CLASSES))
+    class_id = data.draw(st.sampled_from(CUBE_CLASSES + NAT_CLASSES))
     n = data.draw(st.integers(1, 5))
-    restriction = data.draw(st.one_of(st.none(), st.integers(0, n))) if class_id == "parity" else None
-    desc = ClassDescriptor(class_id, n, restriction=restriction)
-    size = 2 ** (n if restriction is None else restriction)
+    if class_id in NAT_CLASSES:
+        desc = _nat_desc(data.draw, class_id, n)
+        if class_id == "finite_subset" and data.draw(st.booleans()):
+            desc = ClassDescriptor("finite_subset", n)  # no ground set: InfiniteClass
+            size = 1
+        else:
+            size = class_size(desc)
+    else:
+        restriction = data.draw(st.one_of(st.none(), st.integers(0, n))) if class_id == "parity" else None
+        desc = ClassDescriptor(class_id, n, restriction=restriction)
+        size = 2 ** (n if restriction is None else restriction)
     budget = data.draw(st.one_of(st.sampled_from((size - 1, size, 1)), st.integers(0, size + 2)))
     domain = data.draw(st.sampled_from([("bits", n), ("bits", n + 1), ("nat", None)]))
     points = sorted(data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=6, unique=True)))

@@ -243,6 +243,41 @@ def test_transcript_reads_as_the_tuple_of_its_lines():
             t[bad]
 
 
+def test_transcript_slices_to_the_tuple_of_its_lines():
+    t = _transcript()
+    assert t[:2] == LINES[:2] and isinstance(t[:2], tuple)
+    assert t[::-1] == LINES[::-1] and t[-2:] == LINES[-2:] and t[1:5:3] == LINES[1:5:3]
+    assert t[4:1] == t[-1:-7] == t[9:] == ()
+    assert Transcript(1, [], [], [])[:] == ()
+
+
+def _slices(size):
+    """Slices of a sequence of `size`: hypothesis' own, and any ends or nonzero step."""
+    ends = st.none() | st.integers(-size - 3, size + 3)
+    steps = st.none() | st.integers(-4, 4).filter(bool)
+    return st.slices(size) | st.builds(slice, ends, ends, steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(CUBE_CLASSES),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from(MODES),
+    st.integers(min_value=0, max_value=2**32),
+    st.data(),
+)
+def test_transcript_slices_match_the_tuple_on_both_paths(class_id, n, points, mode, seed, data):
+    desc = ClassDescriptor(class_id, n)
+    inst = gen_consistency(desc, min(points, 2**n), seed, max_mult=3)
+    for oracle in (make_brute_oracle(desc, mode), _per_claim_oracle(desc, mode, [])):
+        t = consistency_via_llp(inst, oracle, F(1, 20), seed).transcript
+        assert isinstance(t, Transcript)
+        lines = tuple(t)
+        for s in data.draw(st.lists(_slices(len(t)), min_size=1, max_size=8)):
+            assert t[s] == lines[s]
+
+
 def test_transcript_equals_and_hashes_like_the_tuple():
     t = _transcript()
     assert t == LINES and LINES == t

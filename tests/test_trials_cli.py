@@ -363,6 +363,14 @@ def test_cli_oracle_subset_sum(tmp_path, capsys):
     assert report["witness"] == [0, 1]
 
 
+def test_cli_oracle_subset_sum_bad_counts_are_invalid_params(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"counts": [0], "t": 1}))
+    code, out, err = run_cli(capsys, "oracle", "--solver", "subset-sum", "--in", str(inst))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
+
+
 def test_cli_reduce_chain_check(tmp_path, capsys):
     inst_path = tmp_path / "x3c.json"
     code, out, _ = run_cli(

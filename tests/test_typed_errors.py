@@ -1,0 +1,70 @@
+"""A ratchet on untyped raises in `src/llp_lab`.
+
+ROADMAP item 4 aims for typed errors at every boundary: bad input raises an
+`LlpError` subclass (`InvalidParams` is also a `ValueError`, for callers
+that catch one).  Each module's count of `raise ValueError` and
+`raise TypeError` may fall but never rise above its ceiling here; lower the
+ceiling when a change types more of them.
+"""
+
+import ast
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import llp_lab
+from llp_lab import ClassDescriptor, brute_subset_sum, make_brute_oracle, noisy_parity_uniform_learner
+from llp_lab.errors import InvalidParams
+from llp_lab.oracles import erm_oracle_sample_size
+
+# modules not named here have a ceiling of 0
+CEILINGS = {"core": 17, "hypotheses": 28, "reductions": 12, "oracles": 1, "learners": 0}
+UNTYPED = ("ValueError", "TypeError")
+
+
+def _untyped_raises(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            count += isinstance(exc, ast.Name) and exc.id in UNTYPED
+    return count
+
+
+def test_the_count_reads_raise_statements_only():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError('x')\n"
+        "    raise TypeError\n"
+        "# raise ValueError in a comment\n"
+        "s = 'raise TypeError in a string'\n"
+        "def g():\n"
+        "    raise InvalidParams('typed')\n"
+    )
+    assert _untyped_raises(source) == 2
+
+
+def test_untyped_raises_do_not_rise():
+    modules = sorted(Path(llp_lab.__file__).parent.glob("*.py"))
+    assert {p.stem for p in modules} >= set(CEILINGS)
+    counts = {p.stem: _untyped_raises(p.read_text()) for p in modules}
+    over = {name: (n, CEILINGS.get(name, 0)) for name, n in counts.items() if n > CEILINGS.get(name, 0)}
+    assert not over, f"untyped raises above their ceiling (count, ceiling): {over}"
+
+
+def test_oracle_and_learner_input_checks_raise_invalid_params():
+    desc = ClassDescriptor("parity", 3)
+    calls = [
+        lambda: erm_oracle_sample_size(desc, 0, F(1, 10)),
+        lambda: erm_oracle_sample_size(desc, F(1, 10), 1),
+        lambda: make_brute_oracle(desc, "lenient"),
+        lambda: brute_subset_sum([0], 1),
+        lambda: brute_subset_sum([1], -1),
+        lambda: noisy_parity_uniform_learner(F(3, 2), F(1, 10), 3),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams) as raised:
+            call()
+        assert isinstance(raised.value, ValueError)
