@@ -17,12 +17,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DomainMismatch,
     DuplicateSupportPoint,
     EmptySupport,
+    InvalidParams,
     NonPositiveWeight,
     WeightsDoNotSumToOne,
 )
@@ -153,9 +155,16 @@ class ExplicitDistribution:
     atoms: tuple[tuple[Point, Fraction], ...]
 
     @cached_property
-    def packed(self) -> tuple[tuple[str, int | None] | None, tuple[tuple[int, Fraction], ...]]:
-        """(domain, atoms with packed points), the support checked once on first use."""
-        return check_same_domain(p for p, _ in self.atoms), tuple((_pack(p), w) for p, w in self.atoms)
+    def weighted(self) -> Sample:
+        """A trusted sample of size D, the lcm of the weights' denominators.
+
+        Atom (p, w) becomes packed p with multiplicity w * D, so true
+        proportions are empirical ones here.  The support is checked once, on
+        first use.  Its `points` are never read: D can be astronomically large.
+        """
+        d = math.lcm(*(w.denominator for _, w in self.atoms))
+        packed = tuple((_pack(p), w.numerator * (d // w.denominator)) for p, w in self.atoms)
+        return _sample_packed(check_same_domain(p for p, _ in self.atoms), packed, d, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -405,24 +414,25 @@ def derive_seed(*parts: object) -> int:
 def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Point, int], ...]:
     """Multiplicity vector of m i.i.d. draws, via one binomial per atom.
 
-    Atoms that receive no draws are dropped, so the result obeys the same
-    invariants as Sample.counts (sorted, every count >= 1).
+    Atom i's probability is its integer weight over the weight left
+    (`ExplicitDistribution.weighted`).  Atoms that receive no draws are
+    dropped, so the result obeys Sample.counts' invariants (sorted, counts >= 1).
     """
+    if m < 0:
+        raise InvalidParams(f"m must be >= 0, got {m}")
     import numpy as np  # on first use, so `import llp_lab` does not pay for numpy
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    remaining = m
-    rem_weight = Fraction(1)
+    remaining, rem_weight = m, dist.weighted.m
     out: list[tuple[Point, int]] = []
-    for i, (point, w) in enumerate(dist.atoms):
-        if i == len(dist.atoms) - 1:
-            c = remaining
-        else:
-            c = int(rng.binomial(remaining, float(w / rem_weight))) if remaining else 0
+    for (point, _), (_, w) in zip(dist.atoms[:-1], dist.weighted.packed_counts):
+        c = int(rng.binomial(remaining, w / rem_weight)) if remaining else 0
         if c:
             out.append((point, c))
         remaining -= c
         rem_weight -= w
+    if remaining:
+        out.append((dist.atoms[-1][0], remaining))
     return tuple(out)
 
 
@@ -431,15 +441,13 @@ def _draw_small(dist: ExplicitDistribution, m: int, seed: int, forms: Sequence) 
 
     `forms[i]` stands for atom i in the output: the atom's point for
     `draw_points`, its packed point for `draw_sample`.  Either way the
-    random calls and the atoms drawn are the same.
+    random calls and the atoms drawn are the same.  Masses are the
+    integer weights of `ExplicitDistribution.weighted` over their total.
     """
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    cum: list[float] = []
-    total = 0.0
-    for _, w in dist.atoms:
-        total += float(w)
-        cum.append(total)
+        raise InvalidParams(f"m must be >= 0, got {m}")
+    weighted = dist.weighted
+    cum = list(accumulate(w / weighted.m for _, w in weighted.packed_counts))
     # the float total may fall short of 1; past it, the last atom is drawn
     cum[-1] = math.inf
     rand = random.Random(seed).random
@@ -452,7 +460,7 @@ def _draw_cube(n: int, m: int, seed: int) -> list[int]:
     The drawn int is the packed form (`_pack`) of the drawn vector.
     """
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise InvalidParams(f"m must be >= 0, got {m}")
     getrandbits = random.Random(seed).getrandbits
     return [getrandbits(n) for _ in range(m)]
 

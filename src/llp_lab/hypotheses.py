@@ -329,9 +329,10 @@ def labeler(h: Hypothesis, domain: tuple[str, int | None] | None) -> Callable[[i
     with coordinate 1 as the high bit (the order of `iter_cube` and
     `_mask_to_tuple`), a natural stays as it is.  The domain is checked
     here, once per container: `domain` is the one the container validated
-    when it was built (`Sample.domain`, `ExplicitDistribution.packed`, a
-    cube's ("bits", n)), and DomainMismatch is raised when it differs from
-    `domain_kind(h)`, as `evaluate` would on the container's first point.
+    when it was built (`Sample.domain`, an explicit distribution's on its
+    `weighted` sample, a cube's ("bits", n)), and DomainMismatch is raised
+    when it differs from `domain_kind(h)`, as `evaluate` would on the
+    container's first point.
     `domain` None stands for an empty container and is not checked.  The
     randomized baseline has no fixed labeling and is refused.
     """
@@ -363,11 +364,11 @@ def labeler(h: Hypothesis, domain: tuple[str, int | None] | None) -> Callable[[i
 def positive_weight(
     h: Hypothesis, domain: tuple[str, int | None] | None, pairs: Iterable[tuple[int, object]]
 ):
-    """Sum of the weights (multiplicities or masses) of the packed points h labels 1.
+    """Sum of the multiplicities of the packed points h labels 1.
 
-    `pairs` holds (packed point, weight) from a container over `domain`;
-    see `labeler` for the packing and the domain check.  Returns int 0
-    when nothing is labeled 1.
+    `pairs` holds (packed point, multiplicity) from a container over
+    `domain`; see `labeler` for the packing and the domain check.  Returns
+    0 when nothing is labeled 1.
     """
     label = labeler(h, domain)
     return sum(w for x, w in pairs if label(x))
@@ -902,6 +903,24 @@ def distinct_labelings(
     pairs, build = _labeling_bitsets(desc, sample, budget)
     r = len(sample.packed_counts)
     return iter([(tuple((vec >> j) & 1 for j in range(r)), build(w)) for vec, w in pairs])
+
+
+def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
+    """Positive count -> encoding-minimal hypothesis achieving it.
+
+    The class must fit `budget` (BudgetExceeded before any domain check).
+    The kernel's labelings (`_labeling_bitsets`), which ascend in witness
+    encoding, are weighed by the bit planes of the sample's multiplicities
+    (`_bitset_weigher`); `_least_per_count` keeps the first witness per
+    count, which is the encoding-minimal one, and only those become
+    hypotheses.  The tests hold this to a scan of `enumerate_class` with
+    `positive_weight`.
+    """
+    _sized(desc, budget)
+    pairs, build = _labeling_bitsets(desc, sample, budget)
+    weigh = _bitset_weigher([c for _, c in sample.packed_counts])
+    first, _ = _least_per_count((weigh(vec), w) for vec, w in pairs)
+    return {count: build(w) for count, w in first.items()}
 
 
 # ---------------------------------------------------------------------------

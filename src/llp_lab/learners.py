@@ -11,6 +11,7 @@ candidates ascending in encoding, then the count nearest the target.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,20 +108,19 @@ def gap_learner(
 ) -> LearnerOutcome:
     """Snap the revealed fraction to the nearest achievable true proportion.
 
-    Works from the known distribution: enumerate the class, collect the
-    distinct achievable proportion values, pick the value closest to p_hat
-    (ties resolved to the smaller value), and return its encoding-minimal
-    witness.  `values`, when given, is `gap_values(desc, dist, budget)`
-    built earlier, and replaces the enumeration.  Its key (distance, value)
-    never needs `ranking_key`'s encoding: the candidates are distinct values.
+    Works from the known distribution: take the distinct achievable values
+    (`values`, else `gap_values(desc, dist, budget)`), pick the one closest
+    to p_hat, the smaller on a tie, and return its encoding-minimal witness.
+    On the lcm D of their denominators the values are counts v * D out of
+    D, so the pick is `_nearest_count`; being distinct, they need no
+    encoding tie-break.
     """
     if values is None:
         values = gap_values(desc, dist, budget)
-    best_value = min(values, key=lambda v: (abs(v - p_hat), v))
-    h = values[best_value]
-    return LearnerOutcome(
-        h, best_value, abs(best_value - p_hat), {"candidates": len(values)}
-    )
+    d = math.lcm(*(v.denominator for v in values))
+    counts = sorted(v.numerator * (d // v.denominator) for v in values)
+    best = Fraction(_nearest_count(counts, d, p_hat), d)
+    return LearnerOutcome(values[best], best, abs(best - p_hat), {"candidates": len(values)})
 
 
 def erm_proportion_matcher(

@@ -20,11 +20,8 @@ from .errors import BudgetExceeded, InvalidParams
 from .hypotheses import (
     ClassDescriptor,
     Hypothesis,
-    _bitset_weigher,
-    _labeling_bitsets,
-    _least_per_count,
+    _count_table,
     _nearest_count,
-    _sized,
     class_size,
     enumerate_class,
     hypothesis_to_json,
@@ -80,26 +77,6 @@ class BruteForceReport:
 
 # ---------------------------------------------------------------------------
 # exhaustive proportion matching (the stand-in oracle)
-
-
-def _count_table(
-    desc: ClassDescriptor, sample: Sample, budget: int
-) -> dict[int, Hypothesis]:
-    """Positive count -> encoding-minimal hypothesis achieving it.
-
-    The class must fit `budget` (BudgetExceeded before any domain check).
-    The kernel's labelings (`_labeling_bitsets`), which ascend in witness
-    encoding, are weighed by the bit planes of the sample's multiplicities
-    (`_bitset_weigher`); `_least_per_count` keeps the first witness per
-    count, which is the encoding-minimal one, and only those become
-    hypotheses.  The tests hold this to a scan of `enumerate_class` with
-    `positive_weight`.
-    """
-    _sized(desc, budget)
-    pairs, build = _labeling_bitsets(desc, sample, budget)
-    weigh = _bitset_weigher([c for _, c in sample.packed_counts])
-    first, _ = _least_per_count((weigh(vec), w) for vec, w in pairs)
-    return {count: build(w) for count, w in first.items()}
 
 
 def _best_count(table: dict[int, Hypothesis], m: int, claimed: Fraction) -> int:

@@ -436,7 +436,7 @@ def llp_to_pac(
     counts = draw_counts(dist, m_prime, derive_seed(seed, "pac-draw"))
     positives = sum(c for p, c in counts if label_of[p])
     p_hat = Fraction(positives, m_prime)
-    sample = _sample_packed(dist.packed[0], _pack_counts(counts), m_prime, p_hat)
+    sample = _sample_packed(dist.weighted.domain, _pack_counts(counts), m_prime, p_hat)
     response = oracle.solve(sample, p_hat, eps, Fraction(delta))
     call = OracleCall(p_hat, response, accepted=response is not None)
     if response is None:

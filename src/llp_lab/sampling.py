@@ -38,12 +38,14 @@ from .core import (
 )
 from .errors import IntractableExactProportion, InvalidParams
 from .hypotheses import (
+    DEFAULT_BUDGET,
     ClassDescriptor,
     ConstantRandom,
     Hypothesis,
     MonotoneConjunction,
     MonotoneDisjunction,
     Parity,
+    _count_table,
     class_descriptor_from_json,
     class_descriptor_to_json,
     enumerate_class,
@@ -75,21 +77,22 @@ CUBE_ENUM_MAX = 20
 def _support_domain(dist: FiniteDistribution) -> tuple[str, int | None] | None:
     if isinstance(dist, UniformCube):
         return ("bits", dist.n)
-    return dist.packed[0]
+    return dist.weighted.domain
 
 
 def true_proportion(h: Hypothesis, dist: FiniteDistribution) -> Fraction:
     """Exact mass of the positively labeled region.
 
-    The randomized baseline has proportion p under any distribution.  On a
-    uniform cube, parities have a closed form (0 for the trivial mask, 1/2
-    otherwise); other hypotheses are enumerated, which is refused above
+    The randomized baseline has proportion p under any distribution.  Under
+    an explicit one it is the empirical proportion on its `weighted` sample.
+    On a uniform cube, parities have a closed form (0 for the trivial mask,
+    1/2 otherwise); other hypotheses are enumerated, which is refused above
     CUBE_ENUM_MAX dimensions.
     """
     if isinstance(h, ConstantRandom):
         return h.p
     if isinstance(dist, ExplicitDistribution):
-        return Fraction(positive_weight(h, *dist.packed))
+        return empirical_proportion(h, dist.weighted)
     label = labeler(h, ("bits", dist.n))
     if isinstance(h, Parity):
         return Fraction(0) if h.trivial else Fraction(1, 2)
@@ -171,21 +174,19 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
     random calls of `draw_points`: cube draws, small explicit draws (atom
     by atom, in draw order) and large ones (m >= COUNT_DRAW_MIN, counted
     per atom).  No drawn point is re-checked (an explicit distribution's
-    atoms are checked once, by `ExplicitDistribution.packed`), and the
+    atoms are checked once, by `ExplicitDistribution.weighted`), and the
     kernel labels each distinct point once.  A constant-random target
     flips one coin per draw and gives a checked `Sample`.
     """
     if not isinstance(target, ConstantRandom):
+        domain = _support_domain(dist)
         if isinstance(dist, UniformCube):
-            domain = ("bits", dist.n)
             draws = _draw_cube(dist.n, m, seed)
         elif m >= COUNT_DRAW_MIN:
-            domain = dist.packed[0]
             packed = _pack_counts(draw_counts(dist, m, seed))
             return _sample_packed(domain, packed, m, Fraction(positive_weight(target, domain, packed), m))
         else:
-            domain, atoms = dist.packed
-            draws = _draw_small(dist, m, seed, [x for x, _ in atoms])
+            draws = _draw_small(dist, m, seed, [x for x, _ in dist.weighted.packed_counts])
         if not draws:
             domain = None
         packed = tuple(sorted(Counter(draws).items()))
@@ -196,20 +197,25 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
 
 
 def achievable_proportions(
-    desc: ClassDescriptor, dist: FiniteDistribution, budget: int = 1 << 20
+    desc: ClassDescriptor, dist: FiniteDistribution, budget: int = DEFAULT_BUDGET
 ) -> dict[Fraction, Hypothesis]:
     """Every true-proportion value the class can realize under `dist`.
 
-    Maps each value to its encoding-minimal witness; enumeration order makes
-    the first witness seen the minimal one.
+    Maps each value to its encoding-minimal witness, the values in order
+    of their witnesses.  Under an explicit distribution they are the count
+    table (`_count_table`) of its sample of size D (`weighted`), count c
+    giving c / D; on a uniform cube the class is enumerated.
     """
+    if isinstance(dist, ExplicitDistribution):
+        weighted = dist.weighted
+        return {Fraction(c, weighted.m): h for c, h in _count_table(desc, weighted, budget).items()}
     out: dict[Fraction, Hypothesis] = {}
     for h in enumerate_class(desc, budget):
         out.setdefault(true_proportion(h, dist), h)
     return out
 
 
-def proportion_gap(desc: ClassDescriptor, dist: FiniteDistribution, budget: int = 1 << 20) -> Fraction:
+def proportion_gap(desc: ClassDescriptor, dist: FiniteDistribution, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Smallest distance between distinct achievable proportion values.
 
     Zero when the class realizes fewer than two values (no separation to

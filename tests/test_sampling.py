@@ -1,9 +1,15 @@
 """Exact proportions, success predicate, achievable-value tables, tasks."""
 
+import bisect
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from llp_lab import (
     ClassDescriptor,
@@ -19,7 +25,9 @@ from llp_lab import (
     draw_labeled_points,
     draw_sample,
     empirical_proportion,
+    enumerate_class,
     evaluate,
+    gap_learner,
     llp_success,
     make_distribution,
     proportion_gap,
@@ -28,7 +36,7 @@ from llp_lab import (
     true_proportion,
     uniform_over,
 )
-from llp_lab.core import COUNT_DRAW_MIN, draw_counts, points_from_counts
+from llp_lab.core import COUNT_DRAW_MIN, draw_counts, draw_points, points_from_counts
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 
@@ -151,3 +159,110 @@ def test_task_rejects_out_of_range_parameters():
         LLPTask(desc=desc, epsilon=F(0), delta=F(1, 20), sample=sample)
     with pytest.raises(ValueError):
         LLPTask(desc=desc, epsilon=F(1, 10), delta=F(1), sample=sample)
+
+
+# ---------------------------------------------------------------------------
+# an explicit distribution as an integer-weighted sample, against Fraction masses
+
+# big primes, so that two of them put the lcm of the denominators past 2^64
+BIG_DENS = (2**61 - 1, 10**19 + 7, 2**64 + 13)
+
+
+@st.composite
+def _explicit_cases(draw):
+    """A class and an explicit distribution over points it may or may not label.
+
+    Bit vectors come with a parity, disjunction or conjunction class;
+    naturals with a window or a grounded finite subset, over points that may
+    fall outside its domain.  All but the last weight are a / (d * k) with
+    0 < a < d, so they sum below 1, and the last is what is left.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        class_id = draw(st.sampled_from(("parity", "monotone_disjunction", "monotone_conjunction")))
+        desc = ClassDescriptor(class_id, n)
+        values = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=min(2**n, 7), unique=True))
+        points = [tuple(v >> (n - 1 - i) & 1 for i in range(n)) for v in values]
+    else:
+        n = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            desc = ClassDescriptor("window", n, k=draw(st.integers(0, 3)))
+        else:
+            ground = draw(st.lists(st.integers(0, 2**n + 1), max_size=4, unique=True))
+            desc = ClassDescriptor("finite_subset", n, ground_set=tuple(sorted(ground)))
+        points = draw(st.lists(st.integers(0, 2**n + 1), min_size=1, max_size=6, unique=True))
+    k = len(points)
+    weights = []
+    for _ in range(k - 1):
+        d = draw(st.one_of(st.sampled_from(BIG_DENS), st.integers(2, 12)))
+        weights.append(F(min(draw(st.integers(1, 5)), d - 1), d * k))
+    weights.append(1 - sum(weights))
+    return desc, make_distribution(zip(points, weights))
+
+
+def _mass(h, dist):
+    """The reference true proportion: the Fraction masses of the atoms h labels 1."""
+    return sum((w for p, w in dist.atoms if evaluate(h, p)), F(0))
+
+
+def _reference_draw_counts(dist, m, seed):
+    """The reference `draw_counts`: Fraction masses, one division and one subtraction per atom."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    remaining = m
+    rem_weight = F(1)
+    out = []
+    for i, (point, w) in enumerate(dist.atoms):
+        if i == len(dist.atoms) - 1:
+            c = remaining
+        else:
+            c = int(rng.binomial(remaining, float(w / rem_weight))) if remaining else 0
+        if c:
+            out.append((point, c))
+        remaining -= c
+        rem_weight -= w
+    return tuple(out)
+
+
+def _reference_draw_points(dist, m, seed):
+    """The reference small explicit draw: a CDF summed from `float` of each Fraction mass."""
+    cum = list(itertools.accumulate(float(w) for _, w in dist.atoms))
+    cum[-1] = math.inf
+    rand = random.Random(seed).random
+    return tuple(dist.atoms[bisect.bisect_right(cum, rand())][0] for _ in range(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_explicit_cases(), st.lists(st.fractions(0, 1, max_denominator=60), max_size=3),
+       st.sampled_from((0, 1, 2, 17, COUNT_DRAW_MIN)) | st.integers(0, 5000), st.integers(0, 2**64 - 1))
+@example(
+    (ClassDescriptor("window", 2, k=1), make_distribution([(3, 1)])), [F(1, 2)], 7, 0,
+)
+@example(
+    (
+        ClassDescriptor("parity", 2),
+        make_distribution([((0, 1), F(1, 2**61 - 1)), ((1, 0), F(1, 10**19 + 7)),
+                           ((1, 1), 1 - F(1, 2**61 - 1) - F(1, 10**19 + 7))]),
+    ),
+    [F(1, 3)], 5000, 2**63,
+)
+def test_weighted_sample_paths_match_the_fraction_masses(case, p_hats, m, seed):
+    desc, dist = case
+    members = list(enumerate_class(desc))
+    for h in members:
+        assert true_proportion(h, dist) == _mass(h, dist)
+    reference = {}
+    for h in members:
+        reference.setdefault(_mass(h, dist), h)
+    values = achievable_proportions(desc, dist)
+    assert list(values.items()) == list(reference.items())
+    ordered = sorted(values)
+    midpoints = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
+    for p_hat in p_hats + ordered + midpoints:
+        want = min(values, key=lambda v: (abs(v - p_hat), v))
+        got = gap_learner(desc, dist, p_hat, values=values)
+        assert (got.hypothesis, got.achieved, got.residual) == (values[want], want, abs(want - p_hat))
+        assert got.work == {"candidates": len(values)}
+    assert draw_counts(dist, m, seed) == _reference_draw_counts(dist, m, seed)
+    assert draw_points(dist, m % 40, seed) == _reference_draw_points(dist, m % 40, seed)
+    assert "points" not in dist.weighted.__dict__
+    assert dist.weighted.m == math.lcm(*(w.denominator for _, w in dist.atoms))

@@ -14,12 +14,21 @@ from pathlib import Path
 import pytest
 
 import llp_lab
-from llp_lab import ClassDescriptor, brute_subset_sum, make_brute_oracle, noisy_parity_uniform_learner
+from llp_lab import (
+    ClassDescriptor,
+    UniformCube,
+    brute_subset_sum,
+    draw_points,
+    make_brute_oracle,
+    make_distribution,
+    noisy_parity_uniform_learner,
+)
+from llp_lab.core import _draw_cube, _draw_small, draw_counts
 from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 17, "hypotheses": 28, "reductions": 12, "oracles": 1, "learners": 0}
+CEILINGS = {"core": 15, "hypotheses": 28, "reductions": 12, "oracles": 1, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
@@ -66,5 +75,22 @@ def test_oracle_and_learner_input_checks_raise_invalid_params():
     ]
     for call in calls:
         with pytest.raises(InvalidParams) as raised:
+            call()
+        assert isinstance(raised.value, ValueError)
+
+
+def test_negative_draw_sizes_raise_invalid_params():
+    one = make_distribution([(3, 1)])
+    two = make_distribution([(3, F(1, 3)), (5, F(2, 3))])
+    calls = [
+        lambda: draw_counts(one, -1, 0),
+        lambda: draw_counts(two, -1, 0),
+        lambda: _draw_small(two, -1, 0, [3, 5]),
+        lambda: _draw_cube(3, -1, 0),
+        lambda: draw_points(two, -1, 0),
+        lambda: draw_points(UniformCube(3), -1, 0),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams, match="m must be >= 0") as raised:
             call()
         assert isinstance(raised.value, ValueError)
