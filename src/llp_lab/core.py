@@ -14,7 +14,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -252,7 +252,6 @@ def iter_cube(n: int) -> Iterator[Bits]:
 # samples
 
 
-@dataclass(frozen=True)
 class Sample:
     """An unlabeled multiset of points plus the revealed positive fraction.
 
@@ -261,23 +260,52 @@ class Sample:
     `Sample(points, p_hat)` checks every point.  A trusted sample, built by
     `_sample_packed` from packed counts, holds no tuple `points` or
     `counts` until they are first read; it equals a checked sample over the
-    same points and p_hat, as any two samples do.
+    same points and p_hat, as any two samples do.  Samples are immutable; two
+    trusted samples without draw order compare, hash and print unexpanded.
     """
 
-    points: tuple[Point, ...]
     p_hat: Fraction
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p_hat, Fraction):
-            object.__setattr__(self, "p_hat", parse_rational(self.p_hat))
-        m = len(self.points)
-        if not 0 <= self.p_hat <= 1:
-            raise ValueError(f"p_hat {self.p_hat} outside [0, 1]")
-        if m > 0 and (self.p_hat * m).denominator != 1:
-            raise ValueError(f"p_hat {self.p_hat} times m={m} is not an integer")
-        if m == 0 and self.p_hat != 0:
+    def __init__(self, points: tuple[Point, ...], p_hat: Fraction) -> None:
+        if not isinstance(p_hat, Fraction):
+            p_hat = parse_rational(p_hat)
+        m = len(points)
+        if not 0 <= p_hat <= 1:
+            raise ValueError(f"p_hat {p_hat} outside [0, 1]")
+        if m > 0 and (p_hat * m).denominator != 1:
+            raise ValueError(f"p_hat {p_hat} times m={m} is not an integer")
+        if m == 0 and p_hat != 0:
             raise ValueError("empty sample must carry p_hat = 0")
-        self.__dict__["domain"] = check_same_domain(self.points)
+        self.__dict__.update(points=points, p_hat=p_hat, domain=check_same_domain(points))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sample):
+            return NotImplemented
+        mine, theirs = self.__dict__.get("_draws", ()), other.__dict__.get("_draws", ())
+        if mine is None and theirs is None:  # both trusted, no draw order: points are counts expanded
+            return (self.m, self.p_hat, self.domain, self.packed_counts) == (
+                other.m, other.p_hat, other.domain, other.packed_counts)
+        return (self.points, self.p_hat) == (other.points, other.p_hat)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.p_hat))
+
+    def __repr__(self) -> str:
+        if "points" in self.__dict__:
+            return f"Sample(points={self.points!r}, p_hat={self.p_hat!r})"
+        return f"Sample(m={self.m!r}, p_hat={self.p_hat!r}, packed_counts={self.packed_counts!r})"
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """A trusted sample's points, built on first read: `_draws` unpacked, else the counts expanded."""
+        draws = self.__dict__["_draws"]
+        return points_from_counts(self.counts) if draws is None else _unpack(self.domain, draws)
 
     @cached_property
     def m(self) -> int:
@@ -313,21 +341,6 @@ class Sample:
         return _pack_counts(self.counts)
 
 
-def _trusted_points(sample: Sample) -> tuple[Point, ...]:
-    draws = sample.__dict__.get("_draws")
-    if draws is None:
-        return points_from_counts(sample.counts)
-    return _unpack(sample.domain, draws)
-
-
-# `Sample(...)` stores its points in the instance; a trusted sample stores
-# none, so reading them falls through to this non-data descriptor, which
-# builds them once.  It cannot sit in the class body, where the dataclass
-# would take it for the field's default.
-Sample.points = cached_property(_trusted_points)  # type: ignore[assignment]
-Sample.points.__set_name__(Sample, "points")
-
-
 def points_from_counts(counts: Iterable[tuple[Point, int]]) -> tuple[Point, ...]:
     parts: list[Point] = []
     for point, c in counts:
@@ -351,8 +364,8 @@ def _sample_packed(
     proportion gets Sample's checks, done on its lowest-terms numerator and
     denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
     denominator divides m), and p_hat = 0 when the sample is empty.
-    `counts`, and `points` (`draws` unpacked, else the counts expanded as
-    by `points_from_counts`), are built on first read.
+    `counts` and `points` (`draws` unpacked, else the counts expanded) are
+    built on first read; `_draws` (None without draw order) marks it trusted.
     """
     if not isinstance(p_hat, Fraction):
         p_hat = Fraction(p_hat)
@@ -360,9 +373,7 @@ def _sample_packed(
     if not 0 <= num <= den or m % den or (m == 0 and num):
         raise ValueError(f"p_hat {p_hat} invalid for m={m}")
     sample = object.__new__(Sample)
-    sample.__dict__.update(p_hat=p_hat, domain=domain, packed_counts=packed_counts, m=m)
-    if draws is not None:
-        sample.__dict__["_draws"] = draws
+    sample.__dict__.update(p_hat=p_hat, domain=domain, packed_counts=packed_counts, m=m, _draws=draws)
     return sample
 
 
@@ -411,29 +422,38 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Point, int], ...]:
-    """Multiplicity vector of m i.i.d. draws, via one binomial per atom.
+def _draw_packed(weighted: Sample, m: int, seed: int) -> tuple[tuple[int, int], ...]:
+    """Packed counts of m i.i.d. draws from a trusted sample's points, one binomial per atom.
 
-    Atom i's probability is its integer weight over the weight left
-    (`ExplicitDistribution.weighted`).  Atoms that receive no draws are
-    dropped, so the result obeys Sample.counts' invariants (sorted, counts >= 1).
+    Atom (x, w) draws binomial(draws left, w / weight left), int / int and so
+    correctly rounded: scaling every multiplicity by one factor changes no
+    draw.  The last atom takes the rest; atoms drawn 0 times are dropped, so
+    the result is sorted with counts >= 1, as `_sample_packed` requires.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
     import numpy as np  # on first use, so `import llp_lab` does not pay for numpy
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    remaining, rem_weight = m, dist.weighted.m
-    out: list[tuple[Point, int]] = []
-    for (point, _), (_, w) in zip(dist.atoms[:-1], dist.weighted.packed_counts):
-        c = int(rng.binomial(remaining, w / rem_weight)) if remaining else 0
+    binomial = np.random.Generator(np.random.PCG64(seed)).binomial
+    packed = weighted.packed_counts
+    remaining, rem_weight = m, weighted.m
+    out: list[tuple[int, int]] = []
+    for x, w in packed[:-1]:
+        if not remaining:
+            break
+        c = int(binomial(remaining, w / rem_weight))
         if c:
-            out.append((point, c))
+            out.append((x, c))
         remaining -= c
         rem_weight -= w
     if remaining:
-        out.append((dist.atoms[-1][0], remaining))
+        out.append((packed[-1][0], remaining))
     return tuple(out)
+
+
+def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Point, int], ...]:
+    """m i.i.d. draws as Sample.counts: `_draw_packed` on `dist.weighted`, unpacked."""
+    return _sample_packed(dist.weighted.domain, _draw_packed(dist.weighted, m, seed), m, Fraction(0)).counts
 
 
 def _draw_small(dist: ExplicitDistribution, m: int, seed: int, forms: Sequence) -> list:

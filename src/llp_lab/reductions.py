@@ -25,13 +25,12 @@ from .core import (
     Point,
     Sample,
     _claim_samples,
+    _draw_packed,
     _pack,
-    _pack_counts,
     _random_cut,
     _sample_packed,
     check_same_domain,
     derive_seed,
-    draw_counts,
     iter_cube,
     make_distribution,
     point_from_json,
@@ -336,13 +335,13 @@ class ConsistencyInstance:
 
     def __post_init__(self) -> None:
         if len(self.points) != len(self.mults) or not self.points:
-            raise ValueError("points and mults must align and be nonempty")
+            raise InvalidParams("points and mults must align and be nonempty")
         if list(self.points) != sorted(set(self.points)):
-            raise ValueError("points must be unique and sorted")
-        if any(a < 1 for a in self.mults):
-            raise ValueError("multiplicities must be >= 1")
+            raise InvalidParams("points must be unique and sorted")
+        if any(type(a) is not int or a < 1 for a in self.mults):
+            raise InvalidParams(f"multiplicities must be ints >= 1, got {self.mults!r}")
         if not isinstance(self.k, int):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+            raise InvalidParams(f"k must be an integer, got {self.k!r}")
 
     @property
     def total(self) -> int:
@@ -426,17 +425,18 @@ def llp_to_pac(
 
     Reweight so positives carry m times the mass of negatives, set
     epsilon' = 1/(2 m^2) (below the reweighted grid spacing), draw the
-    oracle's declared number of points, and hand over the drawn sample's own
-    exact positive fraction.  A hypothesis meeting the proportion guarantee
-    at this epsilon' must match the target's proportion exactly.
+    oracle's declared number of points packed (`_draw_packed` on `weighted`),
+    and hand over the drawn sample's own exact positive fraction.  A
+    hypothesis meeting the proportion guarantee at this epsilon' must match
+    the target's proportion exactly.
     """
     dist, label_of, m, _ = reweighted_distribution(labeled)
     eps = Fraction(1, 2 * m * m)
     m_prime = oracle.sample_size(eps, Fraction(delta))
-    counts = draw_counts(dist, m_prime, derive_seed(seed, "pac-draw"))
-    positives = sum(c for p, c in counts if label_of[p])
-    p_hat = Fraction(positives, m_prime)
-    sample = _sample_packed(dist.weighted.domain, _pack_counts(counts), m_prime, p_hat)
+    packed = _draw_packed(dist.weighted, m_prime, derive_seed(seed, "pac-draw"))
+    positive = {_pack(p) for p, lab in label_of.items() if lab}
+    p_hat = Fraction(sum(c for x, c in packed if x in positive), m_prime)
+    sample = _sample_packed(dist.weighted.domain, packed, m_prime, p_hat)
     response = oracle.solve(sample, p_hat, eps, Fraction(delta))
     call = OracleCall(p_hat, response, accepted=response is not None)
     if response is None:
@@ -464,7 +464,8 @@ def consistency_via_llp(
 ) -> ConsistencyRun:
     """Decide exact-count consistency by sweeping all m+1 claimed proportions.
 
-    Points are drawn with mass proportional to multiplicity, epsilon is
+    Points are drawn with mass proportional to multiplicity, by `_draw_packed`
+    straight off the packed points and multiplicities (total X); epsilon is
     1/(2 |X|) so a proportion guarantee pins the exact weighted count, and
     each returned hypothesis is accepted only after `hits_exactly` verifies
     it on the instance itself: acceptances are sound unconditionally.  The
@@ -472,16 +473,12 @@ def consistency_via_llp(
     and each distinct response is checked once.
     """
     X = inst.total
-    dist = make_distribution(
-        (p, Fraction(a, X)) for p, a in zip(inst.points, inst.mults)
-    )
     eps = Fraction(1, 2 * X)
     delta = Fraction(delta)
     m = oracle.sample_size(eps, delta)
-    counts = _pack_counts(draw_counts(dist, m, derive_seed(seed, "consistency-draw")))
-    witness, transcript = _sweep(
-        oracle, inst.packed[0], counts, m, eps, delta, partial(hits_exactly, inst)
-    )
+    domain, packed = inst.packed
+    counts = _draw_packed(_sample_packed(domain, packed, X, Fraction(0)), m, derive_seed(seed, "consistency-draw"))
+    witness, transcript = _sweep(oracle, domain, counts, m, eps, delta, partial(hits_exactly, inst))
     return ConsistencyRun(witness is not None, witness, m, transcript)
 
 

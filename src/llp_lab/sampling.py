@@ -22,14 +22,13 @@ from .core import (
     Sample,
     UniformCube,
     _draw_cube,
+    _draw_packed,
     _draw_small,
     _pack,
-    _pack_counts,
     _sample_packed,
     derive_seed,
     distribution_from_json,
     distribution_to_json,
-    draw_counts,
     draw_points,
     parse_rational,
     rational_to_json,
@@ -173,7 +172,8 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
     made packed and gives a trusted sample (`_sample_packed`), with the
     random calls of `draw_points`: cube draws, small explicit draws (atom
     by atom, in draw order) and large ones (m >= COUNT_DRAW_MIN, counted
-    per atom).  No drawn point is re-checked (an explicit distribution's
+    per atom by `_draw_packed` on `dist.weighted`, the loop under
+    `draw_counts`).  No drawn point is re-checked (an explicit distribution's
     atoms are checked once, by `ExplicitDistribution.weighted`), and the
     kernel labels each distinct point once.  A constant-random target
     flips one coin per draw and gives a checked `Sample`.
@@ -183,7 +183,7 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
         if isinstance(dist, UniformCube):
             draws = _draw_cube(dist.n, m, seed)
         elif m >= COUNT_DRAW_MIN:
-            packed = _pack_counts(draw_counts(dist, m, seed))
+            packed = _draw_packed(dist.weighted, m, seed)
             return _sample_packed(domain, packed, m, Fraction(positive_weight(target, domain, packed), m))
         else:
             draws = _draw_small(dist, m, seed, [x for x, _ in dist.weighted.packed_counts])

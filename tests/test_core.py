@@ -1,5 +1,6 @@
 """Distributions, samples, seeded draws, and rational plumbing."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -270,3 +271,49 @@ def test_sample_trusted_keeps_the_domain_and_packed_counts(points):
     assert got.domain == want.domain == (("bits", 3) if points else None)
     assert got.packed_counts == want.packed_counts
     assert got.counts == want.counts
+
+
+def test_comparing_and_printing_a_weighted_sample_builds_no_points():
+    w = make_distribution([(1, F(1, 1000)), (2, F(999, 1000))]).weighted
+    assert w == w
+    assert w == make_distribution([(1, F(1, 1000)), (2, F(999, 1000))]).weighted
+    assert w != make_distribution([(1, F(2, 1000)), (2, F(998, 1000))]).weighted
+    assert hash(w) == hash((1000, F(0)))
+    # equal packed counts over different domains are different points
+    one = [_sample_packed(domain, ((1, 1),), 1, F(0)) for domain in (("nat", None), ("bits", 2), ("bits", 3))]
+    assert [a == b for a in one for b in one] == [a.points == b.points for a in one for b in one]
+    assert repr(w) == "Sample(m=1000, p_hat=Fraction(0, 1), packed_counts=((1, 1), (2, 999)))"
+    assert "points" not in w.__dict__
+    assert repr(Sample((2, 1), F(1, 2))) == "Sample(points=(2, 1), p_hat=Fraction(1, 2))"
+    with pytest.raises(AttributeError):
+        w.p_hat = F(1)
+    with pytest.raises(AttributeError):
+        del Sample((2, 1), F(1, 2)).points
+
+
+@given(
+    st.lists(st.integers(0, 3), max_size=6),
+    st.lists(st.integers(0, 3), max_size=6),
+    st.integers(0, 6),
+    st.integers(0, 6),
+)
+def test_sample_equality_is_equality_of_points_and_p_hat(left, right, j, k):
+    # each multiset as a checked sample in its given order, a trusted sample in
+    # its given draw order and a trusted sample without draw order, against
+    # comparing (points, p_hat)
+    def forms(points, j):
+        points = tuple(points)
+        p_hat = F(min(j, len(points)), len(points)) if points else F(0)
+        packed = tuple(sorted(Counter(points).items()))
+        domain = ("nat", None) if points else None
+        return [
+            Sample(points, p_hat),
+            _sample_packed(domain, packed, len(points), p_hat, points),
+            _sample_packed(domain, packed, len(points), p_hat),
+        ]
+
+    for a in forms(left, j) + forms(right, k):
+        for b in forms(left, j) + forms(right, k):
+            equal = a == b
+            assert equal == ((a.points, a.p_hat) == (b.points, b.p_hat))
+            assert not equal or hash(a) == hash(b)

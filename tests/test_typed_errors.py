@@ -16,6 +16,7 @@ import pytest
 import llp_lab
 from llp_lab import (
     ClassDescriptor,
+    ConsistencyInstance,
     UniformCube,
     brute_subset_sum,
     draw_points,
@@ -28,7 +29,7 @@ from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 15, "hypotheses": 28, "reductions": 12, "oracles": 1, "learners": 0}
+CEILINGS = {"core": 15, "hypotheses": 28, "reductions": 8, "oracles": 1, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
@@ -94,3 +95,24 @@ def test_negative_draw_sizes_raise_invalid_params():
         with pytest.raises(InvalidParams, match="m must be >= 0") as raised:
             call()
         assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "points, mults, k",
+    [
+        ((1, 2), (1,), 0),
+        ((), (), 0),
+        ((2, 1), (1, 1), 0),
+        ((1, 1), (1, 1), 0),
+        ((1, 2), (0, 1), 0),
+        ((1, 2), (F(3, 2), 2), 1),
+        ((1, 2), (1.5, 2), 1),
+        ((1, 2), (F(2), 2), 1),
+        ((1, 2), (True, 2), 1),
+        ((1, 2), (1, 2), F(1)),
+    ],
+)
+def test_consistency_instance_checks_raise_invalid_params(points, mults, k):
+    with pytest.raises(InvalidParams) as raised:
+        ConsistencyInstance(ClassDescriptor("finite_subset", 2, ground_set=(1, 2)), points, mults, k)
+    assert isinstance(raised.value, ValueError)
