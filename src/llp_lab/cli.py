@@ -289,7 +289,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         )
         desc = ClassDescriptor("parity", setup.n, restriction=setup.restriction)
         oracle = make_brute_oracle(desc, args.oracle)
-        m = args.m or noisy_parity_sample_size(oracle, setup.eta_prime, delta)
+        m = args.m if args.m is not None else noisy_parity_sample_size(oracle, setup.eta_prime, delta)
         run = noisy_parity_via_llp(setup, m, oracle, delta, args.seed)
         _emit(
             {

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
@@ -404,15 +406,47 @@ def _claim_samples(
 # seeded drawing
 
 
+def _cut_count(p: Fraction) -> int:
+    """C = ceil(p * 2**53) clamped to [0, 2**53]: for 0 <= k < 2**53, k < C exactly when k / 2**53 < p."""
+    return min(max(math.ceil(p * 2**53), 0), 2**53)
+
+
 def _random_cut(p: Fraction) -> float:
     """A float c with x < c exactly when x < p, for every x from `random.Random.random()`.
 
     random() returns k / 2**53 for an integer 0 <= k < 2**53, and for such k,
     k < p * 2**53 holds exactly when k < ceil(p * 2**53).  Clamped to
-    [0, 2**53], that ceiling divided by 2**53 is an exact float, so one
-    float comparison per draw replaces the exact but slow Fraction one.
+    [0, 2**53], that ceiling (`_cut_count`) divided by 2**53 is an exact
+    float, so one float comparison per draw replaces the exact but slow
+    Fraction one.  The per-call reference for `_coin_flips`, which compares
+    the same integers for a whole batch at once.
     """
-    return min(max(math.ceil(p * 2**53), 0), 2**53) / 2**53
+    return _cut_count(p) / 2**53
+
+
+def _lanes(pattern: bytes, m: int) -> int:
+    """The int whose m lanes of len(pattern) bytes each hold `pattern`, little-endian."""
+    return int.from_bytes(pattern * m, "little")
+
+
+def _coin_flips(p: Fraction, m: int, rng: random.Random) -> bytes:
+    """m coins of bias p as 0/1 bytes: byte i is `rng.random() < p` for the i-th call.
+
+    One `getrandbits(64 * m)` reads the 2m words that m `random()` calls
+    would, lowest first, and leaves `rng` where they would.  random() reads
+    words a then b and returns k / 2**53 with k = (a >> 5) * 2**26 + (b >> 6),
+    so lane i (64 bits, a low) holds call i's pair, and masks and shifts
+    build every lane's k at once.  The call is below p exactly when
+    k < C = `_cut_count(p)`.  Subtracting each lane's k from 2**53 + C - 1
+    leaves a value in [0, 2**54) whose bit 53 is set exactly then, so no
+    borrow crosses a lane.
+    """
+    if m < 0:
+        raise InvalidParams(f"m must be >= 0, got {m}")
+    big = rng.getrandbits(64 * m)
+    ones = _lanes(b"\x01" + bytes(7), m)
+    k = ((big & ones * 0xFFFFFFE0) << 21) | ((big >> 38) & ones * 0x3FFFFFF)  # (a >> 5) << 26 | b >> 6
+    return ((ones * (2**53 + _cut_count(p) - 1) - k) >> 53).to_bytes(8 * m, "little")[::8]
 
 
 def derive_seed(*parts: object) -> int:
@@ -475,14 +509,36 @@ def _draw_small(dist: ExplicitDistribution, m: int, seed: int, forms: Sequence) 
 
 
 def _draw_cube(n: int, m: int, seed: int) -> list[int]:
-    """m draws from UniformCube(n), packed: one `getrandbits(n)` per draw.
+    """m draws from UniformCube(n), packed, read off one `getrandbits` call.
 
-    The drawn int is the packed form (`_pack`) of the drawn vector.
+    The drawn int is the packed form (`_pack`) of the drawn vector, and
+    draw i is the i-th `getrandbits(n)` of `random.Random(seed)`.  That call
+    reads w = ceil(n / 32) 32-bit words, least significant first, and
+    shifts the last one right by 32w - n.  `getrandbits(32 * w * m)` fills
+    its words in the same order, so lane i (32w bits) holds draw i's words,
+    and one mask-and-shift over the whole int makes every lane's shift.
+    The generator ends where m calls would leave it; n = 0 reads no word
+    and gives m zeros.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
-    getrandbits = random.Random(seed).getrandbits
-    return [getrandbits(n) for _ in range(m)]
+    if n == 0:
+        return [0] * m
+    w = -(-n // 32)
+    size = 4 * w  # bytes per lane
+    big = random.Random(seed).getrandbits(32 * w * m)
+    shift = 32 * w - n
+    if shift:
+        top = _lanes(bytes(size - 4) + ((1 << (32 - shift)) - 1).to_bytes(4, "little"), m)
+        low = _lanes(b"\xff" * (size - 4) + bytes(4), m) if w > 1 else 0
+        big = (big & low) | ((big >> shift) & top)
+    raw = big.to_bytes(size * m, "little")
+    if w > 2:
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, size * m, size)]
+    lanes = array("I" if w == 1 else "Q", raw)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes.tolist()
 
 
 def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...]:

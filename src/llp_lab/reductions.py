@@ -25,9 +25,10 @@ from .core import (
     Point,
     Sample,
     _claim_samples,
+    _coin_flips,
+    _draw_cube,
     _draw_packed,
     _pack,
-    _random_cut,
     _sample_packed,
     check_same_domain,
     derive_seed,
@@ -56,9 +57,9 @@ from .hypotheses import (
     class_descriptor_to_json,
     evaluate,
     hypothesis_to_json,
+    labeler,
     positive_weight,
 )
-from .sampling import _draw_labeled_cube
 
 __all__ = [
     "LLPOracle",
@@ -152,7 +153,8 @@ class Transcript(Sequence):
     `ends[i]`, exclusive.  Lines are built only when read.  It reads like
     the tuple of its lines: `len`, indexing (negative too), slicing (to
     that tuple's slice), iteration, equality with that tuple (either way
-    round) and its hash.
+    round) and its hash.  Two transcripts compare by their runs, without
+    building a line.
     """
 
     __slots__ = ("_den", "_ends", "_responses", "_accepted")
@@ -187,9 +189,27 @@ class Transcript(Sequence):
                 yield OracleCall(Fraction(j, den), response, accepted)
             j = end
 
+    def _merged_runs(self) -> list[tuple[int, Hypothesis | None, bool | None]]:
+        """(end, response, accepted) per longest run of equal lines."""
+        merged: list[tuple[int, Hypothesis | None, bool | None]] = []
+        for end, response, accepted in zip(self._ends, self._responses, self._accepted):
+            if merged and merged[-1][1:] == (response, accepted):
+                merged[-1] = (end, response, accepted)
+            else:
+                merged.append((end, response, accepted))
+        return merged
+
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Transcript, tuple)):
-            return tuple(self) == tuple(other)
+        if isinstance(other, Transcript):
+            # lines are equal where runs merged over equal lines are; the claims
+            # j / den agree when den does, or when only claim 0 is there
+            return (
+                len(self) == len(other)
+                and (self._den == other._den or len(self) <= 1)
+                and self._merged_runs() == other._merged_runs()
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -562,7 +582,7 @@ def conditional_positive_distribution(setup: NoisyParitySetup) -> ExplicitDistri
     return make_distribution((x, w) for x, w in entries if w)
 
 
-def _disagreement_counter(n: int, noisy_counts: Counter) -> Callable[[Parity], int]:
+def _disagreement_counter(n: int, noisy_counts: dict[tuple[int, int], int]) -> Callable[[Parity], int]:
     """parity -> the number of draws whose noisy label it contradicts.
 
     `noisy_counts` maps (packed point, noisy label) to its number of draws.
@@ -600,30 +620,43 @@ def noisy_parity_via_llp(
 ) -> NoisyParityRun:
     """Recover a parity from noisy labels using only a proportion oracle.
 
-    Draw m uniform examples, flip each label with probability eta, keep the
-    examples whose noisy label is 1 (conditionally i.i.d. from the law in
-    `conditional_positive_distribution`), and sweep claimed proportions
-    j/M over the filtered sample, kept in draw order (`_sweep`).  A
-    candidate is accepted when its disagreement with the noisy labels over
-    all m examples is strictly below (eta' + 1/2)/2; the true parity sits
-    near eta, impostors near 1/2.  The disagreement comes from the
-    column-bitset kernel (`_disagreement_counter`), built once per run; the
-    kept sample's counts are read off the same (point, noisy label) counts.
+    Draw m >= 1 uniform examples, flip each label with probability eta,
+    keep the examples whose noisy label is 1 (conditionally i.i.d. from the
+    law in `conditional_positive_distribution`), and sweep claimed
+    proportions j/M over the filtered sample (`_sweep`).  A candidate is
+    accepted when its disagreement with the noisy labels over all m
+    examples is strictly below (eta' + 1/2)/2; the true parity sits near
+    eta, impostors near 1/2.  The draws (`_draw_cube`) and the flips
+    (`_coin_flips`) each read their generator in one call.  Points stay
+    packed and are counted, not paired with their labels: the kernel labels
+    each distinct point once, and the (point, noisy label) counts give the
+    kept sample and the disagreements (`_disagreement_counter`, built once
+    per run).  The kept draws in draw order are built only for an oracle
+    without a sweep, whose per-claim samples list them.
     """
+    if m < 1:
+        raise InvalidParams(f"noisy parity needs m >= 1 examples, got {m}")
     eps = (Fraction(1, 2) - setup.eta_prime) / 2
     sub_delta = Fraction(delta) / 3
-    rng = random.Random(derive_seed(seed, "noisy-draw"))
-    # packed points (`core._pack`) throughout: draws, filter, counts and checks
-    draws, clean = _draw_labeled_cube(
-        setup.n, m, derive_seed(seed, "noisy-points"), setup.target
-    )
-    flip = _random_cut(setup.eta)  # rng.random() < flip exactly when < eta
-    noisy = [lab ^ 1 if rng.random() < flip else lab for lab in clean]
-    kept = list(compress(draws, noisy))
-    M = len(kept)
-    noisy_counts = Counter(zip(draws, noisy))  # (point, noisy label) -> count
-    kept_counts = tuple(sorted((x, c) for (x, lab), c in noisy_counts.items() if lab))
     domain = ("bits", setup.n)
+    draws = _draw_cube(setup.n, m, derive_seed(seed, "noisy-points"))
+    flips = _coin_flips(setup.eta, m, random.Random(derive_seed(seed, "noisy-draw")))
+    flipped = Counter(compress(draws, flips)).get
+    label = labeler(setup.target, domain)
+    labels: dict[int, int] = {}
+    noisy_counts: dict[tuple[int, int], int] = {}  # (point, noisy label) -> count
+    kept_counts: list[tuple[int, int]] = []
+    for x, c in sorted(Counter(draws).items()):
+        lab = labels[x] = label(x)
+        f = flipped(x, 0)
+        ones = c - f if lab else f  # draws of x whose noisy label is 1
+        if ones:
+            noisy_counts[x, 1] = ones
+            kept_counts.append((x, ones))
+        if ones != c:
+            noisy_counts[x, 0] = c - ones
+    M = sum(c for _, c in kept_counts)
+    kept = None if oracle.sweep is not None else [x for x, f in zip(draws, flips) if labels[x] != f]
     disagreements = _disagreement_counter(setup.n, noisy_counts)
     threshold = (setup.eta_prime + Fraction(1, 2)) / 2
 
@@ -631,7 +664,7 @@ def noisy_parity_via_llp(
         return isinstance(h, Parity) and Fraction(disagreements(h), m) < threshold
 
     response, transcript = _sweep(
-        oracle, domain if kept else None, kept_counts, M, eps, sub_delta, accepts, kept
+        oracle, domain if M else None, tuple(kept_counts), M, eps, sub_delta, accepts, kept
     )
     if response is None:
         raise NoCandidateAccepted(f"no parity beat disagreement {threshold} over {m} examples")

@@ -21,6 +21,7 @@ from .core import (
     Point,
     Sample,
     UniformCube,
+    _coin_flips,
     _draw_cube,
     _draw_packed,
     _draw_small,
@@ -48,7 +49,6 @@ from .hypotheses import (
     class_descriptor_from_json,
     class_descriptor_to_json,
     enumerate_class,
-    evaluate,
     labeler,
     positive_weight,
 )
@@ -128,35 +128,20 @@ def llp_success(h: Hypothesis, target: Hypothesis, dist: FiniteDistribution, eps
     return abs(true_proportion(h, dist) - true_proportion(target, dist)) <= eps
 
 
-def _draw_labeled_cube(
-    n: int, m: int, seed: int, target: Hypothesis
-) -> tuple[list[int], list[int]]:
-    """m packed UniformCube(n) draws and their labels under a proper target.
-
-    The draws are `draw_points`' random calls, kept packed; the kernel
-    labels each distinct draw once.
-    """
-    draws = _draw_cube(n, m, seed)
-    if not draws:
-        return draws, []
-    label = labeler(target, ("bits", n))
-    labels = {x: int(label(x)) for x in set(draws)}
-    return draws, [labels[x] for x in draws]
-
-
 def draw_labeled_points(
     dist: FiniteDistribution, m: int, seed: int, target: Hypothesis
 ) -> tuple[tuple[Point, ...], tuple[int, ...]]:
     """m seeded i.i.d. draws with their target labels.
 
     Proper targets are labeled once per unique point, by the labeling
-    kernel; a constant-random target flips one coin per example from a seed
-    derived from `seed`.
+    kernel.  A constant-random target flips one coin per example, the
+    `random()` calls of `evaluate` from a seed derived from `seed`, read in
+    bulk by `_coin_flips`.  Cube draws read the generator in bulk too
+    (`_draw_cube`).
     """
     points = draw_points(dist, m, seed)
     if isinstance(target, ConstantRandom):
-        rng = random.Random(derive_seed(seed, "labels"))
-        return points, tuple(evaluate(target, p, rng) for p in points)
+        return points, tuple(_coin_flips(target.p, m, random.Random(derive_seed(seed, "labels"))))
     if not points:
         return points, ()
     label = labeler(target, _support_domain(dist))

@@ -20,12 +20,13 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from typing import Callable, NamedTuple
 
 from .core import (
     FiniteDistribution,
     Sample,
-    _random_cut,
+    _coin_flips,
     derive_seed,
     distribution_from_json,
     distribution_to_json,
@@ -440,10 +441,11 @@ def run_single_trial(
             _, labels = draw_labeled_points(
                 config.distribution, m, derive_seed(trial_seed, "sample"), target
             )
-            noise = random.Random(derive_seed(trial_seed, "noise"))
             assert config.eta is not None and config.eta_prime is not None
-            flip = _random_cut(config.eta)  # noise.random() < flip exactly when < eta
-            noisy_positives = sum(1 - lab if noise.random() < flip else lab for lab in labels)
+            flips = _coin_flips(config.eta, m, random.Random(derive_seed(trial_seed, "noise")))
+            flipped_positives = sum(compress(flips, labels))
+            # positives + flipped negatives - flipped positives
+            noisy_positives = sum(labels) + sum(flips) - 2 * flipped_positives
             _, n = _support_domain(config.distribution)  # type: ignore[misc]  # ("bits", n), checked by TrialConfig
             outcome = noisy_parity_uniform_learner(
                 Fraction(noisy_positives, m), config.eta_prime, n

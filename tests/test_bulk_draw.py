@@ -1,0 +1,176 @@
+"""Bulk reads of the Mersenne Twister against the per-call loops they replaced.
+
+`core._draw_cube` reads m cube draws off one `getrandbits` call, and
+`core._coin_flips` reads m coins off another.  The references below make one
+`getrandbits(n)` or one `random()` call per example.  Both sides must give
+the same values and leave the generator at the same place.
+"""
+
+import random
+import types
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from llp_lab import (
+    ClassDescriptor,
+    ConstantRandom,
+    NoisyParitySetup,
+    Parity,
+    TrialConfig,
+    UniformCube,
+    derive_seed,
+    draw_labeled_points,
+    evaluate,
+    make_brute_oracle,
+    make_distribution,
+    noisy_parity_via_llp,
+    random_hypothesis,
+)
+from llp_lab import core, reductions, trials
+from llp_lab.core import _coin_flips, _draw_cube, _random_cut
+from llp_lab.trials import run_single_trial
+
+TWO53 = 2**53
+
+
+def _cube_reference(n, m, seed):
+    getrandbits = random.Random(seed).getrandbits
+    return [getrandbits(n) for _ in range(m)]
+
+
+@pytest.mark.parametrize("n", range(131))
+def test_cube_draws_match_the_per_call_loop_at_every_width(n):
+    for m in (0, 1, 2, 3, 50):
+        seed = 1000 * n + m
+        assert _draw_cube(n, m, seed) == _cube_reference(n, m, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from((0, 1, 8, 31, 32, 33, 63, 64, 65, 96, 97, 128)), st.integers(0, 130)),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_cube_draws_match_the_per_call_loop(n, m, seed):
+    got = _draw_cube(n, m, seed)
+    assert got == _cube_reference(n, m, seed)
+    assert all(type(x) is int for x in got)
+
+
+SPECIAL_RATES = (F(0), F(1, 2), F(1, TWO53), 1 - F(1, TWO53), F(1), F(1, 10), F(-1, 3), F(4, 3))
+
+
+@st.composite
+def _rates(draw):
+    """A special rate, a multiple of 2^-53, or any fraction a little past [0, 1]."""
+    kind = draw(st.sampled_from(("special", "grid", "any")))
+    if kind == "special":
+        return draw(st.sampled_from(SPECIAL_RATES))
+    if kind == "grid":
+        return F(draw(st.integers(-2, TWO53 + 2)), TWO53)
+    den = draw(st.integers(1, 2**60))
+    return F(draw(st.integers(-den // 8, den + den // 8)), den)
+
+
+def _check_flips(p, m, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = _coin_flips(p, m, rng)
+    draws = [ref.random() for _ in range(m)]
+    cut = _random_cut(p)
+    assert got == bytes(x < cut for x in draws)
+    assert got == bytes(x < p for x in draws)
+    assert rng.random() == ref.random()  # the stream goes on where m calls leave it
+    assert rng.getstate() == ref.getstate()
+    return draws
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rates(), st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=2**64 - 1))
+def test_coin_flips_match_one_random_call_per_coin(p, m, seed):
+    _check_flips(p, m, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.data(),
+)
+def test_coin_flips_at_a_rate_on_a_drawn_value(m, seed, data):
+    """p next to one of the drawn values: that coin sits on the cut."""
+    rng = random.Random(seed)
+    x = [rng.random() for _ in range(m)][data.draw(st.integers(0, m - 1))]
+    hair = data.draw(st.sampled_from((F(0), F(1, TWO53), -F(1, TWO53), F(1, 2**80), -F(1, 2**80))))
+    _check_flips(F(x) + hair, m, seed)
+
+
+def test_no_coin_reads_no_word():
+    rng = random.Random(3)
+    assert _coin_flips(F(1, 2), 0, rng) == b""
+    assert rng.getstate() == random.Random(3).getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((UniformCube(5), make_distribution([(3, F(1, 3)), (7, F(2, 3))]))),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    _rates().filter(lambda p: 0 <= p <= 1),
+)
+def test_constant_random_labels_are_evaluate_calls(dist, m, seed, p):
+    target = ConstantRandom(p)
+    points, labels = draw_labeled_points(dist, m, seed, target)
+    rng = random.Random(derive_seed(seed, "labels"))
+    assert labels == tuple(evaluate(target, x, rng) for x in points)
+
+
+@pytest.mark.parametrize("eta", [F(0), F(1, 10), F(1, 3)])
+def test_noisy_distinguisher_counts_the_per_call_noisy_positives(monkeypatch, eta):
+    config = TrialConfig(
+        learner="noisy_distinguisher", epsilon=F(1, 10), delta=F(1, 10), trials=1, m=200,
+        seed=11, distribution=UniformCube(5), desc=ClassDescriptor("parity", 5), eta=eta, eta_prime=F(2, 5),
+    )
+    seen = []
+    learner = trials.noisy_parity_uniform_learner
+    monkeypatch.setattr(
+        trials, "noisy_parity_uniform_learner", lambda p, *rest: seen.append(p) or learner(p, *rest)
+    )
+    for index in range(6):
+        run_single_trial(config, 200, index)
+        trial_seed = derive_seed(config.seed, "trial", index)
+        target = random_hypothesis(config.desc, random.Random(derive_seed(trial_seed, "target")))
+        _, labels = draw_labeled_points(config.distribution, 200, derive_seed(trial_seed, "sample"), target)
+        noise = random.Random(derive_seed(trial_seed, "noise"))
+        assert seen[-1] == F(sum(1 - lab if noise.random() < eta else lab for lab in labels), 200)
+
+
+# ---------------------------------------------------------------------------
+# one call per stream
+
+
+class _CountingRandom(random.Random):
+    calls: list = []
+
+    def getrandbits(self, k):
+        self.calls.append(("getrandbits", k))
+        return super().getrandbits(k)
+
+    def random(self):
+        self.calls.append(("random",))
+        return super().random()
+
+
+@pytest.mark.parametrize("mode", ["arbitrary", "reject"])
+def test_a_noisy_parity_run_reads_each_stream_in_one_call(monkeypatch, mode):
+    setup = NoisyParitySetup(8, Parity((1, 0, 1, 1, 0, 0, 0, 0)), F(1, 10), F(1, 5), restriction=4)
+    oracle = make_brute_oracle(ClassDescriptor("parity", 8, restriction=4), mode)
+    want = noisy_parity_via_llp(setup, 2444, oracle, F(1, 10), 7)
+    calls = []
+    counting = types.SimpleNamespace(Random=type("Counting", (_CountingRandom,), {"calls": calls}))
+    monkeypatch.setattr(core, "random", counting)
+    monkeypatch.setattr(reductions, "random", counting)
+    assert noisy_parity_via_llp(setup, 2444, oracle, F(1, 10), 7) == want
+    assert sorted(calls) == [("getrandbits", 32 * 2444), ("getrandbits", 64 * 2444)]

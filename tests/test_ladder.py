@@ -28,6 +28,7 @@ from llp_lab import (
     make_brute_oracle,
     noisy_parity_via_llp,
 )
+from llp_lab import reductions
 from llp_lab.core import _claim_samples
 from llp_lab.reductions import OracleCall
 from test_reductions import _consistency_reference
@@ -295,6 +296,59 @@ def test_empty_and_single_claim_transcripts():
     single = Transcript(1, [1], [Parity((0, 0))], [True])
     assert single == (OracleCall(F(0), Parity((0, 0)), True),)
     assert single[0].claimed == 0 and single[0].claimed.denominator == 1
+
+
+RESPONSES = (None, H1, H2, MonotoneDisjunction(3, (1,)))  # the last equals H1, another object
+
+
+@st.composite
+def _lines(draw, max_len=8):
+    size = draw(st.integers(0, max_len))
+    return [(draw(st.sampled_from(RESPONSES)), draw(st.sampled_from((None, False, True)))) for _ in range(size)]
+
+
+def _runs(data, den, lines):
+    """A transcript of `lines`, each run of equal lines cut at random places."""
+    ends, responses, accepted = [], [], []
+    for j, (response, ok) in enumerate(lines):
+        if responses and (responses[-1], accepted[-1]) == (response, ok) and data.draw(st.booleans()):
+            ends[-1] = j + 1
+            continue
+        ends.append(j + 1)
+        responses.append(response)
+        accepted.append(ok)
+    return Transcript(den, ends, responses, accepted)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_transcript_equality_is_line_wise_equality(data):
+    lines = data.draw(_lines())
+    other = lines if data.draw(st.booleans()) else data.draw(_lines())
+    den = data.draw(st.integers(1, 6))
+    a = _runs(data, den, lines)
+    b = _runs(data, data.draw(st.sampled_from((den, data.draw(st.integers(1, 6))))), other)
+    want = tuple(a) == tuple(b)
+    assert (a == b) is want and (b == a) is want
+    assert (a != b) is not want
+    if want:
+        assert hash(a) == hash(b)
+
+
+def test_transcript_equality_builds_no_line(monkeypatch):
+    def no_line(*args):
+        raise AssertionError("a transcript line was built")
+
+    monkeypatch.setattr(reductions, "OracleCall", no_line)
+    big = 10**12
+    a = Transcript(7, [5, big], [H1, H1], [False, False])
+    assert a == Transcript(7, [big], [MonotoneDisjunction(3, (1,))], [False])
+    assert a != Transcript(8, [big], [H1], [False])
+    assert a != Transcript(7, [big], [H1], [None])
+    assert a != Transcript(7, [big - 1, big], [H1, H2], [False, False])
+    assert a != Transcript(7, [big + 1], [H1], [False])
+    assert Transcript(3, [1], [H1], [True]) == Transcript(5, [1], [H1], [True])
+    assert Transcript(3, [], [], []) == Transcript(5, [], [], [])
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -6,8 +6,10 @@ kernel and builds trusted samples from packed counts.  Both must agree on
 every field, byte and transcript line.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -180,7 +182,7 @@ def _outcome(run, *args):
         return NoCandidateAccepted
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
     st.data(),
@@ -188,12 +190,17 @@ def _outcome(run, *args):
     st.sampled_from(((F(0), F(0)), (F(1, 10), F(1, 5)), (F(1, 5), F(1, 4)), (F(1, 4), F(2, 5)))),
     st.sampled_from(("arbitrary", "reject")),
     st.integers(min_value=0, max_value=2**32),
+    st.booleans(),
 )
-def test_noisy_parity_matches_the_tuple_sweep(n, data, m, noise, mode, seed):
+def test_noisy_parity_matches_the_tuple_sweep(n, data, m, noise, mode, seed, per_claim):
     mask = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     setup = NoisyParitySetup(n, Parity(mask), *noise)
     desc = ClassDescriptor("parity", n)
-    got = _outcome(noisy_parity_via_llp, setup, m, make_brute_oracle(desc, mode), F(1, 10), seed)
+    oracle = make_brute_oracle(desc, mode)
+    if per_claim:  # another solve drops the sweep: one solve per claim, on the kept draws
+        oracle = dataclasses.replace(oracle, solve=partial(oracle.solve))
+        assert oracle.sweep is None
+    got = _outcome(noisy_parity_via_llp, setup, m, oracle, F(1, 10), seed)
     want = _outcome(_noisy_parity_reference, setup, m, make_brute_oracle(desc, mode), F(1, 10), seed)
     assert got == want
 

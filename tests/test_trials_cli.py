@@ -389,6 +389,19 @@ def test_cli_reduce_chain_check(tmp_path, capsys):
     assert report["consistency"] == report["disjunction"]
 
 
+@pytest.mark.parametrize("m, code", [("0", 2), ("-3", 2), ("40", 0)])
+def test_cli_reduce_noisy_parity_takes_m_as_given(tmp_path, capsys, m, code):
+    setup = {"n": 3, "target": {"kind": "parity", "mask": "101"}, "eta": "1/10", "eta_prime": "1/5"}
+    inst_path = tmp_path / "noisy.json"
+    inst_path.write_text(json.dumps(setup))
+    got, out, err = run_cli(capsys, "reduce", "--run", "noisy-parity", "--in", str(inst_path), "--m", m)
+    assert got == code
+    if code:
+        assert out == "" and json.loads(err)["error"] == "InvalidParams"
+    else:
+        assert json.loads(out)["m"] == 40
+
+
 def write_cli_config(tmp_path, **overrides):
     obj = {
         "learner": "improper",

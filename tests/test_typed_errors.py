@@ -8,6 +8,7 @@ ceiling when a change types more of them.
 """
 
 import ast
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,14 +18,17 @@ import llp_lab
 from llp_lab import (
     ClassDescriptor,
     ConsistencyInstance,
+    NoisyParitySetup,
+    Parity,
     UniformCube,
     brute_subset_sum,
     draw_points,
     make_brute_oracle,
     make_distribution,
     noisy_parity_uniform_learner,
+    noisy_parity_via_llp,
 )
-from llp_lab.core import _draw_cube, _draw_small, draw_counts
+from llp_lab.core import _coin_flips, _draw_cube, _draw_small, draw_counts
 from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
@@ -88,6 +92,7 @@ def test_negative_draw_sizes_raise_invalid_params():
         lambda: draw_counts(two, -1, 0),
         lambda: _draw_small(two, -1, 0, [3, 5]),
         lambda: _draw_cube(3, -1, 0),
+        lambda: _coin_flips(F(1, 2), -1, random.Random(0)),
         lambda: draw_points(two, -1, 0),
         lambda: draw_points(UniformCube(3), -1, 0),
     ]
@@ -95,6 +100,15 @@ def test_negative_draw_sizes_raise_invalid_params():
         with pytest.raises(InvalidParams, match="m must be >= 0") as raised:
             call()
         assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_noisy_parity_needs_one_example(m):
+    setup = NoisyParitySetup(3, Parity((1, 0, 1)), F(1, 10), F(1, 5))
+    oracle = make_brute_oracle(ClassDescriptor("parity", 3))
+    with pytest.raises(InvalidParams, match="m >= 1") as raised:
+        noisy_parity_via_llp(setup, m, oracle, F(1, 10), 0)
+    assert isinstance(raised.value, ValueError)
 
 
 @pytest.mark.parametrize(
