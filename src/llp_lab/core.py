@@ -158,7 +158,7 @@ class ExplicitDistribution:
 
     @cached_property
     def weighted(self) -> Sample:
-        """A trusted sample of size D, the lcm of the weights' denominators.
+        """A sample of size D, the lcm of the weights' denominators.
 
         Atom (p, w) becomes packed p with multiplicity w * D, so true
         proportions are empirical ones here.  The support is checked once, on
@@ -259,26 +259,29 @@ class Sample:
 
     `p_hat` times the sample size must be an integer: the fraction is the
     exact count of positively labeled examples over m, not an estimate.
-    `Sample(points, p_hat)` checks every point.  A trusted sample, built by
-    `_sample_packed` from packed counts, holds no tuple `points` or
-    `counts` until they are first read; it equals a checked sample over the
-    same points and p_hat, as any two samples do.  Samples are immutable; two
-    trusted samples without draw order compare, hash and print unexpanded.
+    Every sample holds one form: its points' `domain` (None when empty),
+    `packed_counts` (each distinct point `_pack`ed, with its multiplicity,
+    sorted), the size `m`, `p_hat`, and `_draws`, the packed points in draw
+    order, or None when the sorted order is the order.  `Sample(points,
+    p_hat)` checks every point and packs them in the given order; the
+    drawing helpers build the same form unchecked, through `_sample_packed`.
+    `points` and `counts` are views of it, built on first read.  Samples are
+    immutable.  Two samples are equal when their points and p_hat are; two
+    samples without draw order compare, hash and print without building
+    their points.
     """
 
+    domain: tuple[str, int | None] | None
+    packed_counts: tuple[tuple[int, int], ...]
+    m: int
     p_hat: Fraction
+    _draws: tuple[int, ...] | None
 
-    def __init__(self, points: tuple[Point, ...], p_hat: Fraction) -> None:
-        if not isinstance(p_hat, Fraction):
-            p_hat = parse_rational(p_hat)
-        m = len(points)
-        if not 0 <= p_hat <= 1:
-            raise ValueError(f"p_hat {p_hat} outside [0, 1]")
-        if m > 0 and (p_hat * m).denominator != 1:
-            raise ValueError(f"p_hat {p_hat} times m={m} is not an integer")
-        if m == 0 and p_hat != 0:
-            raise ValueError("empty sample must carry p_hat = 0")
-        self.__dict__.update(points=points, p_hat=p_hat, domain=check_same_domain(points))
+    def __init__(self, points: Sequence[Point], p_hat: Fraction) -> None:
+        domain = check_same_domain(points)
+        draws = tuple(map(_pack, points))
+        packed = tuple(sorted(Counter(draws).items()))
+        self.__dict__.update(_sample_packed(domain, packed, len(draws), p_hat, draws).__dict__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -289,29 +292,30 @@ class Sample:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sample):
             return NotImplemented
-        mine, theirs = self.__dict__.get("_draws", ()), other.__dict__.get("_draws", ())
-        if mine is None and theirs is None:  # both trusted, no draw order: points are counts expanded
-            return (self.m, self.p_hat, self.domain, self.packed_counts) == (
-                other.m, other.p_hat, other.domain, other.packed_counts)
-        return (self.points, self.p_hat) == (other.points, other.p_hat)
+        if (self.m, self.p_hat, self.domain, self.packed_counts) != (
+            other.m, other.p_hat, other.domain, other.packed_counts
+        ):
+            return False
+        # equal multisets; the orders differ only if one of them is a draw order
+        return self._draws is other._draws or self._order() == other._order()
 
     def __hash__(self) -> int:
         return hash((self.m, self.p_hat))
 
     def __repr__(self) -> str:
-        if "points" in self.__dict__:
-            return f"Sample(points={self.points!r}, p_hat={self.p_hat!r})"
-        return f"Sample(m={self.m!r}, p_hat={self.p_hat!r}, packed_counts={self.packed_counts!r})"
+        if self._draws is None:
+            return f"Sample(m={self.m!r}, p_hat={self.p_hat!r}, packed_counts={self.packed_counts!r})"
+        return f"Sample(points={self.points!r}, p_hat={self.p_hat!r})"
+
+    def _order(self) -> tuple[int, ...]:
+        """The packed points in order: `_draws`, else the counts expanded."""
+        draws = self._draws
+        return points_from_counts(self.packed_counts) if draws is None else draws  # type: ignore[return-value]
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
-        """A trusted sample's points, built on first read: `_draws` unpacked, else the counts expanded."""
-        draws = self.__dict__["_draws"]
-        return points_from_counts(self.counts) if draws is None else _unpack(self.domain, draws)
-
-    @cached_property
-    def m(self) -> int:
-        return len(self.points)
+        """The points in draw order, else sorted: `_order()` unpacked."""
+        return _unpack(self.domain, self._order())
 
     @property
     def positive_count(self) -> int:
@@ -320,27 +324,8 @@ class Sample:
     @cached_property
     def counts(self) -> tuple[tuple[Point, int], ...]:
         """Unique points with multiplicities, sorted canonically."""
-        if "packed_counts" in self.__dict__:  # a trusted sample: unpack what it holds
-            packed = self.packed_counts
-            return tuple(zip(_unpack(self.domain, [x for x, _ in packed]), [c for _, c in packed]))
-        return tuple(sorted(Counter(self.points).items()))
-
-    @cached_property
-    def domain(self) -> tuple[str, int | None] | None:
-        """The points' common domain, None when empty.
-
-        Every constructor stores it in the instance, which this non-data
-        descriptor defers to, so its body never runs: `Sample(...)` from its
-        check of every point, `_sample_packed` from its caller, which drew
-        the points from a known domain.  Labeling a sample never re-checks
-        a point.
-        """
-        raise AttributeError("every Sample constructor sets domain")
-
-    @cached_property
-    def packed_counts(self) -> tuple[tuple[int, int], ...]:
-        """`counts` with each point packed (`_pack`, which keeps their order), for the kernel."""
-        return _pack_counts(self.counts)
+        packed = self.packed_counts
+        return tuple(zip(_unpack(self.domain, [x for x, _ in packed]), [c for _, c in packed]))
 
 
 def points_from_counts(counts: Iterable[tuple[Point, int]]) -> tuple[Point, ...]:
@@ -359,23 +344,22 @@ def _sample_packed(
 ) -> Sample:
     """The trusted Sample constructor: packed counts from a known domain.
 
-    No point is checked, so callers pass only what a drawing helper built:
-    `packed_counts` sorted by packed point (`_pack`), each count >= 1,
-    summing to m, every point in `domain` (None when m is 0), and, when
-    given, `draws`, the same points packed in draw order.  The
-    proportion gets Sample's checks, done on its lowest-terms numerator and
+    No point is checked, so callers pass only what a drawing helper built
+    (or `Sample`, after checking its points): `packed_counts` sorted by
+    packed point (`_pack`), each count >= 1, summing to m, every point in
+    `domain` (None when m is 0), and, when given, `draws`, the same points
+    packed in draw order, kept as a tuple.  The proportion gets the one
+    check every sample goes through, done on its lowest-terms numerator and
     denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
     denominator divides m), and p_hat = 0 when the sample is empty.
-    `counts` and `points` (`draws` unpacked, else the counts expanded) are
-    built on first read; `_draws` (None without draw order) marks it trusted.
     """
-    if not isinstance(p_hat, Fraction):
-        p_hat = Fraction(p_hat)
+    p_hat = parse_rational(p_hat)
     num, den = p_hat.numerator, p_hat.denominator
     if not 0 <= num <= den or m % den or (m == 0 and num):
-        raise ValueError(f"p_hat {p_hat} invalid for m={m}")
+        raise InvalidParams(f"p_hat {p_hat} invalid for m={m}: not j/m for a whole j in [0, m], or 0 when m = 0")
     sample = object.__new__(Sample)
-    sample.__dict__.update(p_hat=p_hat, domain=domain, packed_counts=packed_counts, m=m, _draws=draws)
+    draws = None if draws is None else tuple(draws)
+    sample.__dict__.update(domain=domain, packed_counts=packed_counts, m=m, p_hat=p_hat, _draws=draws)
     return sample
 
 
@@ -383,7 +367,7 @@ def _claim_samples(
     domain: tuple[str, int | None] | None, packed_counts: tuple[tuple[int, int], ...], m: int,
     draws: Sequence[int] | None = None,
 ) -> Iterator[tuple[Fraction, Sample]]:
-    """Each claim j/m, j = 0..m (just 0 when m = 0), lazily, with a trusted sample carrying it.
+    """Each claim j/m, j = 0..m (just 0 when m = 0), lazily, with a sample carrying it.
 
     One `_sample_packed` base is built from the arguments and checked.  Each
     claim's sample is a fresh Sample holding a copy of the base's attributes
@@ -457,7 +441,7 @@ def derive_seed(*parts: object) -> int:
 
 
 def _draw_packed(weighted: Sample, m: int, seed: int) -> tuple[tuple[int, int], ...]:
-    """Packed counts of m i.i.d. draws from a trusted sample's points, one binomial per atom.
+    """Packed counts of m i.i.d. draws from a sample's points, one binomial per atom.
 
     Atom (x, w) draws binomial(draws left, w / weight left), int / int and so
     correctly rounded: scaling every multiplicity by one factor changes no
@@ -490,13 +474,11 @@ def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Po
     return _sample_packed(dist.weighted.domain, _draw_packed(dist.weighted, m, seed), m, Fraction(0)).counts
 
 
-def _draw_small(dist: ExplicitDistribution, m: int, seed: int, forms: Sequence) -> list:
-    """m draws by one `random()` and one bisection of the float CDF each.
+def _draw_small(dist: ExplicitDistribution, m: int, seed: int) -> list[int]:
+    """m draws, packed, by one `random()` and one bisection of the float CDF each.
 
-    `forms[i]` stands for atom i in the output: the atom's point for
-    `draw_points`, its packed point for `draw_sample`.  Either way the
-    random calls and the atoms drawn are the same.  Masses are the
-    integer weights of `ExplicitDistribution.weighted` over their total.
+    Masses are the integer weights of `ExplicitDistribution.weighted` over
+    their total.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
@@ -504,8 +486,9 @@ def _draw_small(dist: ExplicitDistribution, m: int, seed: int, forms: Sequence) 
     cum = list(accumulate(w / weighted.m for _, w in weighted.packed_counts))
     # the float total may fall short of 1; past it, the last atom is drawn
     cum[-1] = math.inf
+    packed = [x for x, _ in weighted.packed_counts]
     rand = random.Random(seed).random
-    return [forms[bisect_right(cum, rand())] for _ in range(m)]
+    return [packed[bisect_right(cum, rand())] for _ in range(m)]
 
 
 def _draw_cube(n: int, m: int, seed: int) -> list[int]:
@@ -541,19 +524,28 @@ def _draw_cube(n: int, m: int, seed: int) -> list[int]:
     return lanes.tolist()
 
 
-def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...]:
-    """m i.i.d. draws; identical (dist, m, seed) gives identical output.
+def _draw(dist: FiniteDistribution, m: int, seed: int) -> Sample:
+    """m i.i.d. draws as a sample with p_hat 0; identical arguments give identical draws.
 
-    Explicit distributions switch to the count-based sampler at
-    m >= COUNT_DRAW_MIN, in which case points come out grouped by atom in
-    canonical order.  The dispatch depends only on the arguments, so
-    reproducibility is unaffected.
+    The one choice of draw routine: `_draw_cube` for a cube, and for an
+    explicit distribution `_draw_small` below COUNT_DRAW_MIN draws, else
+    `_draw_packed` (one binomial per atom) on `dist.weighted`.  The first
+    two keep the draw order; the binomial draw has none, so its points come
+    out grouped by atom in canonical order.  The choice depends only on the
+    arguments, so reproducibility is unaffected.
     """
     if isinstance(dist, UniformCube):
-        return _unpack(("bits", dist.n), _draw_cube(dist.n, m, seed))
-    if m >= COUNT_DRAW_MIN:
-        return points_from_counts(draw_counts(dist, m, seed))
-    return tuple(_draw_small(dist, m, seed, [p for p, _ in dist.atoms]))
+        domain, draws = ("bits", dist.n), _draw_cube(dist.n, m, seed)
+    elif m < COUNT_DRAW_MIN:
+        domain, draws = dist.weighted.domain, _draw_small(dist, m, seed)
+    else:
+        return _sample_packed(dist.weighted.domain, _draw_packed(dist.weighted, m, seed), m, Fraction(0))
+    return _sample_packed(domain if m else None, tuple(sorted(Counter(draws).items())), m, Fraction(0), draws)
+
+
+def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...]:
+    """m i.i.d. draws, the points of `_draw`: in draw order, or grouped by atom for a binomial draw."""
+    return _draw(dist, m, seed).points
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,10 @@ class LLPOracle:
     1 - delta.
 
     A sweep calls `solve` once per claim j/m, in order, each time with a
-    fresh trusted sample over one shared packed-counts object.  `solve`
-    should read `sample.packed_counts`, `sample.domain` and `sample.m`:
-    `points` and `counts` are built on first read, O(m) for each sample.
+    fresh sample over one shared packed-counts object.  `solve` should
+    read the sample's own form, `sample.packed_counts`, `sample.domain`
+    and `sample.m`: `points` and `counts` are views of it, built on first
+    read, O(m) for each fresh sample.
 
     `sweep(domain, packed_counts, m, epsilon, delta)`, optional, answers a
     whole claim ladder at once: it yields runs (first_j, last_j, response),

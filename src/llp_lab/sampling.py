@@ -9,28 +9,22 @@ target's.  Everything here keeps those proportions as exact Fractions.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .core import (
-    COUNT_DRAW_MIN,
     ExplicitDistribution,
     FiniteDistribution,
     Point,
     Sample,
     UniformCube,
     _coin_flips,
-    _draw_cube,
-    _draw_packed,
-    _draw_small,
-    _pack,
+    _draw,
     _sample_packed,
     derive_seed,
     distribution_from_json,
     distribution_to_json,
-    draw_points,
     parse_rational,
     rational_to_json,
     sample_from_json,
@@ -128,57 +122,50 @@ def llp_success(h: Hypothesis, target: Hypothesis, dist: FiniteDistribution, eps
     return abs(true_proportion(h, dist) - true_proportion(target, dist)) <= eps
 
 
+def _random_labels(target: ConstantRandom, m: int, seed: int) -> bytes:
+    """A constant-random target's labels for the m draws under `seed`, as 0/1 bytes."""
+    return _coin_flips(target.p, m, random.Random(derive_seed(seed, "labels")))
+
+
 def draw_labeled_points(
     dist: FiniteDistribution, m: int, seed: int, target: Hypothesis
 ) -> tuple[tuple[Point, ...], tuple[int, ...]]:
-    """m seeded i.i.d. draws with their target labels.
+    """m seeded i.i.d. draws with their target labels: `_draw`, then the labels.
 
-    Proper targets are labeled once per unique point, by the labeling
-    kernel.  A constant-random target flips one coin per example, the
-    `random()` calls of `evaluate` from a seed derived from `seed`, read in
-    bulk by `_coin_flips`.  Cube draws read the generator in bulk too
-    (`_draw_cube`).
+    The points are `draw_points`'.  Proper targets are labeled once per
+    distinct point, by the labeling kernel.  A constant-random target flips
+    one coin per example (`_random_labels`), the `random()` calls of
+    `evaluate` from a seed derived from `seed`, read in bulk by
+    `_coin_flips`.
     """
-    points = draw_points(dist, m, seed)
+    sample = _draw(dist, m, seed)
+    points = sample.points
     if isinstance(target, ConstantRandom):
-        return points, tuple(_coin_flips(target.p, m, random.Random(derive_seed(seed, "labels"))))
+        return points, tuple(_random_labels(target, m, seed))
     if not points:
         return points, ()
-    label = labeler(target, _support_domain(dist))
-    labels = {p: int(label(_pack(p))) for p in set(points)}
-    return points, tuple(map(labels.__getitem__, points))
+    label = labeler(target, sample.domain)
+    labels = {x: int(label(x)) for x, _ in sample.packed_counts}
+    return points, tuple(map(labels.__getitem__, sample._order()))
 
 
 def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis) -> Sample:
     """Sample of m draws carrying the exact positive fraction under `target`.
 
     Fully reproducible: identical (dist, m, seed, target) gives an identical
-    Sample object, field for field.  With a proper target every draw is
-    made packed and gives a trusted sample (`_sample_packed`), with the
-    random calls of `draw_points`: cube draws, small explicit draws (atom
-    by atom, in draw order) and large ones (m >= COUNT_DRAW_MIN, counted
-    per atom by `_draw_packed` on `dist.weighted`, the loop under
-    `draw_counts`).  No drawn point is re-checked (an explicit distribution's
-    atoms are checked once, by `ExplicitDistribution.weighted`), and the
-    kernel labels each distinct point once.  A constant-random target
-    flips one coin per draw and gives a checked `Sample`.
+    Sample object, field for field.  The draws are `_draw`'s, the points of
+    `draw_points`; no drawn point is re-checked (an explicit distribution's
+    atoms are checked once, by `ExplicitDistribution.weighted`).  A proper
+    target's positives are weighed by the labeling kernel, each distinct
+    point labeled once; a constant-random target's are the coins
+    `draw_labeled_points` flips for it (`_random_labels`).
     """
-    if not isinstance(target, ConstantRandom):
-        domain = _support_domain(dist)
-        if isinstance(dist, UniformCube):
-            draws = _draw_cube(dist.n, m, seed)
-        elif m >= COUNT_DRAW_MIN:
-            packed = _draw_packed(dist.weighted, m, seed)
-            return _sample_packed(domain, packed, m, Fraction(positive_weight(target, domain, packed), m))
-        else:
-            draws = _draw_small(dist, m, seed, [x for x, _ in dist.weighted.packed_counts])
-        if not draws:
-            domain = None
-        packed = tuple(sorted(Counter(draws).items()))
-        positives = positive_weight(target, domain, packed)
-        return _sample_packed(domain, packed, m, Fraction(positives, m) if m else Fraction(0), draws)
-    points, labels = draw_labeled_points(dist, m, seed, target)
-    return Sample(points, Fraction(sum(labels), m) if m else Fraction(0))
+    sample = _draw(dist, m, seed)
+    if isinstance(target, ConstantRandom):
+        positives = _random_labels(target, m, seed).count(1)
+    else:
+        positives = positive_weight(target, sample.domain, sample.packed_counts)
+    return _sample_packed(sample.domain, sample.packed_counts, m, Fraction(positives, m or 1), sample._draws)
 
 
 def achievable_proportions(

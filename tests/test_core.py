@@ -36,7 +36,7 @@ from llp_lab import (
     uniform_over,
     weight_of,
 )
-from llp_lab.core import _pack_counts, _sample_packed
+from llp_lab.core import _pack_counts, _sample_packed, _unpack
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 
@@ -291,29 +291,39 @@ def test_comparing_and_printing_a_weighted_sample_builds_no_points():
         del Sample((2, 1), F(1, 2)).points
 
 
+_DOMAINS = st.sampled_from([("nat", None), ("bits", 2), ("bits", 3)])
+
+
 @given(
     st.lists(st.integers(0, 3), max_size=6),
     st.lists(st.integers(0, 3), max_size=6),
     st.integers(0, 6),
     st.integers(0, 6),
+    _DOMAINS,
+    _DOMAINS,
 )
-def test_sample_equality_is_equality_of_points_and_p_hat(left, right, j, k):
-    # each multiset as a checked sample in its given order, a trusted sample in
-    # its given draw order and a trusted sample without draw order, against
-    # comparing (points, p_hat)
-    def forms(points, j):
-        points = tuple(points)
+def test_sample_equality_is_equality_of_points_and_p_hat(left, right, j, k, left_domain, right_domain):
+    # each multiset as a checked sample from a tuple and from a list in its
+    # given order, a trusted sample in its given draw order and a trusted
+    # sample without draw order, against comparing (points, p_hat); values
+    # are naturals or the bit vectors of width 2 or 3 that pack to them, so
+    # equal packed ints from different domains must stay unequal
+    def forms(values, j, domain):
+        points = tuple(values) if domain[0] == "nat" else _unpack(domain, values)
         p_hat = F(min(j, len(points)), len(points)) if points else F(0)
-        packed = tuple(sorted(Counter(points).items()))
-        domain = ("nat", None) if points else None
+        packed = tuple(sorted(Counter(values).items()))
+        domain = domain if points else None
         return [
             Sample(points, p_hat),
-            _sample_packed(domain, packed, len(points), p_hat, points),
+            Sample(list(points), p_hat),
+            _sample_packed(domain, packed, len(points), p_hat, values),
             _sample_packed(domain, packed, len(points), p_hat),
         ]
 
-    for a in forms(left, j) + forms(right, k):
-        for b in forms(left, j) + forms(right, k):
+    samples = forms(left, j, left_domain) + forms(right, k, right_domain)
+    for a in samples:
+        assert type(a.points) is tuple
+        for b in samples:
             equal = a == b
             assert equal == ((a.points, a.p_hat) == (b.points, b.p_hat))
             assert not equal or hash(a) == hash(b)

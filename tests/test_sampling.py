@@ -124,6 +124,29 @@ def test_draw_labeled_points_at_count_draw_min_uses_the_count_sampler():
     assert labels == tuple(evaluate(target, x) for x in points)
 
 
+BITS_DIST = make_distribution([((0, 1), F(1, 6)), ((1, 0), F(1, 3)), ((1, 1), F(1, 2))])
+
+
+@pytest.mark.parametrize(
+    "dist, m",
+    [(UniformCube(2), 300), (BITS_DIST, 37), (BITS_DIST, COUNT_DRAW_MIN), (BITS_DIST, 0), (UniformCube(2), 0)],
+    ids=["cube", "small", "count-draw-min", "explicit-empty", "cube-empty"],
+)
+@pytest.mark.parametrize("target", [Parity((1, 0)), ConstantRandom(F(1, 3))], ids=["proper", "constant-random"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_three_draws_agree(dist, m, target, seed):
+    # draw_sample, draw_points and draw_labeled_points make one draw, and the
+    # labels behind a sample's p_hat are the ones draw_labeled_points returns
+    sample = draw_sample(dist, m, seed, target)
+    points, labels = draw_labeled_points(dist, m, seed, target)
+    assert sample.points == draw_points(dist, m, seed) == points
+    assert len(labels) == m and sample.positive_count == sum(labels)
+    if isinstance(target, Parity):
+        assert labels == tuple(evaluate(target, x) for x in points)
+    checked = Sample(points, F(sum(labels), m) if m else F(0))
+    assert sample == checked and checked == sample and hash(sample) == hash(checked)
+
+
 def test_achievable_proportions_two_atom_subsets():
     desc = ClassDescriptor("finite_subset", 1, ground_set=(1, 2))
     table = achievable_proportions(desc, TWO_ATOM)

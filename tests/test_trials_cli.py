@@ -353,6 +353,21 @@ def test_cli_gen_then_learn(tmp_path, capsys):
     assert outcome["improper"] is False
 
 
+def test_cli_learn_with_a_fractional_positive_count_is_invalid_params(tmp_path, capsys):
+    # a task whose p_hat * m is not a whole count is bad input, typed as such
+    sample = Sample(((0, 1), (1, 1), (1, 0)), F(1, 3))
+    obj = task_to_json(LLPTask(ClassDescriptor("parity", 2), F(1, 10), F(1, 20), sample))
+    obj["sample"]["p_hat_num"], obj["sample"]["p_hat_den"] = 1, 2
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "learn", "--task", str(task_path), "--learner", "erm")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InvalidParams",
+        "detail": "p_hat 1/2 invalid for m=3: not j/m for a whole j in [0, m], or 0 when m = 0",
+    }
+
+
 def test_cli_oracle_subset_sum(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"counts": [2, 3, 5], "t": 5}))

@@ -9,6 +9,7 @@ ceiling when a change types more of them.
 
 import ast
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from llp_lab import (
     ConsistencyInstance,
     NoisyParitySetup,
     Parity,
+    Sample,
     UniformCube,
     brute_subset_sum,
     draw_points,
@@ -28,12 +30,12 @@ from llp_lab import (
     noisy_parity_uniform_learner,
     noisy_parity_via_llp,
 )
-from llp_lab.core import _coin_flips, _draw_cube, _draw_small, draw_counts
+from llp_lab.core import _coin_flips, _draw_cube, _draw_small, _pack, _sample_packed, check_same_domain, draw_counts
 from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 15, "hypotheses": 28, "reductions": 8, "oracles": 1, "learners": 0}
+CEILINGS = {"core": 11, "hypotheses": 28, "reductions": 8, "oracles": 1, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
@@ -90,7 +92,7 @@ def test_negative_draw_sizes_raise_invalid_params():
     calls = [
         lambda: draw_counts(one, -1, 0),
         lambda: draw_counts(two, -1, 0),
-        lambda: _draw_small(two, -1, 0, [3, 5]),
+        lambda: _draw_small(two, -1, 0),
         lambda: _draw_cube(3, -1, 0),
         lambda: _coin_flips(F(1, 2), -1, random.Random(0)),
         lambda: draw_points(two, -1, 0),
@@ -98,6 +100,20 @@ def test_negative_draw_sizes_raise_invalid_params():
     ]
     for call in calls:
         with pytest.raises(InvalidParams, match="m must be >= 0") as raised:
+            call()
+        assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "points, p_hat",
+    [((1, 2, 3), F(1, 2)), ((1,), F(3, 2)), ((1,), F(-1)), ((), F(1)), ((), F(1, 2)), ([(0, 1), (1, 1)], "1/3")],
+)
+def test_sample_p_hat_checks_raise_invalid_params(points, p_hat):
+    # Sample and the trusted constructor share one check
+    domain = check_same_domain(points)
+    packed = tuple(sorted(Counter(map(_pack, points)).items()))
+    for call in (lambda: Sample(points, p_hat), lambda: _sample_packed(domain, packed, len(points), p_hat)):
+        with pytest.raises(InvalidParams, match="invalid for m=") as raised:
             call()
         assert isinstance(raised.value, ValueError)
 
