@@ -100,11 +100,6 @@ def _pack(point: Point) -> int:
     return point
 
 
-def _pack_counts(counts: Iterable[tuple[Point, int]]) -> tuple[tuple[int, int], ...]:
-    """(point, count) pairs with each point packed; sorted pairs stay sorted."""
-    return tuple((_pack(p), c) for p, c in counts)
-
-
 def _unpack(domain: tuple[str, int | None] | None, values: Sequence[int]) -> tuple[Point, ...]:
     """Points from their packed forms (`_pack` inverted), in order.
 

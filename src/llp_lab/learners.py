@@ -4,18 +4,23 @@ Each learner returns a LearnerOutcome whose `achieved` field reproduces
 exactly under `empirical_proportion` (or `true_proportion` for the
 distribution-based gap learner).  Ties are always broken the same way:
 smaller residual, then smaller positive count, then lexicographically
-smallest canonical encoding (`ranking_key`).  ERM and the window learner
-get it from the brute oracle's rule: the first witness per count of
-candidates ascending in encoding, then the count nearest the target.
+smallest canonical encoding (`ranking_key`).  ERM gets it from the brute
+oracle's rule: the first witness per count of candidates ascending in
+encoding, then the count nearest the target.  The subset-sum and window
+learners read the same pick off subset-sum reach bitsets: the reachable
+count nearest the target, then the lexicographically least witness.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Sample
 from .errors import (
@@ -194,67 +199,117 @@ def _suffix_reach(mults: tuple[int, ...], cap: int) -> list[int]:
     return reach
 
 
+def _nearest_bit(reach: int, t: int) -> int:
+    """The set bit of `reach` nearest t, the smaller on a tie; bit 0 must be set.
+
+    With t the sample's positive count and p_hat = t/m this is
+    `_nearest_count`'s rule over the counts the bits stand for.
+    """
+    below = (reach & ((2 << t) - 1)).bit_length() - 1
+    above = reach >> t
+    if above:
+        nearest_above = t + (above & -above).bit_length() - 1
+        if nearest_above - t < t - below:
+            return nearest_above
+    return below
+
+
+def _least_subset(
+    points: Sequence[int], mults: Sequence[int], reach: list[int], total: int
+) -> list[int]:
+    """The lexicographically least list of points whose mults sum to total.
+
+    `reach` is `_suffix_reach(mults, cap)` with cap >= total, and bit total
+    of `reach[0]` must be set.  Greedily, each point is taken when the rest
+    of the total stays reachable from the points after it; the remainder
+    reaching 0 ends the list, since every multiplicity is positive.
+    """
+    elems: list[int] = []
+    for i, a in enumerate(mults):
+        if a <= total and reach[i + 1] >> (total - a) & 1:
+            elems.append(points[i])
+            total -= a
+    assert total == 0
+    return elems
+
+
 def subset_sum_learner(sample: Sample) -> LearnerOutcome:
     """Pick the subset of unique points whose multiplicities sum nearest t.
 
     Reachability is a DP over the sums 0..m, held as bitsets: `reach[i]`
     has bit s set iff some subset of the items i.. sums to s, and is built
     from `reach[i+1]` by one shift-or with item i's multiplicity.  The chosen
-    sum is the set bit of `reach[0]` nearest t, the smaller on a tie.  The
-    witness is rebuilt greedily with bit tests, so it is the lexicographically
-    smallest element list among subsets achieving that sum.  `work` reports
-    `dp_cells`, the number of reachable (item, sum) cells the DP extended:
-    the sum over i of the population count of `reach[i+1]`, at most (m+1) * u.
+    sum is the set bit of `reach[0]` nearest t, the smaller on a tie
+    (`_nearest_bit`).  The witness is rebuilt greedily with bit tests
+    (`_least_subset`), so it is the lexicographically smallest element list
+    among subsets achieving that sum.  `work` reports `dp_cells`, the number
+    of reachable (item, sum) cells the DP extended: the sum over i of the
+    population count of `reach[i+1]`, at most (m+1) * u.
     """
     points, mults = _nat_sample_items(sample)
     m = sample.m
-    t = sample.positive_count
     reach = _suffix_reach(mults, m)
     cells = sum(r.bit_count() for r in reach[1:])
-    # bit 0 is always set, so some reachable sum lies at or below t
-    below = (reach[0] & ((2 << t) - 1)).bit_length() - 1
-    above = reach[0] >> t
-    best_sum = below
-    if above:
-        nearest_above = t + (above & -above).bit_length() - 1
-        if nearest_above - t < t - below:
-            best_sum = nearest_above
-    elems: list[int] = []
-    current = best_sum
-    for i, a in enumerate(mults):
-        if a <= current and reach[i + 1] >> (current - a) & 1:
-            elems.append(points[i])
-            current -= a
-    assert current == 0
+    best_sum = _nearest_bit(reach[0], sample.positive_count)
+    elems = _least_subset(points, mults, reach, best_sum)
     achieved = Fraction(best_sum, m) if m else Fraction(0)
     residual = abs(achieved - sample.p_hat)
     return LearnerOutcome(FiniteSubset(tuple(elems)), achieved, residual, {"dp_cells": cells})
 
 
 def window_learner(sample: Sample, k: int) -> LearnerOutcome:
-    """Best span-k window over the sample's values.
+    """Best span-k window over the sample's values, by subset-sum reach.
 
-    Candidates are the empty window plus, for each unique value v taken as
-    the leftmost positive, every subset of the unique values within
-    (v, v+k] joined with v: O(2^k) candidates per unique value.  They come
-    in ascending encoding (each v in turn, then a preorder whose children
-    pop ascending), and only the winner's element tuple becomes a `Window`.
+    The candidates are the empty window plus, for each unique value v taken
+    as the leftmost positive, every subset of its tail, the unique values
+    within (v, v+k], joined with v (`_window_candidates` lists them in
+    ascending encoding).  The counts reachable with v leftmost are the
+    tail's subset sums (`_suffix_reach`) shifted by v's multiplicity; their
+    union with 0 for the empty window holds every candidate count, and the
+    count is the one nearest the positive count, the smaller on a tie
+    (`_nearest_bit`).  Its witness is the encoding-least candidate of that
+    count: the first v whose reach holds it, then the lexicographically
+    least tail subset (`_least_subset`), which is what ranking the
+    candidates one by one keeps.  `work` reports `candidates`, their
+    number 1 + sum of 2^|tail| over the unique values, in closed form.
     """
     points, mults = _nat_sample_items(sample)
+    m = sample.m
+    ends = [bisect_right(points, v + k, i + 1) for i, v in enumerate(points)]
+    reaches = [_suffix_reach(mults[i + 1 : e], m)[0] << mults[i] for i, e in enumerate(ends)]
+    count = _nearest_bit(reduce(or_, reaches, 1), sample.positive_count)
+    elems: tuple[int, ...] = ()
+    if count:
+        i = next(i for i, r in enumerate(reaches) if r >> count & 1)
+        tail = slice(i + 1, ends[i])
+        rest = _least_subset(points[tail], mults[tail], _suffix_reach(mults[tail], m), count - mults[i])
+        elems = (points[i], *rest)
+    achieved = Fraction(count, m) if m else Fraction(0)
+    residual = Fraction(abs(count - sample.positive_count), m) if m else Fraction(0)
+    candidates = 1 + sum(1 << (e - i - 1) for i, e in enumerate(ends))
+    return LearnerOutcome(Window(k, elems), achieved, residual, {"candidates": candidates})
 
-    def candidates() -> Iterator[tuple[int, tuple[int, ...]]]:
-        yield 0, ()
-        for i, v in enumerate(points):
-            tail = [(points[j], mults[j]) for j in range(i + 1, len(points)) if points[j] <= v + k]
-            # depth first, each subset of the tail before its extensions, ascending
-            stack = [((v,), mults[i], 0)]
-            while stack:
-                elems, count, start = stack.pop()
-                yield count, elems
-                for j in range(len(tail) - 1, start - 1, -1):
-                    stack.append(((*elems, tail[j][0]), count + tail[j][1], j + 1))
 
-    return _best_ranked(candidates(), sample, "candidates", lambda elems: Window(k, elems))
+def _window_candidates(
+    points: tuple[int, ...], mults: tuple[int, ...], k: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every (count, elements) candidate of `window_learner`, ascending in encoding.
+
+    The empty window, then each unique value v in turn with a preorder of
+    its tail's subsets whose children pop ascending.  The reference that
+    `window_learner`'s reach computation is checked against: ranked by
+    `_best_ranked`, it gives the same outcome.
+    """
+    yield 0, ()
+    for i, v in enumerate(points):
+        tail = [(points[j], mults[j]) for j in range(i + 1, len(points)) if points[j] <= v + k]
+        # depth first, each subset of the tail before its extensions, ascending
+        stack = [((v,), mults[i], 0)]
+        while stack:
+            elems, count, start = stack.pop()
+            yield count, elems
+            for j in range(len(tail) - 1, start - 1, -1):
+                stack.append(((*elems, tail[j][0]), count + tail[j][1], j + 1))
 
 
 def halfspace_precision_bits(n: int) -> int:

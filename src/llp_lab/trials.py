@@ -126,7 +126,7 @@ LEARNER_IDS = (*SAMPLE_LEARNERS, "noisy_distinguisher")
 M_MODES = ("explicit", "hoeffding", "gap", "uniform-convergence")
 # The most trials a run may have.  The report's exact interval sums binomial
 # tails in integers of about 55 * trials bits, so its cost grows as trials**2:
-# under 1 s at this count, 3 s at 10,000 (one core of a 2-core x86-64 VM).
+# about 0.7 s at this count, 2.8 s at 10,000 (one core of a 2-core x86-64 VM).
 MAX_TRIALS = 5000
 
 
@@ -312,14 +312,28 @@ def _double(index: int) -> float:
     return struct.unpack("<d", struct.pack("<q", index))[0]
 
 
+def _midpoint(index: int) -> tuple[int, int]:
+    """(num, den) with num / den the midpoint of doubles index and index + 1, den a power of 2.
+
+    Double j is sig * 2**(e - 1075) with e its biased exponent (1 for
+    subnormals) and sig its significand with the hidden bit, and double
+    j + 1 is (sig + 1) * 2**(e - 1075) even across a binade, so the
+    midpoint is (2 * sig + 1) / 2**(1076 - e).
+    """
+    biased = index >> 52
+    sig = index & ((1 << 52) - 1) | (1 << 52 if biased else 0)
+    return 2 * sig + 1, 1 << (1076 - max(biased, 1))
+
+
 def _tail_quantile(n: int, k: int, target: float) -> float:
     """The double nearest the p with P(X >= k) = target, X ~ Bin(n, p), 1 <= k <= n.
 
     The tail increases strictly in p, from 0 at p = 0 to 1 at p = 1, so the
     answer is the double of the least index j whose midpoint with double
     j + 1 lies above the quantile, or 1.0 when there is none.  A float
-    bisection and one Newton step on the exact tail give a start index;
-    exact comparisons at midpoints then gallop from it and bisect.
+    Newton search (`_float_quantile`) and one Newton step on the exact tail
+    give a start index; exact comparisons at midpoints then gallop from it
+    and bisect, so the answer does not depend on the start.
 
     No midpoint is ever the quantile, so no tie is left to break.  Above
     2**-1022 a midpoint is a / 2**e with a odd and a > 2**53, and every term
@@ -329,9 +343,8 @@ def _tail_quantile(n: int, k: int, target: float) -> float:
     """
     t_num, t_den = target.as_integer_ratio()
 
-    def residual(p: Fraction) -> tuple[int, int]:
-        """(r, scale) with P(X >= k) - target = r / scale at p, exactly."""
-        num, den = p.as_integer_ratio()
+    def residual(num: int, den: int) -> tuple[int, int]:
+        """(r, scale) with P(X >= k) - target = r / scale at p = num / den, den a power of 2."""
         exp = den.bit_length() - 1
         scale = t_den << exp * n
         # sum the shorter tail: P(X >= k), or 1 - P(X <= k - 1)
@@ -340,30 +353,15 @@ def _tail_quantile(n: int, k: int, target: float) -> float:
         return ((t_den - t_num) << exp * n) - _tail_sum(n, n - k + 1, den - num, num) * t_den, scale
 
     def above(j: int) -> bool:
-        return residual((Fraction(_double(j)) + Fraction(_double(j + 1))) / 2)[0] > 0
+        return residual(*_midpoint(j))[0] > 0
 
-    # The float search sums the tail on the far side of the mode, the small
-    # one: P(X >= k) < target exactly when P(X <= k - 1) > 1 - target.
-    complement = target > 0.5
-    lo, hi = 0, _ONE
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        p = _double(mid)
-        if complement:
-            under = _float_mass(n, p, 0, k - 1) > 1.0 - target
-        else:
-            under = _float_mass(n, p, k, n) < target
-        if under:
-            lo = mid
-        else:
-            hi = mid
     # The float tail is off by a relative 1e-12 or so at a few thousand
     # trials, tens of ulps in p; a Newton step on the exact residual, with
     # the float slope k * comb(n, k) * p**(k - 1) * (1 - p)**(n - k), gets
     # within about an ulp.
-    p = _double(hi)
+    p = _float_quantile(n, k, target)
     if p < 1.0:
-        r, scale = residual(Fraction(p))
+        r, scale = residual(*p.as_integer_ratio())
         log_slope = math.log(k * math.comb(n, k)) + (k - 1) * math.log(p) + (n - k) * math.log1p(-p)
         p = min(max(p - r / scale / math.exp(log_slope), 0.0), 1.0)
     start = struct.unpack("<q", struct.pack("<d", p))[0]
@@ -384,6 +382,55 @@ def _tail_quantile(n: int, k: int, target: float) -> float:
         else:
             lo = mid
     return _double(hi)
+
+
+def _float_quantile(n: int, k: int, target: float) -> float:
+    """A float estimate of the p with P(X >= k) = target, X ~ Bin(n, p), 1 <= k <= n.
+
+    Works on the small tail, the one on the far side of the mode: P(X >= k)
+    when target <= 1/2, else P(X <= k - 1) = 1 - target, which is
+    P(n - X >= n - k + 1) under the chance q = 1 - p.  So both cases solve
+    P(Y >= j) = goal <= 1/2 for Y ~ Bin(n, q).  Newton's method runs on
+    log P(Y >= j) as a function of log q, which is increasing and concave:
+    from the left each step stays left of the root, and from the right one
+    step crosses it.  A bracket [lo, hi] of q holds the root, q stays
+    strictly inside (0, 1), and a step leaving the bracket is replaced by
+    its midpoint.  The search stops once a step is below the float tail's
+    own error, a relative 1e-12, or the bracket holds no double between its
+    ends.  A target of 1.0 (1 - alpha / 2 rounded up) has the quantile 1.
+    """
+    if target == 1.0:
+        return 1.0
+    mirror = target > 0.5
+    j, goal = (n - k + 1, 1.0 - target) if mirror else (k, target)
+    log_goal = math.log(goal)
+    # d P(Y >= j) / dq = j * comb(n, j) * q**(j - 1) * (1 - q)**(n - j)
+    log_top = math.log(j * math.comb(n, j))
+    lo, hi = 0.0, 1.0
+    q = j / (n + 1)
+    while True:
+        mass = _float_mass(n, q, j, n)
+        if mass < goal:
+            lo = q
+        else:
+            hi = q
+        if mass > 0.0:
+            # d log P(Y >= j) / d log q, then the Newton step in log q
+            slope = math.exp(log_top + j * math.log(q) + (n - j) * math.log1p(-q)) / mass
+            step = (log_goal - math.log(mass)) / slope
+            if abs(step) < 1e-12:
+                break
+            nxt = q * math.exp(step)
+        else:
+            # the float tail underflowed (at the smallest targets past
+            # about 5,000 trials): bisect
+            nxt = lo
+        if not lo < nxt < hi:
+            nxt = (lo + hi) / 2
+            if not lo < nxt < hi:
+                break
+        q = nxt
+    return 1.0 - q if mirror else q
 
 
 def _tail_sum(n: int, k: int, a: int, b: int) -> int:

@@ -36,9 +36,14 @@ from llp_lab import (
     uniform_over,
     weight_of,
 )
-from llp_lab.core import _pack_counts, _sample_packed, _unpack
+from llp_lab.core import _pack, _sample_packed, _unpack
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
+
+
+def _pack_counts(counts):
+    """(point, count) pairs with each point packed; sorted pairs stay sorted."""
+    return tuple((_pack(p), c) for p, c in counts)
 
 
 def test_make_distribution_single_atom():

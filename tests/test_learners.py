@@ -44,7 +44,7 @@ from llp_lab import (
     window_learner,
 )
 from llp_lab import learners
-from llp_lab.learners import _best_ranked, _suffix_reach
+from llp_lab.learners import _best_ranked, _suffix_reach, _window_candidates
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 SUBSETS_12 = ClassDescriptor("finite_subset", 1, ground_set=(1, 2))
@@ -322,8 +322,9 @@ def test_best_ranked_builds_only_the_winner_without_ties():
 
 
 def test_learners_hand_best_ranked_streams_in_ascending_encoding(monkeypatch):
-    """The precondition of `_best_ranked`, checked on every stream the window
-    learner and ERM give it: built encodings ascend strictly."""
+    """The precondition of `_best_ranked`, checked on every stream ERM gives
+    it and on the window learner's reference stream (`_window_candidates`):
+    built encodings ascend strictly."""
     streams = []
 
     def spy(candidates, sample, work, build=None):
@@ -333,11 +334,14 @@ def test_learners_hand_best_ranked_streams_in_ascending_encoding(monkeypatch):
 
     monkeypatch.setattr(learners, "_best_ranked", spy)
     rng = random.Random(23)
+    window_streams = []
     for _ in range(150):
         k = rng.randint(0, 6)
         m = rng.randint(0, 16)
         pts = tuple(rng.randint(1, 14) for _ in range(m))
-        window_learner(Sample(pts, F(rng.randint(0, m), m) if m else F(0)), k)
+        sample = Sample(pts, F(rng.randint(0, m), m) if m else F(0))
+        candidates = _window_candidates(*learners._nat_sample_items(sample), k)
+        window_streams.append([encode(Window(k, elems)) for _, elems in candidates])
     descs = [
         ClassDescriptor("parity", 5),
         ClassDescriptor("parity", 6, restriction=3),
@@ -352,9 +356,36 @@ def test_learners_hand_best_ranked_streams_in_ascending_encoding(monkeypatch):
             else:
                 pts = tuple(tuple(rng.randint(0, 1) for _ in range(desc.n)) for _ in range(m))
             erm_proportion_matcher(desc, Sample(pts, F(rng.randint(0, m), m) if m else F(0)))
-    assert len(streams) == 150 + 4 * len(descs)
-    for codes in streams:
+    assert len(streams) == 4 * len(descs)
+    for codes in window_streams + streams:
         assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
+@st.composite
+def window_cases(draw):
+    """A span bound k and a sample of up to 60 naturals, dense (1-5, so
+    multiplicities and wide tails) or sparse (1-200, so many equal counts)."""
+    k = draw(st.integers(0, 8))
+    top = draw(st.sampled_from((5, 200)))
+    pts = draw(st.lists(st.integers(1, top), max_size=60))
+    m = len(pts)
+    return k, Sample(tuple(pts), F(draw(st.integers(0, m)), m) if m else F(0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(window_cases())
+@example((0, Sample((), F(0))))
+@example((0, Sample((1, 1), F(1, 2))))  # counts 0 and 2 tie for 1: the smaller wins
+@example((0, Sample((1, 2), F(1, 2))))  # two windows of count 1: the first value's
+@example((1, Sample((1, 2), F(1, 2))))  # count 1 is reached before the tail joins
+@example((3, Sample((1, 2, 2, 4, 5, 5, 5), F(4, 7))))
+def test_window_learner_matches_ranking_its_candidates(case):
+    """The reach computation gives what ranking every candidate gives: the
+    same window, proportions and candidate count."""
+    k, sample = case
+    candidates = _window_candidates(*learners._nat_sample_items(sample), k)
+    want = _best_ranked(candidates, sample, "candidates", lambda elems: Window(k, elems))
+    assert window_learner(sample, k) == want
 
 
 def test_window_k0_forces_singletons():

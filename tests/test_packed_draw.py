@@ -36,13 +36,13 @@ from llp_lab.core import (
     COUNT_DRAW_MIN,
     _draw_packed,
     _pack,
-    _pack_counts,
     _sample_packed,
     check_same_domain,
     draw_counts,
     make_distribution,
 )
 from llp_lab.reductions import OracleCall
+from test_core import _pack_counts
 
 
 def _point_draw_counts(dist, m, seed):
@@ -177,5 +177,4 @@ def test_consistency_via_llp_builds_no_distribution(monkeypatch):
     monkeypatch.setattr(reductions, "make_distribution", refuse)
     monkeypatch.setattr(reductions, "draw_counts", refuse, raising=False)
     monkeypatch.setattr(core, "draw_counts", refuse)
-    monkeypatch.setattr(core, "_pack_counts", refuse)
     assert runs() == want

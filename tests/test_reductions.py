@@ -49,7 +49,6 @@ from llp_lab import (
 )
 from llp_lab.cli import main
 from llp_lab.core import (
-    _pack_counts,
     _sample_packed,
     check_same_domain,
     draw_counts,
@@ -57,6 +56,7 @@ from llp_lab.core import (
     points_from_counts,
 )
 from llp_lab.reductions import ConsistencyRun, OracleCall
+from test_core import _pack_counts
 
 
 def test_reweighted_distribution_worked_example():

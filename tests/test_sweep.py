@@ -34,12 +34,12 @@ from llp_lab import (
 from llp_lab.core import (
     _claim_samples,
     _pack,
-    _pack_counts,
     _sample_packed,
     draw_counts,
     make_distribution,
 )
 from llp_lab.reductions import OracleCall
+from test_core import _pack_counts
 from test_packed import _noisy_parity_reference, _tuple_labeled
 from test_reductions import _consistency_reference
 
