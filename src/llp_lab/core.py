@@ -22,11 +22,13 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
+from ._pcg64 import PCG64
 from .errors import (
     DomainMismatch,
     DuplicateSupportPoint,
     EmptySupport,
     InvalidParams,
+    MalformedEncoding,
     NonPositiveWeight,
     WeightsDoNotSumToOne,
 )
@@ -440,21 +442,21 @@ def _draw_packed(weighted: Sample, m: int, seed: int) -> tuple[tuple[int, int], 
 
     Atom (x, w) draws binomial(draws left, w / weight left), int / int and so
     correctly rounded: scaling every multiplicity by one factor changes no
-    draw.  The last atom takes the rest; atoms drawn 0 times are dropped, so
-    the result is sorted with counts >= 1, as `_sample_packed` requires.
+    draw.  The binomials are numpy's `Generator(PCG64(seed)).binomial`,
+    reproduced bit for bit by `_pcg64.PCG64`.  The last atom takes the rest;
+    atoms drawn 0 times are dropped, so the result is sorted with counts
+    >= 1, as `_sample_packed` requires.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
-    import numpy as np  # on first use, so `import llp_lab` does not pay for numpy
-
-    binomial = np.random.Generator(np.random.PCG64(seed)).binomial
+    binomial = PCG64(seed).binomial
     packed = weighted.packed_counts
     remaining, rem_weight = m, weighted.m
     out: list[tuple[int, int]] = []
     for x, w in packed[:-1]:
         if not remaining:
             break
-        c = int(binomial(remaining, w / rem_weight))
+        c = binomial(remaining, w / rem_weight)
         if c:
             out.append((x, c))
         remaining -= c
@@ -465,7 +467,10 @@ def _draw_packed(weighted: Sample, m: int, seed: int) -> tuple[tuple[int, int], 
 
 
 def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Point, int], ...]:
-    """m i.i.d. draws as Sample.counts: `_draw_packed` on `dist.weighted`, unpacked."""
+    """m i.i.d. draws as Sample.counts: `_draw_packed` on `dist.weighted`, unpacked.
+
+    The counts are numpy's `Generator(PCG64(seed)).binomial` draws, bit for bit.
+    """
     return _sample_packed(dist.weighted.domain, _draw_packed(dist.weighted, m, seed), m, Fraction(0)).counts
 
 
@@ -603,6 +608,8 @@ def distribution_to_json(dist: FiniteDistribution) -> dict:
 
 
 def distribution_from_json(obj: dict) -> FiniteDistribution:
+    if not isinstance(obj, dict):
+        raise MalformedEncoding(f"distribution must be a JSON object, got {obj!r}")
     if obj.get("kind") == "uniform_cube":
         return UniformCube(obj["n"])
     if obj.get("kind") == "explicit":

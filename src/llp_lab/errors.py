@@ -52,7 +52,7 @@ class IntractableExactProportion(LlpError):
 
 
 class MalformedEncoding(LlpError):
-    """A hypothesis bit string does not decode to a valid hypothesis."""
+    """An encoding does not decode: a hypothesis bit string, or a JSON field of the wrong shape."""
 
 
 class InfiniteClass(LlpError):

@@ -176,11 +176,11 @@ def _best_ranked(
 
 
 def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The distinct points and their multiplicities: a natural is its own packed form."""
     if sample.domain not in (None, ("nat", None)):
         raise DomainMismatch("this learner needs natural-number points")
-    points = tuple(p for p, _ in sample.counts)  # type: ignore[misc]
-    mults = tuple(c for _, c in sample.counts)
-    return points, mults  # type: ignore[return-value]
+    packed = sample.packed_counts
+    return tuple(zip(*packed)) if packed else ((), ())  # type: ignore[return-value]
 
 
 def _suffix_reach(mults: tuple[int, ...], cap: int) -> list[int]:

@@ -10,6 +10,7 @@ so equivalence tests can assert exact witness equality.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -267,13 +268,35 @@ def brute_x3c(inst: X3CInstance, budget: int = BRUTE_BUDGET) -> BruteForceReport
 # subset sum
 
 
+def _subset_sums(items: list[int]) -> list[int]:
+    """Every subset sum of `items`, indexed by inclusion bitmask (bit i for item i)."""
+    sums = [0]
+    for a in items:
+        sums += [s + a for s in sums]
+    return sums
+
+
+def _include_earliest(masks: list[int], bits: int) -> int:
+    """The mask a greedy pick keeps: with bit 0 if any mask has it, then bit 1, and so on."""
+    for i in range(bits):
+        with_bit = [x for x in masks if x >> i & 1]
+        if with_bit:
+            masks = with_bit
+    return masks[0]
+
+
 def brute_subset_sum(counts: Iterable[int], t: int, budget: int = BRUTE_BUDGET) -> BruteForceReport:
     """All-subsets reference for the nat-domain proportion learner's DP.
 
-    Enumerates every subset sum with a doubling concat (index = inclusion
-    bitmask, bit i for item i), takes the minimum of (|sum - t|, sum), and
-    picks the witness whose sorted item-index list is lexicographically
-    least, matching the DP learner's greedy include-earliest rule.
+    Covers all 2**u subsets by meeting in the middle (Horowitz & Sahni,
+    JACM 21(2), 1974): every sum of the first h = u // 2 items and every sum
+    of the rest, each list indexed by inclusion bitmask.  The optimum is the
+    least (|sum - t|, sum) over all pairs, found by bisecting the sorted
+    right-half sums once per left-half sum.  The witness is the greedy
+    include-earliest subset of that sum, matching the DP learner's rule: the
+    left-half mask picked over bits 0..h-1 among those that reach it, then
+    the right-half mask.  Independent of the learner's reach DP, which it
+    checks.
     """
     items = list(counts)
     if any(not isinstance(a, int) or a < 1 for a in items):
@@ -283,20 +306,21 @@ def brute_subset_sum(counts: Iterable[int], t: int, budget: int = BRUTE_BUDGET) 
     u = len(items)
     if u > 24 or 1 << u > budget:
         raise BudgetExceeded(f"{u} items means {1 << u} subsets")
-    import numpy as np  # on first use, so `import llp_lab` does not pay for numpy
-
-    sums = np.zeros(1, dtype=np.int64)
-    for a in items:
-        sums = np.concatenate([sums, sums + a])
-    gaps = np.abs(sums - t)
-    best_gap = int(gaps.min())
-    at_gap = sums[gaps == best_gap]
-    best_sum = int(at_gap.min())
-    candidates = np.nonzero(sums == best_sum)[0]
-    for i in range(u):
-        with_bit = candidates[(candidates >> i) & 1 == 1]
-        if with_bit.size and with_bit.size < candidates.size:
-            candidates = with_bit
-    mask = int(candidates[0])
-    witness = tuple(i for i in range(u) if (mask >> i) & 1)
+    h = u // 2
+    left, right = _subset_sums(items[:h]), _subset_sums(items[h:])
+    reach = set(right)
+    ranked = sorted(reach)
+    best = (t, 0)  # (|sum - t|, sum), here of the empty subset
+    for a in set(left):
+        i = bisect_right(ranked, t - a)  # the nearest right sums: ranked[i - 1] <= t - a < ranked[i]
+        if i:
+            best = min(best, (t - a - ranked[i - 1], a + ranked[i - 1]))
+        if i < len(ranked):
+            best = min(best, (a + ranked[i] - t, a + ranked[i]))
+    best_gap, best_sum = best
+    lmask = _include_earliest([x for x, a in enumerate(left) if best_sum - a in reach], h)
+    rest = best_sum - left[lmask]
+    rmask = _include_earliest([x for x, b in enumerate(right) if b == rest], u - h)
+    mask = lmask | rmask << h
+    witness = tuple(i for i in range(u) if mask >> i & 1)
     return BruteForceReport(None, witness, 1 << u, optimum=best_gap)

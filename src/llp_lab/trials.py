@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import compress
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .core import (
     FiniteDistribution,
@@ -467,13 +467,15 @@ def _float_mass(n: int, p: float, first: int, last: int) -> float:
 
 
 def run_single_trial(
-    config: TrialConfig, m: int, index: int, values: dict[Fraction, Hypothesis] | None = None
+    config: TrialConfig, m: int, index: int, values: dict[Fraction, Hypothesis] | None = None,
+    p_c: Fraction | None = None,
 ) -> TrialRow:
     """One seeded trial; an LlpError becomes an error row, not a crash.
 
     Any other exception is a bug in a learner or below it and propagates.
-    `values` is the gap learner's `gap_values` for the config, when the
-    run has built them once for all its trials.
+    `values` is the gap learner's `gap_values` for the config, and `p_c`
+    the fixed target's true proportion, when the run has computed them
+    once for all its trials.
     """
     trial_seed = derive_seed(config.seed, "trial", index)
     started = time.perf_counter() if config.record_ms else 0.0
@@ -505,7 +507,8 @@ def run_single_trial(
                 config.learner, config.desc, config.distribution, sample,
                 derive_seed(trial_seed, "sweep"), values,
             )
-        p_c = true_proportion(target, config.distribution)
+        if p_c is None:
+            p_c = true_proportion(target, config.distribution)
         p_h = true_proportion(outcome.hypothesis, config.distribution)
         residual = abs(p_c - p_h)  # `llp_success`'s test; config.epsilon is a Fraction already
         ms = round((time.perf_counter() - started) * 1000) if config.record_ms else 0
@@ -525,19 +528,20 @@ def run_trials(config: TrialConfig) -> TrialReport:
     worker per trial; results are assembled in trial order and each
     trial's randomness depends only on (master seed, index), so the pool
     size never shows in the output.  A value that is not an integer raises
-    InvalidParams.  The gap learner's achievable proportions depend on the
-    config alone, so they are built once here and handed to `resolve_m`
-    and every trial.
+    InvalidParams.  The gap learner's achievable proportions and a fixed
+    target's true proportion depend on the config alone, so they are built
+    once here and handed to `resolve_m` and every trial.
     """
     threads = os.environ.get("LLP_LAB_THREADS", "1") or "1"
     try:
         workers = min(int(threads), config.trials)
     except ValueError:
         raise InvalidParams(f"LLP_LAB_THREADS must be an integer, got {threads!r}") from None
-    values = _shared_gap_values(config)
+    values = _shared(gap_values, config.desc, config.distribution) if config.learner == "gap" else None
+    p_c = _shared(true_proportion, config.target, config.distribution) if config.target is not None else None
     m = resolve_m(config, values)
     resolved = replace(config, m=m, m_mode="explicit")
-    trial = partial(run_single_trial, resolved, m, values=values)
+    trial = partial(run_single_trial, resolved, m, values=values, p_c=p_c)
     indices = range(config.trials)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 30 ms to import, paid only here
@@ -549,14 +553,17 @@ def run_trials(config: TrialConfig) -> TrialReport:
     return TrialReport(resolved, rows)
 
 
-def _shared_gap_values(config: TrialConfig) -> dict[Fraction, Hypothesis] | None:
-    if config.learner != "gap":
-        return None
-    assert config.desc is not None
-    # The build is deterministic, so a failure here recurs where it was met
-    # before: in resolve_m, or in each trial as that trial's error row.
+_T = TypeVar("_T")
+
+
+def _shared(build: Callable[..., _T], *args: object) -> _T | None:
+    """`build(*args)` for every trial of a run, or None if it raises LlpError.
+
+    The build is deterministic, so a failure here recurs where it was met
+    before: in resolve_m, or in each trial as that trial's error row.
+    """
     try:
-        return gap_values(config.desc, config.distribution)
+        return build(*args)
     except LlpError:
         return None
 

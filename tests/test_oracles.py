@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,29 @@ def test_brute_subset_sum_ties_and_witnesses():
     assert brute_subset_sum((2, 3, 5), 0).witness == ()
     near = brute_subset_sum((4, 6), 1)
     assert near.optimum == 1 and near.witness == ()
+
+
+def _all_subsets(items, t):
+    """(optimum, witness) over every subset listed by itertools: least (|sum - t|, sum), then least index tuple."""
+    subsets = [c for r in range(len(items) + 1) for c in combinations(range(len(items)), r)]
+
+    def key(c):
+        s = sum(items[i] for i in c)
+        return abs(s - t), s
+
+    best = min(map(key, subsets))
+    return best[0], min(c for c in subsets if key(c) == best)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 6) | st.integers(1, 10**6), max_size=12),
+    st.integers(0, 100) | st.integers(0, 10**7),
+)
+def test_brute_subset_sum_meets_in_the_middle_like_a_full_enumeration(items, t):
+    report = brute_subset_sum(items, t)
+    assert (report.optimum, report.witness) == _all_subsets(items, t)
+    assert report.examined == 1 << len(items)
 
 
 def test_brute_subset_sum_budget():

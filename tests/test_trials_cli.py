@@ -353,6 +353,23 @@ def test_cli_gen_then_learn(tmp_path, capsys):
     assert outcome["improper"] is False
 
 
+def test_cli_learn_with_a_distribution_that_is_not_an_object_is_malformed_encoding(tmp_path, capsys):
+    # `"distribution": 7` once crashed `learn` with an AttributeError traceback and exit 1
+    task_path = tmp_path / "task.json"
+    args = ("gen", "--task", "--class-id", "monotone_disjunction", "--n", "3", "--cube", "--m", "12")
+    code, _, _ = run_cli(capsys, *args, "--seed", "5", "--out", str(task_path))
+    assert code == 0
+    obj = json.loads(task_path.read_text())
+    obj["task"]["distribution"] = 7
+    task_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "learn", "--task", str(task_path), "--learner", "erm")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "MalformedEncoding",
+        "detail": "distribution must be a JSON object, got 7",
+    }
+
+
 def test_cli_learn_with_a_fractional_positive_count_is_invalid_params(tmp_path, capsys):
     # a task whose p_hat * m is not a whole count is bad input, typed as such
     sample = Sample(((0, 1), (1, 1), (1, 0)), F(1, 3))
