@@ -102,6 +102,11 @@ def _pack(point: Point) -> int:
     return point
 
 
+def _unpack_bits(value: int, n: int) -> Bits:
+    """The n-bit vector whose packed form is `value` (`_pack` inverted), high bit first."""
+    return tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+
+
 def _unpack(domain: tuple[str, int | None] | None, values: Sequence[int]) -> tuple[Point, ...]:
     """Points from their packed forms (`_pack` inverted), in order.
 
@@ -111,7 +116,7 @@ def _unpack(domain: tuple[str, int | None] | None, values: Sequence[int]) -> tup
     if domain is None or domain[0] == "nat":
         return tuple(values)
     n = domain[1]
-    vectors = {v: tuple((v >> (n - 1 - i)) & 1 for i in range(n)) for v in set(values)}  # type: ignore[operator]
+    vectors = {v: _unpack_bits(v, n) for v in set(values)}  # type: ignore[arg-type]
     return tuple(map(vectors.__getitem__, values))
 
 
@@ -173,8 +178,8 @@ class UniformCube:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"cube dimension must be a positive int, got {self.n!r}")
+        if type(self.n) is not int or self.n < 1:
+            raise InvalidParams(f"cube dimension must be a positive int, got {self.n!r}")
 
 
 FiniteDistribution = ExplicitDistribution | UniformCube
@@ -244,7 +249,7 @@ def weight_of(dist: FiniteDistribution, point: Point) -> Fraction:
 def iter_cube(n: int) -> Iterator[Bits]:
     """All bit vectors of length n in ascending lexicographic order."""
     for value in range(2**n):
-        yield tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+        yield _unpack_bits(value, n)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +618,11 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
     if obj.get("kind") == "uniform_cube":
         return UniformCube(obj["n"])
     if obj.get("kind") == "explicit":
+        atoms = obj.get("atoms")
+        if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+            raise MalformedEncoding(f"distribution atoms must be a list of JSON objects, got {atoms!r}")
         return make_distribution(
-            (point_from_json(a["point"]), Fraction(a["num"], a["den"]))
-            for a in obj["atoms"]
+            (point_from_json(a["point"]), Fraction(a["num"], a["den"])) for a in atoms
         )
     raise ValueError(f"unknown distribution kind: {obj.get('kind')!r}")
 

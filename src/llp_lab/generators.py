@@ -13,6 +13,7 @@ from .core import (
     ExplicitDistribution,
     FiniteDistribution,
     Point,
+    _unpack_bits,
     derive_seed,
     make_distribution,
     parse_rational,
@@ -78,9 +79,7 @@ def gen_consistency(
         if n_points > 2**desc.n:
             raise InvalidParams(f"{n_points} distinct points do not fit a {desc.n}-cube")
         codes = rng.sample(range(2**desc.n), n_points)
-        points = tuple(
-            sorted(tuple((c >> (desc.n - 1 - i)) & 1 for i in range(desc.n)) for c in codes)
-        )
+        points = tuple(sorted(_unpack_bits(c, desc.n) for c in codes))
     else:
         if n_points > nat_range:
             raise InvalidParams(f"{n_points} distinct naturals need a wider range")
@@ -107,9 +106,7 @@ def gen_distribution(desc: ClassDescriptor, support: int, seed: int, nat_range: 
         if support > 2**desc.n:
             raise InvalidParams(f"{support} distinct points do not fit a {desc.n}-cube")
         codes = rng.sample(range(2**desc.n), support)
-        points: list[Point] = [
-            tuple((c >> (desc.n - 1 - i)) & 1 for i in range(desc.n)) for c in codes
-        ]
+        points: list[Point] = [_unpack_bits(c, desc.n) for c in codes]
     else:
         if support > nat_range:
             raise InvalidParams(f"{support} distinct naturals need a wider range")

@@ -32,6 +32,7 @@ from .core import (
     Point,
     Sample,
     _pack,
+    _unpack_bits,
     bits_from_string,
     bits_to_string,
     point_domain,
@@ -327,7 +328,7 @@ def labeler(h: Hypothesis, domain: tuple[str, int | None] | None) -> Callable[[i
 
     Points are packed by `core._pack`: a bit vector becomes an n-bit int
     with coordinate 1 as the high bit (the order of `iter_cube` and
-    `_mask_to_tuple`), a natural stays as it is.  The domain is checked
+    `_unpack_bits`), a natural stays as it is.  The domain is checked
     here, once per container: `domain` is the one the container validated
     when it was built (`Sample.domain`, an explicit distribution's on its
     `weighted` sample, a cube's ("bits", n)), and DomainMismatch is raised
@@ -494,7 +495,7 @@ def _class_member(desc: ClassDescriptor, value: int) -> Hypothesis:
     if desc.class_id == "parity":
         member = object.__new__(Parity)
         keff = desc.restriction if desc.restriction is not None else n
-        member.__dict__["mask"] = _mask_to_tuple(value, keff, n)
+        member.__dict__["mask"] = _unpack_bits(value, keff) + (0,) * (n - keff)
     else:
         member = object.__new__(_FOLDS[desc.class_id][0])
         member.__dict__.update(n=n, vars=tuple(j + 1 for j in range(n) if (value >> (n - 1 - j)) & 1))
@@ -806,10 +807,6 @@ def _generic_labelings(
         if vec not in best:  # enumeration is in encoding order, first wins
             best[vec] = h
     return list(best.items())
-
-
-def _mask_to_tuple(mask: int, keff: int, n: int) -> Bits:
-    return tuple((mask >> (keff - 1 - i)) & 1 for i in range(keff)) + (0,) * (n - keff)
 
 
 def _parity_labelings(columns: Sequence[int], budget: int) -> list[tuple[int, int]]:

@@ -58,7 +58,6 @@ __all__ = [
     "halfspace_sweep_learner",
     "noisy_parity_uniform_learner",
     "HALFSPACE_RETRIES",
-    "halfspace_precision_bits",
 ]
 
 HALFSPACE_RETRIES = 3
@@ -312,40 +311,31 @@ def _window_candidates(
                 stack.append(((*elems, tail[j][0]), count + tail[j][1], j + 1))
 
 
-def halfspace_precision_bits(n: int) -> int:
-    return 8 * n
-
-
-def halfspace_sweep_learner(
-    sample: Sample,
-    seed: int,
-    retries: int = HALFSPACE_RETRIES,
-    precision_bits: int | None = None,
-) -> LearnerOutcome:
+def halfspace_sweep_learner(sample: Sample, seed: int) -> LearnerOutcome:
     """Randomized sweep: project on a random rational normal, cut at a midpoint.
 
-    Draws a normal with B-bit dyadic coordinates, sorts the distinct
+    Draws a normal with 8n-bit dyadic coordinates, sorts the distinct
     projection values, and looks for a boundary where exactly t points (with
     multiplicity) land strictly above; the threshold is the midpoint of the
     adjacent projections (or sits past the extremes for all-or-nothing
     counts).  When t falls strictly inside a block of equal projections the
-    normal is redrawn, up to `retries` times.  A halfspace labels whole
-    points, so it can reach t only if t is a subset sum of the sample's
-    multiplicities: when every draw fails, the error is UnreachableCount if
-    that subset-sum bitset proves t is not one, else CollisionPersistent
-    (another normal might still realize t).
+    normal is redrawn, up to `HALFSPACE_RETRIES` times.  A halfspace labels
+    whole points, so it can reach t only if t is a subset sum of the
+    sample's multiplicities: when every draw fails, the error is
+    UnreachableCount if that subset-sum bitset proves t is not one, else
+    CollisionPersistent (another normal might still realize t).
     """
     if sample.domain is None:
         raise DegenerateSample("the sweep learner needs a nonempty sample")
     kind, n = sample.domain
     if kind != "bits":
         raise DomainMismatch("the sweep learner needs bit-vector points")
-    B = precision_bits if precision_bits is not None else halfspace_precision_bits(n)
+    B = 8 * n
     m = sample.m
     t = sample.positive_count
     rng = random.Random(seed)
     denom = 1 << B
-    for attempt in range(retries + 1):
+    for attempt in range(HALFSPACE_RETRIES + 1):
         nums = [rng.getrandbits(B) for _ in range(n)]
         groups: dict[int, int] = {}  # projection -> multiplicity
         for point, c in sample.counts:
@@ -376,7 +366,7 @@ def halfspace_sweep_learner(
     mults = tuple(c for _, c in sample.counts)
     reachable = _suffix_reach(mults, t)[0] >> t & 1
     failure = CollisionPersistent if reachable else UnreachableCount
-    raise failure(f"count {t} of {m} not realizable after {retries + 1} draws")
+    raise failure(f"count {t} of {m} not realizable after {HALFSPACE_RETRIES + 1} draws")
 
 
 def noisy_parity_uniform_learner(

@@ -146,82 +146,55 @@ class OracleCall(NamedTuple):
         }
 
 
-class Transcript(Sequence):
-    """A sweep's transcript, stored as runs of consecutive lines that share one response.
+@dataclass(frozen=True)
+class Transcript:
+    """A sweep's transcript: its lines, stored as runs of equal consecutive lines.
 
-    Line j is `OracleCall(Fraction(j, den), response, accepted)` for the run
-    holding j; run i covers j from `ends[i - 1]` (0 for the first run) up to
-    `ends[i]`, exclusive.  Lines are built only when read.  It reads like
-    the tuple of its lines: `len`, indexing (negative too), slicing (to
-    that tuple's slice), iteration, equality with that tuple (either way
-    round) and its hash.  Two transcripts compare by their runs, without
-    building a line.
+    `runs` holds one (end, response, accepted) per run: run i covers the
+    claims j from the previous run's end (0 for the first run) up to `end`,
+    exclusive, and line j is `OracleCall(Fraction(j, den), response,
+    accepted)`.  The ends must increase.  Construction makes the runs
+    canonical, in time linear in the runs: adjacent runs with equal
+    (response, accepted) merge, and `den` is 1 when there is at most one
+    line, since claim 0 is 0 over any `den`.  So two transcripts are equal,
+    and hash alike, exactly when their lines are, and neither comparing,
+    hashing nor `repr` builds a line.  The lines are read by `len`,
+    indexing (negative too; a bisection over the run ends), iteration and
+    `tuple(t)`.
     """
 
-    __slots__ = ("_den", "_ends", "_responses", "_accepted")
+    den: int
+    runs: tuple[tuple[int, Hypothesis | None, bool | None], ...]
 
-    def __init__(
-        self, den: int, ends: Sequence[int], responses: Sequence[Hypothesis | None],
-        accepted: Sequence[bool | None],
-    ) -> None:
-        self._den = den
-        self._ends = tuple(ends)
-        self._responses = tuple(responses)
-        self._accepted = tuple(accepted)
+    def __post_init__(self) -> None:
+        runs: list[tuple[int, Hypothesis | None, bool | None]] = []
+        for run in self.runs:
+            if runs and runs[-1][2] == run[2] and runs[-1][1] == run[1]:
+                runs[-1] = run
+            else:
+                runs.append(run)
+        object.__setattr__(self, "runs", tuple(runs))
+        if len(self) <= 1:
+            object.__setattr__(self, "den", 1)
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self.runs[-1][0] if self.runs else 0
 
-    def __getitem__(self, index: int | slice) -> OracleCall | tuple[OracleCall, ...]:
-        if isinstance(index, slice):
-            return tuple(self[j] for j in range(*index.indices(len(self))))
+    def __getitem__(self, index: int) -> OracleCall:
         j = operator.index(index)
         if j < 0:
             j += len(self)
         if not 0 <= j < len(self):
             raise IndexError("transcript index out of range")
-        i = bisect_right(self._ends, j)
-        return OracleCall(Fraction(j, self._den), self._responses[i], self._accepted[i])
+        _, response, accepted = self.runs[bisect_right(self.runs, j, key=operator.itemgetter(0))]
+        return OracleCall(Fraction(j, self.den), response, accepted)
 
     def __iter__(self) -> Iterator[OracleCall]:
-        den, j = self._den, 0
-        for end, response, accepted in zip(self._ends, self._responses, self._accepted):
+        j = 0
+        for end, response, accepted in self.runs:
             for j in range(j, end):
-                yield OracleCall(Fraction(j, den), response, accepted)
+                yield OracleCall(Fraction(j, self.den), response, accepted)
             j = end
-
-    def _merged_runs(self) -> list[tuple[int, Hypothesis | None, bool | None]]:
-        """(end, response, accepted) per longest run of equal lines."""
-        merged: list[tuple[int, Hypothesis | None, bool | None]] = []
-        for end, response, accepted in zip(self._ends, self._responses, self._accepted):
-            if merged and merged[-1][1:] == (response, accepted):
-                merged[-1] = (end, response, accepted)
-            else:
-                merged.append((end, response, accepted))
-        return merged
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Transcript):
-            # lines are equal where runs merged over equal lines are; the claims
-            # j / den agree when den does, or when only claim 0 is there
-            return (
-                len(self) == len(other)
-                and (self._den == other._den or len(self) <= 1)
-                and self._merged_runs() == other._merged_runs()
-            )
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        first, runs = 0, []
-        for end, response, accepted in zip(self._ends, self._responses, self._accepted):
-            runs.append((first, end - 1, response, accepted))
-            first = end
-        return f"Transcript(den={self._den}, runs={runs!r})"
 
 
 def _sweep(
@@ -231,40 +204,36 @@ def _sweep(
 ) -> tuple[Hypothesis | None, Transcript]:
     """Ask about every claim j/m in turn; return the first accepted response.
 
-    Returns it (None if none passed) and the transcript up to it.  The
-    claims come as runs from `oracle.sweep` when the oracle has one, and
-    otherwise one at a time from `solve` over `core._claim_samples`.  An
-    accepted run is cut at its first claim.  `accepts` sees each distinct
-    response once: one identical to the previous run's extends that run,
-    and any other is looked up by value first.
+    Returns it (None if none passed) and the transcript up to it, built
+    from one list of (end, response, accepted) runs.  The claims come as
+    runs from `oracle.sweep` when the oracle has one, and otherwise one at
+    a time from `solve` over `core._claim_samples`.  An accepted run is cut
+    at its first claim.  `accepts` sees each distinct response once: one
+    identical to the previous run's extends that run, and any other is
+    looked up by value first.
     """
     if oracle.sweep is None:
         solve = oracle.solve
-        runs: Iterable[tuple[int, int, Hypothesis | None]] = (
+        ladder: Iterable[tuple[int, int, Hypothesis | None]] = (
             (j, j, solve(sample, claim, eps, delta))
             for j, (claim, sample) in enumerate(_claim_samples(domain, packed_counts, m, draws))
         )
     else:
-        runs = oracle.sweep(domain, packed_counts, m, eps, delta)
+        ladder = oracle.sweep(domain, packed_counts, m, eps, delta)
     verdicts: dict[Hypothesis, bool] = {}
-    ends: list[int] = []
-    responses: list[Hypothesis | None] = []
-    oks: list[bool | None] = []
-    for first, final, response in runs:
-        if responses and response is responses[-1]:  # same verdict, not an acceptance
-            ends[-1] = final + 1
+    runs: list[tuple[int, Hypothesis | None, bool | None]] = []
+    for first, final, response in ladder:
+        if runs and response is runs[-1][1]:  # same verdict, not an acceptance
+            runs[-1] = (final + 1, response, runs[-1][2])
             continue
         ok = None if response is None else verdicts.get(response)
         if ok is None and response is not None:
             ok = verdicts[response] = accepts(response)
         if ok:
-            final = first
-        ends.append(final + 1)
-        responses.append(response)
-        oks.append(ok)
-        if ok:
-            return response, Transcript(m or 1, ends, responses, oks)
-    return None, Transcript(m or 1, ends, responses, oks)
+            runs.append((first + 1, response, ok))
+            return response, Transcript(m, tuple(runs))
+        runs.append((final + 1, response, ok))
+    return None, Transcript(m, tuple(runs))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,10 @@ class TrialConfig:
             raise InvalidParams(f"unknown learner {self.learner!r}")
         if self.m_mode not in M_MODES:
             raise InvalidParams(f"unknown m_mode {self.m_mode!r}")
+        if type(self.trials) is not int or type(self.seed) is not int or not (self.m is None or type(self.m) is int):
+            raise InvalidParams(f"trials, seed and m must be ints, got {self.trials!r}, {self.seed!r}, {self.m!r}")
+        if type(self.record_ms) is not bool:
+            raise InvalidParams(f"record_ms must be true or false, got {self.record_ms!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise InvalidParams(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
         if not 0 <= self.epsilon <= 1 or not 0 < self.delta < 1:

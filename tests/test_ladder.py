@@ -228,7 +228,7 @@ LINES = (
 
 
 def _transcript():
-    return Transcript(5, [2, 5, 6], [None, H1, H2], [None, False, True])
+    return Transcript(5, ((2, None, None), (5, H1, False), (6, H2, True)))
 
 
 def test_transcript_reads_as_the_tuple_of_its_lines():
@@ -244,57 +244,25 @@ def test_transcript_reads_as_the_tuple_of_its_lines():
             t[bad]
 
 
-def test_transcript_slices_to_the_tuple_of_its_lines():
+def test_transcript_equals_and_hashes_by_its_canonical_runs():
     t = _transcript()
-    assert t[:2] == LINES[:2] and isinstance(t[:2], tuple)
-    assert t[::-1] == LINES[::-1] and t[-2:] == LINES[-2:] and t[1:5:3] == LINES[1:5:3]
-    assert t[4:1] == t[-1:-7] == t[9:] == ()
-    assert Transcript(1, [], [], [])[:] == ()
-
-
-def _slices(size):
-    """Slices of a sequence of `size`: hypothesis' own, and any ends or nonzero step."""
-    ends = st.none() | st.integers(-size - 3, size + 3)
-    steps = st.none() | st.integers(-4, 4).filter(bool)
-    return st.slices(size) | st.builds(slice, ends, ends, steps)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(CUBE_CLASSES),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=10),
-    st.sampled_from(MODES),
-    st.integers(min_value=0, max_value=2**32),
-    st.data(),
-)
-def test_transcript_slices_match_the_tuple_on_both_paths(class_id, n, points, mode, seed, data):
-    desc = ClassDescriptor(class_id, n)
-    inst = gen_consistency(desc, min(points, 2**n), seed, max_mult=3)
-    for oracle in (make_brute_oracle(desc, mode), _per_claim_oracle(desc, mode, [])):
-        t = consistency_via_llp(inst, oracle, F(1, 20), seed).transcript
-        assert isinstance(t, Transcript)
-        lines = tuple(t)
-        for s in data.draw(st.lists(_slices(len(t)), min_size=1, max_size=8)):
-            assert t[s] == lines[s]
-
-
-def test_transcript_equals_and_hashes_like_the_tuple():
-    t = _transcript()
-    assert t == LINES and LINES == t
-    assert not (t != LINES) and not (LINES != t)
-    assert hash(t) == hash(LINES)
     assert t == _transcript() and hash(t) == hash(_transcript())
-    changed = LINES[:5] + (OracleCall(F(1), H2, False),)
-    assert t != changed and changed != t
-    assert t != LINES[:5] and t != list(LINES)
-    assert len({t, LINES}) == 1
+    split = Transcript(5, ((1, None, None), (2, None, None), (3, H1, False), (5, H1, False), (6, H2, True)))
+    assert split.runs == t.runs and split == t and hash(split) == hash(t)
+    assert repr(t) == f"Transcript(den=5, runs=((2, None, None), (5, {H1!r}, False), (6, {H2!r}, True)))"
+    changed = Transcript(5, ((2, None, None), (5, H1, False), (6, H2, False)))
+    assert t != changed and tuple(changed) == LINES[:5] + (OracleCall(F(1), H2, False),)
+    # a transcript equals transcripts only: its lines are read through tuple(t)
+    assert t != LINES and LINES != t and tuple(t) == LINES
+    assert len({t, LINES}) == 2
 
 
 def test_empty_and_single_claim_transcripts():
-    assert Transcript(1, [], [], []) == () and len(Transcript(1, [], [], [])) == 0
-    single = Transcript(1, [1], [Parity((0, 0))], [True])
-    assert single == (OracleCall(F(0), Parity((0, 0)), True),)
+    assert tuple(Transcript(1, ())) == () and len(Transcript(1, ())) == 0
+    assert Transcript(5, ()) == Transcript(1, ()) and Transcript(5, ()).den == 1
+    single = Transcript(7, ((1, Parity((0, 0)), True),))
+    assert single.den == 1 and single == Transcript(1, ((1, Parity((0, 0)), True),))
+    assert tuple(single) == (OracleCall(F(0), Parity((0, 0)), True),)
     assert single[0].claimed == 0 and single[0].claimed.denominator == 1
 
 
@@ -309,15 +277,13 @@ def _lines(draw, max_len=8):
 
 def _runs(data, den, lines):
     """A transcript of `lines`, each run of equal lines cut at random places."""
-    ends, responses, accepted = [], [], []
+    runs = []
     for j, (response, ok) in enumerate(lines):
-        if responses and (responses[-1], accepted[-1]) == (response, ok) and data.draw(st.booleans()):
-            ends[-1] = j + 1
-            continue
-        ends.append(j + 1)
-        responses.append(response)
-        accepted.append(ok)
-    return Transcript(den, ends, responses, accepted)
+        if runs and runs[-1][1:] == (response, ok) and data.draw(st.booleans()):
+            runs[-1] = (j + 1, response, ok)
+        else:
+            runs.append((j + 1, response, ok))
+    return Transcript(den, tuple(runs))
 
 
 @settings(max_examples=400, deadline=None)
@@ -335,20 +301,34 @@ def test_transcript_equality_is_line_wise_equality(data):
         assert hash(a) == hash(b)
 
 
-def test_transcript_equality_builds_no_line(monkeypatch):
+def _no_line(monkeypatch):
     def no_line(*args):
         raise AssertionError("a transcript line was built")
 
     monkeypatch.setattr(reductions, "OracleCall", no_line)
+
+
+def test_transcript_equality_builds_no_line(monkeypatch):
+    _no_line(monkeypatch)
     big = 10**12
-    a = Transcript(7, [5, big], [H1, H1], [False, False])
-    assert a == Transcript(7, [big], [MonotoneDisjunction(3, (1,))], [False])
-    assert a != Transcript(8, [big], [H1], [False])
-    assert a != Transcript(7, [big], [H1], [None])
-    assert a != Transcript(7, [big - 1, big], [H1, H2], [False, False])
-    assert a != Transcript(7, [big + 1], [H1], [False])
-    assert Transcript(3, [1], [H1], [True]) == Transcript(5, [1], [H1], [True])
-    assert Transcript(3, [], [], []) == Transcript(5, [], [], [])
+    a = Transcript(7, ((5, H1, False), (big, H1, False)))
+    assert a == Transcript(7, ((big, MonotoneDisjunction(3, (1,)), False),))
+    assert a != Transcript(8, ((big, H1, False),))
+    assert a != Transcript(7, ((big, H1, None),))
+    assert a != Transcript(7, ((big - 1, H1, False), (big, H2, False)))
+    assert a != Transcript(7, ((big + 1, H1, False),))
+    assert Transcript(3, ((1, H1, True),)) == Transcript(5, ((1, H1, True),))
+    assert Transcript(3, ()) == Transcript(5, ())
+
+
+def test_hashing_a_run_builds_no_line(monkeypatch):
+    desc = ClassDescriptor("monotone_disjunction", 3)
+    run = consistency_via_llp(gen_consistency(desc, 6, 11, max_mult=3), make_brute_oracle(desc), F(1, 20), 4)
+    assert len(run.transcript) > 1
+    _no_line(monkeypatch)
+    assert hash(run) == hash(dataclasses.replace(run))
+    assert len({run.transcript, Transcript(run.transcript.den, run.transcript.runs)}) == 1
+    assert "OracleCall" not in repr(run)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -358,5 +338,4 @@ def test_transcript_json_matches_the_reference_sweep_line_for_line(mode, seed):
     inst = gen_consistency(desc, 5, seed, max_mult=3)
     got = consistency_via_llp(inst, make_brute_oracle(desc, mode), F(1, 20), seed)
     want = _consistency_reference(inst, make_brute_oracle(desc, mode), F(1, 20), seed)
-    assert isinstance(want.transcript, tuple)
     assert [line.to_json() for line in got.transcript] == [line.to_json() for line in want.transcript]

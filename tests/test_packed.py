@@ -43,6 +43,7 @@ from llp_lab import (
 )
 from llp_lab import oracles
 from llp_lab.reductions import NoisyParityRun, OracleCall
+from test_reductions import _transcript_of
 
 
 def _tuple_points(n, m, seed):
@@ -171,7 +172,7 @@ def _noisy_parity_reference(setup, m, oracle, delta, seed):
         ok = isinstance(response, Parity) and F(bad, m) < threshold
         transcript.append(OracleCall(claim, response, accepted=ok))
         if ok:
-            return NoisyParityRun(response, M, tuple(transcript))
+            return NoisyParityRun(response, M, _transcript_of(transcript))
     raise NoCandidateAccepted("no parity accepted")
 
 

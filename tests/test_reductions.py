@@ -55,7 +55,7 @@ from llp_lab.core import (
     make_distribution,
     points_from_counts,
 )
-from llp_lab.reductions import ConsistencyRun, OracleCall
+from llp_lab.reductions import ConsistencyRun, OracleCall, Transcript
 from test_core import _pack_counts
 
 
@@ -362,6 +362,13 @@ def test_instance_json_round_trips():
     assert ConsistencyInstance.from_json(cons.to_json()) == cons
 
 
+def _transcript_of(lines):
+    """A reference sweep's lines as a `Transcript`, one run per line; line j must claim j/den."""
+    den = lines[1].claimed.denominator if len(lines) > 1 else 1
+    assert [line.claimed for line in lines] == [F(j, den) for j in range(len(lines))]
+    return Transcript(den, tuple((j + 1, line.response, line.accepted) for j, line in enumerate(lines)))
+
+
 def _consistency_reference(inst, oracle, delta, seed):
     """The sweep with no verdict memo: every response goes to hits_exactly."""
     X = inst.total
@@ -380,8 +387,8 @@ def _consistency_reference(inst, oracle, delta, seed):
         ok = hits_exactly(inst, response)
         transcript.append(OracleCall(claim, response, accepted=ok))
         if ok:
-            return ConsistencyRun(True, response, m, tuple(transcript))
-    return ConsistencyRun(False, None, m, tuple(transcript))
+            return ConsistencyRun(True, response, m, _transcript_of(transcript))
+    return ConsistencyRun(False, None, m, _transcript_of(transcript))
 
 
 @settings(max_examples=25, deadline=None)

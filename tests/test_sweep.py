@@ -263,7 +263,7 @@ def test_noisy_parity_with_nothing_kept_asks_one_claim_over_an_empty_sample():
     keeper = Keeper(ClassDescriptor("parity", 3))
     run = noisy_parity_via_llp(setup, 40, keeper.oracle, F(1, 10), seed=2)
     assert run.filtered_size == 0
-    assert run.transcript == (OracleCall(F(0), Parity((0, 0, 0)), True),)
+    assert tuple(run.transcript) == (OracleCall(F(0), Parity((0, 0, 0)), True),)
     ((sample, claim),) = keeper.calls
     assert claim == 0
     assert (sample.domain, sample.m, sample.packed_counts, sample.points) == (None, 0, (), ())

@@ -370,6 +370,26 @@ def test_cli_learn_with_a_distribution_that_is_not_an_object_is_malformed_encodi
     }
 
 
+@pytest.mark.parametrize(
+    "distribution, error, detail",
+    [
+        ({"kind": "explicit", "atoms": 7}, "MalformedEncoding", "distribution atoms must be a list of JSON objects, got 7"),
+        ({"kind": "explicit", "atoms": [7]}, "MalformedEncoding", "distribution atoms must be a list of JSON objects, got [7]"),
+        ({"kind": "uniform_cube", "n": "3"}, "InvalidParams", "cube dimension must be a positive int, got '3'"),
+        ({"kind": "uniform_cube", "n": True}, "InvalidParams", "cube dimension must be a positive int, got True"),
+    ],
+)
+def test_cli_learn_with_a_malformed_distribution_field_is_a_typed_error(tmp_path, capsys, distribution, error, detail):
+    # the first and third once exited as "TypeError" and "ValueError"; a bool n was a 1-cube
+    task_path = Path(write_task(tmp_path, ClassDescriptor("finite_subset", 1, ground_set=(1, 2))))
+    obj = json.loads(task_path.read_text())
+    obj["task"]["distribution"] = distribution
+    task_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "learn", "--task", str(task_path), "--learner", "erm")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error, "detail": detail}
+
+
 def test_cli_learn_with_a_fractional_positive_count_is_invalid_params(tmp_path, capsys):
     # a task whose p_hat * m is not a whole count is bad input, typed as such
     sample = Sample(((0, 1), (1, 1), (1, 0)), F(1, 3))
@@ -464,6 +484,17 @@ def test_cli_trials_print_config(tmp_path, capsys):
     assert cfg["m"] == 185
     assert cfg["m_mode"] == "explicit"
     assert cfg["epsilon"] == {"num": 1, "den": 10}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.0), ("seed", True), ("trials", True), ("trials", 5.0), ("m", True), ("m", 4.0), ("record_ms", "no")],
+)
+def test_cli_trials_refuses_counts_and_flags_of_another_json_type(tmp_path, capsys, field, value):
+    # each was once run as the int or flag it stands for ("no" turned timing on)
+    code, out, err = run_cli(capsys, "trials", "--config", write_cli_config(tmp_path, **{field: value}))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
 
 
 def test_cli_trials_csv_deterministic(tmp_path, capsys):

@@ -35,7 +35,7 @@ from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 11, "hypotheses": 28, "reductions": 8, "oracles": 1, "learners": 0}
+CEILINGS = {"core": 10, "hypotheses": 28, "reductions": 8, "oracles": 1, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
