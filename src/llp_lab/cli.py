@@ -14,10 +14,14 @@ import json
 import sys
 
 from .core import (
+    RATIONAL,
+    REQUIRED,
     UniformCube,
     _pack,
     check_same_domain,
     derive_seed,
+    from_fields,
+    json_list,
     parse_rational,
     point_from_json,
     rational_to_json,
@@ -26,8 +30,9 @@ from .errors import LlpError
 from .generators import gen_consistency, gen_distribution, gen_epsc, gen_task, gen_x3c
 from .hypotheses import (
     CLASS_IDS,
+    DESCRIPTOR,
+    HYPOTHESIS,
     ClassDescriptor,
-    class_descriptor_from_json,
     hypothesis_to_json,
     labeler,
 )
@@ -71,9 +76,25 @@ from .trials import (
     run_learner,
     run_trials,
 )
-from .hypotheses import hypothesis_from_json
 
 __all__ = ["main"]
+
+
+# the reduce and oracle inputs that have no type of their own
+_PAC_INPUT = (
+    ("class", "desc", DESCRIPTOR, REQUIRED),
+    ("labeled", "labeled", json_list(json_list(None, "labeled example"), "pac labeled"), REQUIRED),
+)
+_NOISY_PARITY = (
+    ("n", "n", None, REQUIRED),
+    ("target", "target", HYPOTHESIS, REQUIRED),
+    ("eta", "eta", RATIONAL, REQUIRED),
+    ("eta_prime", "eta_prime", RATIONAL, REQUIRED),
+    ("restriction", "restriction", None, None),
+)
+_SUBSET_SUM = (("counts", "counts", json_list(None, "subset-sum counts"), REQUIRED), ("t", "t", None, REQUIRED))
+# the trials flags that override the config field of the same name
+_CONFIG_FLAGS = ("learner", "epsilon", "delta", "trials", "seed", "m", "m_mode")
 
 
 class _UsageError(Exception):
@@ -127,26 +148,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 def _cmd_trials(args: argparse.Namespace) -> int:
     obj: dict = _load(args.config) if args.config else {}
-    if args.learner is not None:
-        obj["learner"] = args.learner
-    if args.epsilon is not None:
-        obj["epsilon"] = args.epsilon
-    if args.delta is not None:
-        obj["delta"] = args.delta
-    if args.trials is not None:
-        obj["trials"] = args.trials
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.m is not None:
-        obj["m"] = args.m
-    if args.m_mode is not None:
-        obj["m_mode"] = args.m_mode
+    for name in _CONFIG_FLAGS:
+        if getattr(args, name) is not None:
+            obj[name] = getattr(args, name)
     if args.record_ms:
         obj["record_ms"] = True
-    try:
-        config = config_from_json(obj)
-    except KeyError as missing:
-        raise _UsageError(f"config field {missing} is required") from None
+    config = config_from_json(obj)
     if args.print_config:
         resolved = config_to_json(config)
         resolved["m"] = resolve_m(config)
@@ -262,9 +269,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         )
         return 0
     if args.run == "pac":
-        desc = class_descriptor_from_json(obj["class"])
-        labeled = [(point_from_json(p), lab) for p, lab in obj["labeled"]]
-        oracle = make_brute_oracle(desc, args.oracle)
+        pac = from_fields(_PAC_INPUT, obj, "pac input")
+        labeled = [(point_from_json(p), lab) for p, lab in pac["labeled"]]
+        oracle = make_brute_oracle(pac["desc"], args.oracle)
         run = llp_to_pac(labeled, oracle, delta, args.seed)
         label = labeler(run.hypothesis, check_same_domain(p for p, _ in labeled))
         errors = sum(label(_pack(p)) != lab for p, lab in labeled)
@@ -280,13 +287,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         )
         return 0
     if args.run == "noisy-parity":
-        setup = NoisyParitySetup(
-            n=obj["n"],
-            target=hypothesis_from_json(obj["target"]),  # type: ignore[arg-type]
-            eta=parse_rational(obj["eta"]),
-            eta_prime=parse_rational(obj["eta_prime"]),
-            restriction=obj.get("restriction"),
-        )
+        setup = NoisyParitySetup(**from_fields(_NOISY_PARITY, obj, "noisy-parity setup"))
         desc = ClassDescriptor("parity", setup.n, restriction=setup.restriction)
         oracle = make_brute_oracle(desc, args.oracle)
         m = args.m if args.m is not None else noisy_parity_sample_size(oracle, setup.eta_prime, delta)
@@ -318,7 +319,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     elif args.solver == "consistency":
         report = brute_consistency(ConsistencyInstance.from_json(obj))
     else:
-        report = brute_subset_sum(obj["counts"], obj["t"])
+        report = brute_subset_sum(**from_fields(_SUBSET_SUM, obj, "subset-sum input"))
     _emit(report.to_json(), args.out)
     return 0
 
@@ -462,17 +463,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)
         return 2
-    except LlpError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
+    except (LlpError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._pcg64 import PCG64
 from .errors import (
@@ -79,7 +79,7 @@ COUNT_DRAW_MIN = 4096
 
 
 def bits_from_string(s: str) -> Bits:
-    if not s or any(ch not in "01" for ch in s):
+    if not isinstance(s, str) or not s or any(ch not in "01" for ch in s):
         raise ValueError(f"not a bit string: {s!r}")
     return tuple(int(ch) for ch in s)
 
@@ -554,32 +554,79 @@ def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...
 
 
 # ---------------------------------------------------------------------------
-# JSON forms
+# JSON forms: each a table of fields (key, attribute, codec, default), written
+# by `to_fields` and read by `from_fields`.  A codec is a (write, read) pair, or
+# None for a value written and read as it is, which its constructor checks.
+
+REQUIRED = object()  # the default of a field that must be present
+Codec = tuple[Callable, Callable]
+Field = tuple[str, str, Codec | None, object]
+
+
+def to_fields(fields: Sequence[Field], value: object) -> dict:
+    """The JSON object of `value`'s attributes; an optional field whose value is None is left out."""
+    out = {}
+    for key, attr, codec, default in fields:
+        v = getattr(value, attr)
+        if v is not None or default is REQUIRED:
+            out[key] = v if codec is None else codec[0](v)
+    return out
+
+
+def from_fields(fields: Sequence[Field], obj: object, what: str) -> dict:
+    """attribute -> value read from the JSON object `obj`, an absent optional key as its default.
+
+    MalformedEncoding, naming the record `what` and the key, if `obj` is not an object or lacks a required key.
+    """
+    if not isinstance(obj, dict):
+        raise MalformedEncoding(f"{what} must be a JSON object, got {obj!r}")
+    out = {}
+    for key, attr, codec, value in fields:  # value: the default, until read
+        if key in obj:
+            value = obj[key] if codec is None else codec[1](obj[key])
+        elif value is REQUIRED:
+            raise MalformedEncoding(f"{what} field {key!r} is required")
+        out[attr] = value
+    return out
+
+
+def json_list(item: Codec | None, what: str) -> Codec:
+    """The codec of a list of `item`s (None: as they are), read as a tuple; `what` names it in errors."""
+    write, read = item or (None, None)
+
+    def read_list(value: object) -> tuple:
+        if not isinstance(value, list):
+            raise MalformedEncoding(f"{what} must be a list, got {value!r}")
+        return tuple(value if read is None else map(read, value))
+
+    return (list if write is None else lambda xs: list(map(write, xs))), read_list
 
 
 def parse_rational(value: object) -> Fraction:
-    """Exact rational from "3/10", "0.3", an int, a Fraction, or {num, den}."""
+    """Exact rational from "3/10", "0.3", an int, a Fraction, or {num, den}: the one rational reader.
+
+    InvalidParams for a zero denominator, a {num, den} that is not two ints,
+    a bool or any other type; a float keeps its TypeError.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise TypeError(f"rational {value!r} is a float; pass a string for exactness")
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, dict) and set(value) == {"num", "den"}:
-        return Fraction(value["num"], value["den"])
-    raise TypeError(f"not a rational: {value!r}")
+    parts = (value["num"], value["den"]) if isinstance(value, dict) and value.keys() == {"num", "den"} else (value,)
+    if type(value) is str or all(type(part) is int for part in parts):
+        try:
+            return Fraction(*parts)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidParams(f"not a rational: {value!r}")
 
 
 def rational_to_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def rational_from_json(obj: dict) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
+rational_from_json = parse_rational
+RATIONAL = (rational_to_json, parse_rational)
 
 
 def point_to_json(point: Point) -> dict:
@@ -590,14 +637,24 @@ def point_to_json(point: Point) -> dict:
 
 
 def point_from_json(obj: dict) -> Point:
-    if "bits" in obj:
+    if isinstance(obj, dict) and "bits" in obj:
         return bits_from_string(obj["bits"])
-    if "nat" in obj:
-        value = obj["nat"]
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"bad nat point: {value!r}")
-        return value
-    raise ValueError(f"not a point object: {obj!r}")
+    nat = obj.get("nat") if isinstance(obj, dict) else None
+    if type(nat) is not int or nat < 0:
+        raise MalformedEncoding(f"not a point object: {obj!r}")
+    return nat
+
+
+POINT = (point_to_json, point_from_json)
+_KIND = (("kind", "kind", None, REQUIRED),)
+_CUBE = (("n", "n", None, REQUIRED),)
+# an atom's weight and a sample's p_hat read as the {num, den} of a rational
+_ATOM = (("point", "point", POINT, REQUIRED), ("num", "num", None, REQUIRED), ("den", "den", None, REQUIRED))
+_SAMPLE = (
+    ("points", "points", json_list(POINT, "sample points"), REQUIRED),
+    ("p_hat_num", "num", None, REQUIRED),
+    ("p_hat_den", "den", None, REQUIRED),
+)
 
 
 def distribution_to_json(dist: FiniteDistribution) -> dict:
@@ -612,19 +669,24 @@ def distribution_to_json(dist: FiniteDistribution) -> dict:
     }
 
 
+def _atom_from_json(obj: dict) -> tuple[Point, Fraction]:
+    fields = from_fields(_ATOM, obj, "distribution atom")
+    return fields.pop("point"), parse_rational(fields)
+
+
 def distribution_from_json(obj: dict) -> FiniteDistribution:
-    if not isinstance(obj, dict):
-        raise MalformedEncoding(f"distribution must be a JSON object, got {obj!r}")
-    if obj.get("kind") == "uniform_cube":
-        return UniformCube(obj["n"])
-    if obj.get("kind") == "explicit":
+    kind = from_fields(_KIND, obj, "distribution")["kind"]
+    if kind == "uniform_cube":
+        return UniformCube(**from_fields(_CUBE, obj, "distribution"))
+    if kind == "explicit":
         atoms = obj.get("atoms")
         if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
             raise MalformedEncoding(f"distribution atoms must be a list of JSON objects, got {atoms!r}")
-        return make_distribution(
-            (point_from_json(a["point"]), Fraction(a["num"], a["den"])) for a in atoms
-        )
-    raise ValueError(f"unknown distribution kind: {obj.get('kind')!r}")
+        return make_distribution(map(_atom_from_json, atoms))
+    raise MalformedEncoding(f"unknown distribution kind: {kind!r}")
+
+
+DISTRIBUTION = (distribution_to_json, distribution_from_json)
 
 
 def sample_to_json(sample: Sample) -> dict:
@@ -636,7 +698,5 @@ def sample_to_json(sample: Sample) -> dict:
 
 
 def sample_from_json(obj: dict) -> Sample:
-    return Sample(
-        tuple(point_from_json(p) for p in obj["points"]),
-        Fraction(obj["p_hat_num"], obj["p_hat_den"]),
-    )
+    fields = from_fields(_SAMPLE, obj, "sample")
+    return Sample(fields.pop("points"), parse_rational(fields))

@@ -51,8 +51,13 @@ class IntractableExactProportion(LlpError):
     """Exact proportion requested for a hypothesis with no closed form on a cube too large to enumerate."""
 
 
-class MalformedEncoding(LlpError):
-    """An encoding does not decode: a hypothesis bit string, or a JSON field of the wrong shape."""
+class MalformedEncoding(LlpError, ValueError):
+    """An encoding does not decode; also a ValueError, as InvalidParams is.
+
+    Either a hypothesis bit string, or a JSON record that is not an object,
+    lacks a required field, holds a non-list where a list belongs or names
+    an unknown kind.  The message names the record and the field.
+    """
 
 
 class InfiniteClass(LlpError):

@@ -28,16 +28,20 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
+    RATIONAL,
+    REQUIRED,
     Bits,
     Point,
     Sample,
+    _KIND,
     _pack,
     _unpack_bits,
     bits_from_string,
     bits_to_string,
+    from_fields,
+    json_list,
     point_domain,
-    rational_from_json,
-    rational_to_json,
+    to_fields,
 )
 from .errors import BudgetExceeded, DomainMismatch, InfiniteClass, MalformedEncoding
 
@@ -104,7 +108,7 @@ class Parity:
 def _check_vars(n: int, vars: tuple[int, ...]) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"bad dimension {n!r}")
-    if any(not 1 <= v <= n for v in vars) or list(vars) != sorted(set(vars)):
+    if any(type(v) is not int or not 1 <= v <= n for v in vars) or list(vars) != sorted(set(vars)):
         raise ValueError(f"vars must be strictly increasing in 1..{n}: {vars!r}")
 
 
@@ -241,10 +245,10 @@ class ClassDescriptor:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"bad dimension {self.n!r}")
         if self.restriction is not None:
-            if self.class_id != "parity" or not 0 <= self.restriction <= self.n:
+            if self.class_id != "parity" or type(self.restriction) is not int or not 0 <= self.restriction <= self.n:
                 raise ValueError(f"restriction {self.restriction!r} invalid for {self.class_id}")
         if self.class_id == "window":
-            if self.k is None or self.k < 0:
+            if type(self.k) is not int or self.k < 0:
                 raise ValueError("window class needs a span bound k >= 0")
         elif self.k is not None:
             raise ValueError(f"k only applies to windows, not {self.class_id}")
@@ -391,13 +395,16 @@ def class_domain(desc: ClassDescriptor) -> str:
 # VC dimension and class sizes
 
 
+def _keff(desc: ClassDescriptor) -> int:
+    """The coordinates a class member may use: a parity's restriction, else n."""
+    return desc.restriction if desc.restriction is not None else desc.n
+
+
 def vc_dimension(desc: ClassDescriptor) -> int | float:
     """VC dimension, or INFINITE_VC for finite subsets of the naturals."""
     match desc.class_id:
-        case "parity":
-            return desc.restriction if desc.restriction is not None else desc.n
-        case "monotone_disjunction" | "monotone_conjunction":
-            return desc.n
+        case "parity" | "monotone_disjunction" | "monotone_conjunction":
+            return _keff(desc)
         case "finite_subset":
             return INFINITE_VC
         case "window":
@@ -414,11 +421,8 @@ def _window_domain(desc: ClassDescriptor) -> range:
 def class_size(desc: ClassDescriptor) -> int:
     """Exact number of hypotheses, or InfiniteClass if there is no finite count."""
     match desc.class_id:
-        case "parity":
-            keff = desc.restriction if desc.restriction is not None else desc.n
-            return 2**keff
-        case "monotone_disjunction" | "monotone_conjunction":
-            return 2**desc.n
+        case "parity" | "monotone_disjunction" | "monotone_conjunction":
+            return 2 ** _keff(desc)
         case "finite_subset":
             if desc.ground_set is None:
                 raise InfiniteClass("finite subsets need a ground_set to enumerate")
@@ -494,7 +498,7 @@ def _class_member(desc: ClassDescriptor, value: int) -> Hypothesis:
     n = desc.n
     if desc.class_id == "parity":
         member = object.__new__(Parity)
-        keff = desc.restriction if desc.restriction is not None else n
+        keff = _keff(desc)
         member.__dict__["mask"] = _unpack_bits(value, keff) + (0,) * (n - keff)
     else:
         member = object.__new__(_FOLDS[desc.class_id][0])
@@ -505,18 +509,9 @@ def _class_member(desc: ClassDescriptor, value: int) -> Hypothesis:
 def random_hypothesis(desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
     """One hypothesis drawn uniformly from the class (halfspaces excluded)."""
     match desc.class_id:
-        case "parity":
-            keff = desc.restriction if desc.restriction is not None else desc.n
-            bits = tuple(rng.randrange(2) for _ in range(keff)) + (0,) * (desc.n - keff)
-            return Parity(bits)
-        case "monotone_disjunction":
-            return MonotoneDisjunction(
-                desc.n, tuple(v for v in range(1, desc.n + 1) if rng.randrange(2))
-            )
-        case "monotone_conjunction":
-            return MonotoneConjunction(
-                desc.n, tuple(v for v in range(1, desc.n + 1) if rng.randrange(2))
-            )
+        case "parity" | "monotone_disjunction" | "monotone_conjunction":
+            # one randrange(2) per coordinate, coordinate 1 first: the member's high bit
+            return _class_member(desc, sum(rng.randrange(2) << b for b in reversed(range(_keff(desc)))))
         case "finite_subset":
             if desc.ground_set is None:
                 raise InfiniteClass("finite subsets need a ground_set")
@@ -865,7 +860,7 @@ def _labeling_bitsets(
     build = partial(_class_member, desc)
     if desc.class_id == "parity":
         _check_domain("Parity", ("bits", desc.n), sample.domain)
-        keff = desc.restriction if desc.restriction is not None else desc.n
+        keff = _keff(desc)
         return _parity_labelings(_bit_planes(points, desc.n)[desc.n - keff :], budget), build  # type: ignore[return-value]
     if desc.class_id in _FOLDS:  # disjunctions and conjunctions
         _sized(desc, budget)
@@ -924,67 +919,52 @@ def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int
 # JSON forms
 
 
+_DESCRIPTOR = (
+    ("class_id", "class_id", None, REQUIRED),
+    ("n", "n", None, REQUIRED),
+    ("restriction", "restriction", None, None),
+    ("k", "k", None, None),
+    ("ground_set", "ground_set", json_list(None, "class ground_set"), None),
+)
+_VARS = (("n", "n", None, REQUIRED), ("vars", "vars", json_list(None, "hypothesis vars"), REQUIRED))
+_ELEMS = ("elems", "elems", json_list(None, "hypothesis elems"), REQUIRED)
+# kind -> the hypothesis type and its fields, each read into the type's constructor
+_HYPOTHESES = {
+    "parity": (Parity, (("mask", "mask", (bits_to_string, bits_from_string), REQUIRED),)),
+    "monotone_disjunction": (MonotoneDisjunction, _VARS),
+    "monotone_conjunction": (MonotoneConjunction, _VARS),
+    "finite_subset": (FiniteSubset, (_ELEMS,)),
+    "window": (Window, (("k", "k", None, REQUIRED), _ELEMS)),
+    "halfspace": (Halfspace, (
+        ("normal", "normal", json_list(RATIONAL, "halfspace normal"), REQUIRED),
+        ("threshold", "threshold", RATIONAL, REQUIRED),
+    )),
+    "constant_random": (ConstantRandom, (("p", "p", RATIONAL, REQUIRED),)),
+}
+
+
 def class_descriptor_to_json(desc: ClassDescriptor) -> dict:
-    out: dict = {"class_id": desc.class_id, "n": desc.n}
-    if desc.restriction is not None:
-        out["restriction"] = desc.restriction
-    if desc.k is not None:
-        out["k"] = desc.k
-    if desc.ground_set is not None:
-        out["ground_set"] = list(desc.ground_set)
-    return out
+    return to_fields(_DESCRIPTOR, desc)
 
 
 def class_descriptor_from_json(obj: dict) -> ClassDescriptor:
-    return ClassDescriptor(
-        class_id=obj["class_id"],
-        n=obj["n"],
-        restriction=obj.get("restriction"),
-        k=obj.get("k"),
-        ground_set=tuple(obj["ground_set"]) if obj.get("ground_set") is not None else None,
-    )
+    return ClassDescriptor(**from_fields(_DESCRIPTOR, obj, "class"))
 
 
 def hypothesis_to_json(h: Hypothesis) -> dict:
-    match h:
-        case Parity():
-            return {"kind": "parity", "mask": bits_to_string(h.mask)}
-        case MonotoneDisjunction():
-            return {"kind": "monotone_disjunction", "n": h.n, "vars": list(h.vars)}
-        case MonotoneConjunction():
-            return {"kind": "monotone_conjunction", "n": h.n, "vars": list(h.vars)}
-        case FiniteSubset():
-            return {"kind": "finite_subset", "elems": list(h.elems)}
-        case Window():
-            return {"kind": "window", "k": h.k, "elems": list(h.elems)}
-        case Halfspace():
-            return {
-                "kind": "halfspace",
-                "normal": [rational_to_json(c) for c in h.normal],
-                "threshold": rational_to_json(h.threshold),
-            }
-        case ConstantRandom():
-            return {"kind": "constant_random", "p": rational_to_json(h.p)}
+    for kind, (cls, fields) in _HYPOTHESES.items():
+        if type(h) is cls:
+            return {"kind": kind, **to_fields(fields, h)}
     raise TypeError(f"not a hypothesis: {h!r}")
 
 
 def hypothesis_from_json(obj: dict) -> Hypothesis:
-    match obj.get("kind"):
-        case "parity":
-            return Parity(bits_from_string(obj["mask"]))
-        case "monotone_disjunction":
-            return MonotoneDisjunction(obj["n"], tuple(obj["vars"]))
-        case "monotone_conjunction":
-            return MonotoneConjunction(obj["n"], tuple(obj["vars"]))
-        case "finite_subset":
-            return FiniteSubset(tuple(obj["elems"]))
-        case "window":
-            return Window(obj["k"], tuple(obj["elems"]))
-        case "halfspace":
-            return Halfspace(
-                tuple(rational_from_json(c) for c in obj["normal"]),
-                rational_from_json(obj["threshold"]),
-            )
-        case "constant_random":
-            return ConstantRandom(rational_from_json(obj["p"]))
-    raise ValueError(f"unknown hypothesis kind: {obj.get('kind')!r}")
+    kind = from_fields(_KIND, obj, "hypothesis")["kind"]
+    for name, (cls, fields) in _HYPOTHESES.items():  # compared, not looked up: kind may be an unhashable list
+        if kind == name:
+            return cls(**from_fields(fields, obj, f"{name} hypothesis"))
+    raise MalformedEncoding(f"unknown hypothesis kind: {kind!r}")
+
+
+DESCRIPTOR = (class_descriptor_to_json, class_descriptor_from_json)
+HYPOTHESIS = (hypothesis_to_json, hypothesis_from_json)

@@ -59,15 +59,11 @@ class BruteForceReport:
     optimum: int | None = None
 
     def to_json(self) -> dict:
-        if isinstance(self.witness, (Sample, dict)):
-            raise TypeError(f"unserializable witness {self.witness!r}")
-        witness: object | None
-        if self.witness is None:
-            witness = None
-        elif isinstance(self.witness, tuple):
-            witness = list(self.witness)
-        else:
-            witness = hypothesis_to_json(self.witness)  # type: ignore[arg-type]
+        witness = self.witness
+        if isinstance(witness, tuple):
+            witness = list(witness)
+        elif witness is not None:
+            witness = hypothesis_to_json(witness)  # type: ignore[arg-type]  # TypeError unless a hypothesis
         return {
             "decision": self.decision,
             "witness": witness,
@@ -299,10 +295,10 @@ def brute_subset_sum(counts: Iterable[int], t: int, budget: int = BRUTE_BUDGET) 
     checks.
     """
     items = list(counts)
-    if any(not isinstance(a, int) or a < 1 for a in items):
+    if any(type(a) is not int or a < 1 for a in items):
         raise InvalidParams(f"counts must be positive integers, got {items!r}")
-    if t < 0:
-        raise InvalidParams(f"target must be nonnegative, got {t}")
+    if type(t) is not int or t < 0:
+        raise InvalidParams(f"target must be a nonnegative integer, got {t!r}")
     u = len(items)
     if u > 24 or 1 << u > budget:
         raise BudgetExceeded(f"{u} items means {1 << u} subsets")

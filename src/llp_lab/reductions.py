@@ -21,6 +21,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from .core import (
+    POINT,
+    REQUIRED,
     ExplicitDistribution,
     Point,
     Sample,
@@ -32,10 +34,11 @@ from .core import (
     _sample_packed,
     check_same_domain,
     derive_seed,
+    from_fields,
     iter_cube,
+    json_list,
     make_distribution,
-    point_from_json,
-    point_to_json,
+    to_fields,
 )
 from .errors import (
     DegenerateSample,
@@ -47,14 +50,13 @@ from .errors import (
     OracleReject,
 )
 from .hypotheses import (
+    DESCRIPTOR,
     ClassDescriptor,
     Hypothesis,
     Parity,
     _bit_planes,
     _bitset_weigher,
     _check_domain,
-    class_descriptor_from_json,
-    class_descriptor_to_json,
     evaluate,
     hypothesis_to_json,
     labeler,
@@ -240,6 +242,23 @@ def _sweep(
 # instance types
 
 
+# instance fields: a set is written sorted, and its instance makes it a frozenset
+_UNIVERSE = (sorted, json_list(None, "instance universe")[1])
+_SETS = json_list((sorted, json_list(None, "instance set")[1]), "instance sets")
+_X3C = (("universe", "universe", _UNIVERSE, REQUIRED), ("triples", "triples", _SETS, REQUIRED))
+_EPSC = (
+    ("universe", "universe", _UNIVERSE, REQUIRED),
+    ("subsets", "subsets", _SETS, REQUIRED),
+    ("k", "k", None, REQUIRED),
+)
+_CONSISTENCY = (
+    ("class", "desc", DESCRIPTOR, REQUIRED),
+    ("points", "points", json_list(POINT, "consistency points"), REQUIRED),
+    ("mult", "mults", json_list(None, "consistency mult"), REQUIRED),
+    ("k", "k", None, REQUIRED),
+)
+
+
 @dataclass(frozen=True)
 class X3CInstance:
     """Exact cover by 3-sets: universe of size 3t, subsets of size exactly 3."""
@@ -248,29 +267,24 @@ class X3CInstance:
     triples: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "triples", tuple(frozenset(s) for s in self.triples))
-        u = set(self.universe)
+        u = {x for x in self.universe if type(x) is int}
         if len(u) != len(self.universe) or len(u) % 3 != 0 or not u:
-            raise ValueError("universe must be distinct and of size 3t, t >= 1")
+            raise ValueError("universe must be distinct ints, of size 3t, t >= 1")
         for s in self.triples:
-            if len(s) != 3 or not s <= u:
-                raise ValueError(f"triple {sorted(s)} is not a 3-subset of the universe")
+            if any(type(x) is not int for x in s) or len(set(s)) != 3 or not u.issuperset(s):
+                raise ValueError(f"triple {list(s)} is not a 3-subset of the universe")
+        object.__setattr__(self, "triples", tuple(frozenset(s) for s in self.triples))
 
     @property
     def t(self) -> int:
         return len(self.universe) // 3
 
     def to_json(self) -> dict:
-        return {
-            "universe": sorted(self.universe),
-            "triples": [sorted(s) for s in self.triples],
-        }
+        return to_fields(_X3C, self)
 
     @staticmethod
     def from_json(obj: dict) -> "X3CInstance":
-        return X3CInstance(
-            tuple(obj["universe"]), tuple(frozenset(s) for s in obj["triples"])
-        )
+        return X3CInstance(**from_fields(_X3C, obj, "X3C instance"))
 
 
 @dataclass(frozen=True)
@@ -286,28 +300,22 @@ class EPSCInstance:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "subsets", tuple(frozenset(s) for s in self.subsets))
-        u = set(self.universe)
+        u = {x for x in self.universe if type(x) is int}
         if len(u) != len(self.universe) or not u:
-            raise ValueError("universe must be nonempty and distinct")
+            raise ValueError("universe must be nonempty and distinct ints")
         for s in self.subsets:
-            if not s <= u:
-                raise ValueError(f"subset {sorted(s)} not inside the universe")
+            if any(type(x) is not int for x in s) or not u.issuperset(s):
+                raise ValueError(f"subset {list(s)} not inside the universe")
+        object.__setattr__(self, "subsets", tuple(frozenset(s) for s in self.subsets))
         if not isinstance(self.k, int):
             raise ValueError(f"k must be an integer, got {self.k!r}")
 
     def to_json(self) -> dict:
-        return {
-            "universe": sorted(self.universe),
-            "subsets": [sorted(s) for s in self.subsets],
-            "k": self.k,
-        }
+        return to_fields(_EPSC, self)
 
     @staticmethod
     def from_json(obj: dict) -> "EPSCInstance":
-        return EPSCInstance(
-            tuple(obj["universe"]), tuple(frozenset(s) for s in obj["subsets"]), obj["k"]
-        )
+        return EPSCInstance(**from_fields(_EPSC, obj, "EPSC instance"))
 
 
 @dataclass(frozen=True)
@@ -326,8 +334,9 @@ class ConsistencyInstance:
     def __post_init__(self) -> None:
         if len(self.points) != len(self.mults) or not self.points:
             raise InvalidParams("points and mults must align and be nonempty")
-        if list(self.points) != sorted(set(self.points)):
-            raise InvalidParams("points must be unique and sorted")
+        # one type of point (bit vectors or naturals) before sorting compares them
+        if len({type(p) for p in self.points}) > 1 or list(self.points) != sorted(set(self.points)):
+            raise InvalidParams("points must be of one domain, unique and sorted")
         if any(type(a) is not int or a < 1 for a in self.mults):
             raise InvalidParams(f"multiplicities must be ints >= 1, got {self.mults!r}")
         if not isinstance(self.k, int):
@@ -343,21 +352,11 @@ class ConsistencyInstance:
         return check_same_domain(self.points), tuple(zip(map(_pack, self.points), self.mults))
 
     def to_json(self) -> dict:
-        return {
-            "class": class_descriptor_to_json(self.desc),
-            "points": [point_to_json(p) for p in self.points],
-            "mult": list(self.mults),
-            "k": self.k,
-        }
+        return to_fields(_CONSISTENCY, self)
 
     @staticmethod
     def from_json(obj: dict) -> "ConsistencyInstance":
-        return ConsistencyInstance(
-            class_descriptor_from_json(obj["class"]),
-            tuple(point_from_json(p) for p in obj["points"]),
-            tuple(obj["mult"]),
-            obj["k"],
-        )
+        return ConsistencyInstance(**from_fields(_CONSISTENCY, obj, "consistency instance"))
 
 
 def hits_exactly(inst: ConsistencyInstance, h: Hypothesis) -> bool:

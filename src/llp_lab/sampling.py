@@ -14,6 +14,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import (
+    DISTRIBUTION,
+    RATIONAL,
+    REQUIRED,
     ExplicitDistribution,
     FiniteDistribution,
     Point,
@@ -23,16 +26,16 @@ from .core import (
     _draw,
     _sample_packed,
     derive_seed,
-    distribution_from_json,
-    distribution_to_json,
+    from_fields,
     parse_rational,
-    rational_to_json,
     sample_from_json,
     sample_to_json,
+    to_fields,
 )
 from .errors import IntractableExactProportion, InvalidParams
 from .hypotheses import (
     DEFAULT_BUDGET,
+    DESCRIPTOR,
     ClassDescriptor,
     ConstantRandom,
     Hypothesis,
@@ -40,8 +43,6 @@ from .hypotheses import (
     MonotoneDisjunction,
     Parity,
     _count_table,
-    class_descriptor_from_json,
-    class_descriptor_to_json,
     enumerate_class,
     labeler,
     positive_weight,
@@ -228,27 +229,19 @@ class LLPTask:
             raise InvalidParams(f"delta {self.delta} outside (0, 1)")
 
 
+_TASK = (
+    ("epsilon", "epsilon", RATIONAL, REQUIRED),
+    ("delta", "delta", RATIONAL, REQUIRED),
+    ("sample", "sample", (sample_to_json, sample_from_json), REQUIRED),
+    ("class", "desc", DESCRIPTOR, None),
+    ("distribution", "distribution", DISTRIBUTION, None),
+    ("eta_prime", "eta_prime", RATIONAL, None),
+)
+
+
 def task_to_json(task: LLPTask) -> dict:
-    out: dict = {
-        "epsilon": rational_to_json(task.epsilon),
-        "delta": rational_to_json(task.delta),
-        "sample": sample_to_json(task.sample),
-    }
-    if task.desc is not None:
-        out["class"] = class_descriptor_to_json(task.desc)
-    if task.distribution is not None:
-        out["distribution"] = distribution_to_json(task.distribution)
-    if task.eta_prime is not None:
-        out["eta_prime"] = rational_to_json(task.eta_prime)
-    return out
+    return to_fields(_TASK, task)
 
 
 def task_from_json(obj: dict) -> LLPTask:
-    return LLPTask(
-        desc=class_descriptor_from_json(obj["class"]) if "class" in obj else None,
-        epsilon=parse_rational(obj["epsilon"]),
-        delta=parse_rational(obj["delta"]),
-        sample=sample_from_json(obj["sample"]),
-        distribution=distribution_from_json(obj["distribution"]) if "distribution" in obj else None,
-        eta_prime=parse_rational(obj["eta_prime"]) if "eta_prime" in obj else None,
-    )
+    return LLPTask(**from_fields(_TASK, obj, "task"))

@@ -24,14 +24,18 @@ from itertools import compress
 from typing import Callable, NamedTuple, TypeVar
 
 from .core import (
+    DISTRIBUTION,
+    RATIONAL,
+    REQUIRED,
     FiniteDistribution,
     Sample,
     _coin_flips,
     derive_seed,
-    distribution_from_json,
-    distribution_to_json,
+    from_fields,
+    json_list,
     parse_rational,
     rational_to_json,
+    to_fields,
 )
 from .bounds import (
     gap_sample_size,
@@ -40,12 +44,10 @@ from .bounds import (
 )
 from .errors import InvalidParams, LlpError
 from .hypotheses import (
+    DESCRIPTOR,
+    HYPOTHESIS,
     ClassDescriptor,
     Hypothesis,
-    class_descriptor_from_json,
-    class_descriptor_to_json,
-    hypothesis_from_json,
-    hypothesis_to_json,
     random_hypothesis,
     vc_dimension,
 )
@@ -576,93 +578,64 @@ def _shared(build: Callable[..., _T], *args: object) -> _T | None:
 # serialization
 
 
+_CONFIG = (
+    ("learner", "learner", None, REQUIRED),
+    ("epsilon", "epsilon", RATIONAL, REQUIRED),
+    ("delta", "delta", RATIONAL, REQUIRED),
+    ("trials", "trials", None, REQUIRED),
+    ("seed", "seed", None, REQUIRED),
+    ("distribution", "distribution", DISTRIBUTION, REQUIRED),
+    ("m_mode", "m_mode", None, "explicit"),
+    ("record_ms", "record_ms", None, False),
+    ("class", "desc", DESCRIPTOR, None),
+    ("target", "target", HYPOTHESIS, None),
+    ("m", "m", None, None),
+    ("eta", "eta", RATIONAL, None),
+    ("eta_prime", "eta_prime", RATIONAL, None),
+)
+# a row writes every field, an unscored proportion as null
+_RATIONAL_OR_NULL = (lambda q: None if q is None else rational_to_json(q), lambda v: None if v is None else parse_rational(v))
+_ROW = (
+    ("trial", "trial", None, REQUIRED),
+    ("seed", "seed", None, REQUIRED),
+    ("p_c", "p_c", _RATIONAL_OR_NULL, REQUIRED),
+    ("p_h", "p_h", _RATIONAL_OR_NULL, REQUIRED),
+    ("residual", "residual", _RATIONAL_OR_NULL, REQUIRED),
+    ("success", "success", None, REQUIRED),
+    ("ms", "ms", None, REQUIRED),
+    ("error", "error", None, REQUIRED),
+)
+_ROW_CODEC = (partial(to_fields, _ROW), lambda obj: TrialRow(**from_fields(_ROW, obj, "report row")))
+
+
 def config_to_json(config: TrialConfig) -> dict:
-    out: dict = {
-        "learner": config.learner,
-        "epsilon": rational_to_json(config.epsilon),
-        "delta": rational_to_json(config.delta),
-        "trials": config.trials,
-        "seed": config.seed,
-        "distribution": distribution_to_json(config.distribution),
-        "m_mode": config.m_mode,
-        "record_ms": config.record_ms,
-    }
-    if config.desc is not None:
-        out["class"] = class_descriptor_to_json(config.desc)
-    if config.target is not None:
-        out["target"] = hypothesis_to_json(config.target)
-    if config.m is not None:
-        out["m"] = config.m
-    if config.eta is not None:
-        out["eta"] = rational_to_json(config.eta)
-    if config.eta_prime is not None:
-        out["eta_prime"] = rational_to_json(config.eta_prime)
-    return out
+    return to_fields(_CONFIG, config)
 
 
 def config_from_json(obj: dict) -> TrialConfig:
-    return TrialConfig(
-        learner=obj["learner"],
-        epsilon=parse_rational(obj["epsilon"]),
-        delta=parse_rational(obj["delta"]),
-        trials=obj["trials"],
-        seed=obj["seed"],
-        distribution=distribution_from_json(obj["distribution"]),
-        desc=class_descriptor_from_json(obj["class"]) if "class" in obj else None,
-        target=hypothesis_from_json(obj["target"]) if "target" in obj else None,
-        m=obj.get("m"),
-        m_mode=obj.get("m_mode", "explicit"),
-        eta=parse_rational(obj["eta"]) if "eta" in obj else None,
-        eta_prime=parse_rational(obj["eta_prime"]) if "eta_prime" in obj else None,
-        record_ms=obj.get("record_ms", False),
-    )
+    return TrialConfig(**from_fields(_CONFIG, obj, "config"))
 
 
-def _row_to_json(row: TrialRow) -> dict:
-    def rat(q: Fraction | None) -> dict | None:
-        return None if q is None else rational_to_json(q)
-
-    return {
-        "trial": row.trial,
-        "seed": row.seed,
-        "p_c": rat(row.p_c),
-        "p_h": rat(row.p_h),
-        "residual": rat(row.residual),
-        "success": row.success,
-        "ms": row.ms,
-        "error": row.error,
-    }
-
-
-def _row_from_json(obj: dict) -> TrialRow:
-    def rat(v: dict | None) -> Fraction | None:
-        return None if v is None else Fraction(v["num"], v["den"])
-
-    return TrialRow(
-        obj["trial"], obj["seed"], rat(obj["p_c"]), rat(obj["p_h"]),
-        rat(obj["residual"]), obj["success"], obj["ms"], obj["error"],
-    )
+_REPORT = (
+    ("config", "config", (config_to_json, config_from_json), REQUIRED),
+    ("rows", "rows", json_list(_ROW_CODEC, "report rows"), REQUIRED),
+)
 
 
 def report_to_json(report: TrialReport) -> dict:
-    return {
-        "config": config_to_json(report.config),
-        "rows": [_row_to_json(r) for r in report.rows],
-        "aggregate": {
-            "trials": len(report.rows),
-            "successes": report.successes,
-            "success_rate": rational_to_json(report.success_rate),
-            "mean_residual": rational_to_json(report.mean_residual),
-            "ci95": list(report.ci95),
-        },
+    out = to_fields(_REPORT, report)
+    out["aggregate"] = {
+        "trials": len(report.rows),
+        "successes": report.successes,
+        "success_rate": rational_to_json(report.success_rate),
+        "mean_residual": rational_to_json(report.mean_residual),
+        "ci95": list(report.ci95),
     }
+    return out
 
 
 def report_from_json(obj: dict) -> TrialReport:
-    return TrialReport(
-        config_from_json(obj["config"]),
-        tuple(_row_from_json(r) for r in obj["rows"]),
-    )
+    return TrialReport(**from_fields(_REPORT, obj, "report"))
 
 
 CSV_COLUMNS = ("trial", "seed", "p_c_num", "p_c_den", "p_h_num", "p_h_den", "residual", "success", "ms")

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from llp_lab import (
@@ -37,6 +37,7 @@ from llp_lab import (
     weight_of,
 )
 from llp_lab.core import _pack, _sample_packed, _unpack
+from wire_values import distributions, points, samples
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 
@@ -195,18 +196,23 @@ def test_parse_rational_rejects_floats():
         parse_rational(0.1)
 
 
-def test_point_json_round_trip():
-    for p in (7, (0, 1, 1)):
-        assert point_from_json(point_to_json(p)) == p
+@given(points)
+@example(7)
+@example((0, 1, 1))
+def test_point_json_round_trip(p):
+    assert point_from_json(point_to_json(p)) == p
 
 
-def test_distribution_json_round_trip():
-    for dist in (TWO_ATOM, UniformCube(6)):
-        assert distribution_from_json(distribution_to_json(dist)) == dist
+@given(distributions)
+@example(TWO_ATOM)
+@example(UniformCube(6))
+def test_distribution_json_round_trip(dist):
+    assert distribution_from_json(distribution_to_json(dist)) == dist
 
 
-def test_sample_json_round_trip():
-    s = draw_sample(TWO_ATOM, 10, seed=1, target=FiniteSubset((2,)))
+@given(samples)
+@example(draw_sample(TWO_ATOM, 10, seed=1, target=FiniteSubset((2,))))
+def test_sample_json_round_trip(s):
     assert sample_from_json(sample_to_json(s)) == s
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from llp_lab import (
@@ -38,6 +38,7 @@ from llp_lab import (
     vc_dimension,
 )
 from llp_lab.hypotheses import INFINITE_VC
+from wire_values import descriptors, hypotheses
 
 
 def test_parity_evaluation_by_hand():
@@ -304,26 +305,22 @@ def test_class_descriptor_validation():
     assert "constant_random" not in CLASS_IDS
 
 
-def test_class_descriptor_json_round_trip():
-    descs = [
-        ClassDescriptor("parity", 6, restriction=2),
-        ClassDescriptor("window", 3, k=3),
-        ClassDescriptor("finite_subset", 1, ground_set=(1, 5, 7)),
-        ClassDescriptor("halfspace", 4),
-    ]
-    for desc in descs:
-        assert class_descriptor_from_json(class_descriptor_to_json(desc)) == desc
+@given(descriptors)
+@example(ClassDescriptor("parity", 6, restriction=2))
+@example(ClassDescriptor("window", 3, k=3))
+@example(ClassDescriptor("finite_subset", 1, ground_set=(1, 5, 7)))
+@example(ClassDescriptor("halfspace", 4))
+def test_class_descriptor_json_round_trip(desc):
+    assert class_descriptor_from_json(class_descriptor_to_json(desc)) == desc
 
 
-def test_hypothesis_json_round_trip():
-    hs = [
-        Parity((1, 0, 1)),
-        MonotoneDisjunction(3, (1, 3)),
-        MonotoneConjunction(2, ()),
-        FiniteSubset((3, 7)),
-        Window(4, (2, 5)),
-        Halfspace((F(1, 3), F(-2)), F(1, 7)),
-        ConstantRandom(F(3, 7)),
-    ]
-    for h in hs:
-        assert hypothesis_from_json(hypothesis_to_json(h)) == h
+@given(hypotheses)
+@example(Parity((1, 0, 1)))
+@example(MonotoneDisjunction(3, (1, 3)))
+@example(MonotoneConjunction(2, ()))
+@example(FiniteSubset((3, 7)))
+@example(Window(4, (2, 5)))
+@example(Halfspace((F(1, 3), F(-2)), F(1, 7)))
+@example(ConstantRandom(F(3, 7)))
+def test_hypothesis_json_round_trip(h):
+    assert hypothesis_from_json(hypothesis_to_json(h)) == h

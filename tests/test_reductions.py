@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llp_lab import (
@@ -57,6 +57,7 @@ from llp_lab.core import (
 )
 from llp_lab.reductions import ConsistencyRun, OracleCall, Transcript
 from test_core import _pack_counts
+from wire_values import consistency_instances, epsc_instances, x3c_instances
 
 
 def test_reweighted_distribution_worked_example():
@@ -353,13 +354,15 @@ def test_reduction_chain_four_way_agreement_smoke():
         assert brute_consistency(epsc_to_conjunction_consistency(epsc)).decision == want
 
 
-def test_instance_json_round_trips():
-    x3c = gen_x3c(6, 4, seed=3)
-    assert X3CInstance.from_json(x3c.to_json()) == x3c
-    epsc = x3c_to_epsc(x3c)
-    assert EPSCInstance.from_json(epsc.to_json()) == epsc
-    cons = epsc_to_disjunction_consistency(epsc)
-    assert ConsistencyInstance.from_json(cons.to_json()) == cons
+_X3C = gen_x3c(6, 4, seed=3)
+
+
+@given(x3c_instances | epsc_instances | consistency_instances)
+@example(_X3C)
+@example(x3c_to_epsc(_X3C))
+@example(epsc_to_disjunction_consistency(x3c_to_epsc(_X3C)))
+def test_instance_json_round_trips(inst):
+    assert type(inst).from_json(inst.to_json()) == inst
 
 
 def _transcript_of(lines):

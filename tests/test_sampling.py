@@ -37,6 +37,7 @@ from llp_lab import (
     uniform_over,
 )
 from llp_lab.core import COUNT_DRAW_MIN, draw_counts, draw_points, points_from_counts
+from wire_values import tasks
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 
@@ -164,14 +165,17 @@ def test_proportion_gap_uniform_pair():
     assert proportion_gap(desc, uniform_over([1, 2])) == F(1, 2)
 
 
-def test_task_construction_and_round_trip():
-    task = LLPTask(
+@given(tasks)
+@example(
+    LLPTask(
         desc=ClassDescriptor("finite_subset", 1, ground_set=(1, 2)),
         epsilon=F(1, 10),
         delta=F(1, 20),
         sample=draw_sample(TWO_ATOM, 10, seed=4, target=FiniteSubset((2,))),
         distribution=TWO_ATOM,
     )
+)
+def test_task_construction_and_round_trip(task):
     assert task_from_json(task_to_json(task)) == task
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from llp_lab import (
     ClassDescriptor,
@@ -31,9 +32,22 @@ from llp_lab import (
 from llp_lab.cli import build_parser, main
 from llp_lab.errors import InvalidParams
 from llp_lab.trials import LEARNER_IDS, SAMPLE_LEARNERS
+from wire_values import configs, reports
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 CSV_HEADER = "trial,seed,p_c_num,p_c_den,p_h_num,p_h_den,residual,success,ms"
+
+
+CLI_CONFIG = {
+    "learner": "improper",
+    "epsilon": "1",
+    "delta": "1/10",
+    "trials": 5,
+    "seed": 3,
+    "distribution": {"kind": "uniform_cube", "n": 2},
+    "target": {"kind": "parity", "mask": "10"},
+    "m": 4,
+}
 
 
 def improper_config(**overrides):
@@ -243,23 +257,23 @@ def test_empty_report_is_header_only():
     assert report_to_csv(empty) == CSV_HEADER + "\n"
 
 
-def test_report_json_round_trip():
-    report = run_trials(improper_config(trials=6))
+@given(reports)
+@example(run_trials(improper_config(trials=6)))
+def test_report_json_round_trip(report):
     again = report_from_json(report_to_json(report))
     assert again == report
 
 
-def test_config_json_round_trip():
-    cfg = improper_config(
-        learner="erm",
-        desc=ClassDescriptor("finite_subset", 1, ground_set=(1, 2)),
-        epsilon=F(1, 10),
-    )
+@given(configs)
+@example(improper_config(learner="erm", desc=ClassDescriptor("finite_subset", 1, ground_set=(1, 2)), epsilon=F(1, 10)))
+def test_config_json_round_trip(cfg):
     assert config_from_json(config_to_json(cfg)) == cfg
 
 
-def test_emit_report_round_trip(tmp_path):
-    report = run_trials(improper_config(trials=3))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reports)
+@example(run_trials(improper_config(trials=3)))
+def test_emit_report_round_trip(tmp_path, report):
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
     emit_report(report, "json", json_path)
@@ -390,6 +404,43 @@ def test_cli_learn_with_a_malformed_distribution_field_is_a_typed_error(tmp_path
     assert json.loads(err) == {"error": error, "detail": detail}
 
 
+def _task_json(*path, value):
+    """A learn task file's JSON with the field at `path` set to `value`."""
+    obj = task_to_json(LLPTask(None, F(1, 10), F(1, 20), Sample((1, 2, 2), F(2, 3)), TWO_ATOM))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+LEARN = ["learn", "--task", "{in}", "--learner", "improper"]
+# each input once exited 1 with a traceback (ZeroDivisionError or AttributeError) or 2 as "KeyError"
+MALFORMED = {
+    "bounds eps 1/0": (None, ["bounds", "--hoeffding", "--eps", "1/0", "--delta", "1/2"], "InvalidParams"),
+    "trials eps 1/0": (CLI_CONFIG, ["trials", "--config", "{in}", "--eps", "1/0"], "InvalidParams"),
+    "learn p_hat_den 0": (_task_json("sample", "p_hat_den", value=0), LEARN, "InvalidParams"),
+    "learn atom den 0": (_task_json("distribution", "atoms", 0, "den", value=0), LEARN, "InvalidParams"),
+    "trials target 7": ({**CLI_CONFIG, "target": 7}, ["trials", "--config", "{in}"], "MalformedEncoding"),
+    "noisy-parity target 7": (
+        {"n": 3, "target": 7, "eta": "1/10", "eta_prime": "1/5"},
+        ["reduce", "--run", "noisy-parity", "--in", "{in}"],
+        "MalformedEncoding",
+    ),
+    "x3c without triples": ({"universe": [1, 2, 3]}, ["oracle", "--solver", "x3c", "--in", "{in}"], "MalformedEncoding"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_malformed_input_exits_2_with_a_typed_error(tmp_path, capsys, case):
+    obj, argv, error = MALFORMED[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *(arg.replace("{in}", str(path)) for arg in argv))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_cli_learn_with_a_fractional_positive_count_is_invalid_params(tmp_path, capsys):
     # a task whose p_hat * m is not a whole count is bad input, typed as such
     sample = Sample(((0, 1), (1, 1), (1, 0)), F(1, 3))
@@ -417,10 +468,12 @@ def test_cli_oracle_subset_sum(tmp_path, capsys):
 
 def test_cli_oracle_subset_sum_bad_counts_are_invalid_params(tmp_path, capsys):
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({"counts": [0], "t": 1}))
-    code, out, err = run_cli(capsys, "oracle", "--solver", "subset-sum", "--in", str(inst))
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "InvalidParams"
+    # the target and the counts must be ints: t = 1.5 and t = true once ran, 1.5 as "optimum": 0.5
+    for counts, t in [([0], 1), ([1, 2], 1.5), ([1, 2], True), ([True, 2], 1), ([1.0, 2], 1)]:
+        inst.write_text(json.dumps({"counts": counts, "t": t}))
+        code, out, err = run_cli(capsys, "oracle", "--solver", "subset-sum", "--in", str(inst))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InvalidParams"
 
 
 def test_cli_reduce_chain_check(tmp_path, capsys):
@@ -455,19 +508,8 @@ def test_cli_reduce_noisy_parity_takes_m_as_given(tmp_path, capsys, m, code):
 
 
 def write_cli_config(tmp_path, **overrides):
-    obj = {
-        "learner": "improper",
-        "epsilon": "1",
-        "delta": "1/10",
-        "trials": 5,
-        "seed": 3,
-        "distribution": {"kind": "uniform_cube", "n": 2},
-        "target": {"kind": "parity", "mask": "10"},
-        "m": 4,
-    }
-    obj.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps({**CLI_CONFIG, **overrides}))
     return str(path)
 
 
