@@ -8,10 +8,9 @@ logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FiniteDistribution, derive_seed
+from .core import FiniteDistribution, derive_seed, record
 from .errors import InvalidParams, ZeroGap
 from .hypotheses import ClassDescriptor, Hypothesis, enumerate_class, vc_dimension
 from .sampling import draw_sample, empirical_proportion, true_proportion
@@ -92,7 +91,7 @@ def uniform_convergence_sample_size(
     return hi
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """One audit trial: the bound parameters and the worst observed gap."""
 

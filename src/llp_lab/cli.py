@@ -26,7 +26,7 @@ from .core import (
     point_from_json,
     rational_to_json,
 )
-from .errors import LlpError
+from .errors import LlpError, MalformedEncoding
 from .generators import gen_consistency, gen_distribution, gen_epsc, gen_task, gen_x3c
 from .hypotheses import (
     CLASS_IDS,
@@ -80,10 +80,17 @@ from .trials import (
 __all__ = ["main"]
 
 
+def _labeled_example(value: object) -> tuple:
+    """A pac input's [point, label] pair, the point decoded."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise MalformedEncoding(f"labeled example must be a [point, label] list, got {value!r}")
+    return point_from_json(value[0]), value[1]
+
+
 # the reduce and oracle inputs that have no type of their own
 _PAC_INPUT = (
     ("class", "desc", DESCRIPTOR, REQUIRED),
-    ("labeled", "labeled", json_list(json_list(None, "labeled example"), "pac labeled"), REQUIRED),
+    ("labeled", "labeled", json_list((None, _labeled_example), "pac labeled"), REQUIRED),
 )
 _NOISY_PARITY = (
     ("n", "n", None, REQUIRED),
@@ -148,6 +155,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 def _cmd_trials(args: argparse.Namespace) -> int:
     obj: dict = _load(args.config) if args.config else {}
+    if not isinstance(obj, dict):
+        raise MalformedEncoding(f"config must be a JSON object, got {obj!r}")
     for name in _CONFIG_FLAGS:
         if getattr(args, name) is not None:
             obj[name] = getattr(args, name)
@@ -270,7 +279,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         return 0
     if args.run == "pac":
         pac = from_fields(_PAC_INPUT, obj, "pac input")
-        labeled = [(point_from_json(p), lab) for p, lab in pac["labeled"]]
+        labeled = pac["labeled"]
         oracle = make_brute_oracle(pac["desc"], args.oracle)
         run = llp_to_pac(labeled, oracle, delta, args.seed)
         label = labeler(run.hypothesis, check_same_domain(p for p, _ in labeled))

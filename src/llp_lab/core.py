@@ -9,18 +9,27 @@ reported weight or proportion.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import attrgetter
+from reprlib import recursive_repr
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from ._pcg64 import PCG64
 from .errors import (
@@ -30,6 +39,7 @@ from .errors import (
     InvalidParams,
     MalformedEncoding,
     NonPositiveWeight,
+    UnsupportedRecord,
     WeightsDoNotSumToOne,
 )
 
@@ -72,6 +82,49 @@ Point = Bits | int
 # Explicit-distribution draws of at least this size go through the
 # count-based sampler (one binomial per atom) instead of per-point draws.
 COUNT_DRAW_MIN = 4096
+
+_R = TypeVar("_R", bound=type)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def record(cls: _R) -> _R:
+    """`cls` as a frozen dataclass whose `__eq__`, `__hash__` and `__repr__` are shared.
+
+    `dataclass(frozen=True)` compiles six methods per class with `exec`,
+    most of what importing the package cost.  Here it compiles only
+    `__init__`, `__setattr__` and `__delattr__`; the other three are
+    closures, one code object each for every record, over an `attrgetter`
+    of the field names (a single field wrapped in a 1-tuple).  They behave
+    as Python 3.11's dataclass methods: `==` compares the field tuples of
+    two instances of the very same class (else `NotImplemented`), the hash
+    is that of the field tuple, and the repr is `QualName(f=value!r, ...)`,
+    "..." on recursion.  A field option these closures do not honour
+    (`compare`, `hash`, `repr`) raises `UnsupportedRecord`, a `TypeError`.
+    """
+    cls = dataclass(cls, frozen=True, eq=False, repr=False)
+    if not all(f.compare and f.repr and f.hash is None for f in fields(cls)):
+        raise UnsupportedRecord(f"record {cls.__qualname__} has a field with compare, hash or repr set")
+    names = tuple(f.name for f in fields(cls))
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
+    template = "(" + ", ".join(f"{name}={{!r}}" for name in names) + ")"
+
+    def __eq__(self: object, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self: object) -> int:
+        return hash(key(self))
+
+    def __repr__(self: object) -> str:
+        return self.__class__.__qualname__ + template.format(*key(self))
+
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, recursive_repr()(__repr__)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +200,7 @@ def check_same_domain(points: Iterable[Point]) -> tuple[str, int | None] | None:
 # distributions
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitDistribution:
     """Finitely supported distribution given by (point, weight) atoms.
 
@@ -171,7 +224,7 @@ class ExplicitDistribution:
         return _sample_packed(check_same_domain(p for p, _ in self.atoms), packed, d, Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class UniformCube:
     """Uniform distribution over all bit vectors of length n."""
 
@@ -436,9 +489,16 @@ def _coin_flips(p: Fraction, m: int, rng: random.Random) -> bytes:
 
 
 def derive_seed(*parts: object) -> int:
-    """Stable 64-bit child seed from any mix of ints and strings."""
+    """Stable 64-bit child seed from any mix of ints and strings.
+
+    The first 8 bytes, big-endian, of the parts' SHA-256.  The hash comes
+    from the interpreter's built-in module (`_sha256`, `_sha2` from 3.12)
+    when it has one, as `random` takes its `_sha512`: `hashlib` would load
+    OpenSSL's libcrypto, a few ms of every import and about 4 MB of memory,
+    for this one digest.  The digest is the same either way.
+    """
     text = "\x1f".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode()).digest()
+    digest = sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

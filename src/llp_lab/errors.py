@@ -20,6 +20,7 @@ __all__ = [
     "DegenerateSample",
     "NoCandidateAccepted",
     "InvalidAuxiliaryCount",
+    "UnsupportedRecord",
 ]
 
 
@@ -102,3 +103,10 @@ class NoCandidateAccepted(LlpError):
 
 class InvalidAuxiliaryCount(LlpError):
     """Auxiliary block size too small for the cover-to-subset-count reduction."""
+
+
+class UnsupportedRecord(LlpError, TypeError):
+    """A `core.record` class has a field whose compare, hash or repr option is set.
+
+    Also a TypeError, as `dataclass`'s own errors in a class declaration are.
+    """

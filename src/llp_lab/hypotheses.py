@@ -21,7 +21,6 @@ import math
 import operator
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -41,6 +40,7 @@ from .core import (
     from_fields,
     json_list,
     point_domain,
+    record,
     to_fields,
 )
 from .errors import BudgetExceeded, DomainMismatch, InfiniteClass, MalformedEncoding
@@ -86,7 +86,7 @@ DEFAULT_BUDGET = 1 << 20
 # the tagged union
 
 
-@dataclass(frozen=True)
+@record
 class Parity:
     """x maps to <mask, x> mod 2.  The all-zero mask is the trivial parity."""
 
@@ -112,7 +112,7 @@ def _check_vars(n: int, vars: tuple[int, ...]) -> None:
         raise ValueError(f"vars must be strictly increasing in 1..{n}: {vars!r}")
 
 
-@dataclass(frozen=True)
+@record
 class MonotoneDisjunction:
     """OR over the listed 1-based variables; the empty disjunction is constant 0."""
 
@@ -123,7 +123,7 @@ class MonotoneDisjunction:
         _check_vars(self.n, self.vars)
 
 
-@dataclass(frozen=True)
+@record
 class MonotoneConjunction:
     """AND over the listed 1-based variables; the empty conjunction is constant 1."""
 
@@ -141,7 +141,7 @@ def _check_nat_elems(elems: tuple[int, ...]) -> None:
         raise ValueError(f"elements must be strictly increasing: {elems!r}")
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSubset:
     """Indicator of a finite set of naturals."""
 
@@ -151,7 +151,7 @@ class FiniteSubset:
         _check_nat_elems(self.elems)
 
 
-@dataclass(frozen=True)
+@record
 class Window:
     """Indicator of a finite set of naturals whose span is at most k."""
 
@@ -168,7 +168,7 @@ class Window:
             )
 
 
-@dataclass(frozen=True)
+@record
 class Halfspace:
     """x maps to 1 iff <normal, x> is strictly greater than the threshold."""
 
@@ -186,7 +186,7 @@ class Halfspace:
         return len(self.normal)
 
 
-@dataclass(frozen=True)
+@record
 class ConstantRandom:
     """Improper baseline: labels any point 1 with probability p, ignoring the point."""
 
@@ -223,7 +223,7 @@ CLASS_IDS = (
 # descriptors
 
 
-@dataclass(frozen=True)
+@record
 class ClassDescriptor:
     """Names a concrete finite-or-parametric hypothesis class.
 

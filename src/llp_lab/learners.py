@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Sample
+from .core import Sample, record
 from .errors import (
     CollisionPersistent,
     DegenerateSample,
@@ -63,7 +63,7 @@ __all__ = [
 HALFSPACE_RETRIES = 3
 
 
-@dataclass(frozen=True)
+@record
 class LearnerOutcome:
     """A returned hypothesis plus the exact proportion it achieves.
 

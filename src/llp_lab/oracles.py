@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import Sample, _sample_packed
+from .core import Sample, _sample_packed, record
 from .errors import BudgetExceeded, InvalidParams
 from .hypotheses import (
     ClassDescriptor,
@@ -49,7 +48,7 @@ __all__ = [
 BRUTE_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True)
+@record
 class BruteForceReport:
     """What a brute-force search decided and how much it looked at."""
 

@@ -14,7 +14,6 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import compress
@@ -38,6 +37,7 @@ from .core import (
     iter_cube,
     json_list,
     make_distribution,
+    record,
     to_fields,
 )
 from .errors import (
@@ -89,7 +89,7 @@ __all__ = [
 # the oracle contract
 
 
-@dataclass(frozen=True)
+@record
 class LLPOracle:
     """A proportion learner offered as a black box.
 
@@ -148,7 +148,7 @@ class OracleCall(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
+@record
 class Transcript:
     """A sweep's transcript: its lines, stored as runs of equal consecutive lines.
 
@@ -259,7 +259,7 @@ _CONSISTENCY = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class X3CInstance:
     """Exact cover by 3-sets: universe of size 3t, subsets of size exactly 3."""
 
@@ -287,7 +287,7 @@ class X3CInstance:
         return X3CInstance(**from_fields(_X3C, obj, "X3C instance"))
 
 
-@dataclass(frozen=True)
+@record
 class EPSCInstance:
     """Does some subfamily union to exactly k elements?
 
@@ -318,7 +318,7 @@ class EPSCInstance:
         return EPSCInstance(**from_fields(_EPSC, obj, "EPSC instance"))
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyInstance:
     """Is some class member positive on exactly k of the weighted points?
 
@@ -368,7 +368,7 @@ def hits_exactly(inst: ConsistencyInstance, h: Hypothesis) -> bool:
 # proportion oracle -> exact learning of a labeled sample
 
 
-@dataclass(frozen=True)
+@record
 class PacRun:
     hypothesis: Hypothesis
     reweighted: ExplicitDistribution
@@ -390,7 +390,7 @@ def reweighted_distribution(
     label_of: dict[Point, int] = {}
     for point, lab in labeled:
         if lab not in (0, 1):
-            raise ValueError(f"label {lab!r} must be 0 or 1")
+            raise InvalidParams(f"label {lab!r} must be 0 or 1")
         if label_of.setdefault(point, lab) != lab:
             raise ValueError(f"point {point!r} appears with both labels")
     m = len(label_of)
@@ -437,7 +437,7 @@ def llp_to_pac(
 # proportion oracle -> consistency decision
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyRun:
     decision: bool
     witness: Hypothesis | None
@@ -475,7 +475,7 @@ def consistency_via_llp(
 # proportion oracle -> parity learning under classification noise
 
 
-@dataclass(frozen=True)
+@record
 class NoisyParitySetup:
     """Uniform-cube parity learning with label noise.
 
@@ -500,13 +500,14 @@ class NoisyParitySetup:
             raise InvalidNoiseBound(
                 f"need 0 <= eta <= eta' < 1/2, got {self.eta}, {self.eta_prime}"
             )
-        if self.restriction is not None and any(self.target.mask[self.restriction :]):
-            raise DomainMismatch(
-                f"target uses coordinates past the first {self.restriction}"
-            )
+        if self.restriction is not None:
+            if type(self.restriction) is not int or not 0 <= self.restriction <= self.n:
+                raise InvalidParams(f"restriction must be an int in 0..{self.n}, got {self.restriction!r}")
+            if any(self.target.mask[self.restriction :]):
+                raise DomainMismatch(f"target uses coordinates past the first {self.restriction}")
 
 
-@dataclass(frozen=True)
+@record
 class NoisyParityRun:
     hypothesis: Parity
     filtered_size: int

@@ -9,7 +9,6 @@ target's.  Everything here keeps those proportions as exact Fractions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -30,6 +29,7 @@ from .core import (
     parse_rational,
     sample_from_json,
     sample_to_json,
+    record,
     to_fields,
 )
 from .errors import IntractableExactProportion, InvalidParams
@@ -205,7 +205,7 @@ def smallest_gap(values: Iterable[Fraction]) -> Fraction:
     return min(b - a for a, b in zip(ordered, ordered[1:]))
 
 
-@dataclass(frozen=True)
+@record
 class LLPTask:
     """One learning task: a class, accuracy targets, and the training input.
 

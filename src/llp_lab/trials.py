@@ -17,7 +17,7 @@ import os
 import random
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import compress
@@ -35,6 +35,7 @@ from .core import (
     json_list,
     parse_rational,
     rational_to_json,
+    record,
     to_fields,
 )
 from .bounds import (
@@ -150,7 +151,7 @@ def run_learner(
     return entry.run(desc, dist, sample, seed, values)
 
 
-@dataclass(frozen=True)
+@record
 class TrialConfig:
     """Everything one Monte Carlo estimate depends on, seed included.
 
@@ -242,7 +243,7 @@ def resolve_m(config: TrialConfig, values: dict[Fraction, Hypothesis] | None = N
     return uniform_convergence_sample_size(int(d), config.epsilon, config.delta, 0)
 
 
-@dataclass(frozen=True)
+@record
 class TrialRow:
     """One trial's exact outcome; error rows mark the failure cause."""
 
@@ -256,7 +257,7 @@ class TrialRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class TrialReport:
     config: TrialConfig
     rows: tuple[TrialRow, ...]

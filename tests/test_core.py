@@ -1,5 +1,10 @@
 """Distributions, samples, seeded draws, and rational plumbing."""
 
+import dataclasses
+import hashlib
+import importlib
+import pkgutil
+import types
 from collections import Counter
 from fractions import Fraction as F
 
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import llp_lab
 from llp_lab import (
     COUNT_DRAW_MIN,
     DomainMismatch,
@@ -17,6 +23,7 @@ from llp_lab import (
     Parity,
     Sample,
     UniformCube,
+    UnsupportedRecord,
     WeightsDoNotSumToOne,
     derive_seed,
     distribution_from_json,
@@ -36,8 +43,32 @@ from llp_lab import (
     uniform_over,
     weight_of,
 )
+from llp_lab.bounds import BoundReport
 from llp_lab.core import _pack, _sample_packed, _unpack
-from wire_values import distributions, points, samples
+from llp_lab.learners import LearnerOutcome
+from llp_lab.oracles import BruteForceReport, make_brute_oracle
+from llp_lab.reductions import (
+    ConsistencyRun,
+    NoisyParityRun,
+    NoisyParitySetup,
+    OracleCall,
+    PacRun,
+    Transcript,
+)
+from wire_values import (
+    configs,
+    consistency_instances,
+    descriptors,
+    distributions,
+    epsc_instances,
+    hypotheses,
+    points,
+    reports,
+    rows,
+    samples,
+    tasks,
+    x3c_instances,
+)
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 
@@ -181,6 +212,15 @@ def test_draw_counts_matches_draw_points():
 def test_derive_seed_is_stable_and_order_sensitive():
     assert derive_seed(1, "a") == derive_seed(1, "a")
     assert derive_seed(1, "a") != derive_seed("a", 1)
+
+
+@given(st.lists(st.integers() | st.text(max_size=8), max_size=5))
+@example([])
+@example([2001, "trial", 17])
+def test_derive_seed_is_the_sha256_prefix(parts):
+    # whichever module supplies the hash, the seed is hashlib's SHA-256 formula
+    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode()).digest()
+    assert derive_seed(*parts) == int.from_bytes(digest[:8], "big")
 
 
 def test_parse_rational_forms():
@@ -338,3 +378,138 @@ def test_sample_equality_is_equality_of_points_and_p_hat(left, right, j, k, left
             equal = a == b
             assert equal == ((a.points, a.p_hat) == (b.points, b.p_hat))
             assert not equal or hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# records: frozen dataclasses with shared __eq__, __hash__ and __repr__
+
+MODULES = [importlib.import_module(f"llp_lab.{m.name}") for m in pkgutil.iter_modules(llp_lab.__path__)]
+RECORDS = {
+    cls
+    for module in MODULES
+    for cls in vars(module).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+}
+_TRANSCRIPT = Transcript(3, ((1, None, None), (3, Parity((1, 0)), True)))
+# one value of every record class at least; the generated ones add more
+FIXED_RECORDS = [
+    UniformCube(3),
+    make_distribution([(1, F(1, 2)), (2, F(1, 2))]),
+    llp_lab.MonotoneDisjunction(3, (1,)),
+    llp_lab.MonotoneConjunction(3, (1,)),
+    Parity((1, 0, 1)),
+    FiniteSubset((1, 2)),
+    llp_lab.Window(2, (1, 2)),
+    llp_lab.Halfspace((F(1, 2), F(1)), F(1, 3)),
+    llp_lab.ConstantRandom(F(1, 2)),
+    llp_lab.ClassDescriptor("parity", 3, restriction=2),
+    BoundReport(1, 2, 30, 0.5, float("nan"), F(1, 3)),
+    LearnerOutcome(Parity((1,)), F(1), F(0), {"labelings": 3}),
+    BruteForceReport(True, FiniteSubset((1,)), 3),
+    make_brute_oracle(llp_lab.ClassDescriptor("parity", 2)),
+    _TRANSCRIPT,
+    PacRun(Parity((1, 0)), make_distribution([((1, 0), 1)]), F(1, 8), 40, (OracleCall(F(0), None),)),
+    ConsistencyRun(True, Parity((1, 0)), 7, _TRANSCRIPT),
+    NoisyParitySetup(3, Parity((1, 0, 0)), F(1, 10), F(1, 5), restriction=1),
+    NoisyParityRun(Parity((1, 0, 0)), 12, _TRANSCRIPT),
+    llp_lab.X3CInstance((1, 2, 3), (frozenset({1, 2, 3}),)),
+    llp_lab.EPSCInstance((1, 2, 3), (frozenset({1, 2}), frozenset({3})), 2),
+    llp_lab.ConsistencyInstance(llp_lab.ClassDescriptor("parity", 2), ((0, 1), (1, 1)), (1, 2), 2),
+    llp_lab.LLPTask(None, F(1, 10), F(1, 20), Sample((1, 2, 2), F(2, 3))),
+    llp_lab.TrialConfig("improper", F(1), F(1, 10), 2, 3, UniformCube(2), target=Parity((1, 0)), m=4),
+]
+FIXED_RECORDS += [llp_lab.run_trials(FIXED_RECORDS[-1])]
+FIXED_RECORDS += FIXED_RECORDS[-1].rows
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a record holding a dict is unhashable, as its field tuple is
+        return type(exc)
+
+
+def _check_record(x):
+    """x's repr, == and hash against the dataclass formulas over `dataclasses.fields`."""
+    cls = type(x)
+    names = [f.name for f in dataclasses.fields(x)]
+    values = tuple(getattr(x, name) for name in names)
+    assert repr(x) == f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    assert _hash_or_error(x) == _hash_or_error(values)
+    same = dataclasses.replace(x)
+    assert same is not x and same == x and not same != x
+    assert _hash_or_error(same) == _hash_or_error(x)
+    assert x.__eq__(values) is NotImplemented and x != values
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+    # a copy with one field set to a fresh object: equal exactly when the field tuples are
+    for name in names:
+        other = object.__new__(cls)
+        object.__setattr__(other, "__dict__", {**x.__dict__, name: object()})
+        assert (x == other) is False and (other == x) is False
+
+
+def test_every_record_class_has_values():
+    assert len(RECORDS) == 26
+    assert {type(x) for x in FIXED_RECORDS} == RECORDS
+
+
+@pytest.mark.parametrize("x", FIXED_RECORDS, ids=lambda x: type(x).__name__)
+def test_records_match_the_dataclass_formulas(x):
+    _check_record(x)
+
+
+@given(
+    st.one_of(
+        distributions, hypotheses, descriptors, tasks, configs, rows, reports,
+        x3c_instances, epsc_instances, consistency_instances,
+    )
+)
+def test_generated_records_match_the_dataclass_formulas(x):
+    _check_record(x)
+
+
+def test_records_share_one_code_object_per_method():
+    # dataclass(eq=True, repr=True) would exec-compile these three per class, in "<string>"
+    for method in ("__eq__", "__hash__", "__repr__"):
+        codes = {vars(cls)[method].__code__ for cls in RECORDS}
+        assert len(codes) == 1 and "<string>" not in {code.co_filename for code in codes}
+    # __repr__ is reprlib's recursion guard around the shared repr
+    inner = {
+        cell.cell_contents.__code__
+        for cls in RECORDS
+        for cell in vars(cls)["__repr__"].__closure__
+        if isinstance(cell.cell_contents, types.FunctionType)
+    }
+    assert len(inner) == 1 and inner.pop().co_filename == llp_lab.core.__file__
+
+
+def test_records_of_different_classes_with_equal_fields_differ():
+    disjunction, conjunction = llp_lab.MonotoneDisjunction(3, (1,)), llp_lab.MonotoneConjunction(3, (1,))
+    assert dataclasses.astuple(disjunction) == dataclasses.astuple(conjunction)
+    assert disjunction != conjunction and len({disjunction, conjunction}) == 2
+    assert disjunction.__eq__(conjunction) is NotImplemented
+
+
+def test_a_recursive_record_repr_is_cut_short():
+    outcome = LearnerOutcome(Parity((1,)), F(1), F(0))
+    outcome.work["self"] = outcome
+    assert repr(outcome) == (
+        "LearnerOutcome(hypothesis=Parity(mask=(1,)), achieved=Fraction(1, 1), residual=Fraction(0, 1), "
+        "work={'self': ...}, improper=False)"
+    )
+
+
+@pytest.mark.parametrize("option", [{"compare": False}, {"hash": True}, {"hash": False}, {"repr": False}])
+def test_record_refuses_field_options_it_does_not_implement(option):
+    with pytest.raises(UnsupportedRecord, match="a field with compare, hash or repr set") as raised:
+
+        @llp_lab.core.record
+        class Bad:
+            a: int
+            b: int = dataclasses.field(default=0, **option)
+
+    assert isinstance(raised.value, TypeError)

@@ -1,11 +1,14 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and imports lean.
 
 numpy and scipy are test-only references: `[project].dependencies` is
 empty, no module under `src/llp_lab` imports either, and the paths that
-drew binomials through numpy leave it unimported.
+drew binomials through numpy leave it unimported.  Importing the package
+loads no OpenSSL (`hashlib`), and no class is an `@dataclass(...)`, whose
+methods are compiled per class: records go through `core.record`.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -67,3 +70,28 @@ print(sorted({"numpy", "scipy"} & set(sys.modules)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha256") is None and importlib.util.find_spec("_sha2") is None,
+    reason="no built-in SHA-256 module: derive_seed takes hashlib's",
+)
+def test_import_and_derive_seed_leave_hashlib_unimported():
+    code = "import sys, llp_lab; llp_lab.derive_seed(1, 'a'); print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_class_is_decorated_with_dataclass():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name == "dataclass":
+                        found.append(f"{path.name}:{dec.lineno} {node.name}")
+    assert found == []

@@ -415,7 +415,10 @@ def _task_json(*path, value):
 
 
 LEARN = ["learn", "--task", "{in}", "--learner", "improper"]
-# each input once exited 1 with a traceback (ZeroDivisionError or AttributeError) or 2 as "KeyError"
+PAC = ["reduce", "--run", "pac", "--in", "{in}"]
+NOISY_PARITY = {"n": 3, "target": {"kind": "parity", "mask": "100"}, "eta": "1/10", "eta_prime": "1/5"}
+# each input once exited 1 with a traceback (ZeroDivisionError or AttributeError)
+# or 2 as an untyped "KeyError", "TypeError" or "ValueError"
 MALFORMED = {
     "bounds eps 1/0": (None, ["bounds", "--hoeffding", "--eps", "1/0", "--delta", "1/2"], "InvalidParams"),
     "trials eps 1/0": (CLI_CONFIG, ["trials", "--config", "{in}", "--eps", "1/0"], "InvalidParams"),
@@ -423,11 +426,27 @@ MALFORMED = {
     "learn atom den 0": (_task_json("distribution", "atoms", 0, "den", value=0), LEARN, "InvalidParams"),
     "trials target 7": ({**CLI_CONFIG, "target": 7}, ["trials", "--config", "{in}"], "MalformedEncoding"),
     "noisy-parity target 7": (
-        {"n": 3, "target": 7, "eta": "1/10", "eta_prime": "1/5"},
+        {**NOISY_PARITY, "target": 7},
         ["reduce", "--run", "noisy-parity", "--in", "{in}"],
         "MalformedEncoding",
     ),
     "x3c without triples": ({"universe": [1, 2, 3]}, ["oracle", "--solver", "x3c", "--in", "{in}"], "MalformedEncoding"),
+    "trials config a list": ([1], ["trials", "--config", "{in}", "--seed", "3"], "MalformedEncoding"),
+    "noisy-parity restriction a string": (
+        {**NOISY_PARITY, "restriction": "2"},
+        ["reduce", "--run", "noisy-parity", "--in", "{in}"],
+        "InvalidParams",
+    ),
+    "pac example of three items": (
+        {"class": {"class_id": "monotone_disjunction", "n": 2}, "labeled": [[{"bits": "01"}, 1, 5]]},
+        PAC,
+        "MalformedEncoding",
+    ),
+    "pac label 5": (
+        {"class": {"class_id": "monotone_disjunction", "n": 2}, "labeled": [[{"bits": "01"}, 5]]},
+        PAC,
+        "InvalidParams",
+    ),
 }
 
 

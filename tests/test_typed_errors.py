@@ -60,7 +60,7 @@ from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 5, "hypotheses": 27, "reductions": 8, "learners": 0}
+CEILINGS = {"core": 5, "hypotheses": 27, "reductions": 7, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
