@@ -206,7 +206,10 @@ class ExplicitDistribution:
 
     Atoms are stored sorted by point, weights are positive Fractions that sum
     to exactly 1, and support points are pairwise distinct.  Use
-    `make_distribution` to construct with validation.
+    `make_distribution` to construct with validation.  What the samplers
+    read is built on first use and cached: `weighted`, the atoms as integer
+    multiplicities, and `cdf`, the float CDF small draws bisect with its
+    byte table.
     """
 
     atoms: tuple[tuple[Point, Fraction], ...]
@@ -222,6 +225,20 @@ class ExplicitDistribution:
         d = math.lcm(*(w.denominator for _, w in self.atoms))
         packed = tuple((_pack(p), w.numerator * (d // w.denominator)) for p, w in self.atoms)
         return _sample_packed(check_same_domain(p for p, _ in self.atoms), packed, d, Fraction(0))
+
+    @cached_property
+    def cdf(self) -> tuple[list[float], bytes | None]:
+        """The cuts of a small draw and their `_cut_table` (None from 255 atoms on).
+
+        Cut i is the float sum of the first i + 1 masses of `weighted`, each
+        an int / int division; the last cut is inf, since the float total
+        may fall short of 1 and past it the last atom is drawn.  A draw
+        takes the atom at `bisect_right(cuts, random())`.
+        """
+        weighted = self.weighted
+        cuts = list(accumulate(w / weighted.m for _, w in weighted.packed_counts))
+        cuts[-1] = math.inf
+        return cuts, (_cut_table(cuts) if len(cuts) < 255 else None)
 
 
 @record
@@ -395,7 +412,7 @@ def _sample_packed(
     packed_counts: tuple[tuple[int, int], ...],
     m: int,
     p_hat: Fraction,
-    draws: Sequence[int] | None = None,
+    draws: Iterable[int] | None = None,
 ) -> Sample:
     """The trusted Sample constructor: packed counts from a known domain.
 
@@ -445,9 +462,12 @@ def _claim_samples(
 # seeded drawing
 
 
-def _cut_count(p: Fraction) -> int:
-    """C = ceil(p * 2**53) clamped to [0, 2**53]: for 0 <= k < 2**53, k < C exactly when k / 2**53 < p."""
-    return min(max(math.ceil(p * 2**53), 0), 2**53)
+def _cut_count(p: Fraction | float) -> int:
+    """C = ceil(p * 2**53) clamped to [0, 2**53]: for 0 <= k < 2**53, k < C exactly when k / 2**53 < p.
+
+    p is a Fraction or a float, inf included: a float times 2**53 is exact.
+    """
+    return max(math.ceil(min(p, 1) * 2**53), 0)
 
 
 def _random_cut(p: Fraction) -> float:
@@ -457,8 +477,7 @@ def _random_cut(p: Fraction) -> float:
     k < p * 2**53 holds exactly when k < ceil(p * 2**53).  Clamped to
     [0, 2**53], that ceiling (`_cut_count`) divided by 2**53 is an exact
     float, so one float comparison per draw replaces the exact but slow
-    Fraction one.  The per-call reference for `_coin_flips`, which compares
-    the same integers for a whole batch at once.
+    Fraction one.  The one cut of `_coin_flips`.
     """
     return _cut_count(p) / 2**53
 
@@ -468,24 +487,66 @@ def _lanes(pattern: bytes, m: int) -> int:
     return int.from_bytes(pattern * m, "little")
 
 
-def _coin_flips(p: Fraction, m: int, rng: random.Random) -> bytes:
-    """m coins of bias p as 0/1 bytes: byte i is `rng.random() < p` for the i-th call.
+_SPLIT = 255  # a `_cut_table` entry whose bucket a cut splits
+
+
+def _cut_table(cuts: Sequence[float]) -> bytes:
+    """For each byte t, the `bisect_right` index into `cuts` of every random() value in bucket t.
+
+    Bucket t holds the values k / 2**53 whose top byte, k >> 45, is t.  A
+    cut c splits the values at k = `_cut_count(c)`: those below it lie
+    below c.  Where that k falls strictly inside a bucket, the bucket's
+    values have two indices and its entry is `_SPLIT`; elsewhere every
+    value of the bucket has the entry's index.  `cuts` is sorted, and an
+    index runs up to len(cuts), so at most 254 cuts fit below `_SPLIT`.
+    """
+    if len(cuts) >= _SPLIT:
+        raise InvalidParams(f"a byte table holds at most {_SPLIT - 1} cuts, got {len(cuts)}")
+    table = bytearray(256)
+    for i, c in enumerate(cuts, 1):
+        t, inside = divmod(_cut_count(c), 2**45)
+        if inside:
+            table[t] = _SPLIT
+            t += 1
+        table[t:] = bytes([i]) * (256 - t)  # buckets wholly at or above c
+    return bytes(table)
+
+
+def _cut_draws(cuts: Sequence[float], table: bytes, m: int, rng: random.Random) -> bytes:
+    """Byte i is `bisect_right(cuts, rng.random())` for the i-th call; `table` is `_cut_table(cuts)`.
 
     One `getrandbits(64 * m)` reads the 2m words that m `random()` calls
     would, lowest first, and leaves `rng` where they would.  random() reads
     words a then b and returns k / 2**53 with k = (a >> 5) * 2**26 + (b >> 6),
-    so lane i (64 bits, a low) holds call i's pair, and masks and shifts
-    build every lane's k at once.  The call is below p exactly when
-    k < C = `_cut_count(p)`.  Subtracting each lane's k from 2**53 + C - 1
-    leaves a value in [0, 2**54) whose bit 53 is set exactly then, so no
-    borrow crosses a lane.
+    so lane i (8 bytes, a low) holds call i's pair, and its byte 3, the top
+    byte of a, is k's top byte.  One `translate` through `table` gives
+    every draw's index; only draws in a bucket a cut splits are decided
+    here, one `bisect_right` each on the value random() would return.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
-    big = rng.getrandbits(64 * m)
-    ones = _lanes(b"\x01" + bytes(7), m)
-    k = ((big & ones * 0xFFFFFFE0) << 21) | ((big >> 38) & ones * 0x3FFFFFF)  # (a >> 5) << 26 | b >> 6
-    return ((ones * (2**53 + _cut_count(p) - 1) - k) >> 53).to_bytes(8 * m, "little")[::8]
+    raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+    index = bytearray(raw[3::8].translate(table))
+    i = index.find(_SPLIT)
+    while i >= 0:
+        lane = int.from_bytes(raw[8 * i : 8 * i + 8], "little")
+        index[i] = bisect_right(cuts, ((lane & 0xFFFFFFFF) >> 5 << 26 | lane >> 38) / 2**53)
+        i = index.find(_SPLIT, i + 1)
+    return bytes(index)
+
+
+_COIN = b"\x01" + bytes(255)  # index 0, below the cut, is heads
+
+
+def _coin_flips(p: Fraction, m: int, rng: random.Random) -> bytes:
+    """m coins of bias p as 0/1 bytes: byte i is `rng.random() < p` for the i-th call.
+
+    The draws' indices against the one cut `_random_cut(p)` (`_cut_draws`),
+    0 below it and 1 at or above, turned into coins by one more
+    `translate`.  The generator is left where m `random()` calls leave it.
+    """
+    cuts = [_random_cut(p)]
+    return _cut_draws(cuts, _cut_table(cuts), m, rng).translate(_COIN)
 
 
 def derive_seed(*parts: object) -> int:
@@ -540,20 +601,18 @@ def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Po
 
 
 def _draw_small(dist: ExplicitDistribution, m: int, seed: int) -> list[int]:
-    """m draws, packed, by one `random()` and one bisection of the float CDF each.
+    """m draws, packed, by one `random()` and one bisection of the cuts `dist.cdf` each.
 
-    Masses are the integer weights of `ExplicitDistribution.weighted` over
-    their total.
+    The small draw of a distribution of 255 atoms or more, whose indices
+    do not fit a byte, and the per-draw reference the byte draws of `_draw`
+    are tested against.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
-    weighted = dist.weighted
-    cum = list(accumulate(w / weighted.m for _, w in weighted.packed_counts))
-    # the float total may fall short of 1; past it, the last atom is drawn
-    cum[-1] = math.inf
-    packed = [x for x, _ in weighted.packed_counts]
+    cuts = dist.cdf[0]
+    packed = [x for x, _ in dist.weighted.packed_counts]
     rand = random.Random(seed).random
-    return [packed[bisect_right(cum, rand())] for _ in range(m)]
+    return [packed[bisect_right(cuts, rand())] for _ in range(m)]
 
 
 def _draw_cube(n: int, m: int, seed: int) -> list[int]:
@@ -592,19 +651,29 @@ def _draw_cube(n: int, m: int, seed: int) -> list[int]:
 def _draw(dist: FiniteDistribution, m: int, seed: int) -> Sample:
     """m i.i.d. draws as a sample with p_hat 0; identical arguments give identical draws.
 
-    The one choice of draw routine: `_draw_cube` for a cube, and for an
-    explicit distribution `_draw_small` below COUNT_DRAW_MIN draws, else
-    `_draw_packed` (one binomial per atom) on `dist.weighted`.  The first
-    two keep the draw order; the binomial draw has none, so its points come
-    out grouped by atom in canonical order.  The choice depends only on the
-    arguments, so reproducibility is unaffected.
+    The one choice of draw routine: `_draw_cube` for a cube; for an
+    explicit distribution, at least COUNT_DRAW_MIN draws go through
+    `_draw_packed` (one binomial per atom) on `dist.weighted`.  Fewer draw
+    atom indices as bytes (`_cut_draws` on `dist.cdf`): the counts are each
+    index's `bytes.count`, and the draw order maps the indices to packed
+    points.  A distribution of 255 atoms or more has no byte table and
+    draws by `_draw_small`, the same draws one `random()` at a time.  The
+    binomial draw has no draw order, so its points come out grouped by atom
+    in canonical order.  The choice depends only on the arguments, so
+    reproducibility is unaffected.
     """
     if isinstance(dist, UniformCube):
         domain, draws = ("bits", dist.n), _draw_cube(dist.n, m, seed)
-    elif m < COUNT_DRAW_MIN:
+    elif m >= COUNT_DRAW_MIN:
+        return _sample_packed(dist.weighted.domain, _draw_packed(dist.weighted, m, seed), m, Fraction(0))
+    elif dist.cdf[1] is None:
         domain, draws = dist.weighted.domain, _draw_small(dist, m, seed)
     else:
-        return _sample_packed(dist.weighted.domain, _draw_packed(dist.weighted, m, seed), m, Fraction(0))
+        index = _cut_draws(*dist.cdf, m, random.Random(seed))
+        atoms = [x for x, _ in dist.weighted.packed_counts]
+        counts = tuple((x, c) for x, c in zip(atoms, map(index.count, range(len(atoms)))) if c)
+        domain = dist.weighted.domain if m else None
+        return _sample_packed(domain, counts, m, Fraction(0), map(atoms.__getitem__, index))
     return _sample_packed(domain if m else None, tuple(sorted(Counter(draws).items())), m, Fraction(0), draws)
 
 

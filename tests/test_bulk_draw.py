@@ -1,13 +1,17 @@
 """Bulk reads of the Mersenne Twister against the per-call loops they replaced.
 
 `core._draw_cube` reads m cube draws off one `getrandbits` call, and
-`core._coin_flips` reads m coins off another.  The references below make one
-`getrandbits(n)` or one `random()` call per example.  Both sides must give
-the same values and leave the generator at the same place.
+`core._cut_draws` reads m `random()` values off another, for the coins of
+`core._coin_flips` and the small explicit draws of `core._draw`.  The
+references below make one `getrandbits(n)` or one `random()` call per
+example.  Both sides must give the same values and leave the generator at
+the same place.
 """
 
+import math
 import random
 import types
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +24,7 @@ from llp_lab import (
     NoisyParitySetup,
     Parity,
     TrialConfig,
+    Sample,
     UniformCube,
     derive_seed,
     draw_labeled_points,
@@ -30,10 +35,23 @@ from llp_lab import (
     random_hypothesis,
 )
 from llp_lab import core, reductions, trials
-from llp_lab.core import _coin_flips, _draw_cube, _random_cut
+from llp_lab.core import (
+    COUNT_DRAW_MIN,
+    _coin_flips,
+    _cut_draws,
+    _cut_table,
+    _draw,
+    _draw_cube,
+    _draw_small,
+    _random_cut,
+    _unpack,
+    _unpack_bits,
+)
+from llp_lab.errors import InvalidParams
 from llp_lab.trials import run_single_trial
 
 TWO53 = 2**53
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def _cube_reference(n, m, seed):
@@ -65,10 +83,12 @@ SPECIAL_RATES = (F(0), F(1, 2), F(1, TWO53), 1 - F(1, TWO53), F(1), F(1, 10), F(
 
 @st.composite
 def _rates(draw):
-    """A special rate, a multiple of 2^-53, or any fraction a little past [0, 1]."""
-    kind = draw(st.sampled_from(("special", "grid", "any")))
+    """A special rate, j/256 or next to it, a multiple of 2^-53, or any fraction a little past [0, 1]."""
+    kind = draw(st.sampled_from(("special", "byte", "grid", "any")))
     if kind == "special":
         return draw(st.sampled_from(SPECIAL_RATES))
+    if kind == "byte":  # the cut on a bucket's edge, or just inside one
+        return F(draw(st.integers(0, 256)), 256) + draw(st.sampled_from((0, F(1, TWO53), -F(1, TWO53))))
     if kind == "grid":
         return F(draw(st.integers(-2, TWO53 + 2)), TWO53)
     den = draw(st.integers(1, 2**60))
@@ -111,6 +131,101 @@ def test_no_coin_reads_no_word():
     rng = random.Random(3)
     assert _coin_flips(F(1, 2), 0, rng) == b""
     assert rng.getstate() == random.Random(3).getstate()
+
+
+# ---------------------------------------------------------------------------
+# byte tables and small explicit draws
+
+
+def _bucket_ends(t):
+    """The least and the greatest random() value whose top byte is t."""
+    return t / 256, ((t + 1) * 2**45 - 1) / TWO53
+
+
+_EDGES = st.integers(0, 256).map(lambda j: j / 256)
+_CUTS = st.lists(
+    st.floats(0, 1) | _EDGES | _EDGES.map(lambda c: math.nextafter(c, 0)) | _EDGES.map(lambda c: math.nextafter(c, 2)),
+    max_size=254,
+).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_CUTS, _CUTS.filter(bool).map(lambda cuts: cuts[:-1] + [math.inf])), st.integers(0, 3000), SEEDS)
+def test_cut_draws_are_bisections_of_random_calls(cuts, m, seed):
+    table = _cut_table(cuts)
+    for t in range(256):  # a bucket is split exactly when its ends have different indices
+        first, last = (bisect_right(cuts, x) for x in _bucket_ends(t))
+        assert table[t] == (first if first == last else 255)
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert _cut_draws(cuts, table, m, rng) == bytes(bisect_right(cuts, ref.random()) for _ in range(m))
+    assert rng.getstate() == ref.getstate()
+
+
+def test_a_byte_table_holds_at_most_254_cuts():
+    assert len(_cut_table([0.5] * 254)) == 256
+    with pytest.raises(InvalidParams, match="at most 254 cuts"):
+        _cut_table([0.5] * 255)
+
+
+def _distribution(weights, bits):
+    points = [_unpack_bits(i, 9) if bits else 3 * i for i in range(len(weights))]
+    total = sum(weights)
+    return make_distribution((x, F(w, total)) for x, w in zip(points, weights))
+
+
+@st.composite
+def _small_distributions(draw):
+    """Explicit distributions of 1-300 atoms: any weights, cuts on j/256, or a run of tiny masses.
+
+    Tiny masses (weight ratios up to 2^60) put many cuts, some of them equal
+    as floats, inside one bucket.
+    """
+    kind = draw(st.sampled_from(("any", "grid", "tiny")))
+    if kind == "any":
+        n = draw(st.sampled_from((1, 2, 253, 254, 255, 256, 300)) | st.integers(1, 300))
+        top = draw(st.sampled_from((1, 2**8, 2**60)))
+        weights = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    elif kind == "grid":  # each j/256 segment one atom, or split in two
+        ends = draw(st.lists(st.integers(1, 255), unique=True, max_size=80))
+        bounds = [0, *sorted(ends), 256]
+        weights = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            w = (hi - lo) * 2**20
+            split = draw(st.sampled_from((0, 0, 0, 1)) | st.integers(0, w - 1))
+            weights += [split, w - split] if split else [w]
+    else:
+        big = draw(st.lists(st.integers(2**59, 2**60), min_size=1, max_size=10))
+        run = draw(st.lists(st.integers(1, 4), min_size=1, max_size=60))
+        at = draw(st.integers(0, len(big)))
+        weights = big[:at] + run + big[at:]
+    return _distribution(weights, draw(st.booleans()))
+
+
+def _check_small_draw(dist, m, seed):
+    assert (dist.cdf[1] is None) == (len(dist.atoms) >= 255)  # past 254 atoms no byte table
+    got = _draw(dist, m, seed)
+    want = Sample(_unpack(dist.weighted.domain, _draw_small(dist, m, seed)), F(0))
+    assert got.packed_counts == want.packed_counts
+    assert got._draws == want._draws
+    assert got.points == want.points
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_distributions(), st.sampled_from((0, 1, 2, COUNT_DRAW_MIN - 1)) | st.integers(0, COUNT_DRAW_MIN - 1), SEEDS)
+def test_small_explicit_draws_match_one_random_call_per_draw(dist, m, seed):
+    _check_small_draw(dist, m, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 400), SEEDS, st.booleans(), st.data())
+def test_small_explicit_draws_with_a_cut_on_a_drawn_value(m, seed, bits, data):
+    """The first atom's mass is one of the drawn values: that draw sits on the cut and takes the second atom."""
+    rng = random.Random(seed)
+    x = F([rng.random() for _ in range(m)][data.draw(st.integers(0, m - 1))])
+    if x:
+        tail = data.draw(st.sampled_from((1, 2, 7)))
+        _check_small_draw(_distribution([x.numerator * tail] + [x.denominator - x.numerator] * tail, bits), m, seed)
 
 
 @settings(max_examples=100, deadline=None)

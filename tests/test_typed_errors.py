@@ -55,7 +55,17 @@ from llp_lab import (
     task_from_json,
     task_to_json,
 )
-from llp_lab.core import _coin_flips, _draw_cube, _draw_small, _pack, _sample_packed, check_same_domain, draw_counts
+from llp_lab.core import (
+    _coin_flips,
+    _cut_draws,
+    _cut_table,
+    _draw_cube,
+    _draw_small,
+    _pack,
+    _sample_packed,
+    check_same_domain,
+    draw_counts,
+)
 from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
@@ -120,6 +130,7 @@ def test_negative_draw_sizes_raise_invalid_params():
         lambda: _draw_small(two, -1, 0),
         lambda: _draw_cube(3, -1, 0),
         lambda: _coin_flips(F(1, 2), -1, random.Random(0)),
+        lambda: _cut_draws([0.5], _cut_table([0.5]), -1, random.Random(0)),
         lambda: draw_points(two, -1, 0),
         lambda: draw_points(UniformCube(3), -1, 0),
     ]
