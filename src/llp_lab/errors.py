@@ -21,6 +21,7 @@ __all__ = [
     "NoCandidateAccepted",
     "InvalidAuxiliaryCount",
     "UnsupportedRecord",
+    "NotAHypothesis",
 ]
 
 
@@ -103,6 +104,13 @@ class NoCandidateAccepted(LlpError):
 
 class InvalidAuxiliaryCount(LlpError):
     """Auxiliary block size too small for the cover-to-subset-count reduction."""
+
+
+class NotAHypothesis(LlpError, TypeError):
+    """A hypothesis function was handed something that is not one of the seven kinds.
+
+    Also a TypeError, the builtin it replaces, for callers catching one.
+    """
 
 
 class UnsupportedRecord(LlpError, TypeError):

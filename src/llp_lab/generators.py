@@ -19,7 +19,7 @@ from .core import (
     parse_rational,
 )
 from .errors import InvalidParams
-from .hypotheses import ClassDescriptor, Hypothesis, class_domain, random_hypothesis
+from .hypotheses import _CLASSES, ClassDescriptor, Hypothesis, class_domain, random_hypothesis
 from .reductions import ConsistencyInstance, EPSCInstance, X3CInstance
 from .sampling import LLPTask, draw_sample
 
@@ -84,7 +84,7 @@ def gen_consistency(
         if n_points > nat_range:
             raise InvalidParams(f"{n_points} distinct naturals need a wider range")
         points = tuple(sorted(rng.sample(range(1, nat_range + 1), n_points)))
-    if desc.class_id == "finite_subset" and desc.ground_set is None:
+    if "ground_set" in _CLASSES[desc.class_id].options and desc.ground_set is None:
         # enumeration needs a finite universe; the observed points are the
         # only ones a subset hypothesis can usefully contain
         desc = ClassDescriptor(desc.class_id, desc.n, desc.restriction, desc.k, points)  # type: ignore[arg-type]

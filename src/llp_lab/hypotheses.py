@@ -1,9 +1,12 @@
 """Hypothesis classes: evaluation, canonical encodings, enumeration, VC data.
 
-Seven hypothesis kinds share one tagged union: parities, monotone
-disjunctions, monotone conjunctions, finite subsets of the naturals,
-bounded-span windows, rational halfspaces, and the improper
-constant-random baseline.
+Seven hypothesis kinds, each one record class in the `Hypothesis` union:
+parities, monotone disjunctions, monotone conjunctions, finite subsets of
+the naturals, bounded-span windows, rational halfspaces, and the improper
+constant-random baseline.  The class holds all its kind needs (`_Kind`
+names it).  Six class ids, each one row of `_CLASSES` (`_Row`), whose keys
+are `CLASS_IDS`.  The public functions read the kind or the row, so adding
+a kind is one class joined to the union, and adding a class id one row.
 
 Canonical encodings drive the deterministic tie-break used by every learner
 and oracle in the package: among candidates with equal residual, prefer the
@@ -22,7 +25,7 @@ import operator
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,11 +42,12 @@ from .core import (
     bits_to_string,
     from_fields,
     json_list,
+    parse_rational,
     point_domain,
     record,
     to_fields,
 )
-from .errors import BudgetExceeded, DomainMismatch, InfiniteClass, MalformedEncoding
+from .errors import BudgetExceeded, DomainMismatch, InfiniteClass, InvalidParams, MalformedEncoding, NotAHypothesis
 
 __all__ = [
     "Parity",
@@ -83,17 +87,38 @@ DEFAULT_BUDGET = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# the tagged union
+# the kinds
+
+
+class _Kind:
+    """Every hypothesis kind subclasses this and gives the fronts what they read.
+
+    `_tag` + `_payload()` is the encoding, which the classmethod `_read`
+    inverts; `_name` and `_fields` are the JSON kind and field table;
+    `_domain()` is the point domain, n-bit vectors unless overridden;
+    `_label(x, rng)` labels a checked point (`evaluate`, the reference)
+    and `_labeler()` is the packed predicate (`labeler`), written apart;
+    `_cube_proportion()` is the closed-form share of the uniform cube, or None.
+    """
+
+    def _domain(self) -> tuple[str, int | None]:
+        return ("bits", self.n)  # type: ignore[attr-defined]
+
+    def _cube_proportion(self) -> Fraction | None:
+        return None
 
 
 @record
-class Parity:
+class Parity(_Kind):
     """x maps to <mask, x> mod 2.  The all-zero mask is the trivial parity."""
 
     mask: Bits
 
+    _tag, _name = "000", "parity"
+    _fields = (("mask", "mask", (bits_to_string, bits_from_string), REQUIRED),)
+
     def __post_init__(self) -> None:
-        if not self.mask or any(b not in (0, 1) for b in self.mask):
+        if not self.mask or any(type(b) is not int or b not in (0, 1) for b in self.mask):
             raise ValueError(f"bad parity mask: {self.mask!r}")
 
     @property
@@ -104,76 +129,171 @@ class Parity:
     def trivial(self) -> bool:
         return not any(self.mask)
 
+    def _label(self, x: Bits, rng: random.Random | None) -> int:
+        return sum(m & b for m, b in zip(self.mask, x)) & 1
 
-def _check_vars(n: int, vars: tuple[int, ...]) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"bad dimension {n!r}")
-    if any(type(v) is not int or not 1 <= v <= n for v in vars) or list(vars) != sorted(set(vars)):
-        raise ValueError(f"vars must be strictly increasing in 1..{n}: {vars!r}")
+    def _labeler(self) -> Callable[[int], int]:
+        mask = _pack(self.mask)
+        return lambda x: (mask & x).bit_count() & 1
+
+    def _cube_proportion(self) -> Fraction:
+        return Fraction(0) if self.trivial else Fraction(1, 2)
+
+    def _payload(self) -> str:
+        return bits_to_string(self.mask)
+
+    @classmethod
+    def _read(cls, payload: str) -> Parity:
+        if not payload:
+            raise MalformedEncoding("empty parity mask")
+        return cls(bits_from_string(payload))
+
+
+class _Monotone(_Kind):
+    """A monotone formula over the 1-based `vars` of n bits.
+
+    The two kinds differ in the fold of the listed bits, `_fold`, in its
+    start `_unit` (the empty formula's label) and in the packed predicate.
+    """
+
+    _fields = (("n", "n", None, REQUIRED), ("vars", "vars", json_list(None, "hypothesis vars"), REQUIRED))
+
+    def __post_init__(self) -> None:
+        n, vars = self.n, self.vars
+        if type(n) is not int or n < 1:
+            raise ValueError(f"bad dimension {n!r}")
+        if any(type(v) is not int or not 1 <= v <= n for v in vars) or list(vars) != sorted(set(vars)):
+            raise ValueError(f"vars must be strictly increasing in 1..{n}: {vars!r}")
+
+    def _label(self, x: Bits, rng: random.Random | None) -> int:
+        return int(reduce(self._fold, (x[v - 1] for v in self.vars), self._unit))
+
+    def _cube_proportion(self) -> Fraction | None:
+        return None if self.vars else Fraction(self._unit)
+
+    def _payload(self) -> str:
+        chars = ["0"] * self.n
+        for v in self.vars:
+            chars[v - 1] = "1"
+        return "".join(chars)
+
+    @classmethod
+    def _read(cls, payload: str) -> _Monotone:
+        if not payload:
+            raise MalformedEncoding("empty membership vector")
+        return cls(len(payload), tuple(j + 1 for j, ch in enumerate(payload) if ch == "1"))  # type: ignore[call-arg]
+
+
+def _var_mask(n: int, vars: tuple[int, ...]) -> int:
+    return sum(1 << (n - v) for v in vars)
 
 
 @record
-class MonotoneDisjunction:
+class MonotoneDisjunction(_Monotone):
     """OR over the listed 1-based variables; the empty disjunction is constant 0."""
 
     n: int
     vars: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_vars(self.n, self.vars)
+    _tag, _name, _fold, _unit = "001", "monotone_disjunction", operator.or_, 0
+
+    def _labeler(self) -> Callable[[int], int]:
+        mask = _var_mask(self.n, self.vars)
+        return lambda x: x & mask != 0
 
 
 @record
-class MonotoneConjunction:
+class MonotoneConjunction(_Monotone):
     """AND over the listed 1-based variables; the empty conjunction is constant 1."""
 
     n: int
     vars: tuple[int, ...]
 
+    _tag, _name, _fold, _unit = "010", "monotone_conjunction", operator.and_, 1
+
+    def _labeler(self) -> Callable[[int], int]:
+        mask = _var_mask(self.n, self.vars)
+        return lambda x: x & mask == mask
+
+
+class _Elems(_Kind):
+    """The indicator of the naturals `elems`; a window puts its span bound before them."""
+
+    _fields = (("elems", "elems", json_list(None, "hypothesis elems"), REQUIRED),)
+
     def __post_init__(self) -> None:
-        _check_vars(self.n, self.vars)
+        elems = self.elems
+        if any(type(e) is not int or e < 0 for e in elems):
+            raise ValueError(f"elements must be naturals: {elems!r}")
+        if list(elems) != sorted(set(elems)):
+            raise ValueError(f"elements must be strictly increasing: {elems!r}")
 
+    def _domain(self) -> tuple[str, int | None]:
+        return ("nat", None)
 
-def _check_nat_elems(elems: tuple[int, ...]) -> None:
-    if any(not (isinstance(e, int) and e >= 0) for e in elems):
-        raise ValueError(f"elements must be naturals: {elems!r}")
-    if list(elems) != sorted(set(elems)):
-        raise ValueError(f"elements must be strictly increasing: {elems!r}")
+    def _label(self, x: int, rng: random.Random | None) -> int:
+        return int(x in self.elems)
+
+    def _labeler(self) -> Callable[[int], bool]:
+        return frozenset(self.elems).__contains__
+
+    def _payload(self) -> str:
+        return "".join(_nat_code(e) for e in self.elems)
+
+    @classmethod
+    def _read(cls, payload: str) -> _Elems:
+        return cls(_read_nat_list(payload, 0))  # type: ignore[call-arg]
 
 
 @record
-class FiniteSubset:
+class FiniteSubset(_Elems):
     """Indicator of a finite set of naturals."""
 
     elems: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_nat_elems(self.elems)
+    _tag, _name = "011", "finite_subset"
 
 
 @record
-class Window:
+class Window(_Elems):
     """Indicator of a finite set of naturals whose span is at most k."""
 
     k: int
     elems: tuple[int, ...]
 
+    _tag, _name = "100", "window"
+    _fields = (("k", "k", None, REQUIRED), *_Elems._fields)
+
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 0:
+        if type(self.k) is not int or self.k < 0:
             raise ValueError(f"bad span bound {self.k!r}")
-        _check_nat_elems(self.elems)
+        super().__post_init__()
         if self.elems and self.elems[-1] - self.elems[0] > self.k:
             raise ValueError(
                 f"span {self.elems[-1] - self.elems[0]} exceeds k={self.k}: {self.elems!r}"
             )
 
+    def _payload(self) -> str:
+        return _nat_code(self.k) + super()._payload()
+
+    @classmethod
+    def _read(cls, payload: str) -> Window:
+        k, pos = _read_nat(payload, 0)
+        return cls(k, _read_nat_list(payload, pos))
+
 
 @record
-class Halfspace:
+class Halfspace(_Kind):
     """x maps to 1 iff <normal, x> is strictly greater than the threshold."""
 
     normal: tuple[Fraction, ...]
     threshold: Fraction
+
+    _tag, _name = "101", "halfspace"
+    _fields = (
+        ("normal", "normal", json_list(RATIONAL, "halfspace normal"), REQUIRED),
+        ("threshold", "threshold", RATIONAL, REQUIRED),
+    )
 
     def __post_init__(self) -> None:
         if not self.normal or any(not isinstance(c, Fraction) for c in self.normal):
@@ -185,38 +305,87 @@ class Halfspace:
     def n(self) -> int:
         return len(self.normal)
 
+    def _label(self, x: Bits, rng: random.Random | None) -> int:
+        proj = sum((c for c, b in zip(self.normal, x) if b), Fraction(0))
+        return int(proj > self.threshold)
+
+    def _labeler(self) -> Callable[[int], bool]:
+        # <normal, x> > threshold, scaled by a common denominator so the
+        # sum over the set bits is exact integer arithmetic
+        den = math.lcm(self.threshold.denominator, *(c.denominator for c in self.normal))
+        terms = [(1 << (self.n - 1 - i), int(c * den)) for i, c in enumerate(self.normal) if c]
+        cut = int(self.threshold * den)
+        return lambda x: sum(w for bit, w in terms if x & bit) > cut
+
+    def _payload(self) -> str:
+        body = _nat_code(self.n) + "".join(_fraction_code(c) for c in self.normal)
+        return body + _fraction_code(self.threshold)
+
+    @classmethod
+    def _read(cls, payload: str) -> Halfspace:
+        n, pos = _read_nat(payload, 0)
+        normal = []
+        for _ in range(n):
+            c, pos = _read_fraction(payload, pos)
+            normal.append(c)
+        threshold, pos = _read_fraction(payload, pos)
+        if pos != len(payload):
+            raise MalformedEncoding("trailing bits after halfspace")
+        return cls(tuple(normal), threshold)
+
 
 @record
-class ConstantRandom:
-    """Improper baseline: labels any point 1 with probability p, ignoring the point."""
+class ConstantRandom(_Kind):
+    """Improper baseline: labels any point 1 with probability p, ignoring the point.
+
+    p is read by `core.parse_rational`, so a float is refused.
+    """
 
     p: Fraction
 
+    _tag, _name = "110", "constant_random"
+    _fields = (("p", "p", RATIONAL, REQUIRED),)
+
     def __post_init__(self) -> None:
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", Fraction(self.p))
+        object.__setattr__(self, "p", parse_rational(self.p))
         if not 0 <= self.p <= 1:
             raise ValueError(f"p {self.p} outside [0, 1]")
 
+    def _domain(self) -> tuple[str, int | None]:
+        return ("any", None)
 
-Hypothesis = (
-    Parity
-    | MonotoneDisjunction
-    | MonotoneConjunction
-    | FiniteSubset
-    | Window
-    | Halfspace
-    | ConstantRandom
-)
+    def _label(self, x: Point, rng: random.Random | None) -> int:
+        if rng is None:
+            raise InvalidParams("constant_random evaluation needs an explicit rng")
+        return int(rng.random() < self.p)
 
-CLASS_IDS = (
-    "parity",
-    "monotone_disjunction",
-    "monotone_conjunction",
-    "finite_subset",
-    "window",
-    "halfspace",
-)
+    def _labeler(self) -> Callable[[int], int]:
+        raise InvalidParams("the randomized baseline has no deterministic labeling")
+
+    def _cube_proportion(self) -> Fraction:
+        return self.p
+
+    def _payload(self) -> str:
+        return _nat_code(self.p.numerator) + _nat_code(self.p.denominator)
+
+    @classmethod
+    def _read(cls, payload: str) -> ConstantRandom:
+        num, pos = _read_nat(payload, 0)
+        den, pos = _read_nat(payload, pos)
+        if pos != len(payload) or den == 0:
+            raise MalformedEncoding("bad constant_random payload")
+        return cls(Fraction(num, den))
+
+
+Hypothesis = Parity | MonotoneDisjunction | MonotoneConjunction | FiniteSubset | Window | Halfspace | ConstantRandom
+_KINDS = Hypothesis.__args__
+
+
+def _checked(h: Hypothesis) -> Hypothesis:
+    """h itself, or NotAHypothesis: the one check the fronts make of their argument."""
+    if isinstance(h, _Kind):
+        return h
+    raise NotAHypothesis(f"not a hypothesis: {h!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +399,8 @@ class ClassDescriptor:
     `n` is the bit dimension for bit-vector classes and sets the natural
     domain {1..2^n} for windows.  `restriction` limits parities to their
     first `restriction` coordinates.  `k` is the window span bound.
-    `ground_set` is the enumeration universe for finite subsets.
+    `ground_set` is the enumeration universe for finite subsets.  Which
+    of these options a class takes is its row's `options`.
     """
 
     class_id: str
@@ -242,20 +412,18 @@ class ClassDescriptor:
     def __post_init__(self) -> None:
         if self.class_id not in CLASS_IDS:
             raise ValueError(f"unknown class_id {self.class_id!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"bad dimension {self.n!r}")
-        if self.restriction is not None:
-            if self.class_id != "parity" or type(self.restriction) is not int or not 0 <= self.restriction <= self.n:
-                raise ValueError(f"restriction {self.restriction!r} invalid for {self.class_id}")
-        if self.class_id == "window":
-            if type(self.k) is not int or self.k < 0:
-                raise ValueError("window class needs a span bound k >= 0")
-        elif self.k is not None:
-            raise ValueError(f"k only applies to windows, not {self.class_id}")
+        takes = _CLASSES[self.class_id].options
+        for option in ("restriction", "k", "ground_set"):
+            if getattr(self, option) is not None and option not in takes:
+                raise ValueError(f"{option} does not apply to {self.class_id}")
+        if self.restriction is not None and (type(self.restriction) is not int or not 0 <= self.restriction <= self.n):
+            raise ValueError(f"restriction {self.restriction!r} invalid for {self.class_id}")
+        if "k" in takes and (type(self.k) is not int or self.k < 0):  # a span bound has no default
+            raise ValueError(f"{self.class_id} class needs a span bound k >= 0")
         if self.ground_set is not None:
-            if self.class_id != "finite_subset":
-                raise ValueError("ground_set only applies to finite subsets")
-            _check_nat_elems(self.ground_set)
+            FiniteSubset(self.ground_set)  # a ground set's checks are a finite subset's
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +432,7 @@ class ClassDescriptor:
 
 def domain_kind(h: Hypothesis) -> tuple[str, int | None]:
     """("bits", n), ("nat", None), or ("any", None) for the improper baseline."""
-    match h:
-        case Parity():
-            return ("bits", h.n)
-        case MonotoneDisjunction() | MonotoneConjunction():
-            return ("bits", h.n)
-        case Halfspace():
-            return ("bits", h.n)
-        case FiniteSubset() | Window():
-            return ("nat", None)
-        case ConstantRandom():
-            return ("any", None)
-    raise TypeError(f"not a hypothesis: {h!r}")
-
-
-def _check_point(h: Hypothesis, x: Point) -> None:
-    want = domain_kind(h)
-    if want[0] == "any":
-        return
-    got = point_domain(x)
-    if got != want:
-        raise DomainMismatch(f"{type(h).__name__} over {want} applied to point {x!r}")
+    return _checked(h)._domain()
 
 
 def evaluate(h: Hypothesis, x: Point, rng: random.Random | None = None) -> int:
@@ -297,33 +445,15 @@ def evaluate(h: Hypothesis, x: Point, rng: random.Random | None = None) -> int:
     other.  The constant-random baseline needs an explicit seeded `rng`;
     every proper hypothesis is deterministic and ignores it.
     """
-    _check_point(h, x)
-    match h:
-        case Parity():
-            return sum(m & b for m, b in zip(h.mask, x)) & 1  # type: ignore[arg-type]
-        case MonotoneDisjunction():
-            return int(any(x[v - 1] for v in h.vars))  # type: ignore[index]
-        case MonotoneConjunction():
-            return int(all(x[v - 1] for v in h.vars))  # type: ignore[index]
-        case FiniteSubset() | Window():
-            return int(x in h.elems)
-        case Halfspace():
-            proj = sum((c for c, b in zip(h.normal, x) if b), Fraction(0))  # type: ignore[arg-type]
-            return int(proj > h.threshold)
-        case ConstantRandom():
-            if rng is None:
-                raise ValueError("constant_random evaluation needs an explicit rng")
-            return int(rng.random() < h.p)
-    raise TypeError(f"not a hypothesis: {h!r}")
-
-
-def _var_mask(n: int, vars: tuple[int, ...]) -> int:
-    return sum(1 << (n - v) for v in vars)
+    want = domain_kind(h)
+    if want[0] != "any" and point_domain(x) != want:
+        raise DomainMismatch(f"{type(h).__name__} over {want} applied to point {x!r}")
+    return h._label(x, rng)
 
 
 def _check_domain(name: str, want: tuple[str, int | None], domain: tuple[str, int | None] | None) -> None:
-    """DomainMismatch unless points over `domain` (None: no points) fit a `name` over `want`."""
-    if domain is not None and domain != want:
+    """DomainMismatch unless points over `domain` (None: no points) fit a `name` over `want` ("any" fits all)."""
+    if domain is not None and domain != want and want[0] != "any":
         raise DomainMismatch(f"{name} over {want} applied to points over {domain}")
 
 
@@ -341,29 +471,9 @@ def labeler(h: Hypothesis, domain: tuple[str, int | None] | None) -> Callable[[i
     `domain` None stands for an empty container and is not checked.  The
     randomized baseline has no fixed labeling and is refused.
     """
-    if isinstance(h, ConstantRandom):
-        raise ValueError("the randomized baseline has no deterministic labeling")
-    _check_domain(type(h).__name__, domain_kind(h), domain)
-    match h:
-        case Parity():
-            mask = _pack(h.mask)
-            return lambda x: (mask & x).bit_count() & 1
-        case MonotoneDisjunction():
-            mask = _var_mask(h.n, h.vars)
-            return lambda x: x & mask != 0
-        case MonotoneConjunction():
-            mask = _var_mask(h.n, h.vars)
-            return lambda x: x & mask == mask
-        case FiniteSubset() | Window():
-            return frozenset(h.elems).__contains__
-        case Halfspace():
-            # <normal, x> > threshold, scaled by a common denominator so the
-            # sum over the set bits is exact integer arithmetic
-            den = math.lcm(h.threshold.denominator, *(c.denominator for c in h.normal))
-            terms = [(1 << (h.n - 1 - i), int(c * den)) for i, c in enumerate(h.normal) if c]
-            cut = int(h.threshold * den)
-            return lambda x: sum(w for bit, w in terms if x & bit) > cut
-    raise TypeError(f"not a hypothesis: {h!r}")
+    label = _checked(h)._labeler()
+    _check_domain(type(h).__name__, h._domain(), domain)
+    return label
 
 
 def positive_weight(
@@ -384,59 +494,29 @@ def positive_count(h: Hypothesis, sample: Sample) -> int:
     return positive_weight(h, sample.domain, sample.packed_counts)
 
 
-def class_domain(desc: ClassDescriptor) -> str:
-    """"bits" or "nat": the point domain every member of the class lives on."""
-    if desc.class_id in ("parity", "monotone_disjunction", "monotone_conjunction", "halfspace"):
-        return "bits"
-    return "nat"
+def _closed_proportion(h: Hypothesis, n: int) -> Fraction | None:
+    """h's closed-form proportion on the uniform n-cube, or None; DomainMismatch as from `labeler`."""
+    _check_domain(type(h).__name__, domain_kind(h), ("bits", n))
+    return h._cube_proportion()
 
 
 # ---------------------------------------------------------------------------
-# VC dimension and class sizes
+# the class fronts: each reads the class id's row
 
 
-def _keff(desc: ClassDescriptor) -> int:
-    """The coordinates a class member may use: a parity's restriction, else n."""
-    return desc.restriction if desc.restriction is not None else desc.n
+def class_domain(desc: ClassDescriptor) -> str:
+    """"bits" or "nat": the point domain every member of the class lives on."""
+    return _CLASSES[desc.class_id].domain
 
 
 def vc_dimension(desc: ClassDescriptor) -> int | float:
     """VC dimension, or INFINITE_VC for finite subsets of the naturals."""
-    match desc.class_id:
-        case "parity" | "monotone_disjunction" | "monotone_conjunction":
-            return _keff(desc)
-        case "finite_subset":
-            return INFINITE_VC
-        case "window":
-            return desc.k  # type: ignore[return-value]
-        case "halfspace":
-            return desc.n + 1
-    raise ValueError(desc.class_id)
-
-
-def _window_domain(desc: ClassDescriptor) -> range:
-    return range(1, 2**desc.n + 1)
+    return _CLASSES[desc.class_id].vc(desc)
 
 
 def class_size(desc: ClassDescriptor) -> int:
     """Exact number of hypotheses, or InfiniteClass if there is no finite count."""
-    match desc.class_id:
-        case "parity" | "monotone_disjunction" | "monotone_conjunction":
-            return 2 ** _keff(desc)
-        case "finite_subset":
-            if desc.ground_set is None:
-                raise InfiniteClass("finite subsets need a ground_set to enumerate")
-            return 2 ** len(desc.ground_set)
-        case "window":
-            dom = _window_domain(desc)
-            total = 1  # the empty window
-            for v in dom:
-                reach = min(v + desc.k, dom.stop - 1) - v  # type: ignore[operator]
-                total += 2**reach
-            return total
-        case "halfspace":
-            raise InfiniteClass("rational halfspaces are not enumerable")
-    raise ValueError(desc.class_id)
+    return _CLASSES[desc.class_id].size(desc)
 
 
 def _sized(desc: ClassDescriptor, budget: int) -> int:
@@ -447,44 +527,19 @@ def _sized(desc: ClassDescriptor, budget: int) -> int:
     return size
 
 
-def _subsets_lex(universe: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All subsets of a sorted universe, ascending in sorted-list lex order."""
-
-    def rec(prefix: list[int], start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        for i in range(start, len(universe)):
-            prefix.append(universe[i])
-            yield from rec(prefix, i + 1)
-            prefix.pop()
-
-    return rec([], 0)
-
-
 def enumerate_class(desc: ClassDescriptor, budget: int = DEFAULT_BUDGET) -> Iterator[Hypothesis]:
     """Every hypothesis once, ascending in canonical encoding order.
 
     Raises BudgetExceeded up front when the class size exceeds `budget`, and
     InfiniteClass for halfspaces or un-grounded finite subsets.
     """
-    size = _sized(desc, budget)
+    _sized(desc, budget)
+    return _CLASSES[desc.class_id].members(desc)
 
-    def gen() -> Iterator[Hypothesis]:
-        match desc.class_id:
-            case "parity" | "monotone_disjunction" | "monotone_conjunction":
-                for value in range(size):
-                    yield _class_member(desc, value)
-            case "finite_subset":
-                for elems in _subsets_lex(tuple(sorted(desc.ground_set))):  # type: ignore[arg-type]
-                    yield FiniteSubset(elems)
-            case "window":
-                yield Window(desc.k, ())  # type: ignore[arg-type]
-                dom = _window_domain(desc)
-                for v in dom:
-                    tail = tuple(u for u in range(v + 1, min(v + desc.k, dom.stop - 1) + 1))  # type: ignore[operator]
-                    for extra in _subsets_lex(tail):
-                        yield Window(desc.k, (v,) + extra)  # type: ignore[arg-type]
 
-    return gen()
+def random_hypothesis(desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
+    """One hypothesis drawn uniformly from the class (halfspaces excluded)."""
+    return _CLASSES[desc.class_id].draw(desc, rng)
 
 
 def _class_member(desc: ClassDescriptor, value: int) -> Hypothesis:
@@ -493,54 +548,13 @@ def _class_member(desc: ClassDescriptor, value: int) -> Hypothesis:
     `enumerate_class` yields these for value 0, 1, ..., in that order: the
     value's high bit is coordinate 1, over keff bits for parities (the
     restriction, or n) and n bits otherwise.  The fields are valid by
-    construction, so they are set without the constructor's checks.
+    construction, so the row sets them without the constructor's checks.
     """
-    n = desc.n
-    if desc.class_id == "parity":
-        member = object.__new__(Parity)
-        keff = _keff(desc)
-        member.__dict__["mask"] = _unpack_bits(value, keff) + (0,) * (n - keff)
-    else:
-        member = object.__new__(_FOLDS[desc.class_id][0])
-        member.__dict__.update(n=n, vars=tuple(j + 1 for j in range(n) if (value >> (n - 1 - j)) & 1))
-    return member
-
-
-def random_hypothesis(desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
-    """One hypothesis drawn uniformly from the class (halfspaces excluded)."""
-    match desc.class_id:
-        case "parity" | "monotone_disjunction" | "monotone_conjunction":
-            # one randrange(2) per coordinate, coordinate 1 first: the member's high bit
-            return _class_member(desc, sum(rng.randrange(2) << b for b in reversed(range(_keff(desc)))))
-        case "finite_subset":
-            if desc.ground_set is None:
-                raise InfiniteClass("finite subsets need a ground_set")
-            return FiniteSubset(tuple(e for e in sorted(desc.ground_set) if rng.randrange(2)))
-        case "window":
-            dom = _window_domain(desc)
-            if rng.randrange(class_size(desc)) == 0:
-                return Window(desc.k, ())  # type: ignore[arg-type]
-            v = rng.randrange(dom.start, dom.stop)
-            tail = [u for u in range(v + 1, min(v + desc.k, dom.stop - 1) + 1)]  # type: ignore[operator]
-            return Window(desc.k, (v,) + tuple(u for u in tail if rng.randrange(2)))  # type: ignore[arg-type]
-        case "halfspace":
-            raise InfiniteClass("no uniform draw over rational halfspaces")
-    raise ValueError(desc.class_id)
+    return _CLASSES[desc.class_id].member_at(desc, value)
 
 
 # ---------------------------------------------------------------------------
 # canonical encodings
-
-_TAG = {
-    "parity": "000",
-    "monotone_disjunction": "001",
-    "monotone_conjunction": "010",
-    "finite_subset": "011",
-    "window": "100",
-    "halfspace": "101",
-    "constant_random": "110",
-}
-_TAG_REV = {v: k for k, v in _TAG.items()}
 
 
 def _nat_code(v: int) -> str:
@@ -560,6 +574,14 @@ def _read_nat(bits: str, pos: int) -> tuple[int, int]:
     return int(bits[pos + ones + 1 : end], 2), end
 
 
+def _read_nat_list(bits: str, pos: int) -> tuple[int, ...]:
+    elems = []
+    while pos < len(bits):
+        e, pos = _read_nat(bits, pos)
+        elems.append(e)
+    return tuple(elems)
+
+
 def _fraction_code(q: Fraction) -> str:
     sign = "1" if q < 0 else "0"
     return sign + _nat_code(abs(q.numerator)) + _nat_code(q.denominator)
@@ -576,32 +598,9 @@ def _read_fraction(bits: str, pos: int) -> tuple[Fraction, int]:
     return Fraction(sign * num, den), pos
 
 
-def _membership_bits(n: int, vars: tuple[int, ...]) -> str:
-    chars = ["0"] * n
-    for v in vars:
-        chars[v - 1] = "1"
-    return "".join(chars)
-
-
 def encode(h: Hypothesis) -> str:
     """Canonical bit string: a 3-bit tag followed by the payload."""
-    match h:
-        case Parity():
-            return _TAG["parity"] + bits_to_string(h.mask)
-        case MonotoneDisjunction():
-            return _TAG["monotone_disjunction"] + _membership_bits(h.n, h.vars)
-        case MonotoneConjunction():
-            return _TAG["monotone_conjunction"] + _membership_bits(h.n, h.vars)
-        case FiniteSubset():
-            return _TAG["finite_subset"] + "".join(_nat_code(e) for e in h.elems)
-        case Window():
-            return _TAG["window"] + _nat_code(h.k) + "".join(_nat_code(e) for e in h.elems)
-        case Halfspace():
-            body = _nat_code(h.n) + "".join(_fraction_code(c) for c in h.normal)
-            return _TAG["halfspace"] + body + _fraction_code(h.threshold)
-        case ConstantRandom():
-            return _TAG["constant_random"] + _nat_code(h.p.numerator) + _nat_code(h.p.denominator)
-    raise TypeError(f"not a hypothesis: {h!r}")
+    return _checked(h)._tag + h._payload()
 
 
 def encoding_size(h: Hypothesis) -> int:
@@ -609,55 +608,16 @@ def encoding_size(h: Hypothesis) -> int:
     return len(encode(h))
 
 
-def _read_nat_list(bits: str, pos: int) -> tuple[int, ...]:
-    elems = []
-    while pos < len(bits):
-        e, pos = _read_nat(bits, pos)
-        elems.append(e)
-    return tuple(elems)
-
-
 def decode(bits: str) -> Hypothesis:
     """Inverse of `encode`; raises MalformedEncoding on anything invalid."""
     if len(bits) < 3 or any(ch not in "01" for ch in bits):
         raise MalformedEncoding(f"bad encoding {bits!r}")
-    kind = _TAG_REV.get(bits[:3])
-    body = bits[3:]
-    try:
-        match kind:
-            case "parity":
-                if not body:
-                    raise MalformedEncoding("empty parity mask")
-                return Parity(bits_from_string(body))
-            case "monotone_disjunction" | "monotone_conjunction":
-                if not body:
-                    raise MalformedEncoding("empty membership vector")
-                vars = tuple(j + 1 for j, ch in enumerate(body) if ch == "1")
-                cls = MonotoneDisjunction if kind == "monotone_disjunction" else MonotoneConjunction
-                return cls(len(body), vars)
-            case "finite_subset":
-                return FiniteSubset(_read_nat_list(body, 0))
-            case "window":
-                k, pos = _read_nat(body, 0)
-                return Window(k, _read_nat_list(body, pos))
-            case "halfspace":
-                n, pos = _read_nat(body, 0)
-                normal = []
-                for _ in range(n):
-                    c, pos = _read_fraction(body, pos)
-                    normal.append(c)
-                threshold, pos = _read_fraction(body, pos)
-                if pos != len(body):
-                    raise MalformedEncoding("trailing bits after halfspace")
-                return Halfspace(tuple(normal), threshold)
-            case "constant_random":
-                num, pos = _read_nat(body, 0)
-                den, pos = _read_nat(body, pos)
-                if pos != len(body) or den == 0:
-                    raise MalformedEncoding("bad constant_random payload")
-                return ConstantRandom(Fraction(num, den))
-    except ValueError as exc:
-        raise MalformedEncoding(str(exc)) from exc
+    for kind in _KINDS:
+        if kind._tag == bits[:3]:
+            try:
+                return kind._read(bits[3:])
+            except ValueError as exc:
+                raise MalformedEncoding(str(exc)) from exc
     raise MalformedEncoding(f"unknown tag {bits[:3]!r}")
 
 
@@ -708,7 +668,7 @@ def _nearest_count(sorted_counts: list[int], m: int, claimed: Fraction) -> int:
 def sauer_bound(d: int, m: int) -> float:
     """Growth-function cap (e*m/d)^d, valid for m >= d >= 1."""
     if d < 1 or m < d:
-        raise ValueError(f"need m >= d >= 1, got d={d}, m={m}")
+        raise InvalidParams(f"need m >= d >= 1, got d={d}, m={m}")
     return (math.e * m / d) ** d
 
 
@@ -759,13 +719,6 @@ def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:
         return total
 
     return weigh
-
-
-# each class the kernel folds: its member type and the fold of its columns
-_FOLDS: dict[str, tuple[type, Callable[[int, int], int]]] = {
-    "monotone_disjunction": (MonotoneDisjunction, operator.or_),
-    "monotone_conjunction": (MonotoneConjunction, operator.and_),
-}
 
 
 def _fold_walk(fold: Callable[[int, int], int], columns: Sequence[int], unit: int) -> Iterator[int]:
@@ -840,7 +793,8 @@ def _labeling_bitsets(
 ) -> tuple[list[tuple[int, object]], Callable[[object], Hypothesis]]:
     """The one walk of a class over a sample: (bitset, witness) pairs and a build.
 
-    ERM, the brute oracle's count table and `distinct_labelings` read it.
+    ERM, the brute oracle's count table and `distinct_labelings` read it;
+    the class id's row names the walk.
     Bit j of a bitset is the label of the sample's j-th unique point
     (`packed_counts` order).  `build` turns a witness into the
     encoding-minimal hypothesis realizing that labeling.  For parities the
@@ -856,22 +810,7 @@ def _labeling_bitsets(
     the class, except that parities check the domain first and cap their
     2^rank labelings instead.
     """
-    points = [x for x, _ in sample.packed_counts]
-    build = partial(_class_member, desc)
-    if desc.class_id == "parity":
-        _check_domain("Parity", ("bits", desc.n), sample.domain)
-        keff = _keff(desc)
-        return _parity_labelings(_bit_planes(points, desc.n)[desc.n - keff :], budget), build  # type: ignore[return-value]
-    if desc.class_id in _FOLDS:  # disjunctions and conjunctions
-        _sized(desc, budget)
-        member, fold = _FOLDS[desc.class_id]
-        _check_domain(member.__name__, ("bits", desc.n), sample.domain)
-        unit = (1 << len(points)) - 1 if member is MonotoneConjunction else 0
-        first: dict[int, int] = {}
-        for value, vec in enumerate(_fold_walk(fold, _bit_planes(points, desc.n), unit)):
-            first.setdefault(vec, value)  # first in encoding order wins
-        return list(first.items()), build  # type: ignore[return-value]
-    return _generic_labelings(desc, sample, budget), lambda h: h  # type: ignore[return-value]
+    return _CLASSES[desc.class_id].labelings(desc, sample, budget)
 
 
 def distinct_labelings(
@@ -916,6 +855,176 @@ def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int
 
 
 # ---------------------------------------------------------------------------
+# the class ids
+
+
+def _keff(desc: ClassDescriptor) -> int:
+    """The coordinates a class member may use: a parity's restriction, else n."""
+    return desc.restriction if desc.restriction is not None else desc.n
+
+
+def _subsets_lex(universe: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All subsets of a sorted universe, ascending in sorted-list lex order."""
+
+    def rec(prefix: list[int], start: int) -> Iterator[tuple[int, ...]]:
+        yield tuple(prefix)
+        for i in range(start, len(universe)):
+            prefix.append(universe[i])
+            yield from rec(prefix, i + 1)
+            prefix.pop()
+
+    return rec([], 0)
+
+
+class _Row:
+    """A class id: the point `domain` of its members, the descriptor `options` it takes.
+
+    Its methods take a descriptor of the class: `vc`, `size` (or
+    InfiniteClass), `members` ascending in encoding (after `size` was
+    checked), a uniform `draw`, and `labelings`, the walk of
+    `_labeling_bitsets`, by default a scan of the members.
+    """
+
+    def __init__(self, domain: str, *options: str) -> None:
+        self.domain, self.options = domain, options
+
+    def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):
+        return _generic_labelings(desc, sample, budget), lambda h: h
+
+
+class _Numbered(_Row):
+    """2^keff members of the kind `member`, numbered by value (`_class_member`).
+
+    As it stands, a disjunction or conjunction row: the labelings fold the
+    points' columns with the member kind's fold.
+    """
+
+    def __init__(self, member: type, *options: str) -> None:
+        super().__init__("bits", *options)
+        self.member = member
+
+    vc = staticmethod(_keff)
+
+    def size(self, desc: ClassDescriptor) -> int:
+        return 2 ** _keff(desc)
+
+    def members(self, desc: ClassDescriptor) -> Iterator[Hypothesis]:
+        return map(partial(self.member_at, desc), range(self.size(desc)))
+
+    def draw(self, desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
+        # one randrange(2) per coordinate, coordinate 1 first: the member's high bit
+        return self.member_at(desc, sum(rng.randrange(2) << b for b in reversed(range(_keff(desc)))))
+
+    def member_at(self, desc: ClassDescriptor, value: int) -> Hypothesis:
+        # variable j is in the formula when value's bit n - j is set
+        member = object.__new__(self.member)
+        n = desc.n
+        member.__dict__.update(n=n, vars=tuple(j + 1 for j in range(n) if (value >> (n - 1 - j)) & 1))
+        return member
+
+    def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):
+        _sized(desc, budget)
+        _check_domain(self.member.__name__, ("bits", desc.n), sample.domain)
+        points = [x for x, _ in sample.packed_counts]
+        unit = (1 << len(points)) - 1 if self.member._unit else 0
+        first: dict[int, int] = {}
+        for value, vec in enumerate(_fold_walk(self.member._fold, _bit_planes(points, desc.n), unit)):
+            first.setdefault(vec, value)  # first in encoding order wins
+        return list(first.items()), partial(_class_member, desc)
+
+
+class _Parities(_Numbered):
+    """Parities: a member is a keff-bit mask, and the labelings are the span of the points' columns."""
+
+    def member_at(self, desc: ClassDescriptor, value: int) -> Hypothesis:
+        member = object.__new__(Parity)
+        keff = _keff(desc)
+        member.__dict__["mask"] = _unpack_bits(value, keff) + (0,) * (desc.n - keff)
+        return member
+
+    def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):
+        _check_domain("Parity", ("bits", desc.n), sample.domain)
+        keff = _keff(desc)
+        planes = _bit_planes([x for x, _ in sample.packed_counts], desc.n)
+        return _parity_labelings(planes[desc.n - keff :], budget), partial(_class_member, desc)
+
+
+class _Subsets(_Row):
+    """Finite subsets of the naturals, enumerable over a ground set."""
+
+    def vc(self, desc: ClassDescriptor) -> float:
+        return INFINITE_VC
+
+    def size(self, desc: ClassDescriptor) -> int:
+        if desc.ground_set is None:
+            raise InfiniteClass("finite subsets need a ground_set to enumerate")
+        return 2 ** len(desc.ground_set)
+
+    def members(self, desc: ClassDescriptor) -> Iterator[Hypothesis]:
+        return map(FiniteSubset, _subsets_lex(tuple(sorted(desc.ground_set))))  # type: ignore[arg-type]
+
+    def draw(self, desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
+        if desc.ground_set is None:
+            raise InfiniteClass("finite subsets need a ground_set")
+        return FiniteSubset(tuple(e for e in sorted(desc.ground_set) if rng.randrange(2)))
+
+
+class _Windows(_Row):
+    """Windows of span at most k over the naturals 1..2^n: the empty one, then by least element."""
+
+    def vc(self, desc: ClassDescriptor) -> int:
+        return desc.k  # type: ignore[return-value]
+
+    def tail(self, desc: ClassDescriptor, v: int) -> range:
+        """The naturals a window whose least element is v may also hold."""
+        return range(v + 1, min(v + desc.k, 2**desc.n) + 1)  # type: ignore[operator]
+
+    def size(self, desc: ClassDescriptor) -> int:
+        top, total = 2**desc.n, 1  # the empty window
+        for v in range(1, top + 1):
+            total += 2 ** (min(v + desc.k, top) - v)  # type: ignore[operator]
+        return total
+
+    def members(self, desc: ClassDescriptor) -> Iterator[Hypothesis]:
+        yield Window(desc.k, ())  # type: ignore[arg-type]
+        for v in range(1, 2**desc.n + 1):
+            for extra in _subsets_lex(tuple(self.tail(desc, v))):
+                yield Window(desc.k, (v,) + extra)  # type: ignore[arg-type]
+
+    def draw(self, desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
+        if rng.randrange(self.size(desc)) == 0:
+            return Window(desc.k, ())  # type: ignore[arg-type]
+        v = rng.randrange(1, 2**desc.n + 1)
+        return Window(desc.k, (v,) + tuple(u for u in self.tail(desc, v) if rng.randrange(2)))  # type: ignore[arg-type]
+
+
+class _Halfspaces(_Row):
+    """Rational halfspaces: no count, no enumeration, no uniform draw."""
+
+    def vc(self, desc: ClassDescriptor) -> int:
+        return desc.n + 1
+
+    def size(self, desc: ClassDescriptor) -> int:
+        raise InfiniteClass("rational halfspaces are not enumerable")
+
+    members = size
+
+    def draw(self, desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
+        raise InfiniteClass("no uniform draw over rational halfspaces")
+
+
+_CLASSES = {
+    "parity": _Parities(Parity, "restriction"),
+    "monotone_disjunction": _Numbered(MonotoneDisjunction),
+    "monotone_conjunction": _Numbered(MonotoneConjunction),
+    "finite_subset": _Subsets("nat", "ground_set"),
+    "window": _Windows("nat", "k"),
+    "halfspace": _Halfspaces("bits"),
+}
+CLASS_IDS = tuple(_CLASSES)
+
+
+# ---------------------------------------------------------------------------
 # JSON forms
 
 
@@ -926,21 +1035,6 @@ _DESCRIPTOR = (
     ("k", "k", None, None),
     ("ground_set", "ground_set", json_list(None, "class ground_set"), None),
 )
-_VARS = (("n", "n", None, REQUIRED), ("vars", "vars", json_list(None, "hypothesis vars"), REQUIRED))
-_ELEMS = ("elems", "elems", json_list(None, "hypothesis elems"), REQUIRED)
-# kind -> the hypothesis type and its fields, each read into the type's constructor
-_HYPOTHESES = {
-    "parity": (Parity, (("mask", "mask", (bits_to_string, bits_from_string), REQUIRED),)),
-    "monotone_disjunction": (MonotoneDisjunction, _VARS),
-    "monotone_conjunction": (MonotoneConjunction, _VARS),
-    "finite_subset": (FiniteSubset, (_ELEMS,)),
-    "window": (Window, (("k", "k", None, REQUIRED), _ELEMS)),
-    "halfspace": (Halfspace, (
-        ("normal", "normal", json_list(RATIONAL, "halfspace normal"), REQUIRED),
-        ("threshold", "threshold", RATIONAL, REQUIRED),
-    )),
-    "constant_random": (ConstantRandom, (("p", "p", RATIONAL, REQUIRED),)),
-}
 
 
 def class_descriptor_to_json(desc: ClassDescriptor) -> dict:
@@ -952,18 +1046,15 @@ def class_descriptor_from_json(obj: dict) -> ClassDescriptor:
 
 
 def hypothesis_to_json(h: Hypothesis) -> dict:
-    for kind, (cls, fields) in _HYPOTHESES.items():
-        if type(h) is cls:
-            return {"kind": kind, **to_fields(fields, h)}
-    raise TypeError(f"not a hypothesis: {h!r}")
+    return {"kind": _checked(h)._name, **to_fields(h._fields, h)}
 
 
 def hypothesis_from_json(obj: dict) -> Hypothesis:
-    kind = from_fields(_KIND, obj, "hypothesis")["kind"]
-    for name, (cls, fields) in _HYPOTHESES.items():  # compared, not looked up: kind may be an unhashable list
-        if kind == name:
-            return cls(**from_fields(fields, obj, f"{name} hypothesis"))
-    raise MalformedEncoding(f"unknown hypothesis kind: {kind!r}")
+    name = from_fields(_KIND, obj, "hypothesis")["kind"]
+    for kind in _KINDS:  # compared, not looked up: the name may be an unhashable list
+        if name == kind._name:
+            return kind(**from_fields(kind._fields, obj, f"{kind._name} hypothesis"))
+    raise MalformedEncoding(f"unknown hypothesis kind: {name!r}")
 
 
 DESCRIPTOR = (class_descriptor_to_json, class_descriptor_from_json)

@@ -39,9 +39,7 @@ from .hypotheses import (
     ClassDescriptor,
     ConstantRandom,
     Hypothesis,
-    MonotoneConjunction,
-    MonotoneDisjunction,
-    Parity,
+    _closed_proportion,
     _count_table,
     enumerate_class,
     labeler,
@@ -77,28 +75,24 @@ def _support_domain(dist: FiniteDistribution) -> tuple[str, int | None] | None:
 def true_proportion(h: Hypothesis, dist: FiniteDistribution) -> Fraction:
     """Exact mass of the positively labeled region.
 
-    The randomized baseline has proportion p under any distribution.  Under
-    an explicit one it is the empirical proportion on its `weighted` sample.
-    On a uniform cube, parities have a closed form (0 for the trivial mask,
-    1/2 otherwise); other hypotheses are enumerated, which is refused above
+    Under an explicit distribution it is the empirical proportion on its
+    `weighted` sample (p for the randomized baseline).  On a uniform cube
+    it is the kind's closed form where there is one (p for the baseline, 0
+    or 1/2 for parities, the constant of an empty disjunction or
+    conjunction); other hypotheses are enumerated, which is refused above
     CUBE_ENUM_MAX dimensions.
     """
-    if isinstance(h, ConstantRandom):
-        return h.p
     if isinstance(dist, ExplicitDistribution):
         return empirical_proportion(h, dist.weighted)
-    label = labeler(h, ("bits", dist.n))
-    if isinstance(h, Parity):
-        return Fraction(0) if h.trivial else Fraction(1, 2)
-    if isinstance(h, MonotoneDisjunction) and not h.vars:
-        return Fraction(0)
-    if isinstance(h, MonotoneConjunction) and not h.vars:
-        return Fraction(1)
+    closed = _closed_proportion(h, dist.n)
+    if closed is not None:
+        return closed
     if dist.n > CUBE_ENUM_MAX:
         raise IntractableExactProportion(
             f"no closed form for {type(h).__name__} on a {dist.n}-cube"
         )
     # the packed cube vectors are 0 .. 2^n - 1
+    label = labeler(h, ("bits", dist.n))
     hits = sum(1 for x in range(2**dist.n) if label(x))
     return Fraction(hits, 2**dist.n)
 

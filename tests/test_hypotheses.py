@@ -1,8 +1,10 @@
 """Hypothesis classes: evaluation, encodings, enumeration, labelings."""
 
+import ast
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -15,29 +17,38 @@ from llp_lab import (
     FiniteSubset,
     Halfspace,
     InfiniteClass,
+    InvalidParams,
+    LlpError,
     MalformedEncoding,
     MonotoneConjunction,
     MonotoneDisjunction,
+    NotAHypothesis,
     Parity,
     Sample,
     Window,
     class_descriptor_from_json,
     class_descriptor_to_json,
+    class_domain,
     class_size,
     decode,
     distinct_labelings,
+    domain_kind,
     encode,
     encoding_size,
     enumerate_class,
     evaluate,
     hypothesis_from_json,
     hypothesis_to_json,
+    iter_cube,
+    positive_count,
     random_hypothesis,
     ranking_key,
     sauer_bound,
     vc_dimension,
 )
-from llp_lab.hypotheses import INFINITE_VC
+from llp_lab import hypotheses as hypotheses_module
+from llp_lab.core import _pack
+from llp_lab.hypotheses import INFINITE_VC, labeler, positive_weight
 from wire_values import descriptors, hypotheses
 
 
@@ -146,13 +157,20 @@ def test_enumerate_finite_subset_without_ground_set_fails():
 def test_enumeration_is_sorted_by_encoding():
     for desc in [
         ClassDescriptor("parity", 3),
+        ClassDescriptor("parity", 5, restriction=3),
         ClassDescriptor("monotone_disjunction", 3),
+        ClassDescriptor("monotone_conjunction", 3),
         ClassDescriptor("finite_subset", 1, ground_set=(2, 5, 9)),
         ClassDescriptor("window", 2, k=2),
     ]:
-        codes = [encode(h) for h in enumerate_class(desc)]
+        members = list(enumerate_class(desc))
+        codes = [encode(h) for h in members]
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes) == class_size(desc)
+        # the class id's row and each member's kind agree on the domain
+        assert {domain_kind(h)[0] for h in members} == {class_domain(desc)}
+        rng = random.Random(7)
+        assert {random_hypothesis(desc, rng) for _ in range(50)} <= set(members)
 
 
 def test_restricted_parity_enumeration():
@@ -242,6 +260,9 @@ def test_sauer_bound_caps_labelings():
 
 def test_sauer_bound_formula():
     assert sauer_bound(2, 4) == pytest.approx((math.e * 4 / 2) ** 2)
+    for d, m in [(0, 4), (3, 2)]:
+        with pytest.raises(InvalidParams):
+            sauer_bound(d, m)
 
 
 def test_encode_decode_round_trip_random():
@@ -324,3 +345,67 @@ def test_class_descriptor_json_round_trip(desc):
 @example(ConstantRandom(F(3, 7)))
 def test_hypothesis_json_round_trip(h):
     assert hypothesis_from_json(hypothesis_to_json(h)) == h
+
+
+# one hypothesis of each kind, and the points of a small domain it lives on
+KINDS = [
+    Parity((1, 0, 1)),
+    MonotoneDisjunction(3, (1, 3)),
+    MonotoneConjunction(3, (2, 3)),
+    FiniteSubset((2, 5, 7)),
+    Window(3, (4, 6, 7)),
+    Halfspace((F(1, 2), F(-1), F(2, 3)), F(1, 3)),
+    ConstantRandom(F(1, 3)),
+]
+
+
+@pytest.mark.parametrize("h", KINDS, ids=lambda h: type(h).__name__)
+def test_each_kind_labels_alike_and_its_fronts_refuse_a_non_hypothesis(h):
+    domain = domain_kind(h)
+    if isinstance(h, ConstantRandom):
+        with pytest.raises(InvalidParams):
+            evaluate(h, (0, 1))  # no rng
+        with pytest.raises(InvalidParams):
+            labeler(h, ("bits", 2))
+    else:
+        points = list(iter_cube(domain[1])) if domain[0] == "bits" else list(range(12))
+        label = labeler(h, domain)
+        assert [int(label(_pack(x))) for x in points] == [evaluate(h, x) for x in points]
+    fake = hypothesis_to_json(h)  # a hypothesis's JSON form is not a hypothesis
+    sample = Sample((1, 2), F(1, 2))
+    fronts = [
+        lambda: domain_kind(fake),
+        lambda: evaluate(fake, 1),
+        lambda: labeler(fake, None),
+        lambda: positive_weight(fake, None, []),
+        lambda: positive_count(fake, sample),
+        lambda: encode(fake),
+        lambda: encoding_size(fake),
+        lambda: ranking_key(F(0), 0, fake),
+        lambda: hypothesis_to_json(fake),
+    ]
+    for front in fronts:
+        with pytest.raises(NotAHypothesis, match="not a hypothesis") as raised:
+            front()
+        assert isinstance(raised.value, LlpError) and isinstance(raised.value, TypeError)
+
+
+def test_a_parity_mask_refuses_bools():
+    # True once passed the 0/1 check and encoded as "000TrueFalse"
+    with pytest.raises(ValueError, match="bad parity mask"):
+        Parity((True, False))
+
+
+def test_constant_random_reads_p_as_a_rational():
+    assert ConstantRandom("1/3").p == F(1, 3)
+    assert ConstantRandom(1).p == F(1)
+    with pytest.raises(TypeError, match="is a float"):
+        ConstantRandom(0.1)
+    with pytest.raises(InvalidParams):
+        ConstantRandom(True)
+
+
+def test_no_match_statement_in_hypotheses():
+    # a new kind joins its class and a new class id its row, not a new branch
+    tree = ast.parse(Path(hypotheses_module.__file__).read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Match)]

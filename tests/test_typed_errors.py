@@ -70,7 +70,7 @@ from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 5, "hypotheses": 27, "reductions": 7, "learners": 0}
+CEILINGS = {"core": 5, "hypotheses": 15, "reductions": 7, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
@@ -220,3 +220,28 @@ def test_decoders_return_a_value_or_raise_a_typed_error(name):
             assert "is a float; pass a string for exactness" in str(exc)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "name, obj",
+    [
+        ("class_descriptor_from_json", {"class_id": "parity", "n": True}),
+        ("class_descriptor_from_json", {"class_id": "finite_subset", "n": 1, "ground_set": [False, True]}),
+        ("hypothesis_from_json", {"kind": "window", "k": True, "elems": [1]}),
+        ("hypothesis_from_json", {"kind": "monotone_disjunction", "n": True, "vars": [1]}),
+        ("hypothesis_from_json", {"kind": "finite_subset", "elems": [False, True]}),
+    ],
+)
+def test_decoders_refuse_a_bool_where_an_int_belongs(name, obj):
+    # each once decoded, as the int the bool stands for
+    with pytest.raises(ValueError):
+        DECODERS[name][0](obj)
+
+
+def test_a_trials_config_refuses_a_bool_dimension():
+    obj = {
+        "learner": "erm", "epsilon": "1/10", "delta": "1/10", "trials": 2, "seed": 3, "m": 4,
+        "distribution": {"kind": "uniform_cube", "n": 1}, "class": {"class_id": "parity", "n": True},
+    }
+    with pytest.raises(ValueError, match="bad dimension True"):
+        config_from_json(obj)
