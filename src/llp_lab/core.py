@@ -174,14 +174,18 @@ def _unpack(domain: tuple[str, int | None] | None, values: Sequence[int]) -> tup
 
 
 def point_domain(point: Point) -> tuple[str, int | None]:
-    """Return ("bits", n) for a bit vector, ("nat", None) for a natural."""
+    """Return ("bits", n) for a bit vector, ("nat", None) for a natural.
+
+    A bit is the int 0 or 1, as in a parity mask: a bool is neither a bit
+    nor a natural.  Anything else raises InvalidParams (a ValueError).
+    """
     if isinstance(point, tuple):
-        if not point or any(b not in (0, 1) for b in point):
-            raise ValueError(f"not a valid bit vector: {point!r}")
+        if not point or any(type(b) is not int or b not in (0, 1) for b in point):
+            raise InvalidParams(f"not a valid bit vector: {point!r}")
         return ("bits", len(point))
     if isinstance(point, int) and not isinstance(point, bool) and point >= 0:
         return ("nat", None)
-    raise ValueError(f"not a valid point: {point!r}")
+    raise InvalidParams(f"not a valid point: {point!r}")
 
 
 def check_same_domain(points: Iterable[Point]) -> tuple[str, int | None] | None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import struct
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial, reduce
@@ -677,6 +678,7 @@ def sauer_bound(d: int, m: int) -> float:
 
 # _BIT_DIGITS[b] maps a byte to b"1" when its bit b is set, else to b"0"
 _BIT_DIGITS = tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
+_LANE = (1 << 64) - 1
 
 
 def _bit_planes(values: Sequence[int], width: int) -> list[int]:
@@ -684,19 +686,30 @@ def _bit_planes(values: Sequence[int], width: int) -> list[int]:
 
     One plane for each b < width.  For packed points (`core._pack`) plane b
     is the column of coordinate n - b; for multiplicities it is a bit plane
-    of the weights.  The work is done a byte at a time in C: each 8-bit
-    slice of every value, values[0] last so that it lands on bit 0, goes
-    into one `bytes`, and `bytes.translate` spells each of its 8 bits as a
+    of the weights; for one 0/1 flag per draw the one plane is their
+    bitset.  The rows are built in C, values[0] last so that it lands on
+    bit 0: `bytes` of the values when they fit a byte (a copy of a `bytes`
+    input), and otherwise one `struct.pack` of little-endian 64-bit lanes
+    per 64 bits of width, whose byte k of every value is the slice
+    raw[k::8].  `bytes.translate` spells each of a row's 8 bits as a
     string of b"0"/b"1" digits that `int(..., 2)` reads.
     """
     if not values:
         return [0] * width
     last_first = values[::-1]
+    if width <= 8:
+        rows = [bytes(last_first)]
+    else:
+        rows = []
+        for shift in range(0, width, 64):
+            lanes = map(int.__rshift__, last_first, repeat(shift)) if shift else last_first
+            if width - shift > 64:
+                lanes = map(_LANE.__and__, lanes)
+            raw = struct.pack(f"<{len(values)}Q", *lanes)
+            rows += (raw[k::8] for k in range(min(8, -(-(width - shift) // 8))))
     planes: list[int] = []
-    for shift in range(0, width, 8):
-        sliced = map(int.__rshift__, last_first, repeat(shift)) if shift else last_first
-        row = bytes(map((255).__and__, sliced))
-        for digits in _BIT_DIGITS[: width - shift]:
+    for k, row in enumerate(rows):
+        for digits in _BIT_DIGITS[: width - 8 * k]:
             planes.append(int(row.translate(digits), 2))
     return planes
 

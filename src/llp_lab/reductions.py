@@ -55,11 +55,9 @@ from .hypotheses import (
     Hypothesis,
     Parity,
     _bit_planes,
-    _bitset_weigher,
     _check_domain,
     evaluate,
     hypothesis_to_json,
-    labeler,
     positive_weight,
 )
 
@@ -552,33 +550,37 @@ def conditional_positive_distribution(setup: NoisyParitySetup) -> ExplicitDistri
     return make_distribution((x, w) for x, w in entries if w)
 
 
-def _disagreement_counter(n: int, noisy_counts: dict[tuple[int, int], int]) -> Callable[[Parity], int]:
+def _parity_labels(columns: Sequence[int], mask: int) -> int:
+    """The labeling bitset of the parity whose packed mask is `mask`: the XOR of its columns."""
+    vec = 0
+    while mask:
+        low = mask & -mask
+        vec ^= columns[low.bit_length() - 1]
+        mask ^= low
+    return vec
+
+
+def _disagreement_counter(n: int, columns: Sequence[int], noisy: int) -> Callable[[Parity], int]:
     """parity -> the number of draws whose noisy label it contradicts.
 
-    `noisy_counts` maps (packed point, noisy label) to its number of draws.
-    The column-bitset kernel counts: bit k of a labeling stands for the
-    k-th distinct pair, the parity's labeling L is the XOR of its mask's
-    columns (`_bit_planes` of the points), and the weight of L XOR the
-    noisy labels, read from the bit planes of the pair counts, is the
-    disagreement P + neg(L) - pos(L), with P the noisy positives.  A parity
-    over other than n coordinates raises DomainMismatch, as `labeler` would.
+    Bitsets over the draws: bit i of `columns[b]` (`_bit_planes` of the
+    draws) is bit b of draw i, and bit i of `noisy` is draw i's noisy
+    label.  A parity's labeling L is the XOR of its mask's columns
+    (`_parity_labels`), and the disagreement is popcount(L XOR noisy).  A
+    parity over other than n coordinates raises DomainMismatch, as
+    `labeler` would.
     """
-    pairs = list(noisy_counts)
-    columns = _bit_planes([x for x, _ in pairs], n)
-    labels = _bit_planes([lab for _, lab in pairs], 1)[0]
-    weigh = _bitset_weigher(list(noisy_counts.values()))
     domain = ("bits", n)
 
     def count(h: Parity) -> int:
         _check_domain("Parity", ("bits", h.n), domain)
-        vec, mask = labels, _pack(h.mask)
-        while mask:
-            low = mask & -mask
-            vec ^= columns[low.bit_length() - 1]
-            mask ^= low
-        return weigh(vec)
+        return (_parity_labels(columns, _pack(h.mask)) ^ noisy).bit_count()
 
     return count
+
+
+# byte b"0" or b"1" -> 0 or 1, so that a bitset's digits select draws
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def noisy_parity_via_llp(
@@ -597,12 +599,13 @@ def noisy_parity_via_llp(
     accepted when its disagreement with the noisy labels over all m
     examples is strictly below (eta' + 1/2)/2; the true parity sits near
     eta, impostors near 1/2.  The draws (`_draw_cube`) and the flips
-    (`_coin_flips`) each read their generator in one call.  Points stay
-    packed and are counted, not paired with their labels: the kernel labels
-    each distinct point once, and the (point, noisy label) counts give the
-    kept sample and the disagreements (`_disagreement_counter`, built once
-    per run).  The kept draws in draw order are built only for an oracle
-    without a sweep, whose per-claim samples list them.
+    (`_coin_flips`) each read their generator in one call.  Labels are
+    bitsets over the draws, bit i for draw i: the noisy labels are the
+    XOR of the target's columns (`_bit_planes` of the draws) with the
+    flips' bitset, M is their popcount, and a candidate's disagreement is
+    one more XOR and popcount (`_disagreement_counter`).  The kept draws,
+    in draw order, are counted once for the oracle's sample and are the
+    per-claim samples of an oracle without a sweep.
     """
     if m < 1:
         raise InvalidParams(f"noisy parity needs m >= 1 examples, got {m}")
@@ -611,31 +614,21 @@ def noisy_parity_via_llp(
     domain = ("bits", setup.n)
     draws = _draw_cube(setup.n, m, derive_seed(seed, "noisy-points"))
     flips = _coin_flips(setup.eta, m, random.Random(derive_seed(seed, "noisy-draw")))
-    flipped = Counter(compress(draws, flips)).get
-    label = labeler(setup.target, domain)
-    labels: dict[int, int] = {}
-    noisy_counts: dict[tuple[int, int], int] = {}  # (point, noisy label) -> count
-    kept_counts: list[tuple[int, int]] = []
-    for x, c in sorted(Counter(draws).items()):
-        lab = labels[x] = label(x)
-        f = flipped(x, 0)
-        ones = c - f if lab else f  # draws of x whose noisy label is 1
-        if ones:
-            noisy_counts[x, 1] = ones
-            kept_counts.append((x, ones))
-        if ones != c:
-            noisy_counts[x, 0] = c - ones
-    M = sum(c for _, c in kept_counts)
-    kept = None if oracle.sweep is not None else [x for x, f in zip(draws, flips) if labels[x] != f]
-    disagreements = _disagreement_counter(setup.n, noisy_counts)
+    columns = _bit_planes(draws, setup.n)
+    noisy = _parity_labels(columns, _pack(setup.target.mask)) ^ _bit_planes(flips, 1)[0]
+    M = noisy.bit_count()
+    kept = list(compress(draws, format(noisy, f"0{m}b").encode()[::-1].translate(_DIGIT_FLAGS)))
+    counts = Counter(kept)
+    points = sorted(counts)
+    kept_counts = tuple(zip(points, map(counts.__getitem__, points)))
+    disagreements = _disagreement_counter(setup.n, columns, noisy)
     threshold = (setup.eta_prime + Fraction(1, 2)) / 2
+    num, den = threshold.as_integer_ratio()
 
-    def accepts(h: Hypothesis) -> bool:
-        return isinstance(h, Parity) and Fraction(disagreements(h), m) < threshold
+    def accepts(h: Hypothesis) -> bool:  # disagreements / m < threshold, in integers
+        return isinstance(h, Parity) and disagreements(h) * den < num * m
 
-    response, transcript = _sweep(
-        oracle, domain if M else None, tuple(kept_counts), M, eps, sub_delta, accepts, kept
-    )
+    response, transcript = _sweep(oracle, domain if M else None, kept_counts, M, eps, sub_delta, accepts, kept)
     if response is None:
         raise NoCandidateAccepted(f"no parity beat disagreement {threshold} over {m} examples")
     return NoisyParityRun(response, M, transcript)  # type: ignore[arg-type]

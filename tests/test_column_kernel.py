@@ -8,16 +8,15 @@ finite subsets); `_bitset_weigher` weighs a labeling by the bit planes of
 the multiplicities.  The brute oracle's count table, ERM's labelings and
 the noisy-parity disagreement count run on them.  Each test holds one of
 those callers to the per-hypothesis scan it replaced.  Sizes are drawn
-around the byte chunks of the transpose on purpose: n in {1, 7, 8, 9, 16,
-17}, 0, 1, 7, 8, 9, 64 or 65 unique points, and multiplicities that cross
-255/256.  Classes over 16 or 17 coordinates are parities restricted to a
-few of them, so that the reference scan stays small.  The count table,
-the oracle and the error tests also draw windows and grounded finite
-subsets over natural-number samples, whose points may fall outside the
-class's ground.
+around the byte chunks and 64-bit lanes of the transpose on purpose: n in
+{1, 7, 8, 9, 16, 17}, widths 63-65 and 127-129, 0, 1, 7, 8, 9, 64 or 65
+unique points, and multiplicities that cross 255/256.  Classes over 16 or
+17 coordinates are parities restricted to a few of them, so that the
+reference scan stays small.  The count table, the oracle and the error
+tests also draw windows and grounded finite subsets over natural-number
+samples, whose points may fall outside the class's ground.
 """
 
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +55,7 @@ from llp_lab.reductions import _disagreement_counter
 CUBE_CLASSES = ("parity", "monotone_disjunction", "monotone_conjunction")
 NAT_CLASSES = ("window", "finite_subset")
 BYTE_EDGES = (1, 7, 8, 9, 16, 17)
+LANE_EDGES = (63, 64, 65, 127, 128, 129, 150)
 UNIQUE_EDGES = (0, 1, 7, 8, 9, 64, 65)
 WEIGHT_EDGES = (1, 255, 256, 257, 511, 512, 65535, 65536)
 
@@ -129,12 +129,14 @@ def _reference_table(desc, sample, budget=BRUTE_BUDGET):
 # the transpose and the weigher
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_bit_planes_transpose_values(data):
-    width = data.draw(st.one_of(st.sampled_from((0,) + BYTE_EDGES + (24, 25)), st.integers(0, 40)))
+    width = data.draw(st.one_of(st.sampled_from((0,) + BYTE_EDGES + (24, 25) + LANE_EDGES), st.integers(0, 150)))
     u = data.draw(_unique_counts(65))
     values = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=u, max_size=u))
+    if width <= 8 and data.draw(st.booleans()):
+        values = bytes(values)  # the coin flips' form
     planes = _bit_planes(values, width)
     assert len(planes) == width
     for b, plane in enumerate(planes):
@@ -288,16 +290,16 @@ def test_budget_and_domain_errors_match_the_scans(data):
 def test_disagreement_count_matches_the_labeler(data):
     n = data.draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(1, 17)))
     u = data.draw(_unique_counts(65))
-    pairs = data.draw(
-        st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 1)), min_size=u, max_size=u, unique=True)
-    )
-    noisy_counts = Counter(dict(zip(pairs, data.draw(st.lists(_weights(), min_size=u, max_size=u)))))
-    count = _disagreement_counter(n, noisy_counts)
+    points = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=u + 1))
+    draws = data.draw(st.lists(st.sampled_from(points), max_size=3 * u))  # repeats on purpose
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=len(draws), max_size=len(draws)))
+    noisy = sum(lab << i for i, lab in enumerate(labels))  # bit i: draw i's noisy label
+    count = _disagreement_counter(n, _bit_planes(draws, n), noisy)
     for _ in range(4):
         mask = data.draw(st.integers(0, 2**n - 1))
         h = Parity(tuple(mask >> (n - 1 - i) & 1 for i in range(n)))
         label = labeler(h, ("bits", n))
-        assert count(h) == sum(c for (x, lab), c in noisy_counts.items() if label(x) != lab)
+        assert count(h) == sum(label(x) != lab for x, lab in zip(draws, labels))
     wrong = Parity((1,) * (n + 1))
     with pytest.raises(DomainMismatch):
         labeler(wrong, ("bits", n))

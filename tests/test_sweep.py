@@ -8,9 +8,11 @@ compare both reductions with the reference sweeps kept in
 `test_reductions.py` and `test_packed.py`.
 """
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from llp_lab import (
     Parity,
     consistency_via_llp,
     derive_seed,
+    evaluate,
     gen_consistency,
     hits_exactly,
     make_brute_oracle,
@@ -215,6 +218,44 @@ def test_noisy_parity_sweep_asks_what_the_reference_asks(n, data, m, noise, mode
     assert got == want
     assert [c for _, c in got_keeper.calls] == [c for _, c in want_keeper.calls]
     assert [s.points for s, _ in got_keeper.calls] == [s.points for s, _ in want_keeper.calls]
+
+
+@pytest.mark.parametrize("per_claim", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 40, 300])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_noisy_parity_verdicts_match_a_recount_over_the_tuple_draws(n, m, per_claim):
+    seed = 100 * n + m
+    mask = tuple(random.Random(seed).getrandbits(1) for _ in range(n))
+    setup = NoisyParitySetup(n, Parity(mask), F(1, 10), F(1, 5))
+    desc, mode = ClassDescriptor("parity", n), ("arbitrary", "reject")[n % 2]
+    oracle = make_brute_oracle(desc, mode)
+    if per_claim:  # another solve drops the sweep: one solve per claim
+        oracle = dataclasses.replace(oracle, solve=partial(oracle.solve))
+    # the reduction's draw and flips, on tuples, and every verdict recounted with `evaluate`
+    rng = random.Random(derive_seed(seed, "noisy-draw"))
+    points, clean = _tuple_labeled(n, m, derive_seed(seed, "noisy-points"), setup.target)
+    noisy = [lab ^ 1 if rng.random() < setup.eta else lab for lab in clean]
+    threshold = (setup.eta_prime + F(1, 2)) / 2
+
+    def verdict(h):
+        if h is None:
+            return None
+        bad = sum(evaluate(h, p) != lab for p, lab in zip(points, noisy))
+        return isinstance(h, Parity) and F(bad, m) < threshold
+
+    try:
+        run = noisy_parity_via_llp(setup, m, oracle, F(1, 10), seed)
+    except NoCandidateAccepted:
+        with pytest.raises(NoCandidateAccepted):
+            _noisy_parity_reference(setup, m, make_brute_oracle(desc, mode), F(1, 10), seed)
+        return
+    M = sum(noisy)
+    assert run.filtered_size == M
+    lines = list(run.transcript)
+    assert [line.claimed for line in lines] == [F(j, max(M, 1)) for j in range(len(lines))]
+    assert [line.accepted for line in lines] == [verdict(line.response) for line in lines]
+    assert [line.accepted for line in lines].count(True) == 1 and lines[-1].accepted
+    assert run.hypothesis == lines[-1].response
 
 
 # ---------------------------------------------------------------------------

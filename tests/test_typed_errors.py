@@ -37,6 +37,7 @@ from llp_lab import (
     distribution_from_json,
     distribution_to_json,
     draw_points,
+    evaluate,
     hypothesis_from_json,
     hypothesis_to_json,
     make_brute_oracle,
@@ -70,7 +71,7 @@ from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 5, "hypotheses": 15, "reductions": 7, "learners": 0}
+CEILINGS = {"core": 3, "hypotheses": 15, "reductions": 7, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
@@ -119,6 +120,23 @@ def test_oracle_and_learner_input_checks_raise_invalid_params():
         with pytest.raises(InvalidParams) as raised:
             call()
         assert isinstance(raised.value, ValueError)
+
+
+def test_bad_points_raise_invalid_params_and_bools_are_not_bits():
+    calls = [
+        lambda: evaluate(Parity((1, 0)), (True, False)),
+        lambda: Sample(((True, False),), 0),
+        lambda: Sample(((1, 2),), 0),
+        lambda: Sample(((),), 0),
+        lambda: Sample((True,), 0),
+        lambda: Sample((-1,), 0),
+        lambda: check_same_domain([(0, 1), (1, True)]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams, match="not a valid") as raised:
+            call()
+        assert isinstance(raised.value, ValueError)
+    assert evaluate(Parity((1, 0)), (1, 0)) == 1
 
 
 def test_negative_draw_sizes_raise_invalid_params():
