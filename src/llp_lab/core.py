@@ -13,13 +13,13 @@ import math
 import random
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from reprlib import recursive_repr
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -231,7 +231,7 @@ class ExplicitDistribution:
         return _sample_packed(check_same_domain(p for p, _ in self.atoms), packed, d, Fraction(0))
 
     @cached_property
-    def cdf(self) -> tuple[list[float], bytes | None]:
+    def cdf(self) -> tuple[list[float], tuple[bytes, dict[int, bytes]] | None]:
         """The cuts of a small draw and their `_cut_table` (None from 255 atoms on).
 
         Cut i is the float sum of the first i + 1 masses of `weighted`, each
@@ -338,20 +338,21 @@ class Sample:
     Every sample holds one form: its points' `domain` (None when empty),
     `packed_counts` (each distinct point `_pack`ed, with its multiplicity,
     sorted), the size `m`, `p_hat`, and `_draws`, the packed points in draw
-    order, or None when the sorted order is the order.  `Sample(points,
-    p_hat)` checks every point and packs them in the given order; the
-    drawing helpers build the same form unchecked, through `_sample_packed`.
-    `points` and `counts` are views of it, built on first read.  Samples are
-    immutable.  Two samples are equal when their points and p_hat are; two
-    samples without draw order compare, hash and print without building
-    their points.
+    order, or None when the sorted order is the order.  A small explicit
+    draw keeps its order as each draw's atom index (`_atom_draws`) and
+    builds `_draws` from it on first read.  `Sample(points, p_hat)` checks
+    every point and packs them in the given order; the drawing helpers
+    build the same form unchecked, through `_sample_packed`.  `points` and
+    `counts` are views of it, built on first read.  Samples are immutable.
+    Two samples are equal when their points and p_hat are; two samples
+    without draw order compare, hash and print without building their
+    points.
     """
 
     domain: tuple[str, int | None] | None
     packed_counts: tuple[tuple[int, int], ...]
     m: int
     p_hat: Fraction
-    _draws: tuple[int, ...] | None
 
     def __init__(self, points: Sequence[Point], p_hat: Fraction) -> None:
         domain = check_same_domain(points)
@@ -382,6 +383,12 @@ class Sample:
         if self._draws is None:
             return f"Sample(m={self.m!r}, p_hat={self.p_hat!r}, packed_counts={self.packed_counts!r})"
         return f"Sample(points={self.points!r}, p_hat={self.p_hat!r})"
+
+    @cached_property
+    def _draws(self) -> tuple[int, ...]:
+        """A small draw's order, read only when there is no `_draws` entry: its atoms at its index bytes."""
+        atoms, index = self._atom_draws
+        return tuple(map(atoms.__getitem__, index))
 
     def _order(self) -> tuple[int, ...]:
         """The packed points in order: `_draws`, else the counts expanded."""
@@ -417,6 +424,7 @@ def _sample_packed(
     m: int,
     p_hat: Fraction,
     draws: Iterable[int] | None = None,
+    atoms: list[int] | None = None,
 ) -> Sample:
     """The trusted Sample constructor: packed counts from a known domain.
 
@@ -424,7 +432,9 @@ def _sample_packed(
     (or `Sample`, after checking its points): `packed_counts` sorted by
     packed point (`_pack`), each count >= 1, summing to m, every point in
     `domain` (None when m is 0), and, when given, `draws`, the same points
-    packed in draw order, kept as a tuple.  The proportion gets the one
+    packed in draw order, kept as a tuple.  With `atoms`, `draws` is
+    instead the bytes of each draw's index into `atoms`, kept as they are
+    until `Sample._draws` is read.  The proportion gets the one
     check every sample goes through, done on its lowest-terms numerator and
     denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
     denominator divides m), and p_hat = 0 when the sample is empty.
@@ -434,8 +444,12 @@ def _sample_packed(
     if not 0 <= num <= den or m % den or (m == 0 and num):
         raise InvalidParams(f"p_hat {p_hat} invalid for m={m}: not j/m for a whole j in [0, m], or 0 when m = 0")
     sample = object.__new__(Sample)
-    draws = None if draws is None else tuple(draws)
-    sample.__dict__.update(domain=domain, packed_counts=packed_counts, m=m, p_hat=p_hat, _draws=draws)
+    fields = sample.__dict__
+    fields.update(domain=domain, packed_counts=packed_counts, m=m, p_hat=p_hat)
+    if atoms is None:
+        fields["_draws"] = None if draws is None else tuple(draws)
+    else:
+        fields["_atom_draws"] = atoms, draws
     return sample
 
 
@@ -491,51 +505,86 @@ def _lanes(pattern: bytes, m: int) -> int:
     return int.from_bytes(pattern * m, "little")
 
 
-_SPLIT = 255  # a `_cut_table` entry whose bucket a cut splits
+_SPLIT = 255  # a byte-table entry whose bucket a cut splits
 
 
-def _cut_table(cuts: Sequence[float]) -> bytes:
-    """For each byte t, the `bisect_right` index into `cuts` of every random() value in bucket t.
+def _byte_level(counts: Sequence[int], lo: int, width: int) -> bytes:
+    """Entry t: the `bisect_right` index of every k in [lo + t * width, lo + (t + 1) * width), or `_SPLIT`.
 
-    Bucket t holds the values k / 2**53 whose top byte, k >> 45, is t.  A
-    cut c splits the values at k = `_cut_count(c)`: those below it lie
-    below c.  Where that k falls strictly inside a bucket, the bucket's
-    values have two indices and its entry is `_SPLIT`; elsewhere every
-    value of the bucket has the entry's index.  `cuts` is sorted, and an
-    index runs up to len(cuts), so at most 254 cuts fit below `_SPLIT`.
+    `counts` are the cuts' `_cut_count`s, ascending: the values below count
+    i lie below cut i.  Cuts at or below lo are below every value of the
+    range; a count strictly inside a bucket makes its entry `_SPLIT`, and
+    the buckets above it get its index.
     """
-    if len(cuts) >= _SPLIT:
-        raise InvalidParams(f"a byte table holds at most {_SPLIT - 1} cuts, got {len(cuts)}")
-    table = bytearray(256)
-    for i, c in enumerate(cuts, 1):
-        t, inside = divmod(_cut_count(c), 2**45)
+    first = bisect_right(counts, lo)
+    table = bytearray([first]) * 256
+    for i in range(first, bisect_left(counts, lo + 256 * width)):
+        t, inside = divmod(counts[i] - lo, width)
         if inside:
             table[t] = _SPLIT
             t += 1
-        table[t:] = bytes([i]) * (256 - t)  # buckets wholly at or above c
+        table[t:] = bytes([i + 1]) * (256 - t)  # buckets wholly at or above the cut
     return bytes(table)
 
 
-def _cut_draws(cuts: Sequence[float], table: bytes, m: int, rng: random.Random) -> bytes:
+class _SecondBytes(dict):
+    """Split top-byte bucket t -> its table over the second byte (`_byte_level`), built on first lookup."""
+
+    def __init__(self, counts: list[int]) -> None:
+        super().__init__()
+        self.counts = counts
+
+    def __missing__(self, t: int) -> bytes:
+        table = self[t] = _byte_level(self.counts, t << 45, 2**37)
+        return table
+
+
+def _cut_table(cuts: Sequence[float]) -> tuple[bytes, dict[int, bytes]]:
+    """The `bisect_right` indices into `cuts` of the random() values, by their top byte, then their second.
+
+    random() returns k / 2**53.  Bucket t of the first table holds the k
+    whose top byte, k >> 45, is t; a bucket that a cut splits (`_SPLIT`)
+    has a second table, over byte k >> 37 & 255, under t in the dict,
+    built when a draw first lands there.  A cut c splits the values at
+    k = `_cut_count(c)`.  In both tables an entry is the index of every
+    value of its bucket, or `_SPLIT` where a cut falls strictly inside it.
+    `cuts` is sorted, and an index runs up to len(cuts), so at most 254
+    cuts fit below `_SPLIT`.
+    """
+    if len(cuts) >= _SPLIT:
+        raise InvalidParams(f"a byte table holds at most {_SPLIT - 1} cuts, got {len(cuts)}")
+    counts = [_cut_count(c) for c in cuts]
+    return _byte_level(counts, 0, 2**45), _SecondBytes(counts)
+
+
+def _cut_draws(cuts: Sequence[float], table: tuple[bytes, dict[int, bytes]], m: int, rng: random.Random) -> bytes:
     """Byte i is `bisect_right(cuts, rng.random())` for the i-th call; `table` is `_cut_table(cuts)`.
 
     One `getrandbits(64 * m)` reads the 2m words that m `random()` calls
     would, lowest first, and leaves `rng` where they would.  random() reads
     words a then b and returns k / 2**53 with k = (a >> 5) * 2**26 + (b >> 6),
-    so lane i (8 bytes, a low) holds call i's pair, and its byte 3, the top
-    byte of a, is k's top byte.  One `translate` through `table` gives
-    every draw's index; only draws in a bucket a cut splits are decided
-    here, one `bisect_right` each on the value random() would return.
+    so lane i (8 bytes, a low) holds call i's pair, and its bytes 3 and 2,
+    the top two bytes of a, are k's top two bytes.  One `translate` of the
+    top bytes gives every draw's index.  A draw in a split bucket reads its
+    second byte's table, and only where a cut splits that too is it decided
+    by one `bisect_right` on the value random() would return.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
     raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
-    index = bytearray(raw[3::8].translate(table))
+    first, second = table
+    tops = raw[3::8]
+    index = bytearray(tops.translate(first))
     i = index.find(_SPLIT)
-    while i >= 0:
-        lane = int.from_bytes(raw[8 * i : 8 * i + 8], "little")
-        index[i] = bisect_right(cuts, ((lane & 0xFFFFFFFF) >> 5 << 26 | lane >> 38) / 2**53)
-        i = index.find(_SPLIT, i + 1)
+    if i >= 0:
+        seconds = raw[2::8]
+        while i >= 0:
+            j = second[tops[i]][seconds[i]]
+            if j == _SPLIT:
+                lane = int.from_bytes(raw[8 * i : 8 * i + 8], "little")
+                j = bisect_right(cuts, ((lane & 0xFFFFFFFF) >> 5 << 26 | lane >> 38) / 2**53)
+            index[i] = j
+            i = index.find(_SPLIT, i + 1)
     return bytes(index)
 
 
@@ -562,7 +611,7 @@ def derive_seed(*parts: object) -> int:
     OpenSSL's libcrypto, a few ms of every import and about 4 MB of memory,
     for this one digest.  The digest is the same either way.
     """
-    text = "\x1f".join(str(p) for p in parts)
+    text = "\x1f".join(map(str, parts))
     digest = sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -652,33 +701,40 @@ def _draw_cube(n: int, m: int, seed: int) -> list[int]:
     return lanes.tolist()
 
 
-def _draw(dist: FiniteDistribution, m: int, seed: int) -> Sample:
-    """m i.i.d. draws as a sample with p_hat 0; identical arguments give identical draws.
+def _drawn(
+    dist: FiniteDistribution, m: int, seed: int
+) -> tuple[tuple[str, int | None] | None, tuple[tuple[int, int], ...], Sequence[int] | None, list[int] | None]:
+    """m i.i.d. draws as `_sample_packed`'s domain, packed counts, draws and atoms.
 
     The one choice of draw routine: `_draw_cube` for a cube; for an
     explicit distribution, at least COUNT_DRAW_MIN draws go through
     `_draw_packed` (one binomial per atom) on `dist.weighted`.  Fewer draw
     atom indices as bytes (`_cut_draws` on `dist.cdf`): the counts are each
-    index's `bytes.count`, and the draw order maps the indices to packed
-    points.  A distribution of 255 atoms or more has no byte table and
-    draws by `_draw_small`, the same draws one `random()` at a time.  The
-    binomial draw has no draw order, so its points come out grouped by atom
-    in canonical order.  The choice depends only on the arguments, so
+    index's `bytes.count`, and the draw order is the index bytes into the
+    packed atoms.  A distribution of 255 atoms or more has no byte table
+    and draws by `_draw_small`, the same draws one `random()` at a time.
+    The binomial draw has no draw order, so its points come out grouped by
+    atom in canonical order.  The choice depends only on the arguments, so
     reproducibility is unaffected.
     """
     if isinstance(dist, UniformCube):
         domain, draws = ("bits", dist.n), _draw_cube(dist.n, m, seed)
     elif m >= COUNT_DRAW_MIN:
-        return _sample_packed(dist.weighted.domain, _draw_packed(dist.weighted, m, seed), m, Fraction(0))
+        return dist.weighted.domain, _draw_packed(dist.weighted, m, seed), None, None
     elif dist.cdf[1] is None:
         domain, draws = dist.weighted.domain, _draw_small(dist, m, seed)
     else:
         index = _cut_draws(*dist.cdf, m, random.Random(seed))
         atoms = [x for x, _ in dist.weighted.packed_counts]
-        counts = tuple((x, c) for x, c in zip(atoms, map(index.count, range(len(atoms)))) if c)
-        domain = dist.weighted.domain if m else None
-        return _sample_packed(domain, counts, m, Fraction(0), map(atoms.__getitem__, index))
-    return _sample_packed(domain if m else None, tuple(sorted(Counter(draws).items())), m, Fraction(0), draws)
+        counts = tuple(filter(itemgetter(1), zip(atoms, map(index.count, range(len(atoms))))))
+        return (dist.weighted.domain if m else None), counts, index, atoms
+    return (domain if m else None), tuple(sorted(Counter(draws).items())), draws, None
+
+
+def _draw(dist: FiniteDistribution, m: int, seed: int) -> Sample:
+    """m i.i.d. draws (`_drawn`) as a sample with p_hat 0; identical arguments give identical draws."""
+    domain, counts, draws, atoms = _drawn(dist, m, seed)
+    return _sample_packed(domain, counts, m, Fraction(0), draws, atoms)
 
 
 def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...]:

@@ -99,13 +99,18 @@ class _Kind:
     `_domain()` is the point domain, n-bit vectors unless overridden;
     `_label(x, rng)` labels a checked point (`evaluate`, the reference)
     and `_labeler()` is the packed predicate (`labeler`), written apart;
-    `_cube_proportion()` is the closed-form share of the uniform cube, or None.
+    `_cube_proportion()` is the closed-form share of the uniform cube, or None;
+    `_bias()` is the chance of a 1 for a kind that labels each example by
+    its own coin flip, whatever the point, and None for a deterministic one.
     """
 
     def _domain(self) -> tuple[str, int | None]:
         return ("bits", self.n)  # type: ignore[attr-defined]
 
     def _cube_proportion(self) -> Fraction | None:
+        return None
+
+    def _bias(self) -> Fraction | None:
         return None
 
 
@@ -366,6 +371,16 @@ class ConstantRandom(_Kind):
     def _cube_proportion(self) -> Fraction:
         return self.p
 
+    def _bias(self) -> Fraction:
+        return self.p
+
+    @classmethod
+    def _at(cls, p: Fraction) -> ConstantRandom:
+        """The baseline at a p already checked to be a Fraction in [0, 1], such as a sample's p_hat."""
+        h = object.__new__(cls)
+        h.__dict__["p"] = p
+        return h
+
     def _payload(self) -> str:
         return _nat_code(self.p.numerator) + _nat_code(self.p.denominator)
 
@@ -493,6 +508,15 @@ def positive_weight(
 def positive_count(h: Hypothesis, sample: Sample) -> int:
     """Number of sample points labeled 1, with multiplicity (proper h only)."""
     return positive_weight(h, sample.domain, sample.packed_counts)
+
+
+def _coin_bias(h: Hypothesis) -> Fraction | None:
+    """The chance of a 1 if h labels each example by its own coin flip, whatever the point, else None.
+
+    p for the randomized baseline; None for every proper hypothesis, whose
+    labels the kernel (`labeler`) gives.
+    """
+    return _checked(h)._bias()
 
 
 def _closed_proportion(h: Hypothesis, n: int) -> Fraction | None:
@@ -757,12 +781,10 @@ def _fold_walk(fold: Callable[[int, int], int], columns: Sequence[int], unit: in
 # distinct labelings on a sample
 
 
-def _generic_labelings(
-    desc: ClassDescriptor, sample: Sample, budget: int
-) -> list[tuple[int, Hypothesis]]:
+def _generic_labelings(members: Iterable[Hypothesis], sample: Sample) -> list[tuple[int, Hypothesis]]:
     bits = [(x, 1 << j) for j, (x, _) in enumerate(sample.packed_counts)]
     best: dict[int, Hypothesis] = {}
-    for h in enumerate_class(desc, budget):
+    for h in members:
         label = labeler(h, sample.domain)
         vec = sum(bit for x, bit in bits if label(x))
         if vec not in best:  # enumeration is in encoding order, first wins
@@ -817,7 +839,7 @@ def _labeling_bitsets(
     b is plane b of the points, so `_fold_walk` yields the labelings in
     class order, and the first value to give each one is its witness.
     `_class_member` builds both.  Windows and finite subsets label with
-    `labeler` per hypothesis of `enumerate_class` and carry the hypothesis.
+    `labeler` per member of the class and carry the hypothesis.
     For every class the pairs ascend in witness encoding.  BudgetExceeded
     (class size over `budget`) comes before DomainMismatch, as in a scan of
     the class, except that parities check the domain first and cap their
@@ -857,11 +879,12 @@ def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int
     encoding, are weighed by the bit planes of the sample's multiplicities
     (`_bitset_weigher`); `_least_per_count` keeps the first witness per
     count, which is the encoding-minimal one, and only those become
-    hypotheses.  The tests hold this to a scan of `enumerate_class` with
-    `positive_weight`.
+    hypotheses.  The class is sized once, here, and the row's walk runs
+    without sizing it again.  The tests hold this to a scan of
+    `enumerate_class` with `positive_weight`.
     """
     _sized(desc, budget)
-    pairs, build = _labeling_bitsets(desc, sample, budget)
+    pairs, build = _CLASSES[desc.class_id].walk(desc, sample, budget)
     weigh = _bitset_weigher([c for _, c in sample.packed_counts])
     first, _ = _least_per_count((weigh(vec), w) for vec, w in pairs)
     return {count: build(w) for count, w in first.items()}
@@ -894,15 +917,21 @@ class _Row:
 
     Its methods take a descriptor of the class: `vc`, `size` (or
     InfiniteClass), `members` ascending in encoding (after `size` was
-    checked), a uniform `draw`, and `labelings`, the walk of
-    `_labeling_bitsets`, by default a scan of the members.
+    checked), a uniform `draw`, `walk`, the (bitset, witness) pairs and
+    their build for a class already sized, by default a scan of the
+    members, and `labelings`, the walk of `_labeling_bitsets`: by default
+    the class sized against the budget, then `walk`.
     """
 
     def __init__(self, domain: str, *options: str) -> None:
         self.domain, self.options = domain, options
 
     def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):
-        return _generic_labelings(desc, sample, budget), lambda h: h
+        _sized(desc, budget)
+        return self.walk(desc, sample, budget)
+
+    def walk(self, desc: ClassDescriptor, sample: Sample, budget: int):
+        return _generic_labelings(self.members(desc), sample), lambda h: h
 
 
 class _Numbered(_Row):
@@ -935,8 +964,7 @@ class _Numbered(_Row):
         member.__dict__.update(n=n, vars=tuple(j + 1 for j in range(n) if (value >> (n - 1 - j)) & 1))
         return member
 
-    def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):
-        _sized(desc, budget)
+    def walk(self, desc: ClassDescriptor, sample: Sample, budget: int):
         _check_domain(self.member.__name__, ("bits", desc.n), sample.domain)
         points = [x for x, _ in sample.packed_counts]
         unit = (1 << len(points)) - 1 if self.member._unit else 0
@@ -956,6 +984,9 @@ class _Parities(_Numbered):
         return member
 
     def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):
+        return self.walk(desc, sample, budget)  # the span caps its 2^rank labelings, not the class size
+
+    def walk(self, desc: ClassDescriptor, sample: Sample, budget: int):
         _check_domain("Parity", ("bits", desc.n), sample.domain)
         keff = _keff(desc)
         planes = _bit_planes([x for x, _ in sample.packed_counts], desc.n)

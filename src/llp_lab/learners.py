@@ -18,7 +18,7 @@ import random
 from bisect import bisect_right
 from dataclasses import field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -85,10 +85,24 @@ def improper_learner(sample: Sample) -> LearnerOutcome:
 
     Its true proportion equals the revealed p-hat exactly, so the residual
     is 0; accuracy against the hidden target reduces to how close p-hat is
-    to the target's true proportion.
+    to the target's true proportion.  The sample checked p-hat when it was
+    built, so the baseline is not checked again.
     """
-    h = ConstantRandom(sample.p_hat)
+    h = ConstantRandom._at(sample.p_hat)
     return LearnerOutcome(h, sample.p_hat, Fraction(0), {"candidates": 1}, improper=True)
+
+
+class _GapValues(dict):
+    """`gap_values`: achievable true proportion -> witness, with `ladder` built on first read.
+
+    `ladder` is (D, the values as counts out of D, ascending), D the lcm of
+    their denominators: what `gap_learner` snaps p_hat on.
+    """
+
+    @cached_property
+    def ladder(self) -> tuple[int, list[int]]:
+        d = math.lcm(*(v.denominator for v in self))
+        return d, sorted(v.numerator * (d // v.denominator) for v in self)
 
 
 def gap_values(
@@ -98,9 +112,10 @@ def gap_values(
 
     They depend only on the class and the distribution, so a run of many
     gap trials over one (desc, dist) builds them once and passes them to
-    every `gap_learner` call.
+    every `gap_learner` call, which reuses the count ladder the first
+    call builds on them.
     """
-    return achievable_proportions(desc, dist, budget)
+    return _GapValues(achievable_proportions(desc, dist, budget))
 
 
 def gap_learner(
@@ -117,12 +132,14 @@ def gap_learner(
     to p_hat, the smaller on a tie, and return its encoding-minimal witness.
     On the lcm D of their denominators the values are counts v * D out of
     D, so the pick is `_nearest_count`; being distinct, they need no
-    encoding tie-break.
+    encoding tie-break.  The counts are the values' `ladder`, kept on
+    `gap_values`' dict and built here for any other.
     """
     if values is None:
         values = gap_values(desc, dist, budget)
-    d = math.lcm(*(v.denominator for v in values))
-    counts = sorted(v.numerator * (d // v.denominator) for v in values)
+    elif not isinstance(values, _GapValues):
+        values = _GapValues(values)
+    d, counts = values.ladder
     best = Fraction(_nearest_count(counts, d, p_hat), d)
     return LearnerOutcome(values[best], best, abs(best - p_hat), {"candidates": len(values)})
 

@@ -23,6 +23,7 @@ from .core import (
     UniformCube,
     _coin_flips,
     _draw,
+    _drawn,
     _sample_packed,
     derive_seed,
     from_fields,
@@ -37,9 +38,9 @@ from .hypotheses import (
     DEFAULT_BUDGET,
     DESCRIPTOR,
     ClassDescriptor,
-    ConstantRandom,
     Hypothesis,
     _closed_proportion,
+    _coin_bias,
     _count_table,
     enumerate_class,
     labeler,
@@ -101,25 +102,36 @@ def empirical_proportion(h: Hypothesis, sample: Sample) -> Fraction:
     """Positively labeled fraction of the sample, with multiplicity.
 
     For the randomized baseline this is its parameter p (the proportion it
-    realizes in expectation regardless of the points); deterministic
-    hypotheses are counted exactly.  An empty sample has proportion 0.
+    realizes in expectation regardless of the points, `_coin_bias`);
+    deterministic hypotheses are counted exactly.  An empty sample has
+    proportion 0.
     """
-    if isinstance(h, ConstantRandom):
-        return h.p
+    bias = _coin_bias(h)
+    if bias is not None:
+        return bias
     if sample.m == 0:
         return Fraction(0)
     return Fraction(positive_weight(h, sample.domain, sample.packed_counts), sample.m)
 
 
 def llp_success(h: Hypothesis, target: Hypothesis, dist: FiniteDistribution, epsilon) -> bool:
-    """True iff the true proportions of h and the target differ by <= epsilon."""
+    """True iff the true proportions of h and the target differ by <= epsilon (`_scored`)."""
     eps = parse_rational(epsilon)
-    return abs(true_proportion(h, dist) - true_proportion(target, dist)) <= eps
+    return _scored(true_proportion(h, dist), true_proportion(target, dist), eps)[1]
 
 
-def _random_labels(target: ConstantRandom, m: int, seed: int) -> bytes:
-    """A constant-random target's labels for the m draws under `seed`, as 0/1 bytes."""
-    return _coin_flips(target.p, m, random.Random(derive_seed(seed, "labels")))
+def _scored(p_h: Fraction, p_c: Fraction, epsilon: Fraction) -> tuple[Fraction, bool]:
+    """The residual |p_h - p_c| and whether it is at most epsilon: the one success test.
+
+    `llp_success` and every trial of `trials.run_trials` score by it.
+    """
+    residual = abs(p_h - p_c)
+    return residual, residual <= epsilon
+
+
+def _random_labels(bias: Fraction, m: int, seed: int) -> bytes:
+    """The labels of a target flipping a coin of this bias for each of the m draws under `seed`, as 0/1 bytes."""
+    return _coin_flips(bias, m, random.Random(derive_seed(seed, "labels")))
 
 
 def draw_labeled_points(
@@ -128,15 +140,16 @@ def draw_labeled_points(
     """m seeded i.i.d. draws with their target labels: `_draw`, then the labels.
 
     The points are `draw_points`'.  Proper targets are labeled once per
-    distinct point, by the labeling kernel.  A constant-random target flips
-    one coin per example (`_random_labels`), the `random()` calls of
-    `evaluate` from a seed derived from `seed`, read in bulk by
-    `_coin_flips`.
+    distinct point, by the labeling kernel.  A constant-random target
+    (`_coin_bias`) flips one coin per example (`_random_labels`), the
+    `random()` calls of `evaluate` from a seed derived from `seed`, read in
+    bulk by `_coin_flips`.
     """
     sample = _draw(dist, m, seed)
     points = sample.points
-    if isinstance(target, ConstantRandom):
-        return points, tuple(_random_labels(target, m, seed))
+    bias = _coin_bias(target)
+    if bias is not None:
+        return points, tuple(_random_labels(bias, m, seed))
     if not points:
         return points, ()
     label = labeler(target, sample.domain)
@@ -149,18 +162,20 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
 
     Fully reproducible: identical (dist, m, seed, target) gives an identical
     Sample object, field for field.  The draws are `_draw`'s, the points of
-    `draw_points`; no drawn point is re-checked (an explicit distribution's
-    atoms are checked once, by `ExplicitDistribution.weighted`).  A proper
-    target's positives are weighed by the labeling kernel, each distinct
-    point labeled once; a constant-random target's are the coins
-    `draw_labeled_points` flips for it (`_random_labels`).
+    `draw_points`, and one Sample is built from them; no drawn point is
+    re-checked (an explicit distribution's atoms are checked once, by
+    `ExplicitDistribution.weighted`).  A proper target's positives are
+    weighed by the labeling kernel, each distinct point labeled once; a
+    constant-random target's are the coins `draw_labeled_points` flips for
+    it (`_random_labels`).
     """
-    sample = _draw(dist, m, seed)
-    if isinstance(target, ConstantRandom):
-        positives = _random_labels(target, m, seed).count(1)
+    domain, counts, draws, atoms = _drawn(dist, m, seed)
+    bias = _coin_bias(target)
+    if bias is None:
+        positives = positive_weight(target, domain, counts)
     else:
-        positives = positive_weight(target, sample.domain, sample.packed_counts)
-    return _sample_packed(sample.domain, sample.packed_counts, m, Fraction(positives, m or 1), sample._draws)
+        positives = _random_labels(bias, m, seed).count(1)
+    return _sample_packed(domain, counts, m, Fraction(positives, m or 1), draws, atoms)
 
 
 def achievable_proportions(

@@ -9,8 +9,6 @@ identical reports, byte for byte.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -19,7 +17,7 @@ import struct
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import compress
 from typing import Callable, NamedTuple, TypeVar
 
@@ -64,6 +62,7 @@ from .learners import (
     window_learner,
 )
 from .sampling import (
+    _scored,
     _support_domain,
     draw_labeled_points,
     draw_sample,
@@ -94,10 +93,11 @@ __all__ = [
 
 
 class SampleLearner(NamedTuple):
-    """A learner that picks its hypothesis from a sample and its p-hat."""
+    """A learner that picks its hypothesis from a sample and its p-hat; `seeded` if it reads `seed`."""
 
     needs_desc: bool
     run: Callable[..., LearnerOutcome]  # (desc, dist, sample, seed, values)
+    seeded: bool = False
 
 
 def _gap(desc, dist, sample, seed, values):
@@ -120,7 +120,9 @@ SAMPLE_LEARNERS = {
     "gap": SampleLearner(True, _gap),
     "subset_sum": SampleLearner(False, lambda desc, dist, sample, seed, values: subset_sum_learner(sample)),
     "window": SampleLearner(True, _window),
-    "halfspace_sweep": SampleLearner(False, lambda desc, dist, sample, seed, values: halfspace_sweep_learner(sample, seed)),
+    "halfspace_sweep": SampleLearner(
+        False, lambda desc, dist, sample, seed, values: halfspace_sweep_learner(sample, seed), seeded=True
+    ),
 }
 
 # the noisy distinguisher reads noisy labels, not a Sample (see run_single_trial)
@@ -262,8 +264,9 @@ class TrialReport:
     config: TrialConfig
     rows: tuple[TrialRow, ...]
 
-    @property
+    @cached_property
     def successes(self) -> int:
+        """The successful rows, counted once per report."""
         return sum(r.success for r in self.rows)
 
     @property
@@ -272,10 +275,12 @@ class TrialReport:
 
     @property
     def mean_residual(self) -> Fraction:
+        """The mean residual of the scored rows, 0 when none is: their numerators over the lcm of the denominators."""
         scored = [r.residual for r in self.rows if r.residual is not None]
         if not scored:
             return Fraction(0)
-        return sum(scored, Fraction(0)) / len(scored)
+        d = math.lcm(*(q.denominator for q in scored))
+        return Fraction(sum(q.numerator * (d // q.denominator) for q in scored), d * len(scored))
 
     @property
     def ci95(self) -> tuple[float, float]:
@@ -510,16 +515,15 @@ def run_single_trial(
             sample = draw_sample(
                 config.distribution, m, derive_seed(trial_seed, "sample"), target
             )
-            outcome = run_learner(
-                config.learner, config.desc, config.distribution, sample,
-                derive_seed(trial_seed, "sweep"), values,
-            )
+            # only a seeded learner reads its seed, so only its seed is derived
+            seed = derive_seed(trial_seed, "sweep") if SAMPLE_LEARNERS[config.learner].seeded else 0
+            outcome = run_learner(config.learner, config.desc, config.distribution, sample, seed, values)
         if p_c is None:
             p_c = true_proportion(target, config.distribution)
         p_h = true_proportion(outcome.hypothesis, config.distribution)
-        residual = abs(p_c - p_h)  # `llp_success`'s test; config.epsilon is a Fraction already
+        residual, success = _scored(p_h, p_c, config.epsilon)  # config.epsilon is a Fraction already
         ms = round((time.perf_counter() - started) * 1000) if config.record_ms else 0
-        return TrialRow(index, trial_seed, p_c, p_h, residual, residual <= config.epsilon, ms)
+        return TrialRow(index, trial_seed, p_c, p_h, residual, success, ms)
     except LlpError as exc:
         ms = round((time.perf_counter() - started) * 1000) if config.record_ms else 0
         return TrialRow(
@@ -535,9 +539,10 @@ def run_trials(config: TrialConfig) -> TrialReport:
     worker per trial; results are assembled in trial order and each
     trial's randomness depends only on (master seed, index), so the pool
     size never shows in the output.  A value that is not an integer raises
-    InvalidParams.  The gap learner's achievable proportions and a fixed
-    target's true proportion depend on the config alone, so they are built
-    once here and handed to `resolve_m` and every trial.
+    InvalidParams.  The gap learner's achievable proportions (with the
+    count ladder the first trial builds on them) and a fixed target's true
+    proportion depend on the config alone, so they are built once here and
+    handed to `resolve_m` and every trial.
     """
     threads = os.environ.get("LLP_LAB_THREADS", "1") or "1"
     try:
@@ -643,25 +648,22 @@ CSV_COLUMNS = ("trial", "seed", "p_c_num", "p_c_den", "p_h_num", "p_h_den", "res
 
 
 def report_to_csv(report: TrialReport) -> str:
-    """Fixed-column CSV; rationals split into numerator and denominator."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """Fixed-column CSV; rationals split into numerator and denominator.
+
+    Lines are joined directly: every field is an int, an empty string or
+    an "a/b" string, none of which `csv.writer` would quote, so the text
+    is what it writes with lineterminator "\\n".
+    """
+    lines = [",".join(CSV_COLUMNS)]
     for r in report.rows:
-        writer.writerow(
-            [
-                r.trial,
-                r.seed,
-                "" if r.p_c is None else r.p_c.numerator,
-                "" if r.p_c is None else r.p_c.denominator,
-                "" if r.p_h is None else r.p_h.numerator,
-                "" if r.p_h is None else r.p_h.denominator,
-                "" if r.residual is None else str(r.residual),
-                int(r.success),
-                r.ms,
-            ]
+        p_c, p_h, residual = r.p_c, r.p_h, r.residual
+        lines.append(
+            f"{r.trial},{r.seed},"
+            f"{'' if p_c is None else p_c.numerator},{'' if p_c is None else p_c.denominator},"
+            f"{'' if p_h is None else p_h.numerator},{'' if p_h is None else p_h.denominator},"
+            f"{'' if residual is None else str(residual)},{int(r.success)},{r.ms}"
         )
-    return out.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(report: TrialReport, format: str, path: str | os.PathLike) -> None:

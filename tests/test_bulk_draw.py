@@ -137,32 +137,42 @@ def test_no_coin_reads_no_word():
 # byte tables and small explicit draws
 
 
-def _bucket_ends(t):
-    """The least and the greatest random() value whose top byte is t."""
-    return t / 256, ((t + 1) * 2**45 - 1) / TWO53
+def _bucket_ends(lo, width):
+    """The least and the greatest random() value k / 2**53 with lo <= k < lo + width."""
+    return lo / TWO53, (lo + width - 1) / TWO53
 
 
-_EDGES = st.integers(0, 256).map(lambda j: j / 256)
-_CUTS = st.lists(
-    st.floats(0, 1) | _EDGES | _EDGES.map(lambda c: math.nextafter(c, 0)) | _EDGES.map(lambda c: math.nextafter(c, 2)),
-    max_size=254,
-).map(sorted)
+def _edges(size):
+    """Cuts on j / size, and the floats next to them."""
+    edges = st.integers(0, size).map(lambda j: j / size)
+    return edges | edges.map(lambda c: math.nextafter(c, 0)) | edges.map(lambda c: math.nextafter(c, 2))
+
+
+_CUTS = st.lists(st.floats(0, 1) | _edges(256) | _edges(65536), max_size=254).map(sorted)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_CUTS, _CUTS.filter(bool).map(lambda cuts: cuts[:-1] + [math.inf])), st.integers(0, 3000), SEEDS)
 def test_cut_draws_are_bisections_of_random_calls(cuts, m, seed):
     table = _cut_table(cuts)
-    for t in range(256):  # a bucket is split exactly when its ends have different indices
-        first, last = (bisect_right(cuts, x) for x in _bucket_ends(t))
-        assert table[t] == (first if first == last else 255)
     rng, ref = random.Random(seed), random.Random(seed)
     assert _cut_draws(cuts, table, m, rng) == bytes(bisect_right(cuts, ref.random()) for _ in range(m))
     assert rng.getstate() == ref.getstate()
+    # a bucket is split exactly when its ends have different indices, and
+    # each split top-byte bucket has a table over the second byte
+    top, second = table
+    for t in range(256):
+        first, last = (bisect_right(cuts, x) for x in _bucket_ends(t * 2**45, 2**45))
+        assert top[t] == (first if first == last else 255)
+        if top[t] == 255:
+            assert len(second[t]) == 256
+            for s in range(256):
+                first, last = (bisect_right(cuts, x) for x in _bucket_ends(t * 2**45 + s * 2**37, 2**37))
+                assert second[t][s] == (first if first == last else 255)
 
 
 def test_a_byte_table_holds_at_most_254_cuts():
-    assert len(_cut_table([0.5] * 254)) == 256
+    assert len(_cut_table([0.5] * 254)[0]) == 256
     with pytest.raises(InvalidParams, match="at most 254 cuts"):
         _cut_table([0.5] * 255)
 
@@ -205,6 +215,7 @@ def _check_small_draw(dist, m, seed):
     assert (dist.cdf[1] is None) == (len(dist.atoms) >= 255)  # past 254 atoms no byte table
     got = _draw(dist, m, seed)
     want = Sample(_unpack(dist.weighted.domain, _draw_small(dist, m, seed)), F(0))
+    assert repr(got) == repr(want)  # before anything else builds the draw order
     assert got.packed_counts == want.packed_counts
     assert got._draws == want._draws
     assert got.points == want.points

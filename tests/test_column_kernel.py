@@ -39,6 +39,7 @@ from llp_lab import (
     noisy_parity_via_llp,
     ranking_key,
 )
+from llp_lab import hypotheses
 from llp_lab.core import _sample_packed
 from llp_lab.hypotheses import (
     _bit_planes,
@@ -165,6 +166,24 @@ def test_count_table_matches_the_class_scan(case):
     assert list(table.items()) == list(_reference_table(desc, sample).items())
 
 
+@pytest.mark.parametrize(
+    "desc, domain",
+    [
+        (ClassDescriptor("parity", 3), ("bits", 3)),
+        (ClassDescriptor("monotone_disjunction", 3), ("bits", 3)),
+        (ClassDescriptor("monotone_conjunction", 3), ("bits", 3)),
+        (ClassDescriptor("finite_subset", 3, ground_set=(1, 2, 5)), ("nat", None)),
+        (ClassDescriptor("window", 3, k=2), ("nat", None)),
+    ],
+)
+def test_a_count_table_sizes_its_class_once(monkeypatch, desc, domain):
+    sizes = []
+    size = hypotheses.class_size
+    monkeypatch.setattr(hypotheses, "class_size", lambda d: sizes.append(d) or size(d))
+    _count_table(desc, _sample_packed(domain, ((1, 2), (2, 1), (5, 3)), 6, F(0)), BRUTE_BUDGET)
+    assert sizes == [desc]
+
+
 def _reference_answer(table, m, claim, mode):
     best = _best_count(table, m, claim)
     if mode == "reject" and not _matches(best, m, claim):
@@ -214,7 +233,7 @@ def test_labeling_bitsets_match_the_generic_scan(case):
     desc, sample = case
     pairs, build = _labeling_bitsets(desc, sample, BRUTE_BUDGET)
     got = [(vec, build(w)) for vec, w in pairs]
-    assert got == _generic_labelings(desc, sample, BRUTE_BUDGET)
+    assert got == _generic_labelings(enumerate_class(desc, BRUTE_BUDGET), sample)
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,11 +292,11 @@ def test_budget_and_domain_errors_match_the_scans(data):
     assert table == _raised(lambda: _reference_table(desc, sample, budget))
     kernel = _raised(lambda: _labeling_bitsets(desc, sample, budget))
     if class_id != "parity":
-        assert kernel == _raised(lambda: _generic_labelings(desc, sample, budget))
+        assert kernel == _raised(lambda: _generic_labelings(enumerate_class(desc, budget), sample))
     elif domain != ("bits", n):
         assert kernel is DomainMismatch
     else:  # parities are budgeted by the number of labelings, 2^rank
-        found = len(_generic_labelings(desc, sample, BRUTE_BUDGET))
+        found = len(_generic_labelings(enumerate_class(desc, BRUTE_BUDGET), sample))
         assert (kernel is BudgetExceeded) == (found > budget)
 
 

@@ -409,3 +409,17 @@ def test_no_match_statement_in_hypotheses():
     # a new kind joins its class and a new class id its row, not a new branch
     tree = ast.parse(Path(hypotheses_module.__file__).read_text())
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Match)]
+
+
+def test_no_kind_test_for_the_baseline_outside_hypotheses():
+    # what the randomized baseline needs is on its kind class (`_bias`), not an isinstance in its callers
+    found = []
+    for path in Path(hypotheses_module.__file__).parent.glob("*.py"):
+        if path.name == "hypotheses.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                if "ConstantRandom" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found
