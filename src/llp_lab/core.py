@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import attrgetter, itemgetter
 from reprlib import recursive_repr
@@ -591,15 +591,25 @@ def _cut_draws(cuts: Sequence[float], table: tuple[bytes, dict[int, bytes]], m: 
 _COIN = b"\x01" + bytes(255)  # index 0, below the cut, is heads
 
 
+@lru_cache(maxsize=16)
+def _coin_cut(p: Fraction) -> tuple[tuple[float], tuple[bytes, dict[int, bytes]]]:
+    """The one cut `_random_cut(p)` and its `_cut_table`, kept for the 16 biases used last.
+
+    Its second-byte tables fill as draws land in split buckets, and every
+    later call with the same bias reads them.
+    """
+    cuts = (_random_cut(p),)
+    return cuts, _cut_table(cuts)
+
+
 def _coin_flips(p: Fraction, m: int, rng: random.Random) -> bytes:
     """m coins of bias p as 0/1 bytes: byte i is `rng.random() < p` for the i-th call.
 
-    The draws' indices against the one cut `_random_cut(p)` (`_cut_draws`),
+    The draws' indices against the one cut of p (`_coin_cut`, `_cut_draws`),
     0 below it and 1 at or above, turned into coins by one more
     `translate`.  The generator is left where m `random()` calls leave it.
     """
-    cuts = [_random_cut(p)]
-    return _cut_draws(cuts, _cut_table(cuts), m, rng).translate(_COIN)
+    return _cut_draws(*_coin_cut(p), m, rng).translate(_COIN)
 
 
 def derive_seed(*parts: object) -> int:
@@ -668,22 +678,31 @@ def _draw_small(dist: ExplicitDistribution, m: int, seed: int) -> list[int]:
     return [packed[bisect_right(cuts, rand())] for _ in range(m)]
 
 
-def _draw_cube(n: int, m: int, seed: int) -> list[int]:
+# _CUBE_SHIFTS[s] maps a byte x to x >> s
+_CUBE_SHIFTS = tuple(bytes(x >> s for x in range(256)) for s in range(8))
+
+
+def _draw_cube(n: int, m: int, seed: int) -> Sequence[int]:
     """m draws from UniformCube(n), packed, read off one `getrandbits` call.
 
     The drawn int is the packed form (`_pack`) of the drawn vector, and
     draw i is the i-th `getrandbits(n)` of `random.Random(seed)`.  That call
     reads w = ceil(n / 32) 32-bit words, least significant first, and
     shifts the last one right by 32w - n.  `getrandbits(32 * w * m)` fills
-    its words in the same order, so lane i (32w bits) holds draw i's words,
-    and one mask-and-shift over the whole int makes every lane's shift.
-    The generator ends where m calls would leave it; n = 0 reads no word
-    and gives m zeros.
+    its words in the same order, so lane i (32w bits) holds draw i's words.
+    For n <= 8 a draw is the top byte of its one word shifted right by
+    8 - n: the draws are `bytes`, byte 3 of every 4 turned by one
+    `translate`.  Wider draws are a list of ints, and one mask-and-shift
+    over the whole int makes every lane's shift.  The generator ends where
+    m calls would leave it; n = 0 reads no word and gives m zero bytes.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
     if n == 0:
-        return [0] * m
+        return bytes(m)
+    if n <= 8:
+        tops = random.Random(seed).getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        return tops.translate(_CUBE_SHIFTS[8 - n])
     w = -(-n // 32)
     size = 4 * w  # bytes per lane
     big = random.Random(seed).getrandbits(32 * w * m)

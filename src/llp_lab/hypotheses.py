@@ -705,37 +705,58 @@ _BIT_DIGITS = tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(
 _LANE = (1 << 64) - 1
 
 
+def _plane_rows(values: Sequence[int], width: int) -> list[bytes]:
+    """The rows `_bit_planes` reads: row k holds byte k of every value, values[0] last.
+
+    Built in C so that values[0] lands on bit 0: `bytes` of the values
+    when they fit a byte, and otherwise one
+    `struct.pack` of little-endian 64-bit lanes per 64 bits of width,
+    whose byte k of every value is the slice raw[k::8].  No values give
+    one zero byte per row, which reads as an empty plane.
+    """
+    if not values:
+        return [b"\0"] * -(-width // 8)
+    last_first = values[::-1]
+    if width <= 8:
+        return [bytes(last_first)]
+    rows = []
+    for shift in range(0, width, 64):
+        lanes = map(int.__rshift__, last_first, repeat(shift)) if shift else last_first
+        if width - shift > 64:
+            lanes = map(_LANE.__and__, lanes)
+        raw = struct.pack(f"<{len(values)}Q", *lanes)
+        rows += (raw[k::8] for k in range(min(8, -(-(width - shift) // 8))))
+    return rows
+
+
 def _bit_planes(values: Sequence[int], width: int) -> list[int]:
     """The transpose of `values`: planes[b] has bit j set iff values[j] has bit b set.
 
     One plane for each b < width.  For packed points (`core._pack`) plane b
     is the column of coordinate n - b; for multiplicities it is a bit plane
     of the weights; for one 0/1 flag per draw the one plane is their
-    bitset.  The rows are built in C, values[0] last so that it lands on
-    bit 0: `bytes` of the values when they fit a byte (a copy of a `bytes`
-    input), and otherwise one `struct.pack` of little-endian 64-bit lanes
-    per 64 bits of width, whose byte k of every value is the slice
-    raw[k::8].  `bytes.translate` spells each of a row's 8 bits as a
-    string of b"0"/b"1" digits that `int(..., 2)` reads.
+    bitset.  Over the rows of `_plane_rows`, `bytes.translate` spells each
+    of a row's 8 bits as a string of b"0"/b"1" digits that `int(..., 2)`
+    reads.  `_Planes` builds the same planes one at a time, on first read.
     """
-    if not values:
-        return [0] * width
-    last_first = values[::-1]
-    if width <= 8:
-        rows = [bytes(last_first)]
-    else:
-        rows = []
-        for shift in range(0, width, 64):
-            lanes = map(int.__rshift__, last_first, repeat(shift)) if shift else last_first
-            if width - shift > 64:
-                lanes = map(_LANE.__and__, lanes)
-            raw = struct.pack(f"<{len(values)}Q", *lanes)
-            rows += (raw[k::8] for k in range(min(8, -(-(width - shift) // 8))))
-    planes: list[int] = []
-    for k, row in enumerate(rows):
-        for digits in _BIT_DIGITS[: width - 8 * k]:
-            planes.append(int(row.translate(digits), 2))
-    return planes
+    return [
+        int(row.translate(digits), 2)
+        for k, row in enumerate(_plane_rows(values, width))
+        for digits in _BIT_DIGITS[: width - 8 * k]
+    ]
+
+
+class _Planes(dict):
+    """b -> plane b of `_bit_planes(values, width)`, each built from `_plane_rows` when first read."""
+
+    def __init__(self, values: Sequence[int], width: int) -> None:
+        self.rows, self.width = _plane_rows(values, width), width
+
+    def __missing__(self, b: int) -> int:
+        if not 0 <= b < self.width:
+            raise KeyError(b)
+        plane = self[b] = int(self.rows[b >> 3].translate(_BIT_DIGITS[b & 7]), 2)
+        return plane
 
 
 def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:

@@ -13,7 +13,7 @@ import operator
 import random
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import compress
@@ -37,6 +37,7 @@ from .core import (
     iter_cube,
     json_list,
     make_distribution,
+    parse_rational,
     record,
     to_fields,
 )
@@ -54,6 +55,7 @@ from .hypotheses import (
     ClassDescriptor,
     Hypothesis,
     Parity,
+    _Planes,
     _bit_planes,
     _check_domain,
     evaluate,
@@ -478,7 +480,8 @@ class NoisyParitySetup:
     """Uniform-cube parity learning with label noise.
 
     `target` is the hidden parity over n bits, `eta` the true flip rate,
-    `eta_prime` a known upper bound with eta <= eta_prime < 1/2.  When
+    `eta_prime` a known upper bound with eta <= eta_prime < 1/2; both are
+    read by `parse_rational`, so a float rate raises its TypeError.  When
     `restriction` is set, the target's support must sit in the first
     `restriction` coordinates (the class the oracle will search).
     """
@@ -490,6 +493,8 @@ class NoisyParitySetup:
     restriction: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "eta", parse_rational(self.eta))
+        object.__setattr__(self, "eta_prime", parse_rational(self.eta_prime))
         if not isinstance(self.target, Parity):
             raise InvalidParams(f"noisy-parity target must be a parity, got {type(self.target).__name__}")
         if self.target.n != self.n:
@@ -550,7 +555,7 @@ def conditional_positive_distribution(setup: NoisyParitySetup) -> ExplicitDistri
     return make_distribution((x, w) for x, w in entries if w)
 
 
-def _parity_labels(columns: Sequence[int], mask: int) -> int:
+def _parity_labels(columns: Mapping[int, int] | Sequence[int], mask: int) -> int:
     """The labeling bitset of the parity whose packed mask is `mask`: the XOR of its columns."""
     vec = 0
     while mask:
@@ -560,15 +565,15 @@ def _parity_labels(columns: Sequence[int], mask: int) -> int:
     return vec
 
 
-def _disagreement_counter(n: int, columns: Sequence[int], noisy: int) -> Callable[[Parity], int]:
+def _disagreement_counter(n: int, columns: Mapping[int, int] | Sequence[int], noisy: int) -> Callable[[Parity], int]:
     """parity -> the number of draws whose noisy label it contradicts.
 
-    Bitsets over the draws: bit i of `columns[b]` (`_bit_planes` of the
-    draws) is bit b of draw i, and bit i of `noisy` is draw i's noisy
-    label.  A parity's labeling L is the XOR of its mask's columns
-    (`_parity_labels`), and the disagreement is popcount(L XOR noisy).  A
-    parity over other than n coordinates raises DomainMismatch, as
-    `labeler` would.
+    Bitsets over the draws: bit i of `columns[b]` (plane b of the draws,
+    `_Planes`, so only the columns a mask reads are built) is bit b of
+    draw i, and bit i of `noisy` is draw i's noisy label.  A parity's
+    labeling L is the XOR of its mask's columns (`_parity_labels`), and
+    the disagreement is popcount(L XOR noisy).  A parity over other than n
+    coordinates raises DomainMismatch, as `labeler` would.
     """
     domain = ("bits", n)
 
@@ -595,26 +600,33 @@ def noisy_parity_via_llp(
     Draw m >= 1 uniform examples, flip each label with probability eta,
     keep the examples whose noisy label is 1 (conditionally i.i.d. from the
     law in `conditional_positive_distribution`), and sweep claimed
-    proportions j/M over the filtered sample (`_sweep`).  A candidate is
-    accepted when its disagreement with the noisy labels over all m
-    examples is strictly below (eta' + 1/2)/2; the true parity sits near
-    eta, impostors near 1/2.  The draws (`_draw_cube`) and the flips
-    (`_coin_flips`) each read their generator in one call.  Labels are
-    bitsets over the draws, bit i for draw i: the noisy labels are the
-    XOR of the target's columns (`_bit_planes` of the draws) with the
-    flips' bitset, M is their popcount, and a candidate's disagreement is
-    one more XOR and popcount (`_disagreement_counter`).  The kept draws,
-    in draw order, are counted once for the oracle's sample and are the
-    per-claim samples of an oracle without a sweep.
+    proportions j/M over the filtered sample (`_sweep`) with
+    eps = (1/2 - eta') / 2.  A candidate is accepted when its disagreement
+    with the noisy labels over all m examples is strictly below
+    (eta' + 1/2)/2; the true parity sits near eta, impostors near 1/2.
+    With eta' = a/b both are integers: eps = (b - 2a) / 4b, and the test
+    is dis * 4b < (2a + b) * m.  The draws (`_draw_cube`, one byte each up
+    to 8 bits) and the flips (`_coin_flips`) each read their generator in
+    one call.  Labels are bitsets over the draws, bit i for draw i: the
+    noisy labels are the XOR of the target's columns with the flips'
+    bitset, M is their popcount, and a candidate's disagreement is one
+    more XOR and popcount (`_disagreement_counter`).  The columns are the
+    draws' planes built on first read (`_Planes`): only those of the
+    target's and the candidates' masks, which saves work when the masks
+    read fewer than n coordinates (a restriction narrower than n) and
+    otherwise builds the planes `_bit_planes` would.  The kept draws, in draw order,
+    are counted once for the oracle's sample and are the per-claim samples
+    of an oracle without a sweep.
     """
     if m < 1:
         raise InvalidParams(f"noisy parity needs m >= 1 examples, got {m}")
-    eps = (Fraction(1, 2) - setup.eta_prime) / 2
+    a, b = setup.eta_prime.as_integer_ratio()
+    eps = Fraction(b - 2 * a, 4 * b)
     sub_delta = Fraction(delta) / 3
     domain = ("bits", setup.n)
     draws = _draw_cube(setup.n, m, derive_seed(seed, "noisy-points"))
     flips = _coin_flips(setup.eta, m, random.Random(derive_seed(seed, "noisy-draw")))
-    columns = _bit_planes(draws, setup.n)
+    columns = _Planes(draws, setup.n)
     noisy = _parity_labels(columns, _pack(setup.target.mask)) ^ _bit_planes(flips, 1)[0]
     M = noisy.bit_count()
     kept = list(compress(draws, format(noisy, f"0{m}b").encode()[::-1].translate(_DIGIT_FLAGS)))
@@ -622,14 +634,13 @@ def noisy_parity_via_llp(
     points = sorted(counts)
     kept_counts = tuple(zip(points, map(counts.__getitem__, points)))
     disagreements = _disagreement_counter(setup.n, columns, noisy)
-    threshold = (setup.eta_prime + Fraction(1, 2)) / 2
-    num, den = threshold.as_integer_ratio()
 
-    def accepts(h: Hypothesis) -> bool:  # disagreements / m < threshold, in integers
-        return isinstance(h, Parity) and disagreements(h) * den < num * m
+    def accepts(h: Hypothesis) -> bool:  # disagreements / m < (2a + b) / 4b, in integers
+        return isinstance(h, Parity) and disagreements(h) * 4 * b < (2 * a + b) * m
 
     response, transcript = _sweep(oracle, domain if M else None, kept_counts, M, eps, sub_delta, accepts, kept)
     if response is None:
+        threshold = Fraction(2 * a + b, 4 * b)
         raise NoCandidateAccepted(f"no parity beat disagreement {threshold} over {m} examples")
     return NoisyParityRun(response, M, transcript)  # type: ignore[arg-type]
 

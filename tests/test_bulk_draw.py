@@ -59,11 +59,18 @@ def _cube_reference(n, m, seed):
     return [getrandbits(n) for _ in range(m)]
 
 
+def _check_cube(n, m, seed):
+    """The draws are the per-call loop's, one byte each up to 8 bits and a list of ints above."""
+    got = _draw_cube(n, m, seed)
+    assert list(got) == _cube_reference(n, m, seed)
+    assert type(got) is (bytes if n <= 8 else list)
+    return got
+
+
 @pytest.mark.parametrize("n", range(131))
 def test_cube_draws_match_the_per_call_loop_at_every_width(n):
     for m in (0, 1, 2, 3, 50):
-        seed = 1000 * n + m
-        assert _draw_cube(n, m, seed) == _cube_reference(n, m, seed)
+        _check_cube(n, m, 1000 * n + m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -73,8 +80,7 @@ def test_cube_draws_match_the_per_call_loop_at_every_width(n):
     st.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_cube_draws_match_the_per_call_loop(n, m, seed):
-    got = _draw_cube(n, m, seed)
-    assert got == _cube_reference(n, m, seed)
+    got = _check_cube(n, m, seed)
     assert all(type(x) is int for x in got)
 
 
@@ -125,6 +131,19 @@ def test_coin_flips_at_a_rate_on_a_drawn_value(m, seed, data):
     x = [rng.random() for _ in range(m)][data.draw(st.integers(0, m - 1))]
     hair = data.draw(st.sampled_from((F(0), F(1, TWO53), -F(1, TWO53), F(1, 2**80), -F(1, 2**80))))
     _check_flips(F(x) + hair, m, seed)
+
+
+def test_a_kept_cut_table_decides_the_next_calls_at_its_bias():
+    """The second call at one bias reads the second-byte tables the first call built."""
+    p = F(3, 10)  # its cut splits top-byte bucket 76
+    core._coin_cut.cache_clear()
+    _check_flips(p, 3000, 41)
+    _, (first, second) = kept = core._coin_cut(p)
+    assert first[76] == core._SPLIT and 76 in second  # a draw landed there and built its table
+    for seed in (42, 43):
+        _check_flips(p, 3000, seed)
+        assert core._coin_cut(p) is kept
+    assert core._coin_cut.cache_info().currsize == 1
 
 
 def test_no_coin_reads_no_word():

@@ -42,6 +42,7 @@ from llp_lab import (
 from llp_lab import hypotheses
 from llp_lab.core import _sample_packed
 from llp_lab.hypotheses import (
+    _Planes,
     _bit_planes,
     _bitset_weigher,
     _generic_labelings,
@@ -130,18 +131,39 @@ def _reference_table(desc, sample, budget=BRUTE_BUDGET):
 # the transpose and the weigher
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_bit_planes_transpose_values(data):
+def _transpose_case(data):
+    """A width and values that fit it, as `bytes` one time in two when they fit a byte."""
     width = data.draw(st.one_of(st.sampled_from((0,) + BYTE_EDGES + (24, 25) + LANE_EDGES), st.integers(0, 150)))
     u = data.draw(_unique_counts(65))
     values = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=u, max_size=u))
     if width <= 8 and data.draw(st.booleans()):
-        values = bytes(values)  # the coin flips' form
+        values = bytes(values)  # the form of coin flips and one-byte cube draws
+    return width, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bit_planes_transpose_values(data):
+    width, values = _transpose_case(data)
     planes = _bit_planes(values, width)
     assert len(planes) == width
     for b, plane in enumerate(planes):
         assert plane == sum(1 << j for j, v in enumerate(values) if v >> b & 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_planes_built_on_first_read_are_the_bit_planes(data):
+    width, values = _transpose_case(data)
+    planes = _bit_planes(values, width)
+    columns = _Planes(values, width)
+    reads = data.draw(st.lists(st.integers(0, width - 1), max_size=2 * width)) if width else []
+    for b in reads + list(range(width)):  # any order, a plane read again from its entry
+        assert columns[b] == planes[b]
+    assert sorted(columns) == list(range(width))
+    for b in (-1, width):
+        with pytest.raises(KeyError):
+            columns[b]
 
 
 @settings(max_examples=200, deadline=None)

@@ -183,20 +183,27 @@ def _outcome(run, *args):
         return NoCandidateAccepted
 
 
+@st.composite
+def _noisy_setups(draw, noises):
+    """n from 1 to 10, on both sides of the one-byte cube draw, and a restriction or none."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    restriction = draw(st.none() | st.integers(min_value=0, max_value=n))
+    free = n if restriction is None else restriction
+    mask = tuple(draw(st.lists(st.integers(0, 1), min_size=free, max_size=free))) + (0,) * (n - free)
+    setup = NoisyParitySetup(n, Parity(mask), *draw(st.sampled_from(noises)), restriction=restriction)
+    return setup, ClassDescriptor("parity", n, restriction=restriction)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=6),
-    st.data(),
+    _noisy_setups(((F(0), F(0)), (F(1, 10), F(1, 5)), (F(1, 5), F(1, 4)), (F(1, 4), F(2, 5)))),
     st.integers(min_value=1, max_value=200),
-    st.sampled_from(((F(0), F(0)), (F(1, 10), F(1, 5)), (F(1, 5), F(1, 4)), (F(1, 4), F(2, 5)))),
     st.sampled_from(("arbitrary", "reject")),
     st.integers(min_value=0, max_value=2**32),
     st.booleans(),
 )
-def test_noisy_parity_matches_the_tuple_sweep(n, data, m, noise, mode, seed, per_claim):
-    mask = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    setup = NoisyParitySetup(n, Parity(mask), *noise)
-    desc = ClassDescriptor("parity", n)
+def test_noisy_parity_matches_the_tuple_sweep(setup_desc, m, mode, seed, per_claim):
+    setup, desc = setup_desc
     oracle = make_brute_oracle(desc, mode)
     if per_claim:  # another solve drops the sweep: one solve per claim, on the kept draws
         oracle = dataclasses.replace(oracle, solve=partial(oracle.solve))

@@ -236,6 +236,20 @@ def test_noisy_parity_setup_validation():
             NoisyParitySetup(3, target, F(0), F(0))  # type: ignore[arg-type]
 
 
+def test_noisy_parity_noise_rates_are_exact_rationals():
+    # a float rate once passed, and the run compared disagreements against the float 0.35
+    for eta, eta_prime in ((0.1, 0.2), (F(1, 10), 0.2), (0.1, F(1, 5))):
+        with pytest.raises(TypeError, match="is a float"):
+            NoisyParitySetup(3, Parity((1, 0, 1)), eta, eta_prime)
+    exact = NoisyParitySetup(3, Parity((1, 0, 1)), F(1, 10), F(1, 5))
+    for eta, eta_prime in (("1/10", "1/5"), ("0.1", "0.2"), ({"num": 1, "den": 10}, {"num": 1, "den": 5})):
+        setup = NoisyParitySetup(3, Parity((1, 0, 1)), eta, eta_prime)
+        assert setup == exact and type(setup.eta) is F and type(setup.eta_prime) is F
+    assert type(NoisyParitySetup(3, Parity((1, 0, 1)), 0, 0).eta_prime) is F
+    with pytest.raises(InvalidParams):
+        NoisyParitySetup(3, Parity((1, 0, 1)), True, F(1, 5))
+
+
 def test_cli_noisy_parity_with_a_non_parity_target_is_invalid_params(tmp_path, capsys):
     path = tmp_path / "setup.json"
     path.write_text(

@@ -43,7 +43,7 @@ from llp_lab.core import (
 )
 from llp_lab.reductions import OracleCall
 from test_core import _pack_counts
-from test_packed import _noisy_parity_reference, _tuple_labeled
+from test_packed import _noisy_parity_reference, _noisy_setups, _tuple_labeled
 from test_reductions import _consistency_reference
 
 
@@ -201,17 +201,13 @@ def _outcome(run, *args):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=5),
-    st.data(),
+    _noisy_setups(((F(0), F(0)), (F(1, 10), F(1, 5)), (F(1, 4), F(2, 5)))),
     st.integers(min_value=1, max_value=150),
-    st.sampled_from(((F(0), F(0)), (F(1, 10), F(1, 5)), (F(1, 4), F(2, 5)))),
     st.sampled_from(("arbitrary", "reject")),
     st.integers(min_value=0, max_value=2**32),
 )
-def test_noisy_parity_sweep_asks_what_the_reference_asks(n, data, m, noise, mode, seed):
-    mask = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    setup = NoisyParitySetup(n, Parity(mask), *noise)
-    desc = ClassDescriptor("parity", n)
+def test_noisy_parity_sweep_asks_what_the_reference_asks(setup_desc, m, mode, seed):
+    setup, desc = setup_desc
     got_keeper, want_keeper = Keeper(desc, mode), Keeper(desc, mode)
     got = _outcome(noisy_parity_via_llp, setup, m, got_keeper.oracle, F(1, 10), seed)
     want = _outcome(_noisy_parity_reference, setup, m, want_keeper.oracle, F(1, 10), seed)
