@@ -15,7 +15,8 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, fields
+from dataclasses import _FIELD_INITVAR, _HAS_DEFAULT_FACTORY  # dataclass's markers of InitVars and factories
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -90,24 +91,49 @@ _R = TypeVar("_R", bound=type)
 # records
 
 
+def _frozen_setattr(self: object, name: str, value: object) -> None:
+    """The `__setattr__` of every record and sample: no attribute can be set."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: object, name: str) -> None:
+    """The `__delattr__` of every record and sample: no attribute can be deleted."""
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def record(cls: _R) -> _R:
-    """`cls` as a frozen dataclass whose `__eq__`, `__hash__` and `__repr__` are shared.
+    """`cls` as a frozen dataclass that compiles only its `__init__`.
 
     `dataclass(frozen=True)` compiles six methods per class with `exec`,
-    most of what importing the package cost.  Here it compiles only
-    `__init__`, `__setattr__` and `__delattr__`; the other three are
-    closures, one code object each for every record, over an `attrgetter`
-    of the field names (a single field wrapped in a 1-tuple).  They behave
-    as Python 3.11's dataclass methods: `==` compares the field tuples of
-    two instances of the very same class (else `NotImplemented`), the hash
-    is that of the field tuple, and the repr is `QualName(f=value!r, ...)`,
-    "..." on recursion.  A field option these closures do not honour
-    (`compare`, `hash`, `repr`) raises `UnsupportedRecord`, a `TypeError`.
+    most of what importing the package cost.  Here `dataclass` only reads
+    the fields (`init=False, eq=False, repr=False`): `fields`, `replace`,
+    `astuple` and `is_dataclass` work as on any dataclass, and
+    `__dataclass_params__` reads `init=False, frozen=False`.  `__init__`
+    is compiled once per class (`_record_init`).  `__setattr__` and
+    `__delattr__` are `_frozen_setattr` and `_frozen_delattr`, shared by
+    every record: they raise dataclass's FrozenInstanceError for every
+    name, for a subclass too (dataclass lets a subclass set a non-field
+    name).  `__eq__`, `__hash__` and `__repr__` are closures, one code
+    object each for every record, over an `attrgetter` of the field names
+    (a single field wrapped in a 1-tuple).  They behave as Python 3.11's
+    dataclass methods: `==` compares the field tuples of two instances of
+    the very same class (else `NotImplemented`), the hash is that of the
+    field tuple, and the repr is `QualName(f=value!r, ...)`, "..." on
+    recursion.  A field option these methods do not honour (`compare`,
+    `hash`, `repr`, `init`, `kw_only`, an `InitVar`) raises
+    `UnsupportedRecord`, a `TypeError`, and so does a class that defines
+    `__init__`, `__setattr__` or `__delattr__` itself.
     """
-    cls = dataclass(cls, frozen=True, eq=False, repr=False)
-    if not all(f.compare and f.repr and f.hash is None for f in fields(cls)):
+    cls = dataclass(cls, init=False, eq=False, repr=False)
+    own = fields(cls)
+    if not all(f.compare and f.repr and f.hash is None for f in own):
         raise UnsupportedRecord(f"record {cls.__qualname__} has a field with compare, hash or repr set")
-    names = tuple(f.name for f in fields(cls))
+    initvar = any(f._field_type is _FIELD_INITVAR for f in cls.__dataclass_fields__.values())  # type: ignore[attr-defined]
+    if initvar or not all(f.init and not f.kw_only for f in own):
+        raise UnsupportedRecord(f"record {cls.__qualname__} has a field with init or kw_only set, or an InitVar")
+    if {"__init__", "__setattr__", "__delattr__"} & vars(cls).keys():
+        raise UnsupportedRecord(f"record {cls.__qualname__} defines __init__, __setattr__ or __delattr__")
+    names = tuple(f.name for f in own)
     get = attrgetter(*names)
     key = get if len(names) > 1 else lambda self: (get(self),)
     template = "(" + ", ".join(f"{name}={{!r}}" for name in names) + ")"
@@ -123,8 +149,53 @@ def record(cls: _R) -> _R:
     def __repr__(self: object) -> str:
         return self.__class__.__qualname__ + template.format(*key(self))
 
+    cls.__init__ = _record_init(cls, own)  # type: ignore[misc]
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr  # type: ignore[assignment]
     cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, recursive_repr()(__repr__)
     return cls
+
+
+def _record_init(cls: type, own: tuple[Field, ...]) -> Callable[..., None]:
+    """dataclass's `__init__` for the fields `own` of `cls`, compiled once.
+
+    It writes the fields straight into the instance's `__dict__` (faster
+    than `object.__setattr__`, though CPython 3.11 then reads the fields
+    through that dict rather than its inline values), then calls
+    `__post_init__` if the class has one.  Its signature is
+    dataclass's: the field names in order, the defaults in `__defaults__`
+    (a `default_factory`'s as dataclass's own marker) and the field types
+    as annotations.  A field without a default after one with a default
+    raises dataclass's message as UnsupportedRecord.  As in dataclass's
+    generated code, its globals are the class's module and the factories
+    (`_dflt_<name>`) are cells of the wrapper it is made in.
+    """
+    names = [f.name for f in own]
+    cells: dict[str, object] = {}
+    defaults: list[object] = []
+    body = ["  __dataclass_dict__ = self.__dict__"]
+    for f in own:
+        value = f.name
+        if f.default_factory is not MISSING:
+            cells["_HAS_DEFAULT_FACTORY"] = _HAS_DEFAULT_FACTORY
+            cells[f"_dflt_{f.name}"] = f.default_factory
+            value = f"_dflt_{f.name}() if {f.name} is _HAS_DEFAULT_FACTORY else {f.name}"
+            defaults.append(_HAS_DEFAULT_FACTORY)
+        elif f.default is not MISSING:
+            defaults.append(f.default)
+        elif defaults:
+            raise UnsupportedRecord(f"non-default argument {f.name!r} follows default argument")
+        body.append(f"  __dataclass_dict__[{f.name!r}] = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()")
+    head = [f"def __create_fn__({', '.join(cells)}):", f" def __init__({', '.join(['self', *names])}):"]
+    module = sys.modules.get(cls.__module__)
+    namespace: dict[str, Callable[..., Callable[..., None]]] = {}
+    exec("\n".join([*head, *body, " return __init__"]), vars(module) if module else {}, namespace)
+    init = namespace["__create_fn__"](**cells)
+    init.__defaults__ = tuple(defaults) or None
+    init.__annotations__ = {**{f.name: f.type for f in own}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +431,7 @@ class Sample:
         packed = tuple(sorted(Counter(draws).items()))
         self.__dict__.update(_sample_packed(domain, packed, len(draws), p_hat, draws).__dict__)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sample):

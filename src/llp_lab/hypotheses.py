@@ -26,7 +26,7 @@ import random
 import struct
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -135,11 +135,16 @@ class Parity(_Kind):
     def trivial(self) -> bool:
         return not any(self.mask)
 
+    @cached_property
+    def packed(self) -> int:
+        """The mask `_pack`ed, coordinate 1 the high bit; a class member is built with it."""
+        return _pack(self.mask)
+
     def _label(self, x: Bits, rng: random.Random | None) -> int:
         return sum(m & b for m, b in zip(self.mask, x)) & 1
 
     def _labeler(self) -> Callable[[int], int]:
-        mask = _pack(self.mask)
+        mask = self.packed
         return lambda x: (mask & x).bit_count() & 1
 
     def _cube_proportion(self) -> Fraction:
@@ -700,8 +705,9 @@ def sauer_bound(d: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 # the column-bitset kernel: labelings and weights as int bitsets over points
 
-# _BIT_DIGITS[b] maps a byte to b"1" when its bit b is set, else to b"0"
-_BIT_DIGITS = tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
+# _BIT_DIGITS[b] maps a byte to b"1" when its bit b is set, else to b"0":
+# runs of 2^b zeros and 2^b ones, repeated
+_BIT_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 _LANE = (1 << 64) - 1
 
 
@@ -1002,6 +1008,7 @@ class _Parities(_Numbered):
         member = object.__new__(Parity)
         keff = _keff(desc)
         member.__dict__["mask"] = _unpack_bits(value, keff) + (0,) * (desc.n - keff)
+        member.__dict__["packed"] = value << (desc.n - keff)
         return member
 
     def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):

@@ -370,6 +370,8 @@ def hits_exactly(inst: ConsistencyInstance, h: Hypothesis) -> bool:
 
 @record
 class PacRun:
+    """`llp_to_pac`'s result: the hypothesis, the reweighted distribution, epsilon', the points drawn, the one call."""
+
     hypothesis: Hypothesis
     reweighted: ExplicitDistribution
     epsilon: Fraction
@@ -439,6 +441,8 @@ def llp_to_pac(
 
 @record
 class ConsistencyRun:
+    """`consistency_via_llp`'s result: the decision, its witness or None, the points drawn and the oracle calls."""
+
     decision: bool
     witness: Hypothesis | None
     drawn: int
@@ -512,6 +516,8 @@ class NoisyParitySetup:
 
 @record
 class NoisyParityRun:
+    """`noisy_parity_via_llp`'s result: the accepted parity, the number of kept draws and the oracle calls."""
+
     hypothesis: Parity
     filtered_size: int
     transcript: Transcript
@@ -579,7 +585,7 @@ def _disagreement_counter(n: int, columns: Mapping[int, int] | Sequence[int], no
 
     def count(h: Parity) -> int:
         _check_domain("Parity", ("bits", h.n), domain)
-        return (_parity_labels(columns, _pack(h.mask)) ^ noisy).bit_count()
+        return (_parity_labels(columns, h.packed) ^ noisy).bit_count()
 
     return count
 
@@ -627,7 +633,7 @@ def noisy_parity_via_llp(
     draws = _draw_cube(setup.n, m, derive_seed(seed, "noisy-points"))
     flips = _coin_flips(setup.eta, m, random.Random(derive_seed(seed, "noisy-draw")))
     columns = _Planes(draws, setup.n)
-    noisy = _parity_labels(columns, _pack(setup.target.mask)) ^ _bit_planes(flips, 1)[0]
+    noisy = _parity_labels(columns, setup.target.packed) ^ _bit_planes(flips, 1)[0]
     M = noisy.bit_count()
     kept = list(compress(draws, format(noisy, f"0{m}b").encode()[::-1].translate(_DIGIT_FLAGS)))
     counts = Counter(kept)

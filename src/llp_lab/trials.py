@@ -261,6 +261,8 @@ class TrialRow:
 
 @record
 class TrialReport:
+    """`run_trials`' result: the resolved config and one row per trial, in trial order."""
+
     config: TrialConfig
     rows: tuple[TrialRow, ...]
 

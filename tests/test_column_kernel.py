@@ -151,6 +151,11 @@ def test_bit_planes_transpose_values(data):
         assert plane == sum(1 << j for j, v in enumerate(values) if v >> b & 1)
 
 
+def test_bit_digit_tables_map_each_byte_to_its_bit():
+    # the tables are built from runs of 2^b zeros and ones; this is the per-byte rule they replace
+    assert hypotheses._BIT_DIGITS == tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_planes_built_on_first_read_are_the_bit_planes(data):

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import importlib
+import inspect
+import pickle
 import pkgutil
 import types
 from collections import Counter
@@ -473,10 +475,12 @@ def test_generated_records_match_the_dataclass_formulas(x):
 
 
 def test_records_share_one_code_object_per_method():
-    # dataclass(eq=True, repr=True) would exec-compile these three per class, in "<string>"
-    for method in ("__eq__", "__hash__", "__repr__"):
+    # dataclass(frozen=True, eq=True, repr=True) would exec-compile these five per class, in "<string>"
+    for method in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         codes = {vars(cls)[method].__code__ for cls in RECORDS}
         assert len(codes) == 1 and "<string>" not in {code.co_filename for code in codes}
+    for method in ("__eq__", "__hash__", "__setattr__", "__delattr__"):
+        assert {vars(cls)[method].__code__.co_filename for cls in RECORDS} == {llp_lab.core.__file__}
     # __repr__ is reprlib's recursion guard around the shared repr
     inner = {
         cell.cell_contents.__code__
@@ -485,6 +489,15 @@ def test_records_share_one_code_object_per_method():
         if isinstance(cell.cell_contents, types.FunctionType)
     }
     assert len(inner) == 1 and inner.pop().co_filename == llp_lab.core.__file__
+    # only __init__ is compiled, once per record
+    for cls in RECORDS:
+        compiled = {
+            name
+            for name, value in vars(cls).items()
+            if isinstance(value, types.FunctionType) and value.__code__.co_filename == "<string>"
+        }
+        assert compiled == {"__init__"}, cls
+    assert len({id(vars(cls)["__init__"]) for cls in RECORDS}) == len(RECORDS)
 
 
 def test_records_of_different_classes_with_equal_fields_differ():
@@ -503,13 +516,167 @@ def test_a_recursive_record_repr_is_cut_short():
     )
 
 
-@pytest.mark.parametrize("option", [{"compare": False}, {"hash": True}, {"hash": False}, {"repr": False}])
-def test_record_refuses_field_options_it_does_not_implement(option):
-    with pytest.raises(UnsupportedRecord, match="a field with compare, hash or repr set") as raised:
+OPTIONS = "a field with compare, hash or repr set"
+INIT = "a field with init or kw_only set, or an InitVar"
 
-        @llp_lab.core.record
-        class Bad:
-            a: int
-            b: int = dataclasses.field(default=0, **option)
+
+@pytest.mark.parametrize(
+    "option",  # (annotation of field b, its field options, the refusal)
+    [
+        (int, {"compare": False}, OPTIONS),
+        (int, {"hash": True}, OPTIONS),
+        (int, {"hash": False}, OPTIONS),
+        (int, {"repr": False}, OPTIONS),
+        (int, {"init": False}, INIT),
+        (int, {"kw_only": True}, INIT),
+        (dataclasses.InitVar[int], {}, INIT),
+    ],
+)
+def test_record_refuses_field_options_it_does_not_implement(option):
+    annotation, options, message = option
+    with pytest.raises(UnsupportedRecord, match=message) as raised:
+        namespace = {"__annotations__": {"a": int, "b": annotation}, "b": dataclasses.field(default=0, **options)}
+        llp_lab.core.record(type("Bad", (), namespace))
 
     assert isinstance(raised.value, TypeError)
+
+
+def test_record_refuses_a_default_before_a_required_field_and_methods_it_writes():
+    with pytest.raises(UnsupportedRecord, match="non-default argument 'b' follows default argument"):
+        llp_lab.core.record(type("Bad", (), {"__annotations__": {"a": int, "b": int}, "a": 0}))
+    for method in ("__init__", "__setattr__", "__delattr__"):
+        with pytest.raises(UnsupportedRecord, match="defines __init__, __setattr__ or __delattr__"):
+            llp_lab.core.record(type("Bad", (), {"__annotations__": {"a": int}, method: getattr(object, method)}))
+
+
+def test_every_record_class_has_its_own_docstring():
+    # without one, dataclass writes "Name(...)" from the signature it sees when processing the class
+    for cls in RECORDS:
+        assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "("), cls
+
+
+# ---------------------------------------------------------------------------
+# record construction against the dataclass reference
+
+# one value of each record class; its fields are the arguments of the call shapes
+SPECIMENS = {type(x): x for x in reversed(FIXED_RECORDS)}
+
+
+def _dataclass_reference(cls):
+    """`cls`'s fields as a plain `dataclass(frozen=True)` with the same annotations and defaults.
+
+    Its `__post_init__` runs `cls`'s on a twin record built from the
+    reference's `__dict__` and copies back what that wrote, so that the
+    reference validates and normalizes as the record does.
+    """
+    namespace = {"__annotations__": {}, "__module__": cls.__module__, "__qualname__": cls.__qualname__}
+    for f in dataclasses.fields(cls):
+        namespace["__annotations__"][f.name] = f.type
+        if f.default is not dataclasses.MISSING:
+            namespace[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            namespace[f.name] = dataclasses.field(default_factory=f.default_factory)
+    if hasattr(cls, "__post_init__"):
+
+        def __post_init__(self):
+            twin = object.__new__(cls)
+            twin.__dict__.update(self.__dict__)
+            cls.__post_init__(twin)
+            self.__dict__.update(twin.__dict__)
+
+        namespace["__post_init__"] = __post_init__
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+REFERENCES = {cls: _dataclass_reference(cls) for cls in SPECIMENS}
+SPECIMEN_CLASSES = sorted(SPECIMENS, key=lambda c: c.__qualname__)
+
+
+def _field_values(x):
+    return tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+
+
+def _construct(cls, args, kwargs):
+    try:
+        return _field_values(cls(*args, **kwargs))
+    except Exception as exc:  # the exception's type is what must match
+        return type(exc)
+
+
+@st.composite
+def _call_shapes(draw, cls):
+    """Arguments for `cls`: positional, keyword or left out, with now and then
+    a missing required one, an extra positional, a duplicate or an unknown keyword."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = _field_values(SPECIMENS[cls])
+    npos = draw(st.integers(0, len(names)))
+    args = list(values[:npos])
+    kwargs = {}
+    for name, value in zip(names[npos:], values[npos:]):
+        how = draw(st.sampled_from(["keyword", "keyword", "omit"]))
+        if how == "keyword":
+            kwargs[name] = value
+    if npos == len(names) and draw(st.booleans()):
+        args.append(object())  # an extra argument
+    if npos and draw(st.booleans()):
+        kwargs[names[draw(st.integers(0, npos - 1))]] = values[0]  # a duplicate argument
+    if draw(st.booleans()):
+        kwargs[draw(st.sampled_from(["bogus", "self_", "_dflt_" + names[0]]))] = 1  # an unknown keyword
+    return args, kwargs
+
+
+@pytest.mark.parametrize("cls", SPECIMEN_CLASSES, ids=lambda c: c.__qualname__)
+def test_record_signatures_match_the_dataclass_reference(cls):
+    reference = REFERENCES[cls]
+    assert inspect.signature(cls.__init__) == inspect.signature(reference.__init__)
+    assert list(inspect.signature(cls).parameters.values()) == list(inspect.signature(reference).parameters.values())
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__match_args__ == reference.__match_args__
+    assert [(f.name, f.type, f.default, f.default_factory) for f in dataclasses.fields(cls)] == [
+        (f.name, f.type, f.default, f.default_factory) for f in dataclasses.fields(reference)
+    ]
+
+
+@pytest.mark.parametrize("cls", SPECIMEN_CLASSES, ids=lambda c: c.__qualname__)
+@given(data=st.data())
+def test_record_construction_matches_the_dataclass_reference(cls, data):
+    args, kwargs = data.draw(_call_shapes(cls))
+    got = _construct(cls, args, kwargs)
+    assert got == _construct(REFERENCES[cls], args, kwargs)
+    if not isinstance(got, type):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert got == _field_values(dataclasses.replace(SPECIMENS[cls], **dict(zip(names, got))))
+
+
+@pytest.mark.parametrize("cls", SPECIMEN_CLASSES, ids=lambda c: c.__qualname__)
+def test_record_construction_calls_post_init_once_and_each_factory_per_instance(cls, monkeypatch):
+    x = SPECIMENS[cls]
+    values = _field_values(x)
+    required = {
+        f.name: v
+        for f, v in zip(dataclasses.fields(cls), values)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    if hasattr(cls, "__post_init__"):
+        calls = []
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(self) or original(self))
+        made = cls(*values)
+        assert len(calls) == 1 and calls[0] is made
+        monkeypatch.undo()
+    for f in dataclasses.fields(cls):
+        if f.default_factory is not dataclasses.MISSING:
+            first, second = getattr(cls(**required), f.name), getattr(cls(**required), f.name)
+            assert first == f.default_factory() and first is not second
+
+
+@pytest.mark.parametrize(
+    # an oracle holds closures, which do not pickle
+    "x", [x for x in FIXED_RECORDS if not isinstance(x, llp_lab.LLPOracle)], ids=lambda x: type(x).__name__
+)
+def test_records_survive_a_pickle_round_trip(x):
+    # LLP_LAB_THREADS > 1 sends configs to workers and rows back by pickle
+    same = pickle.loads(pickle.dumps(x))
+    assert type(same) is type(x) and repr(same) == repr(x)
+    if not any(v != v for v in _field_values(x)):  # a NaN field comes back as another NaN
+        assert same == x and _hash_or_error(same) == _hash_or_error(x)

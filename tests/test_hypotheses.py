@@ -180,6 +180,22 @@ def test_restricted_parity_enumeration():
     assert all(h.mask[2:] == (0, 0, 0, 0) for h in hs)
 
 
+def test_a_parity_carries_its_packed_mask():
+    # class members are built with it; constructed and decoded parities compute it on first read
+    rng = random.Random(3)
+    for n in range(1, 8):
+        for restriction in (None, *range(n + 1)):
+            desc = ClassDescriptor("parity", n, restriction=restriction)
+            members = [*enumerate_class(desc), random_hypothesis(desc, rng)]
+            sample = Sample(tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(5)), F(0))
+            members += [witness for _, witness in distinct_labelings(desc, sample)]
+            for h in members:
+                assert h.packed == _pack(h.mask)
+                for same in (Parity(h.mask), decode(encode(h)), hypothesis_from_json(hypothesis_to_json(h))):
+                    assert "packed" not in vars(same) and same.packed == _pack(h.mask)
+                    assert same == h and hash(same) == hash(h) and repr(same) == repr(h) == f"Parity(mask={h.mask!r})"
+
+
 def test_distinct_labelings_parity_dedupes():
     desc = ClassDescriptor("parity", 2)
     sample = Sample(((0, 0), (1, 1)), F(0))
