@@ -226,9 +226,16 @@ def _pack(point: Point) -> int:
     return point
 
 
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _unpack_bits(value: int, n: int) -> Bits:
-    """The n-bit vector whose packed form is `value` (`_pack` inverted), high bit first."""
-    return tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+    """The n-bit vector whose packed form is `value` (`_pack` inverted), high bit first.
+
+    `value` must be below 2^n.  `format` spells it as n binary digits and
+    `translate` turns each digit byte into its bit, both in C.
+    """
+    return tuple(format(value, f"0{n}b").encode().translate(_DIGIT_BITS)) if n else ()
 
 
 def _unpack(domain: tuple[str, int | None] | None, values: Sequence[int]) -> tuple[Point, ...]:

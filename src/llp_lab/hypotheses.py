@@ -27,7 +27,7 @@ import struct
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -176,6 +176,11 @@ class _Monotone(_Kind):
         if any(type(v) is not int or not 1 <= v <= n for v in vars) or list(vars) != sorted(set(vars)):
             raise ValueError(f"vars must be strictly increasing in 1..{n}: {vars!r}")
 
+    @cached_property
+    def packed(self) -> int:
+        """The variable mask `_var_mask(n, vars)`, variable v at bit n - v; a class member is built with it."""
+        return _var_mask(self.n, self.vars)
+
     def _label(self, x: Bits, rng: random.Random | None) -> int:
         return int(reduce(self._fold, (x[v - 1] for v in self.vars), self._unit))
 
@@ -209,7 +214,7 @@ class MonotoneDisjunction(_Monotone):
     _tag, _name, _fold, _unit = "001", "monotone_disjunction", operator.or_, 0
 
     def _labeler(self) -> Callable[[int], int]:
-        mask = _var_mask(self.n, self.vars)
+        mask = self.packed
         return lambda x: x & mask != 0
 
 
@@ -223,7 +228,7 @@ class MonotoneConjunction(_Monotone):
     _tag, _name, _fold, _unit = "010", "monotone_conjunction", operator.and_, 1
 
     def _labeler(self) -> Callable[[int], int]:
-        mask = _var_mask(self.n, self.vars)
+        mask = self.packed
         return lambda x: x & mask == mask
 
 
@@ -766,15 +771,30 @@ class _Planes(dict):
 
 
 def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:
-    """bitset -> the sum of weights[j] over its set bits j, by bit planes.
+    """bitset -> the sum of weights[j] over its set bits j, by items or bit planes, whichever are fewer.
 
-    With P_b the plane of bit b of the weights (`_bit_planes`), the weight
-    of `vec` is the sum over b of popcount(vec & P_b) << b: one AND and one
-    popcount per bit of the largest weight, whatever the number of items.
-    No tables: building them cost more than the few weighs an oracle's
-    count table or a noisy-parity check makes.
+    With no more items than bits in the largest weight (a few points of
+    large multiplicity, as in a consistency instance's oracle sample), a
+    weigh adds the weights at the set bits, one step per item, and nothing
+    is built beforehand.  Otherwise, with P_b the plane of bit b of the
+    weights (`_bit_planes`), the weight of `vec` is the sum over b of
+    popcount(vec & P_b) << b: one AND and one popcount per bit of the
+    largest weight.  No tables: building them cost more than the few
+    weighs an oracle's count table or a noisy-parity check makes.
     """
-    top_first = _bit_planes(weights, max(weights, default=0).bit_length())[::-1]
+    width = max(weights, default=0).bit_length()
+    if len(weights) <= width:
+
+        def weigh_items(vec: int) -> int:
+            total = 0
+            for w in weights:
+                if vec & 1:
+                    total += w
+                vec >>= 1
+            return total
+
+        return weigh_items
+    top_first = _bit_planes(weights, width)[::-1]
 
     def weigh(vec: int) -> int:
         total = 0
@@ -903,12 +923,14 @@ def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int
 
     The class must fit `budget` (BudgetExceeded before any domain check).
     The kernel's labelings (`_labeling_bitsets`), which ascend in witness
-    encoding, are weighed by the bit planes of the sample's multiplicities
-    (`_bitset_weigher`); `_least_per_count` keeps the first witness per
+    encoding, are weighed against the sample's multiplicities
+    (`_bitset_weigher`: a direct sum over a sample with no more points than
+    bits in its largest multiplicity, such as a consistency instance's,
+    else by bit planes); `_least_per_count` keeps the first witness per
     count, which is the encoding-minimal one, and only those become
-    hypotheses.  The class is sized once, here, and the row's walk runs
-    without sizing it again.  The tests hold this to a scan of
-    `enumerate_class` with `positive_weight`.
+    hypotheses, each with its packed mask.  The class is sized once, here,
+    and the row's walk runs without sizing it again.  The tests hold this
+    to a scan of `enumerate_class` with `positive_weight`.
     """
     _sized(desc, budget)
     pairs, build = _CLASSES[desc.class_id].walk(desc, sample, budget)
@@ -985,10 +1007,10 @@ class _Numbered(_Row):
         return self.member_at(desc, sum(rng.randrange(2) << b for b in reversed(range(_keff(desc)))))
 
     def member_at(self, desc: ClassDescriptor, value: int) -> Hypothesis:
-        # variable j is in the formula when value's bit n - j is set
+        # value is the member's variable mask (`packed`): variable j is in the formula when bit n - j is set
         member = object.__new__(self.member)
         n = desc.n
-        member.__dict__.update(n=n, vars=tuple(j + 1 for j in range(n) if (value >> (n - 1 - j)) & 1))
+        member.__dict__.update(n=n, vars=tuple(compress(range(1, n + 1), _unpack_bits(value, n))), packed=value)
         return member
 
     def walk(self, desc: ClassDescriptor, sample: Sample, budget: int):
@@ -1006,9 +1028,8 @@ class _Parities(_Numbered):
 
     def member_at(self, desc: ClassDescriptor, value: int) -> Hypothesis:
         member = object.__new__(Parity)
-        keff = _keff(desc)
-        member.__dict__["mask"] = _unpack_bits(value, keff) + (0,) * (desc.n - keff)
-        member.__dict__["packed"] = value << (desc.n - keff)
+        packed = value << (desc.n - _keff(desc))  # the keff-bit value, then n - keff zeros
+        member.__dict__.update(mask=_unpack_bits(packed, desc.n), packed=packed)
         return member
 
     def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):

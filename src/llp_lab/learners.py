@@ -152,8 +152,8 @@ def erm_proportion_matcher(
     Iterates the distinct labelings rather than raw hypotheses, so the work
     is bounded by the growth function instead of the class size.  Each
     labeling comes from the kernel under `distinct_labelings` as an int
-    bitset over the unique points, and its positive count is read from the
-    bit planes of the multiplicities (`_bitset_weigher`).  The pairs ascend
+    bitset over the unique points, and its positive count is read off the
+    multiplicities (`_bitset_weigher`).  The pairs ascend
     in witness encoding; `_best_ranked` keeps the first witness per count
     and takes the count nearest the positive count, so the result is what
     the brute oracle's count table answers to the claim p_hat.  Only the

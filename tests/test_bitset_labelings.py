@@ -4,7 +4,7 @@ The library walks labelings as int bitsets from the column-bitset kernel
 (for parities the GF(2) span of the transposed points, grown from the
 last coordinate up in ascending mask; the column fold for disjunctions
 and conjunctions) or, for windows and finite subsets, from `labeler`; it
-weighs them by the bit planes of the multiplicities and builds a witness
+weighs them against the multiplicities and builds a witness
 only for the candidate it keeps.  The reference here does none of that:
 it enumerates every hypothesis, labels each unique point with
 `evaluate`, and ranks with `ranking_key`.

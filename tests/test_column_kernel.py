@@ -4,9 +4,10 @@
 `_labeling_bitsets` walks a class over a sample as distinct labelings
 (the GF(2) span of the columns for parities, OR and AND folds of them for
 disjunctions and conjunctions, one `labeler` per member for windows and
-finite subsets); `_bitset_weigher` weighs a labeling by the bit planes of
-the multiplicities.  The brute oracle's count table, ERM's labelings and
-the noisy-parity disagreement count run on them.  Each test holds one of
+finite subsets); `_bitset_weigher` weighs a labeling by a direct sum when
+there are no more items than bits in the largest multiplicity, else by the
+bit planes of the multiplicities.  The brute oracle's count table, ERM's
+labelings and the noisy-parity disagreement count run on them.  Each test holds one of
 those callers to the per-hypothesis scan it replaced.  Sizes are drawn
 around the byte chunks and 64-bit lanes of the transpose on purpose: n in
 {1, 7, 8, 9, 16, 17}, widths 63-65 and 127-129, 0, 1, 7, 8, 9, 64 or 65
@@ -20,7 +21,7 @@ samples, whose points may fall outside the class's ground.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llp_lab import (
@@ -171,13 +172,29 @@ def test_planes_built_on_first_read_are_the_bit_planes(data):
             columns[b]
 
 
+def _weigher_example(u, top, vecs=(0b1011, 0x5555_5555_5555_5555_5)):
+    """u weights, the first `top` and the rest 1..3: at most as many items as bits of `top` sum directly."""
+    return example(weights=[top, *(1 + j % 3 for j in range(u - 1))][:u], vecs=list(vecs))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_weigher_sums_the_weights_of_the_set_bits(data):
-    u = data.draw(_unique_counts(65))
-    weights = data.draw(st.lists(_weights(), min_size=u, max_size=u))
+@given(
+    weights=_unique_counts(65).flatmap(lambda u: st.lists(_weights(), min_size=u, max_size=u)),
+    vecs=st.lists(st.integers(0, 2**65 - 1), min_size=1, max_size=8),
+)
+@_weigher_example(0, 0)  # the empty list
+@_weigher_example(7, 255)  # 8 bits: one item fewer, as many, one more
+@_weigher_example(8, 255)
+@_weigher_example(9, 255)
+@_weigher_example(3, 2**64, (0b101, 0b111))  # weights of 2^64 and above
+@_weigher_example(65, 2**64)
+@_weigher_example(66, 2**64)
+@_weigher_example(66, 2**70 + 12345)
+@example(weights=[2**64 + j for j in range(66)], vecs=[2**66 - 1, 2**65 | 3])
+def test_weigher_sums_the_weights_of_the_set_bits(weights, vecs):
+    u = len(weights)
     weigh = _bitset_weigher(weights)
-    for vec in data.draw(st.lists(st.integers(0, 2**u - 1), min_size=1, max_size=8)) + [0, 2**u - 1]:
+    for vec in [v & (2**u - 1) for v in vecs] + [0, 2**u - 1]:
         assert weigh(vec) == sum(weights[j] for j in _set_bits(vec))
 
 
@@ -185,8 +202,21 @@ def test_weigher_sums_the_weights_of_the_set_bits(data):
 # the brute oracle: count table, solve and ladder
 
 
+def _table_example(desc, domain, packed):
+    """A count table case on fixed packed counts."""
+    return example(case=(desc, _sample_packed(domain, packed, sum(c for _, c in packed), F(0))))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_cube_cases(), _nat_cases()))
+# fewer points than bits in the largest multiplicity, as many, and one more: direct sums, then bit planes
+@_table_example(ClassDescriptor("monotone_disjunction", 3), ("bits", 3), ((1, 300), (6, 5)))
+@_table_example(ClassDescriptor("parity", 3), ("bits", 3), ((1, 7), (2, 1), (5, 3)))
+@_table_example(ClassDescriptor("monotone_conjunction", 2), ("bits", 2), ((0, 7), (1, 2), (2, 5), (3, 1)))
+@_table_example(ClassDescriptor("monotone_conjunction", 4), ("bits", 4), ((3, 2**64), (7, 2**70 + 1), (15, 9)))
+@_table_example(ClassDescriptor("monotone_disjunction", 3), ("bits", 3), tuple((x, 1 + x % 3) for x in range(8)))
+@_table_example(ClassDescriptor("window", 3, k=2), ("nat", None), ((2, 1000), (5, 3), (9, 70000)))
+@_table_example(ClassDescriptor("finite_subset", 3, ground_set=(1, 2, 5)), ("nat", None), ((1, 1), (2, 1), (5, 1), (7, 1)))
 def test_count_table_matches_the_class_scan(case):
     desc, sample = case
     table = _count_table(desc, sample, BRUTE_BUDGET)

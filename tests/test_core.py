@@ -46,7 +46,7 @@ from llp_lab import (
     weight_of,
 )
 from llp_lab.bounds import BoundReport
-from llp_lab.core import _pack, _sample_packed, _unpack
+from llp_lab.core import _pack, _sample_packed, _unpack, _unpack_bits
 from llp_lab.learners import LearnerOutcome
 from llp_lab.oracles import BruteForceReport, make_brute_oracle
 from llp_lab.reductions import (
@@ -165,6 +165,24 @@ def test_sample_counts_aggregate_with_multiplicity():
 def test_point_domain():
     assert point_domain(3) == ("nat", None)
     assert point_domain((0, 1, 0)) == ("bits", 3)
+
+
+def _unpack_bits_reference(value, n):
+    """The per-bit unpacking `_unpack_bits` replaced: bit n - 1 - i of value is coordinate i + 1."""
+    return tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def test_unpack_bits_matches_the_per_bit_reference():
+    # zero, all ones, the high bit alone and with the low bit, and alternating bits, for n = 0..70
+    for n in range(71):
+        values = {0, 2**n - 1}
+        if n:
+            values |= {2 ** (n - 1), 2 ** (n - 1) | 1, (2**n - 1) // 3, 2**n - 1 - (2**n - 1) // 3}
+        for value in sorted(values):
+            bits = _unpack_bits(value, n)
+            assert type(bits) is tuple and all(type(b) is int for b in bits)
+            assert bits == _unpack_bits_reference(value, n), (value, n)
+            assert _pack(bits) == value
 
 
 def test_draw_sample_constant_zero_target_gives_zero_p_hat():

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -48,7 +49,7 @@ from llp_lab import (
 )
 from llp_lab import hypotheses as hypotheses_module
 from llp_lab.core import _pack
-from llp_lab.hypotheses import INFINITE_VC, labeler, positive_weight
+from llp_lab.hypotheses import INFINITE_VC, _var_mask, labeler, positive_weight
 from wire_values import descriptors, hypotheses
 
 
@@ -194,6 +195,27 @@ def test_a_parity_carries_its_packed_mask():
                 for same in (Parity(h.mask), decode(encode(h)), hypothesis_from_json(hypothesis_to_json(h))):
                     assert "packed" not in vars(same) and same.packed == _pack(h.mask)
                     assert same == h and hash(same) == hash(h) and repr(same) == repr(h) == f"Parity(mask={h.mask!r})"
+
+
+@pytest.mark.parametrize("kind", [MonotoneDisjunction, MonotoneConjunction])
+def test_a_monotone_member_carries_its_packed_mask(kind):
+    # class members are built with it; constructed, decoded, JSON-read and unpickled ones compute it on first read
+    rng = random.Random(5)
+    for n in range(1, 8):
+        desc = ClassDescriptor(kind._name, n)
+        members = [*enumerate_class(desc), random_hypothesis(desc, rng)]
+        sample = Sample(tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(5)), F(0))
+        members += [witness for _, witness in distinct_labelings(desc, sample)]
+        for h in members:
+            assert type(h) is kind and vars(h)["packed"] == _var_mask(n, h.vars)
+            built = kind(n, h.vars)
+            copies = (decode(encode(h)), hypothesis_from_json(hypothesis_to_json(h)), pickle.loads(pickle.dumps(built)))
+            for same in (built, *copies):
+                assert "packed" not in vars(same) and same.packed == _var_mask(n, h.vars)
+                assert same == h and hash(same) == hash(h) and repr(same) == repr(h) == f"{kind.__name__}(n={n}, vars={h.vars!r})"
+                assert hypothesis_to_json(same) == hypothesis_to_json(h)
+            unpickled = pickle.loads(pickle.dumps(h))
+            assert unpickled == h and hash(unpickled) == hash(h) and unpickled.packed == h.packed
 
 
 def test_distinct_labelings_parity_dedupes():
