@@ -140,11 +140,18 @@ def make_brute_oracle(
     equal counts from distinct samples still match by value.  The domain
     is part of the key: equal packed ints from bit vectors of different
     lengths are different points, and the rebuild raises DomainMismatch
-    where the class does not fit.  Each `solve` then costs O(log T) integer
-    work, T the number of distinct counts: a bisection for the nearest
-    count (`_nearest_count`, the rule ERM ranks by, so ERM's answer is the
-    oracle's answer to the claim p_hat) and, in "reject" mode, one
-    cross-multiplied equality test.
+    where the class does not fit.  `_count_table` builds a table by one of
+    two paths, chosen by size alone, with the same items in the same order:
+    for a parity, disjunction or conjunction class whose 2^keff cube cells
+    are at most 8 per distinct sample point, one butterfly transform of the
+    multiplicities over the cells (superset sums, or Walsh-Hadamard for
+    parities) gives every member's count at once; otherwise the class's
+    distinct labelings are walked and each is weighed.
+
+    Each `solve` then costs O(log T) integer work, T the number of
+    distinct counts: a bisection for the nearest count (`_nearest_count`,
+    the rule ERM ranks by, so ERM's answer is the oracle's answer to the
+    claim p_hat) and, in "reject" mode, one cross-multiplied equality test.
 
     `sweep` answers a whole ladder j/m, j = 0..m, from the same table as
     at most 2T + 1 runs, so a ladder costs O(T) after the table where

@@ -16,8 +16,19 @@ unique points, and multiplicities that cross 255/256.  Classes over 16 or
 reference scan stays small.  The count table, the oracle and the error
 tests also draw windows and grounded finite subsets over natural-number
 samples, whose points may fall outside the class's ground.
+
+The count table has a second path for parities, disjunctions and
+conjunctions: when the class's 2^keff cube cells are at most 8 per distinct
+sample point, `_transform_table` reads every member's count from one
+superset-sum or Walsh-Hadamard transform of the cells (the row's `counts`).
+A differential test holds it to the walk-and-weigh path, `_walk_table`, on
+all three rows, at keff 0-10, any restriction, 0 to 2^keff points and
+multiplicities of 1-3, 255-257 and past 2^64, with examples on both sides
+of the size rule and at it; other tests pin which path the rule takes and
+that the class is still sized before the domain is checked.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -48,6 +59,8 @@ from llp_lab.hypotheses import (
     _bitset_weigher,
     _generic_labelings,
     _labeling_bitsets,
+    _transform_table,
+    _walk_table,
     class_size,
     labeler,
     positive_weight,
@@ -239,6 +252,106 @@ def test_a_count_table_sizes_its_class_once(monkeypatch, desc, domain):
     monkeypatch.setattr(hypotheses, "class_size", lambda d: sizes.append(d) or size(d))
     _count_table(desc, _sample_packed(domain, ((1, 2), (2, 1), (5, 3)), 6, F(0)), BRUTE_BUDGET)
     assert sizes == [desc]
+
+
+# ---------------------------------------------------------------------------
+# the count table's two paths: one transform of the cube cells, or the walk
+
+MULTIPLICITIES = {"small": (1, 2, 3), "byte": (255, 256, 257), "huge": (2**64, 2**64 + 1, 2**70 + 12345)}
+
+
+def _numbered_sample(desc, u, seed, regime):
+    """u distinct points of the class's n-cube, drawn by `seed`, with multiplicities from `regime` (or all of them)."""
+    rng = random.Random(seed)
+    points = sorted(rng.sample(range(2**desc.n), u))
+    choices = MULTIPLICITIES[regime] if regime in MULTIPLICITIES else sum(MULTIPLICITIES.values(), ())
+    mults = [rng.choice(choices) for _ in points]
+    return _sample_packed(("bits", desc.n) if points else None, tuple(zip(points, mults)), sum(mults), F(0))
+
+
+def _rule_edge(keff):
+    """The fewest distinct points at which `_count_table` takes the transform: ceil(2^keff / _CELLS_PER_POINT)."""
+    return -(-(2**keff) // hypotheses._CELLS_PER_POINT)
+
+
+@st.composite
+def _numbered_cases(draw):
+    """A parity (keff 0-10, restriction anywhere in 0..n), disjunction or conjunction class and 0..2^keff points.
+
+    The number of points is drawn around the size rule one time in two: one
+    fewer than its edge, the edge, one more, or 0, 1 and 2^keff.
+    """
+    class_id = draw(st.sampled_from(CUBE_CLASSES))
+    if class_id == "parity":
+        n = draw(st.integers(1, 12))
+        restriction = draw(st.integers(0, min(n, 10)))
+        if n <= 10 and draw(st.booleans()):
+            restriction = None
+    else:
+        n, restriction = draw(st.integers(1, 10)), None
+    desc = ClassDescriptor(class_id, n, restriction=restriction)
+    keff = n if restriction is None else restriction
+    edge = _rule_edge(keff)
+    edges = sorted({u for u in (0, 1, edge - 1, edge, edge + 1, 2**keff) if 0 <= u <= 2**keff})
+    u = draw(st.one_of(st.sampled_from(edges), st.integers(0, 2**keff)))
+    regime = draw(st.sampled_from(sorted(MULTIPLICITIES) + ["mixed"]))
+    return desc, _numbered_sample(desc, u, draw(st.integers(0, 2**32)), regime)
+
+
+def _paths_example(desc, u, regime="mixed", seed=1):
+    return example(case=(desc, _numbered_sample(desc, u, seed, regime)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_numbered_cases())
+# 16 cells: one point takes the walk, two sit exactly at the rule, three take the transform
+@_paths_example(ClassDescriptor("monotone_conjunction", 4), 1)
+@_paths_example(ClassDescriptor("monotone_conjunction", 4), 2, "huge")
+@_paths_example(ClassDescriptor("monotone_conjunction", 4), 3, "byte")
+@_paths_example(ClassDescriptor("monotone_disjunction", 3), 1, "small")  # 8 cells, one point: at the rule
+@_paths_example(ClassDescriptor("monotone_disjunction", 6), 7, "huge")  # 64 cells: the walk, then at the rule
+@_paths_example(ClassDescriptor("monotone_disjunction", 6), 8)
+@_paths_example(ClassDescriptor("monotone_disjunction", 10), 1024, "byte")
+@_paths_example(ClassDescriptor("parity", 9, restriction=5), 3, "byte")  # 32 cells: walk, at the rule, transform
+@_paths_example(ClassDescriptor("parity", 9, restriction=5), 4, "huge")
+@_paths_example(ClassDescriptor("parity", 9, restriction=5), 5, "small")
+@_paths_example(ClassDescriptor("parity", 10), 128)
+@_paths_example(ClassDescriptor("parity", 12, restriction=10), 1024, "huge")
+@_paths_example(ClassDescriptor("parity", 5, restriction=0), 1)  # keff 0: one cell, one member
+@_paths_example(ClassDescriptor("parity", 5, restriction=0), 9, "byte", seed=7)
+# empty samples: every member counts 0
+@_paths_example(ClassDescriptor("monotone_conjunction", 2), 0)
+@_paths_example(ClassDescriptor("monotone_disjunction", 1), 0)
+@_paths_example(ClassDescriptor("parity", 4, restriction=2), 0)
+def test_the_transform_table_matches_the_walk(case):
+    desc, sample = case
+    walk = list(_walk_table(desc, sample, BRUTE_BUDGET).items())
+    assert list(_transform_table(desc, sample).items()) == walk
+    assert list(_count_table(desc, sample, BRUTE_BUDGET).items()) == walk
+
+
+@pytest.mark.parametrize("class_id", CUBE_CLASSES)
+@pytest.mark.parametrize("n, u", [(1, 0), (1, 1), (3, 1), (4, 1), (4, 2), (6, 7), (6, 8), (6, 9)])
+def test_a_count_table_takes_the_transform_at_most_8_cells_a_point(monkeypatch, class_id, n, u):
+    desc = ClassDescriptor(class_id, n)
+    paths = []
+    for name in ("_transform_table", "_walk_table"):
+        path = getattr(hypotheses, name)
+        monkeypatch.setattr(hypotheses, name, lambda *a, path=path, name=name: paths.append(name) or path(*a))
+    _count_table(desc, _numbered_sample(desc, u, 3, "mixed"), BRUTE_BUDGET)
+    assert paths == ["_transform_table" if 2**n <= 8 * u else "_walk_table"]
+
+
+@pytest.mark.parametrize("class_id", CUBE_CLASSES)
+def test_the_transform_path_sizes_the_class_before_it_checks_the_domain(class_id):
+    desc = ClassDescriptor(class_id, 3)
+    sample = _sample_packed(("bits", 4), tuple((x, 1) for x in range(8)), 8, F(0))  # 8 points: the transform
+    with pytest.raises(BudgetExceeded):
+        _count_table(desc, sample, 7)
+    with pytest.raises(DomainMismatch):
+        _count_table(desc, sample, 8)
+    with pytest.raises(DomainMismatch):
+        _transform_table(desc, sample)
 
 
 def _reference_answer(table, m, claim, mode):
