@@ -26,7 +26,7 @@ import random
 import struct
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -577,15 +577,22 @@ def random_hypothesis(desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
     return _CLASSES[desc.class_id].draw(desc, rng)
 
 
-def _class_member(desc: ClassDescriptor, value: int) -> Hypothesis:
-    """Member number `value` of a parity, disjunction or conjunction class.
+@lru_cache(maxsize=4096)
+def _class_member(row: _Numbered, n: int, keff: int, value: int) -> Hypothesis:
+    """Member number `value` of the parity, disjunction or conjunction class `row` over n bits, keff of them free.
 
-    `enumerate_class` yields these for value 0, 1, ..., in that order: the
-    value's high bit is coordinate 1, over keff bits for parities (the
-    restriction, or n) and n bits otherwise.  The fields are valid by
-    construction, so the row sets them without the constructor's checks.
+    The one store of numbered members (hash-consing): each is built once
+    per process by `row.member_at` and kept while it is among the 4096
+    used last, keyed by the row and three ints.  A member is a frozen
+    record whose `packed` is set when it is built, so its callers share
+    it: the count tables, the walk's `build` (ERM's winner and
+    `distinct_labelings`) and `random_hypothesis`.  `enumerate_class`
+    builds its members afresh, so a scan of a large class neither fills
+    the store nor evicts from it; it yields member `value` for value 0, 1,
+    ...: the value's high bit is coordinate 1, over keff bits for parities
+    (the restriction, or n) and n bits otherwise.
     """
-    return _CLASSES[desc.class_id].member_at(desc, value)
+    return row.member_at(n, keff, value)
 
 
 # ---------------------------------------------------------------------------
@@ -906,8 +913,9 @@ def _labeling_bitsets(
     conjunction member ORs or ANDs the columns of its coordinates: value bit
     b is plane b of the points, so `_fold_walk` yields the labelings in
     class order, and the first value to give each one is its witness.
-    `_class_member` builds both.  Windows and finite subsets label with
-    `labeler` per member of the class and carry the hypothesis.
+    Both are taken from the member store (`_class_member`).  Windows and
+    finite subsets label with `labeler` per member of the class and carry
+    the hypothesis.
     For every class the pairs ascend in witness encoding.  BudgetExceeded
     (class size over `budget`) comes before DomainMismatch, as in a scan of
     the class, except that parities check the domain first and cap their
@@ -959,9 +967,12 @@ def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int
     keff 4 and u = 2 is level), and a parity loses from 2^keff = 16u, at
     1.2-1.4 times the walk for keff 4-6.  Both paths keep, per count, the
     first value or witness in ascending encoding (`_least_per_count`), the
-    encoding-minimal one, and only those become hypotheses, each with its
-    packed mask.  The tests hold the paths to each other and to a scan of
-    `enumerate_class` with `positive_weight`.
+    encoding-minimal one, and only those become hypotheses.  A numbered
+    class's hypotheses come from the member store (`_class_member`): each
+    is built once per process, with its packed mask, and a later table
+    asking for the same member gets the same frozen object.  The tests
+    hold the paths to each other and to a scan of `enumerate_class` with
+    `positive_weight`.
     """
     _sized(desc, budget)
     row = _CLASSES[desc.class_id]
@@ -971,10 +982,13 @@ def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int
 
 
 def _transform_table(desc: ClassDescriptor, sample: Sample) -> dict[int, Hypothesis]:
-    """`_count_table` of a numbered class already sized, from every member's count at once (the row's `counts`)."""
-    row = _CLASSES[desc.class_id]
-    first, _ = _least_per_count(zip(row.counts(desc, sample), range(1 << _keff(desc))))
-    return {count: row.member_at(desc, value) for count, value in first.items()}
+    """`_count_table` of a numbered class already sized, from every member's count at once (the row's `counts`).
+
+    Each count's least value becomes its member through the store (`_class_member`), built only on a first use.
+    """
+    row, n, keff = _CLASSES[desc.class_id], desc.n, _keff(desc)
+    first, _ = _least_per_count(zip(row.counts(desc, sample), range(1 << keff)))
+    return {count: _class_member(row, n, keff, value) for count, value in first.items()}
 
 
 def _walk_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
@@ -1039,7 +1053,7 @@ class _Row:
 
 
 class _Numbered(_Row):
-    """2^keff members of the kind `member`, numbered by value (`_class_member`).
+    """2^keff members of the kind `member`, numbered by value: `member_at` builds one, `_class_member` keeps it.
 
     As it stands, a disjunction or conjunction row: the labelings fold the
     points' columns with the member kind's fold, and `counts` sums the
@@ -1056,16 +1070,16 @@ class _Numbered(_Row):
         return 2 ** _keff(desc)
 
     def members(self, desc: ClassDescriptor) -> Iterator[Hypothesis]:
-        return map(partial(self.member_at, desc), range(self.size(desc)))
+        return map(partial(self.member_at, desc.n, _keff(desc)), range(self.size(desc)))
 
     def draw(self, desc: ClassDescriptor, rng: random.Random) -> Hypothesis:
+        keff = _keff(desc)
         # one randrange(2) per coordinate, coordinate 1 first: the member's high bit
-        return self.member_at(desc, sum(rng.randrange(2) << b for b in reversed(range(_keff(desc)))))
+        return _class_member(self, desc.n, keff, sum(rng.randrange(2) << b for b in reversed(range(keff))))
 
-    def member_at(self, desc: ClassDescriptor, value: int) -> Hypothesis:
+    def member_at(self, n: int, keff: int, value: int) -> Hypothesis:
         # value is the member's variable mask (`packed`): variable j is in the formula when bit n - j is set
         member = object.__new__(self.member)
-        n = desc.n
         member.__dict__.update(n=n, vars=tuple(compress(range(1, n + 1), _unpack_bits(value, n))), packed=value)
         return member
 
@@ -1097,7 +1111,7 @@ class _Numbered(_Row):
         first: dict[int, int] = {}
         for value, vec in enumerate(_fold_walk(self.member._fold, _bit_planes(points, desc.n), unit)):
             first.setdefault(vec, value)  # first in encoding order wins
-        return list(first.items()), partial(_class_member, desc)
+        return list(first.items()), partial(_class_member, self, desc.n, _keff(desc))
 
 
 class _Parities(_Numbered):
@@ -1106,10 +1120,10 @@ class _Parities(_Numbered):
     `counts` is the Walsh-Hadamard transform of the points projected onto the keff coordinates.
     """
 
-    def member_at(self, desc: ClassDescriptor, value: int) -> Hypothesis:
+    def member_at(self, n: int, keff: int, value: int) -> Hypothesis:
         member = object.__new__(Parity)
-        packed = value << (desc.n - _keff(desc))  # the keff-bit value, then n - keff zeros
-        member.__dict__.update(mask=_unpack_bits(packed, desc.n), packed=packed)
+        packed = value << (n - keff)  # the keff-bit value, then n - keff zeros
+        member.__dict__.update(mask=_unpack_bits(packed, n), packed=packed)
         return member
 
     def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):
@@ -1137,7 +1151,7 @@ class _Parities(_Numbered):
         _check_domain("Parity", ("bits", desc.n), sample.domain)
         keff = _keff(desc)
         planes = _bit_planes([x for x, _ in sample.packed_counts], desc.n)
-        return _parity_labelings(planes[desc.n - keff :], budget), partial(_class_member, desc)
+        return _parity_labelings(planes[desc.n - keff :], budget), partial(_class_member, self, desc.n, keff)
 
 
 class _Subsets(_Row):

@@ -13,7 +13,6 @@ count nearest the target, then the lexicographically least witness.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
 from dataclasses import field
@@ -45,7 +44,7 @@ from .hypotheses import (
     _least_per_count,
     _nearest_count,
 )
-from .sampling import achievable_proportions
+from .sampling import _ladder, achievable_proportions
 
 __all__ = [
     "LearnerOutcome",
@@ -96,13 +95,12 @@ class _GapValues(dict):
     """`gap_values`: achievable true proportion -> witness, with `ladder` built on first read.
 
     `ladder` is (D, the values as counts out of D, ascending), D the lcm of
-    their denominators: what `gap_learner` snaps p_hat on.
+    their denominators (`sampling._ladder`): what `gap_learner` snaps p_hat on.
     """
 
     @cached_property
     def ladder(self) -> tuple[int, list[int]]:
-        d = math.lcm(*(v.denominator for v in self))
-        return d, sorted(v.numerator * (d // v.denominator) for v in self)
+        return _ladder(self)
 
 
 def gap_values(
@@ -158,7 +156,8 @@ def erm_proportion_matcher(
     and takes the count nearest the positive count, so the result is what
     the brute oracle's count table answers to the claim p_hat.  Only the
     winner's witness (a parity mask, a disjunction's or conjunction's
-    value, or the hypothesis) is built.
+    value, or the hypothesis) becomes a hypothesis, a numbered member
+    taken from the member store (`hypotheses._class_member`).
     """
     pairs, build = _labeling_bitsets(desc, sample, budget)
     weigh = _bitset_weigher([c for _, c in sample.packed_counts])

@@ -146,7 +146,10 @@ def make_brute_oracle(
     are at most 8 per distinct sample point, one butterfly transform of the
     multiplicities over the cells (superset sums, or Walsh-Hadamard for
     parities) gives every member's count at once; otherwise the class's
-    distinct labelings are walked and each is weighed.
+    distinct labelings are walked and each is weighed.  A table holds one
+    witness per count, and a numbered class's witnesses come from the
+    process's member store (`hypotheses._class_member`): each member is
+    built once, so a fresh oracle over a class already met builds none.
 
     Each `solve` then costs O(log T) integer work, T the number of
     distinct counts: a bisection for the nearest count (`_nearest_count`,

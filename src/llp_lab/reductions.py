@@ -269,10 +269,10 @@ class X3CInstance:
     def __post_init__(self) -> None:
         u = {x for x in self.universe if type(x) is int}
         if len(u) != len(self.universe) or len(u) % 3 != 0 or not u:
-            raise ValueError("universe must be distinct ints, of size 3t, t >= 1")
+            raise InvalidParams("universe must be distinct ints, of size 3t, t >= 1")
         for s in self.triples:
             if any(type(x) is not int for x in s) or len(set(s)) != 3 or not u.issuperset(s):
-                raise ValueError(f"triple {list(s)} is not a 3-subset of the universe")
+                raise InvalidParams(f"triple {list(s)} is not a 3-subset of the universe")
         object.__setattr__(self, "triples", tuple(frozenset(s) for s in self.triples))
 
     @property
@@ -302,13 +302,13 @@ class EPSCInstance:
     def __post_init__(self) -> None:
         u = {x for x in self.universe if type(x) is int}
         if len(u) != len(self.universe) or not u:
-            raise ValueError("universe must be nonempty and distinct ints")
+            raise InvalidParams("universe must be nonempty and distinct ints")
         for s in self.subsets:
             if any(type(x) is not int for x in s) or not u.issuperset(s):
-                raise ValueError(f"subset {list(s)} not inside the universe")
+                raise InvalidParams(f"subset {list(s)} not inside the universe")
         object.__setattr__(self, "subsets", tuple(frozenset(s) for s in self.subsets))
         if not isinstance(self.k, int):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+            raise InvalidParams(f"k must be an integer, got {self.k!r}")
 
     def to_json(self) -> dict:
         return to_fields(_EPSC, self)
@@ -394,7 +394,7 @@ def reweighted_distribution(
         if lab not in (0, 1):
             raise InvalidParams(f"label {lab!r} must be 0 or 1")
         if label_of.setdefault(point, lab) != lab:
-            raise ValueError(f"point {point!r} appears with both labels")
+            raise InvalidParams(f"point {point!r} appears with both labels")
     m = len(label_of)
     if m == 0:
         raise DegenerateSample("no points to learn from")
@@ -554,7 +554,7 @@ def conditional_positive_distribution(setup: NoisyParitySetup) -> ExplicitDistri
     of mass 0 (the target's zeros when eta = 0) are left out of the support.
     """
     if setup.target.trivial:
-        raise ValueError("conditioning degenerates for the trivial parity")
+        raise InvalidParams("conditioning degenerates for the trivial parity")
     half = 2 ** (setup.n - 1)
     masses = (Fraction(setup.eta, half), Fraction(1 - setup.eta, half))
     entries = ((x, masses[evaluate(setup.target, x)]) for x in iter_cube(setup.n))

@@ -8,9 +8,10 @@ target's.  Everything here keeps those proportions as exact Fractions.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .core import (
     DISTRIBUTION,
@@ -210,12 +211,22 @@ def proportion_gap(desc: ClassDescriptor, dist: FiniteDistribution, budget: int 
     return smallest_gap(achievable_proportions(desc, dist, budget))
 
 
+def _ladder(values: Collection[Fraction]) -> tuple[int, list[int]]:
+    """(D, the values as counts out of D, ascending), D the lcm of their denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, sorted(v.numerator * (d // v.denominator) for v in values)
+
+
 def smallest_gap(values: Iterable[Fraction]) -> Fraction:
-    """Smallest distance between distinct values, zero for fewer than two."""
-    ordered = sorted(values)
-    if len(ordered) < 2:
-        return Fraction(0)
-    return min(b - a for a, b in zip(ordered, ordered[1:]))
+    """Smallest distance between the values, zero for fewer than two or a repeated one.
+
+    In integers: on the lcm D of their denominators the values are whole
+    counts out of D (`_ladder`), so the gap is the least difference of the
+    sorted counts over D, and one Fraction is built.  The tests keep the
+    Fraction form, sorting and subtracting the values, as the reference.
+    """
+    d, counts = _ladder(list(values))
+    return Fraction(min(map(int.__sub__, counts[1:], counts), default=0), d)
 
 
 @record

@@ -37,6 +37,7 @@ from llp_lab import (
     uniform_over,
 )
 from llp_lab.core import COUNT_DRAW_MIN, draw_counts, draw_points, points_from_counts
+from llp_lab.sampling import smallest_gap
 from wire_values import tasks
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
@@ -163,6 +164,37 @@ def test_proportion_gap_two_atom_subsets():
 def test_proportion_gap_uniform_pair():
     desc = ClassDescriptor("finite_subset", 1, ground_set=(1, 2))
     assert proportion_gap(desc, uniform_over([1, 2])) == F(1, 2)
+
+
+def _smallest_gap_reference(values):
+    """`smallest_gap` as Fractions: sort the values and subtract each from the next."""
+    ordered = sorted(values)
+    if len(ordered) < 2:
+        return F(0)
+    return min(b - a for a, b in zip(ordered, ordered[1:]))
+
+
+# lists drawn from a small pool repeat values; ints are rationals too
+_GAP_POOLS = st.lists(
+    st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=12),
+        st.integers(-3, 3),
+        st.fractions(min_value=0, max_value=1, max_denominator=2**70),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GAP_POOLS.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=40) if pool else st.just([])))
+@example([])
+@example([F(1, 3)])
+@example([F(1, 3), F(1, 3)])
+@example([F(-1, 2), F(1, 3), 1])
+def test_smallest_gap_matches_the_fraction_form(values):
+    gap = smallest_gap(iter(values))
+    assert gap == _smallest_gap_reference(values)
+    assert type(gap) is F
 
 
 @given(tasks)

@@ -22,10 +22,10 @@ CEILINGS = {
     "errors": 22,
     "generators": 71,
     "hypotheses": 566,
-    "learners": 169,
+    "learners": 167,
     "oracles": 159,
     "reductions": 293,
-    "sampling": 89,
+    "sampling": 91,
     "trials": 309,
 }
 

@@ -431,6 +431,11 @@ MALFORMED = {
         "MalformedEncoding",
     ),
     "x3c without triples": ({"universe": [1, 2, 3]}, ["oracle", "--solver", "x3c", "--in", "{in}"], "MalformedEncoding"),
+    "x3c universe of two": (
+        {"universe": [1, 2], "triples": []},
+        ["oracle", "--solver", "x3c", "--in", "{in}"],
+        "InvalidParams",
+    ),
     "trials config a list": ([1], ["trials", "--config", "{in}", "--seed", "3"], "MalformedEncoding"),
     "noisy-parity restriction a string": (
         {**NOISY_PARITY, "restriction": "2"},
@@ -441,6 +446,11 @@ MALFORMED = {
         {"class": {"class_id": "monotone_disjunction", "n": 2}, "labeled": [[{"bits": "01"}, 1, 5]]},
         PAC,
         "MalformedEncoding",
+    ),
+    "pac conflicting labels": (
+        {"class": {"class_id": "monotone_disjunction", "n": 2}, "labeled": [[{"bits": "01"}, 1], [{"bits": "01"}, 0]]},
+        PAC,
+        "InvalidParams",
     ),
     "pac label 5": (
         {"class": {"class_id": "monotone_disjunction", "n": 2}, "labeled": [[{"bits": "01"}, 5]]},

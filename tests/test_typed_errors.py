@@ -32,6 +32,7 @@ from llp_lab import (
     brute_subset_sum,
     class_descriptor_from_json,
     class_descriptor_to_json,
+    conditional_positive_distribution,
     config_from_json,
     config_to_json,
     distribution_from_json,
@@ -51,6 +52,7 @@ from llp_lab import (
     rational_to_json,
     report_from_json,
     report_to_json,
+    reweighted_distribution,
     sample_from_json,
     sample_to_json,
     task_from_json,
@@ -71,7 +73,7 @@ from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 3, "hypotheses": 15, "reductions": 7, "learners": 0}
+CEILINGS = {"core": 3, "hypotheses": 15, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
@@ -200,6 +202,35 @@ def test_noisy_parity_needs_one_example(m):
 def test_consistency_instance_checks_raise_invalid_params(points, mults, k):
     with pytest.raises(InvalidParams) as raised:
         ConsistencyInstance(ClassDescriptor("finite_subset", 2, ground_set=(1, 2)), points, mults, k)
+    assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: X3CInstance((1, 2), ()), "universe must be distinct ints, of size 3t"),
+        (lambda: X3CInstance((1, 2, 3), (frozenset({1, 2}),)), "is not a 3-subset"),
+        (lambda: EPSCInstance((), (), 0), "universe must be nonempty"),
+        (lambda: EPSCInstance((1, 2), (frozenset({3}),), 1), "not inside the universe"),
+        (lambda: EPSCInstance((1, 2), (), "1"), "k must be an integer"),
+    ],
+)
+def test_cover_instance_checks_raise_invalid_params(build, match):
+    with pytest.raises(InvalidParams, match=match) as raised:
+        build()
+    assert isinstance(raised.value, ValueError)
+
+
+def test_conflicting_labels_raise_invalid_params():
+    with pytest.raises(InvalidParams, match="appears with both labels") as raised:
+        reweighted_distribution([((0, 1), 1), ((0, 1), 0)])
+    assert isinstance(raised.value, ValueError)
+
+
+def test_conditioning_on_the_trivial_parity_raises_invalid_params():
+    setup = NoisyParitySetup(3, Parity((0, 0, 0)), F(1, 10), F(1, 5))
+    with pytest.raises(InvalidParams, match="trivial parity") as raised:
+        conditional_positive_distribution(setup)
     assert isinstance(raised.value, ValueError)
 
 
