@@ -3,7 +3,10 @@
 Four pieces, each as numpy does it:
 
 - `SeedSequence(seed).generate_state(4, uint64)` hashes the seed's 32-bit
-  words into the generator's 128-bit state and increment;
+  words into the generator's 128-bit state and increment: 24 hashmix steps
+  written out on four locals with their constants inlined (4 fill, 12
+  mixing, 8 read-out), and a seed of 2**128 or more mixes each further
+  word into the pool in a loop between mixing and read-out;
 - PCG64 steps a 128-bit LCG and outputs XSL-RR (O'Neill, HMC-CS-2014-0905):
   the two halves xor-ed, rotated right by the state's top 6 bits;
 - a uniform double is the output's top 53 bits over 2**53;
@@ -31,58 +34,93 @@ _MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
 _SCALE = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def _hash_pairs(h: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """SeedSequence's running hash constant before and after each of `count` steps."""
-    pairs = []
-    for _ in range(count):
-        pairs.append((h, h * mult & _M32))
-        h = h * mult & _M32
-    return pairs
-
-
-# The hash constants do not depend on the seed: 4 steps fill the pool and 12
-# mix each pool word into the other three (INIT_A, MULT_A), 8 read the
-# state out (INIT_B, MULT_B).  A pool word past the seed's last 32-bit word
-# hashes the word 0.
-_MULT_A = 0x931E8875
-_FILL = _hash_pairs(0x43B0D7E5, _MULT_A, 16)
-_ZERO_POOL = [(h * hm & _M32) ^ (h * hm & _M32) >> 16 for h, hm in _FILL[:4]]
-_MIXING = [(src, dst, h, hm) for (src, dst), (h, hm) in zip(
-    [(src, dst) for src in range(4) for dst in range(4) if src != dst], _FILL[4:]
-)]
-_READ_OUT = _hash_pairs(0x8B51F9DD, 0x58F38DED, 8)
-
-
 def _seed_state(seed: int) -> tuple[int, int]:
     """`SeedSequence(seed).generate_state(4, uint64)` as PCG64 reads it: 128-bit (state, increment).
 
-    hashmix(v) is (v ^ h) * (h * mult) xor-shifted right by 16, with h the
-    running constant; mix(x, y) is 0xCA01F9DD * x - 0x4973F715 * y, also
-    xor-shifted; all mod 2**32.
+    numpy's hash, written out on the four pool words a, b, c, d.  Each
+    hashmix step is v = (x ^ h) * (h * mult), xor-shifted right by 16,
+    with h a running constant that does not depend on the seed: it starts
+    at 0x43B0D7E5 and is multiplied by 0x931E8875 each step through the
+    fill, the mixing and any further words, and starts at 0x8B51F9DD,
+    multiplied by 0x58F38DED, through the read-out.  Each step's pair
+    (h, h * mult) is inlined.  mix(x, y) is 0xCA01F9DD * x - 0x4973F715 * y,
+    also xor-shifted; all mod 2**32.
     """
-    words = [seed & _M32]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & _M32)
-    pool = _ZERO_POOL[:]
-    for i, (w, (h, hm)) in enumerate(zip(words[:4], _FILL)):
-        v = (w ^ h) * hm & _M32
-        pool[i] = v ^ v >> 16
-    for src, dst, h, hm in _MIXING:
-        v = (pool[src] ^ h) * hm & _M32
-        v = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
-        pool[dst] = v ^ v >> 16
-    hm = _FILL[-1][1]
-    for w in words[4:]:  # seeds of 2**128 and above: each further word into every pool word
-        for dst in range(4):
-            h, hm = hm, hm * _MULT_A & _M32
-            v = (w ^ h) * hm & _M32
-            v = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
-            pool[dst] = v ^ v >> 16
-    out = 0  # eight 32-bit words, little-endian, read as four uint64s
-    for i, (h, hm) in enumerate(_READ_OUT):
-        v = (pool[i & 3] ^ h) * hm & _M32
-        out |= (v ^ v >> 16) << 32 * i
-    return (out & _M64) << 64 | out >> 64 & _M64, (out >> 128 & _M64) << 64 | out >> 192
+    # fill: the seed's 32-bit words 0-3, least significant first, one hashmix each (0 past the top word)
+    v = ((seed & _M32) ^ 0x43B0D7E5) * 0xAE5A53A9 & _M32
+    a = v ^ v >> 16
+    v = ((seed >> 32 & _M32) ^ 0xAE5A53A9) * 0x8488043D & _M32
+    b = v ^ v >> 16
+    v = ((seed >> 64 & _M32) ^ 0x8488043D) * 0x5A9057E1 & _M32
+    c = v ^ v >> 16
+    v = ((seed >> 96 & _M32) ^ 0x5A9057E1) * 0x9205B1D5 & _M32
+    d = v ^ v >> 16
+    # mixing: each pool word hashmixed into the other three
+    v = (a ^ 0x9205B1D5) * 0xE9096E59 & _M32
+    v = (0xCA01F9DD * b - 0x4973F715 * (v ^ v >> 16)) & _M32
+    b = v ^ v >> 16
+    v = (a ^ 0xE9096E59) * 0x8D5CB6AD & _M32
+    v = (0xCA01F9DD * c - 0x4973F715 * (v ^ v >> 16)) & _M32
+    c = v ^ v >> 16
+    v = (a ^ 0x8D5CB6AD) * 0x9BB16511 & _M32
+    v = (0xCA01F9DD * d - 0x4973F715 * (v ^ v >> 16)) & _M32
+    d = v ^ v >> 16
+    v = (b ^ 0x9BB16511) * 0x00C238C5 & _M32
+    v = (0xCA01F9DD * a - 0x4973F715 * (v ^ v >> 16)) & _M32
+    a = v ^ v >> 16
+    v = (b ^ 0x00C238C5) * 0x4D029A09 & _M32
+    v = (0xCA01F9DD * c - 0x4973F715 * (v ^ v >> 16)) & _M32
+    c = v ^ v >> 16
+    v = (b ^ 0x4D029A09) * 0xCC132E1D & _M32
+    v = (0xCA01F9DD * d - 0x4973F715 * (v ^ v >> 16)) & _M32
+    d = v ^ v >> 16
+    v = (c ^ 0xCC132E1D) * 0x83A97B41 & _M32
+    v = (0xCA01F9DD * a - 0x4973F715 * (v ^ v >> 16)) & _M32
+    a = v ^ v >> 16
+    v = (c ^ 0x83A97B41) * 0xFA8DDCB5 & _M32
+    v = (0xCA01F9DD * b - 0x4973F715 * (v ^ v >> 16)) & _M32
+    b = v ^ v >> 16
+    v = (c ^ 0xFA8DDCB5) * 0xAC4C06B9 & _M32
+    v = (0xCA01F9DD * d - 0x4973F715 * (v ^ v >> 16)) & _M32
+    d = v ^ v >> 16
+    v = (d ^ 0xAC4C06B9) * 0x26FF5A8D & _M32
+    v = (0xCA01F9DD * a - 0x4973F715 * (v ^ v >> 16)) & _M32
+    a = v ^ v >> 16
+    v = (d ^ 0x26FF5A8D) * 0x0E554A71 & _M32
+    v = (0xCA01F9DD * b - 0x4973F715 * (v ^ v >> 16)) & _M32
+    b = v ^ v >> 16
+    v = (d ^ 0x0E554A71) * 0x78C50DA5 & _M32
+    v = (0xCA01F9DD * c - 0x4973F715 * (v ^ v >> 16)) & _M32
+    c = v ^ v >> 16
+    if seed >> 128:  # each further 32-bit word, zero words included, hashmixed into every pool word
+        pool, hm = [a, b, c, d], 0x78C50DA5  # h after the mixing's last step
+        for i in range(4, -(-seed.bit_length() // 32)):
+            w = seed >> 32 * i & _M32
+            for dst in range(4):
+                h, hm = hm, hm * 0x931E8875 & _M32
+                v = (w ^ h) * hm & _M32
+                v = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
+                pool[dst] = v ^ v >> 16
+        a, b, c, d = pool
+    # read-out: eight 32-bit words, two rounds over the pool; as four little-endian uint64s
+    # w0 = o0 | o1 << 32, ..., w3 = o6 | o7 << 32, the state is w0 << 64 | w1 and the increment w2 << 64 | w3
+    v = (a ^ 0x8B51F9DD) * 0x464A0A99 & _M32
+    o0 = v ^ v >> 16
+    v = (b ^ 0x464A0A99) * 0x819D14A5 & _M32
+    o1 = v ^ v >> 16
+    v = (c ^ 0x819D14A5) * 0xD369FDC1 & _M32
+    o2 = v ^ v >> 16
+    v = (d ^ 0xD369FDC1) * 0x501638AD & _M32
+    o3 = v ^ v >> 16
+    v = (a ^ 0x501638AD) * 0xA600C129 & _M32
+    o4 = v ^ v >> 16
+    v = (b ^ 0xA600C129) * 0x8B0167F5 & _M32
+    o5 = v ^ v >> 16
+    v = (c ^ 0x8B0167F5) * 0x5C1E2ED1 & _M32
+    o6 = v ^ v >> 16
+    v = (d ^ 0x5C1E2ED1) * 0x301D747D & _M32
+    o7 = v ^ v >> 16
+    return o0 << 64 | o1 << 96 | o2 | o3 << 32, o4 << 64 | o5 << 96 | o6 | o7 << 32
 
 
 class PCG64:
@@ -104,7 +142,11 @@ class PCG64:
         return ((o << 64 | o) >> ((state >> 122) + 11) & _M53) * _SCALE
 
     def binomial(self, n: int, p: float) -> int:
-        """`Generator.binomial(n, p)` for an int 0 <= n < 2**53 and a float 0 <= p <= 1."""
+        """`Generator.binomial(n, p)` for an int 0 <= n < 2**63 and a float 0 <= p <= 1.
+
+        numpy's n is an int64: it raises OverflowError from 2**63 on, where
+        this gives a count no reference reproduces, so callers refuse it.
+        """
         if n == 0 or p == 0.0:
             return 0
         if p <= 0.5:

@@ -700,23 +700,39 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _draw_packed(weighted: Sample, m: int, seed: int) -> tuple[tuple[int, int], ...]:
-    """Packed counts of m i.i.d. draws from a sample's points, one binomial per atom.
+def _check_seed(seed: int) -> None:
+    """InvalidParams unless `seed` is an int >= 0 (a bool is not): the one seed check of every draw route.
 
-    Atom (x, w) draws binomial(draws left, w / weight left), int / int and so
-    correctly rounded: scaling every multiplicity by one factor changes no
-    draw.  The binomials are numpy's `Generator(PCG64(seed)).binomial`,
-    reproduced bit for bit by `_pcg64.PCG64`.  The last atom takes the rest;
-    atoms drawn 0 times are dropped, so the result is sorted with counts
-    >= 1, as `_sample_packed` requires.
+    `random.Random` would take a float or a str, and draws for -s what it
+    draws for s; `PCG64` would raise an untyped error on the first two.
+    """
+    if type(seed) is not int or seed < 0:
+        raise InvalidParams(f"seed must be an int >= 0, got {seed!r}")
+
+
+def _draw_packed(
+    packed_counts: tuple[tuple[int, int], ...], total: int, m: int, seed: int
+) -> tuple[tuple[int, int], ...]:
+    """Packed counts of m i.i.d. draws from packed points with integer multiplicities, one binomial per atom.
+
+    `packed_counts` is a sample's (packed point, multiplicity) pairs and
+    `total` their sum: an instance's points and X, or an explicit
+    distribution's `weighted` pairs and D.  Atom (x, w) draws
+    binomial(draws left, w / weight left), int / int and so correctly
+    rounded: scaling every multiplicity by one factor changes no draw.  The
+    binomials are numpy's `Generator(PCG64(seed)).binomial`, reproduced bit
+    for bit by `_pcg64.PCG64`; numpy's n is an int64, so m must be below
+    2**63.  The last atom takes the rest; atoms drawn 0 times are dropped,
+    so the result is sorted with counts >= 1, as `_sample_packed` requires.
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
+    if m >= 1 << 63:
+        raise InvalidParams(f"m must be below 2**63, numpy's binomial range, got {m}")
     binomial = PCG64(seed).binomial
-    packed = weighted.packed_counts
-    remaining, rem_weight = m, weighted.m
+    remaining, rem_weight = m, total
     out: list[tuple[int, int]] = []
-    for x, w in packed[:-1]:
+    for x, w in packed_counts[:-1]:
         if not remaining:
             break
         c = binomial(remaining, w / rem_weight)
@@ -725,16 +741,20 @@ def _draw_packed(weighted: Sample, m: int, seed: int) -> tuple[tuple[int, int], 
         remaining -= c
         rem_weight -= w
     if remaining:
-        out.append((packed[-1][0], remaining))
+        out.append((packed_counts[-1][0], remaining))
     return tuple(out)
 
 
 def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Point, int], ...]:
-    """m i.i.d. draws as Sample.counts: `_draw_packed` on `dist.weighted`, unpacked.
+    """m i.i.d. draws as Sample.counts: `_draw_packed` on `dist.weighted`'s packed counts and size, unpacked.
 
-    The counts are numpy's `Generator(PCG64(seed)).binomial` draws, bit for bit.
+    The counts are numpy's `Generator(PCG64(seed)).binomial` draws, bit for
+    bit.  InvalidParams unless the seed is an int >= 0 and 0 <= m < 2**63.
     """
-    return _sample_packed(dist.weighted.domain, _draw_packed(dist.weighted, m, seed), m, Fraction(0)).counts
+    _check_seed(seed)
+    return _sample_packed(
+        dist.weighted.domain, _draw_packed(dist.weighted.packed_counts, dist.weighted.m, m, seed), m, Fraction(0)
+    ).counts
 
 
 def _draw_small(dist: ExplicitDistribution, m: int, seed: int) -> list[int]:
@@ -801,19 +821,21 @@ def _drawn(
 
     The one choice of draw routine: `_draw_cube` for a cube; for an
     explicit distribution, at least COUNT_DRAW_MIN draws go through
-    `_draw_packed` (one binomial per atom) on `dist.weighted`.  Fewer draw
-    atom indices as bytes (`_cut_draws` on `dist.cdf`): the counts are each
-    index's `bytes.count`, and the draw order is the index bytes into the
-    packed atoms.  A distribution of 255 atoms or more has no byte table
+    `_draw_packed` (one binomial per atom) on `dist.weighted`'s packed
+    counts and size.  Fewer draw atom indices as bytes (`_cut_draws` on
+    `dist.cdf`): the counts are each index's `bytes.count`, and the draw
+    order is the index bytes into the packed atoms.  A distribution of 255 atoms or more has no byte table
     and draws by `_draw_small`, the same draws one `random()` at a time.
     The binomial draw has no draw order, so its points come out grouped by
     atom in canonical order.  The choice depends only on the arguments, so
-    reproducibility is unaffected.
+    reproducibility is unaffected.  The seed is checked first, the same on
+    every route (`_check_seed`).
     """
+    _check_seed(seed)
     if isinstance(dist, UniformCube):
         domain, draws = ("bits", dist.n), _draw_cube(dist.n, m, seed)
     elif m >= COUNT_DRAW_MIN:
-        return dist.weighted.domain, _draw_packed(dist.weighted, m, seed), None, None
+        return dist.weighted.domain, _draw_packed(dist.weighted.packed_counts, dist.weighted.m, m, seed), None, None
     elif dist.cdf[1] is None:
         domain, draws = dist.weighted.domain, _draw_small(dist, m, seed)
     else:

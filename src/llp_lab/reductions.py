@@ -416,7 +416,8 @@ def llp_to_pac(
 
     Reweight so positives carry m times the mass of negatives, set
     epsilon' = 1/(2 m^2) (below the reweighted grid spacing), draw the
-    oracle's declared number of points packed (`_draw_packed` on `weighted`),
+    oracle's declared number of points packed (`_draw_packed` on the
+    distribution's `weighted` packed counts and size),
     and hand over the drawn sample's own exact positive fraction.  A
     hypothesis meeting the proportion guarantee at this epsilon' must match
     the target's proportion exactly.
@@ -424,7 +425,7 @@ def llp_to_pac(
     dist, label_of, m, _ = reweighted_distribution(labeled)
     eps = Fraction(1, 2 * m * m)
     m_prime = oracle.sample_size(eps, Fraction(delta))
-    packed = _draw_packed(dist.weighted, m_prime, derive_seed(seed, "pac-draw"))
+    packed = _draw_packed(dist.weighted.packed_counts, dist.weighted.m, m_prime, derive_seed(seed, "pac-draw"))
     positive = {_pack(p) for p, lab in label_of.items() if lab}
     p_hat = Fraction(sum(c for x, c in packed if x in positive), m_prime)
     sample = _sample_packed(dist.weighted.domain, packed, m_prime, p_hat)
@@ -470,7 +471,7 @@ def consistency_via_llp(
     delta = Fraction(delta)
     m = oracle.sample_size(eps, delta)
     domain, packed = inst.packed
-    counts = _draw_packed(_sample_packed(domain, packed, X, Fraction(0)), m, derive_seed(seed, "consistency-draw"))
+    counts = _draw_packed(packed, X, m, derive_seed(seed, "consistency-draw"))
     witness, transcript = _sweep(oracle, domain, counts, m, eps, delta, partial(hits_exactly, inst))
     return ConsistencyRun(witness is not None, witness, m, transcript)
 

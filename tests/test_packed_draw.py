@@ -1,10 +1,10 @@
 """The packed binomial draw against the point-then-pack paths it replaced.
 
-`core._draw_packed` draws packed counts straight off a trusted sample's
-integer multiplicities.  `consistency_via_llp` gives it the instance's own
-multiplicities (total X); `draw_counts`, `draw_sample`'s large branch and
-`llp_to_pac` give it an explicit distribution's `weighted` sample (total D,
-the lcm of the weights' denominators).  The references below draw as those
+`core._draw_packed` draws packed counts straight off packed points and
+their integer multiplicities, given with their total.  `consistency_via_llp`
+gives it the instance's own pairs and total X; `draw_counts`, `draw_sample`'s
+large branch and `llp_to_pac` give it an explicit distribution's `weighted`
+packed counts and size (total D, the lcm of the weights' denominators).  The references below draw as those
 callers drew before: points from the distribution's atoms, one binomial per
 atom over the D-scaled weights, then packed.
 """
@@ -14,6 +14,7 @@ import random
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,7 @@ from llp_lab.core import (
     draw_counts,
     make_distribution,
 )
+from llp_lab.errors import InvalidParams
 from llp_lab.reductions import OracleCall
 from test_core import _pack_counts
 
@@ -94,13 +96,14 @@ SEEDS = st.integers(0, 2**64 - 1)
 @example(((7,), (5,)), 10**6, 3)
 @example((((0, 1, 1),), (10**6,)), 1, 2**64 - 1)
 @example(((1, 2, 3), (6 * 10**5, 3 * 10**5, 10**5)), 10**6, 11)
+@example(((1, 2, 3), (6 * 10**5, 3 * 10**5, 10**5)), 2**63 - 1, 11)  # numpy's largest binomial n
 def test_packed_draw_on_raw_multiplicities_matches_the_fraction_distribution(case, m, seed):
     points, mults = case
     X = sum(mults)
-    weighted = _sample_packed(check_same_domain(points), tuple(zip(map(_pack, points), mults)), X, F(0))
+    packed = tuple(zip(map(_pack, points), mults))
     dist = _distribution(points, mults)
     assert dist.weighted.m == X // math.gcd(*mults)
-    got = _draw_packed(weighted, m, seed)
+    got = _draw_packed(packed, X, m, seed)
     assert got == _pack_counts(draw_counts(dist, m, seed)) == _pack_counts(_point_draw_counts(dist, m, seed))
     assert draw_counts(dist, m, seed) == _point_draw_counts(dist, m, seed)
     assert sum(c for _, c in got) == m and all(c >= 1 for _, c in got)
@@ -178,3 +181,22 @@ def test_consistency_via_llp_builds_no_distribution(monkeypatch):
     monkeypatch.setattr(reductions, "draw_counts", refuse, raising=False)
     monkeypatch.setattr(core, "draw_counts", refuse)
     assert runs() == want
+
+
+def test_every_count_draw_refuses_m_from_2_to_the_63():
+    # numpy's binomial raises OverflowError there, so no reference reproduces a count
+    inst = next(_criterion_11_instances())[0]
+    too_many = LLPOracle(lambda *args: None, lambda eps, delta: 2**63)
+    dist = _distribution((3, 5), (1, 2))
+    calls = [
+        lambda: _draw_packed(((1, 1), (2, 1)), 2, 2**63, 0),
+        lambda: draw_counts(dist, 2**63, 1),
+        lambda: draw_sample(dist, 2**64, 1, FiniteSubset((3,))),
+        lambda: consistency_via_llp(inst, too_many, F(1, 20), 0),
+        lambda: llp_to_pac([(1, 1), (2, 0)], too_many, F(1, 20), 0),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams, match="below 2\\*\\*63") as raised:
+            call()
+        assert isinstance(raised.value, ValueError)
+    assert sum(c for _, c in draw_counts(dist, 2**63 - 1, 1)) == 2**63 - 1

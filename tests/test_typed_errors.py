@@ -23,6 +23,7 @@ from llp_lab import (
     ClassDescriptor,
     ConsistencyInstance,
     EPSCInstance,
+    FiniteSubset,
     LlpError,
     NoisyParitySetup,
     Parity,
@@ -37,7 +38,9 @@ from llp_lab import (
     config_to_json,
     distribution_from_json,
     distribution_to_json,
+    draw_labeled_points,
     draw_points,
+    draw_sample,
     evaluate,
     hypothesis_from_json,
     hypothesis_to_json,
@@ -59,6 +62,7 @@ from llp_lab import (
     task_to_json,
 )
 from llp_lab.core import (
+    COUNT_DRAW_MIN,
     _coin_flips,
     _cut_draws,
     _cut_table,
@@ -158,6 +162,47 @@ def test_negative_draw_sizes_raise_invalid_params():
         with pytest.raises(InvalidParams, match="m must be >= 0") as raised:
             call()
         assert isinstance(raised.value, ValueError)
+
+
+# every draw route: the byte and wide cube draws, the byte-table, bisecting
+# (255 atoms or more) and binomial draws of an explicit distribution, and m = 0
+_NATS = make_distribution([(3, F(1, 3)), (5, F(2, 3))])
+_WIDE = make_distribution([(x, F(1, 300)) for x in range(300)])
+_ROUTES = [
+    (UniformCube(3), 10, Parity((1, 0, 1))),
+    (UniformCube(40), 10, Parity((1,) * 40)),
+    (_NATS, 10, FiniteSubset((3,))),
+    (_WIDE, 10, FiniteSubset((3,))),
+    (_NATS, COUNT_DRAW_MIN, FiniteSubset((3,))),
+    (_NATS, 0, FiniteSubset((3,))),
+    (UniformCube(3), 0, Parity((1, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 3.0, "3", True, False, None, 2.0**64])
+def test_every_draw_route_refuses_a_seed_that_is_not_an_int_at_least_0(seed):
+    # random.Random would draw for -5 what it draws for 5, and would take a float, a str or None
+    for dist, m, target in _ROUTES:
+        calls = [
+            lambda: draw_points(dist, m, seed),
+            lambda: draw_sample(dist, m, seed, target),
+            lambda: draw_labeled_points(dist, m, seed, target),
+        ]
+        if not isinstance(dist, UniformCube):
+            calls.append(lambda: draw_counts(dist, m, seed))
+        for call in calls:
+            with pytest.raises(InvalidParams, match="seed must be an int >= 0") as raised:
+                call()
+            assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("dist, m, target", _ROUTES)
+def test_every_draw_route_takes_an_int_seed_at_least_0(dist, m, target):
+    for seed in (0, 5, 2**64, 2**200):
+        assert draw_sample(dist, m, seed, target).m == len(draw_points(dist, m, seed)) == m
+        assert len(draw_labeled_points(dist, m, seed, target)[1]) == m
+        if not isinstance(dist, UniformCube):
+            assert sum(c for _, c in draw_counts(dist, m, seed)) == m
 
 
 @pytest.mark.parametrize(
