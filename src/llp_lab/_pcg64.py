@@ -129,8 +129,8 @@ class PCG64:
     __slots__ = ("state", "inc")
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise InvalidParams(f"seed must be >= 0, got {seed}")
+        if type(seed) is not int or seed < 0:  # a bool would seed as 0 or 1, a float fail untyped
+            raise InvalidParams(f"seed must be an int >= 0, got {seed!r}")
         initstate, initseq = _seed_state(seed)
         self.inc = inc = (initseq << 1 | 1) & _M128
         self.state = ((inc + initstate) * _MULT + inc) & _M128

@@ -19,7 +19,7 @@ from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, fields
 from dataclasses import _FIELD_INITVAR, _HAS_DEFAULT_FACTORY  # dataclass's markers of InitVars and factories
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import attrgetter, itemgetter
 from reprlib import recursive_repr
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -418,25 +418,27 @@ class Sample:
     sorted), the size `m`, `p_hat`, and `_draws`, the packed points in draw
     order, or None when the sorted order is the order.  A small explicit
     draw keeps its order as each draw's atom index (`_atom_draws`) and
-    builds `_draws` from it on first read.  `Sample(points, p_hat)` checks
-    every point and packs them in the given order; the drawing helpers
-    build the same form unchecked, through `_sample_packed`.  `points` and
-    `counts` are views of it, built on first read.  Samples are immutable.
-    Two samples are equal when their points and p_hat are; two samples
-    without draw order compare, hash and print without building their
-    points.
+    builds `_draws` from it on first read.  A masked sample (`_kept`)
+    holds all of a draw's packed points and a bitset of the ones it keeps:
+    its `packed_counts` and `_draws` are the kept draws', built on first
+    read.  `Sample(points, p_hat)` checks every point and packs them in
+    the given order; the drawing helpers build the same form unchecked,
+    through `_sample_packed`.  `points` and `counts` are views of it,
+    built on first read.  Samples are immutable.  Two samples are equal
+    when their points and p_hat are; two samples without draw order
+    compare, hash and print without building their points.
     """
 
     domain: tuple[str, int | None] | None
     packed_counts: tuple[tuple[int, int], ...]
     m: int
     p_hat: Fraction
+    _kept: _Kept | None = None  # a masked sample's draws and keep bitset (`_sample_packed`)
 
     def __init__(self, points: Sequence[Point], p_hat: Fraction) -> None:
         domain = check_same_domain(points)
         draws = tuple(map(_pack, points))
-        packed = tuple(sorted(Counter(draws).items()))
-        self.__dict__.update(_sample_packed(domain, packed, len(draws), p_hat, draws).__dict__)
+        self.__dict__.update(_sample_packed(domain, _packed_counts(draws), len(draws), p_hat, draws).__dict__)
 
     __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
 
@@ -459,8 +461,21 @@ class Sample:
         return f"Sample(points={self.points!r}, p_hat={self.p_hat!r})"
 
     @cached_property
+    def packed_counts(self) -> tuple[tuple[int, int], ...]:  # type: ignore[no-redef]
+        """A masked sample's packed counts, read only when there is no `packed_counts` entry: the kept draws'."""
+        return self._kept.packed_counts  # type: ignore[union-attr]
+
+    @property
+    def _table_key(self) -> tuple:
+        """What a count table over this sample depends on: (domain, packed counts), or a masked sample's (domain, draws, keep), so its packed counts are not built."""
+        kept = self._kept
+        return (self.domain, self.packed_counts) if kept is None else (self.domain, kept.draws, kept.keep)
+
+    @cached_property
     def _draws(self) -> tuple[int, ...]:
-        """A small draw's order, read only when there is no `_draws` entry: its atoms at its index bytes."""
+        """The draw order, read only when there is no `_draws` entry: a masked sample's kept draws, or a small draw's atoms at its index bytes."""
+        if self._kept is not None:
+            return self._kept.order
         atoms, index = self._atom_draws
         return tuple(map(atoms.__getitem__, index))
 
@@ -492,13 +507,49 @@ def points_from_counts(counts: Iterable[tuple[Point, int]]) -> tuple[Point, ...]
     return tuple(parts)
 
 
+def _packed_counts(draws: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The sorted (packed point, multiplicity) pairs of packed draws."""
+    counts = Counter(draws)
+    points = sorted(counts)  # sorting the bare points beats sorting the pairs
+    return tuple(zip(points, map(counts.__getitem__, points)))
+
+
+# byte b"0" or b"1" -> 0 or 1, so that a bitset's digits select draws
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _Kept:
+    """A masked sample's multiset: the packed `draws` whose bit in `keep` is set (bit i for draw i).
+
+    `planes` is the draws' `hypotheses._Planes`, read by the count table.
+    Every claim sample of a sweep shares one `_Kept`, so its two views, the
+    kept draws in draw order (`order`) and their `packed_counts`, are each
+    built at most once, on first read.
+    """
+
+    def __init__(self, draws: Sequence[int], keep: int, planes: object) -> None:
+        # bytes are immutable already; anything else is copied so the sample stays frozen
+        self.draws, self.keep, self.planes = draws if isinstance(draws, bytes) else tuple(draws), keep, planes
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        flags = format(self.keep, f"0{len(self.draws)}b").encode()[::-1].translate(_DIGIT_FLAGS)
+        return tuple(compress(self.draws, flags))
+
+    @cached_property
+    def packed_counts(self) -> tuple[tuple[int, int], ...]:
+        return _packed_counts(self.order)
+
+
 def _sample_packed(
     domain: tuple[str, int | None] | None,
-    packed_counts: tuple[tuple[int, int], ...],
+    packed_counts: tuple[tuple[int, int], ...] | None,
     m: int,
     p_hat: Fraction,
-    draws: Iterable[int] | None = None,
+    draws: Sequence[int] | None = None,
     atoms: list[int] | None = None,
+    keep: int | None = None,
+    planes: object = None,
 ) -> Sample:
     """The trusted Sample constructor: packed counts from a known domain.
 
@@ -508,7 +559,12 @@ def _sample_packed(
     `domain` (None when m is 0), and, when given, `draws`, the same points
     packed in draw order, kept as a tuple.  With `atoms`, `draws` is
     instead the bytes of each draw's index into `atoms`, kept as they are
-    until `Sample._draws` is read.  The proportion gets the one
+    until `Sample._draws` is read.  With `keep`, the sample is masked: it
+    holds the draws i whose bit i of `keep` is set, m of them, out of all
+    of `draws` (bytes kept as they are, any other sequence as a tuple,
+    with `planes`, their `_Planes`), and
+    `packed_counts` is None: it and `_draws` are built from the kept draws
+    on first read.  The proportion gets the one
     check every sample goes through, done on its lowest-terms numerator and
     denominator: 0 <= p_hat <= 1, p_hat * m is a whole count (the
     denominator divides m), and p_hat = 0 when the sample is empty.
@@ -519,7 +575,11 @@ def _sample_packed(
         raise InvalidParams(f"p_hat {p_hat} invalid for m={m}: not j/m for a whole j in [0, m], or 0 when m = 0")
     sample = object.__new__(Sample)
     fields = sample.__dict__
-    fields.update(domain=domain, packed_counts=packed_counts, m=m, p_hat=p_hat)
+    fields.update(domain=domain, m=m, p_hat=p_hat)
+    if keep is not None:
+        fields["_kept"] = _Kept(draws, keep, planes)  # type: ignore[arg-type]
+        return sample
+    fields["packed_counts"] = packed_counts
     if atoms is None:
         fields["_draws"] = None if draws is None else tuple(draws)
     else:
@@ -527,27 +587,25 @@ def _sample_packed(
     return sample
 
 
-def _claim_samples(
-    domain: tuple[str, int | None] | None, packed_counts: tuple[tuple[int, int], ...], m: int,
-    draws: Sequence[int] | None = None,
-) -> Iterator[tuple[Fraction, Sample]]:
+def _claim_samples(sample: Sample) -> Iterator[tuple[Fraction, Sample]]:
     """Each claim j/m, j = 0..m (just 0 when m = 0), lazily, with a sample carrying it.
 
-    One `_sample_packed` base is built from the arguments and checked.  Each
-    claim's sample is a fresh Sample holding a copy of the base's attributes
-    with `p_hat` set, so the samples share the packed counts and `draws` but
-    no cache of `points` or `counts`; j/m is valid for m by construction.
+    `sample` is the base, fresh from `_sample_packed`.  Each claim's
+    sample is a fresh Sample holding a copy of the base's attributes with
+    `p_hat` set, so the samples share the packed counts and draw order, or
+    a masked base's `_Kept`, but no cache of `points` or `counts`; j/m is
+    valid for m by construction.
     """
-    state = _sample_packed(domain, packed_counts, m, Fraction(0), draws).__dict__
-    den = m or 1
+    state = sample.__dict__
+    den = sample.m or 1
     new = object.__new__
-    for j in range(m + 1):
+    for j in range(sample.m + 1):
         claim = Fraction(j, den)
-        sample = new(Sample)
-        fields = sample.__dict__
+        claimed = new(Sample)
+        fields = claimed.__dict__
         fields.update(state)
         fields["p_hat"] = claim
-        yield claim, sample
+        yield claim, claimed
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +744,27 @@ def _coin_flips(p: Fraction, m: int, rng: random.Random) -> bytes:
     return _cut_draws(*_coin_cut(p), m, rng).translate(_COIN)
 
 
+_SEED_PARTS = (int, str)
+
+
 def derive_seed(*parts: object) -> int:
     """Stable 64-bit child seed from any mix of ints and strings.
 
-    The first 8 bytes, big-endian, of the parts' SHA-256.  The hash comes
+    The first 8 bytes, big-endian, of the SHA-256 of the parts' `str`
+    joined by "\x1f".  Any other part, a bool included, raises
+    InvalidParams.  The text does not say which parts were ints, so
+    `derive_seed(1, "a") == derive_seed("1", "a")`, and a str part holding
+    "\x1f" reads as two parts; typing the parts in the text would end
+    that, but would move every derived seed, so it is left to a change
+    that regenerates its outputs on purpose.  The hash comes
     from the interpreter's built-in module (`_sha256`, `_sha2` from 3.12)
     when it has one, as `random` takes its `_sha512`: `hashlib` would load
     OpenSSL's libcrypto, a few ms of every import and about 4 MB of memory,
     for this one digest.  The digest is the same either way.
     """
+    for part in parts:  # an exact int or str passes on the first test
+        if type(part) not in _SEED_PARTS and (isinstance(part, bool) or not isinstance(part, _SEED_PARTS)):
+            raise InvalidParams(f"seed parts must be ints or strs, got {part!r}")
     text = "\x1f".join(map(str, parts))
     digest = sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -843,7 +913,7 @@ def _drawn(
         atoms = [x for x, _ in dist.weighted.packed_counts]
         counts = tuple(filter(itemgetter(1), zip(atoms, map(index.count, range(len(atoms))))))
         return (dist.weighted.domain if m else None), counts, index, atoms
-    return (domain if m else None), tuple(sorted(Counter(draws).items())), draws, None
+    return (domain if m else None), _packed_counts(draws), draws, None
 
 
 def _draw(dist: FiniteDistribution, m: int, seed: int) -> Sample:

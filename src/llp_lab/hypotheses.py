@@ -951,9 +951,18 @@ def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int
     """Positive count -> encoding-minimal hypothesis achieving it.
 
     The class must fit `budget` (BudgetExceeded before any domain check);
-    it is sized once, here.  Two paths give the same table, items and
-    order alike, and size alone picks one.  A parity, disjunction or
-    conjunction class whose 2^keff cells are at most `_CELLS_PER_POINT`
+    it is sized once, here.  Three paths give the same table, items and
+    order alike, and the sample's form and size alone pick one.  A
+    nonempty masked sample (`core._Kept`, all of a draw's points and a
+    bitset `keep` of the ones it holds) of a parity class takes the
+    masked walk (`_masked_table`): the domain is checked, each of the
+    keff columns (the draws' planes n - keff .. n - 1) is ANDed with
+    `keep`, the span of those masked columns is grown
+    (`_parity_labelings`), and each labeling's count is its popcount, so
+    no histogram of the kept draws is built.  Any other masked sample
+    reads its `packed_counts`, built then, and goes on as an unmasked
+    one.  A parity, disjunction or conjunction class whose 2^keff cells
+    are at most `_CELLS_PER_POINT`
     (8) per distinct sample point u takes the transform
     (`_transform_table`): the row's `counts` gives every member's count at
     once, from one butterfly over the cells, O(u + keff * 2^keff) with the
@@ -976,6 +985,8 @@ def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int
     """
     _sized(desc, budget)
     row = _CLASSES[desc.class_id]
+    if sample._kept is not None and sample.m and desc.class_id == "parity":
+        return _masked_table(row, desc, sample, budget)
     if row.counts and 1 << _keff(desc) <= _CELLS_PER_POINT * len(sample.packed_counts):
         return _transform_table(desc, sample)
     return _walk_table(desc, sample, budget)
@@ -989,6 +1000,21 @@ def _transform_table(desc: ClassDescriptor, sample: Sample) -> dict[int, Hypothe
     row, n, keff = _CLASSES[desc.class_id], desc.n, _keff(desc)
     first, _ = _least_per_count(zip(row.counts(desc, sample), range(1 << keff)))
     return {count: _class_member(row, n, keff, value) for count, value in first.items()}
+
+
+def _masked_table(row: _Numbered, desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
+    """`_count_table` of a parity class already sized, over a nonempty masked sample, by popcounts over its draws.
+
+    A labeling of the masked columns is a labeling of all the draws ANDed
+    with `keep`, so its popcount is its count on the kept draws.  The span
+    yields each labeling with its least mask, in ascending mask, so the
+    first mask per count is the encoding-least member with that count.
+    """
+    _check_domain("Parity", ("bits", desc.n), sample.domain)
+    kept, n, keff = sample._kept, desc.n, _keff(desc)
+    columns = [kept.planes[b] & kept.keep for b in range(n - keff, n)]  # type: ignore[union-attr]
+    first, _ = _least_per_count((vec.bit_count(), mask) for vec, mask in _parity_labelings(columns, budget))
+    return {count: _class_member(row, n, keff, mask) for count, mask in first.items()}
 
 
 def _walk_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:

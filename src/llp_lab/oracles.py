@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import Sample, _sample_packed, record
+from .core import Sample, record
 from .errors import BudgetExceeded, InvalidParams
 from .hypotheses import (
     ClassDescriptor,
@@ -132,18 +132,23 @@ def make_brute_oracle(
 ) -> LLPOracle:
     """Package the exhaustive matcher as a proportion oracle.
 
-    The count table depends only on the sample's domain and packed counts,
-    and reduction sweeps re-claim many proportions over one sample, so the
-    latest table and its sorted counts are kept and reused while samples
-    with the same (domain, packed counts) keep arriving.  A sweep passes one
-    packed-counts object to every claim, and the identity test settles it;
-    equal counts from distinct samples still match by value.  The domain
-    is part of the key: equal packed ints from bit vectors of different
-    lengths are different points, and the rebuild raises DomainMismatch
-    where the class does not fit.  `_count_table` builds a table by one of
-    two paths, chosen by size alone, with the same items in the same order:
-    for a parity, disjunction or conjunction class whose 2^keff cube cells
-    are at most 8 per distinct sample point, one butterfly transform of the
+    The count table depends only on the sample's multiset, and reduction
+    sweeps re-claim many proportions over one sample, so the latest table
+    and its sorted counts are kept and reused while samples with the same
+    key (`Sample._table_key`) keep arriving: (domain, packed counts), or
+    for a masked sample (the noisy-parity sweep's) (domain, draws, keep
+    bitset), so its packed counts are never built here.  A sweep's claim samples
+    share one packed-counts object, or one draws object and keep, and the
+    identity test settles it; equal keys from distinct samples still match
+    by value.  The domain is part of the key: equal packed ints from bit
+    vectors of different lengths are different points, and the rebuild
+    raises DomainMismatch where the class does not fit.  `_count_table`
+    builds a table by one of three paths, chosen by form and size alone,
+    with the same items in the same order: for a nonempty masked sample
+    of a parity class, each labeling of the span of its draws'
+    columns, ANDed with the keep bitset, is weighed by a popcount; for a
+    parity, disjunction or conjunction class whose 2^keff cube cells are at
+    most 8 per distinct sample point, one butterfly transform of the
     multiplicities over the cells (superset sums, or Walsh-Hadamard for
     parities) gives every member's count at once; otherwise the class's
     distinct labelings are walked and each is weighed.  A table holds one
@@ -156,7 +161,8 @@ def make_brute_oracle(
     the rule ERM ranks by, so ERM's answer is the oracle's answer to the
     claim p_hat) and, in "reject" mode, one cross-multiplied equality test.
 
-    `sweep` answers a whole ladder j/m, j = 0..m, from the same table as
+    `sweep(sample, ...)` answers a whole ladder j/m, j = 0..m, over the
+    base `sample` (`LLPOracle`) from the same table as
     at most 2T + 1 runs, so a ladder costs O(T) after the table where
     claim-by-claim `solve` costs O(m log T).  In "arbitrary" mode count
     c_i answers the claims up to min(m, (c_i + c_(i+1)) // 2), so a tie
@@ -166,16 +172,16 @@ def make_brute_oracle(
     if mode not in ("arbitrary", "reject"):
         raise InvalidParams(f"unknown mode {mode!r}")
     reject = mode == "reject"
-    held_domain = held_packed = None  # the (domain, packed counts) `table` and `counts` were built from
+    held: tuple | None = None  # the key of the sample `table` and `counts` were built from
     table: dict[int, Hypothesis] = {}
     counts: list[int] = []
 
     def hold(sample: Sample) -> None:
-        nonlocal held_domain, held_packed, table, counts
-        packed = sample.packed_counts
-        if not (packed is held_packed or packed == held_packed) or sample.domain != held_domain:
+        nonlocal held, table, counts
+        key = sample._table_key
+        if key != held:  # a tuple compares its items by identity first
             table = _count_table(desc, sample, budget)
-            held_domain, held_packed, counts = sample.domain, packed, sorted(table)
+            held, counts = key, sorted(table)
 
     def solve(
         sample: Sample, claimed: Fraction, epsilon: Fraction, delta: Fraction
@@ -188,11 +194,9 @@ def make_brute_oracle(
             return None
         return table[best]
 
-    def sweep(
-        domain: tuple[str, int | None] | None, packed_counts: tuple[tuple[int, int], ...], m: int,
-        epsilon: Fraction, delta: Fraction,
-    ) -> Iterator[tuple[int, int, Hypothesis | None]]:
-        hold(_sample_packed(domain, packed_counts, m, Fraction(0)))
+    def sweep(sample: Sample, epsilon: Fraction, delta: Fraction) -> Iterator[tuple[int, int, Hypothesis | None]]:
+        hold(sample)
+        m = sample.m
         answers, ladder = table, counts  # a later `hold` may replace them
         if not m:  # the single claim 0 matches any count
             yield 0, 0, answers[ladder[0]]

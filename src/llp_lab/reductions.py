@@ -16,7 +16,6 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import compress
 from typing import NamedTuple
 
 from .core import (
@@ -101,17 +100,20 @@ class LLPOracle:
     1 - delta.
 
     A sweep calls `solve` once per claim j/m, in order, each time with a
-    fresh sample over one shared packed-counts object.  `solve` should
-    read the sample's own form, `sample.packed_counts`, `sample.domain`
-    and `sample.m`: `points` and `counts` are views of it, built on first
-    read, O(m) for each fresh sample.
+    fresh sample copied from one base sample (`core._claim_samples`), so
+    the claims share its packed-counts object, or a masked base's kept
+    draws, whose packed counts are built once for all of them.  `solve`
+    should read the sample's own form, `sample.packed_counts`,
+    `sample.domain` and `sample.m`: `points` and `counts` are views of it,
+    built on first read, O(m) for each fresh sample.
 
-    `sweep(domain, packed_counts, m, epsilon, delta)`, optional, answers a
-    whole claim ladder at once: it yields runs (first_j, last_j, response),
-    lazily and in claim order, covering j = 0..m (just 0 when m = 0), and
-    claim j/m of a run must get the response `solve` would give it on that
-    sample.  `_sweep` reads it when set and stops at the first run it
-    accepts; without it, every claim goes through `solve`.  A sweep speaks
+    `sweep(sample, epsilon, delta)`, optional, answers a whole claim ladder
+    over the base `sample` at once (its `p_hat` is not read): it yields
+    runs (first_j, last_j, response), lazily and in claim order, covering
+    j = 0..m (just 0 when m = 0), and claim j/m of a run must get the
+    response `solve` would give it on that claim's sample.  `_sweep` reads
+    it when set and stops at the first run it accepts; without it, every
+    claim goes through `solve`.  A sweep speaks
     for one solve, named by its `solve` attribute: an oracle built with any
     other solve, as `dataclasses.replace(oracle, solve=wrapper)` builds one,
     drops the sweep, so a wrapped solve still sees every claim.
@@ -119,10 +121,7 @@ class LLPOracle:
 
     solve: Callable[[Sample, Fraction, Fraction, Fraction], Hypothesis | None]
     sample_size: Callable[[Fraction, Fraction], int]
-    sweep: Callable[
-        [tuple[str, int | None] | None, tuple[tuple[int, int], ...], int, Fraction, Fraction],
-        Iterable[tuple[int, int, Hypothesis | None]],
-    ] | None = None
+    sweep: Callable[[Sample, Fraction, Fraction], Iterable[tuple[int, int, Hypothesis | None]]] | None = None
 
     def __post_init__(self) -> None:
         if self.sweep is not None and getattr(self.sweep, "solve", None) is not self.solve:
@@ -200,11 +199,9 @@ class Transcript:
 
 
 def _sweep(
-    oracle: LLPOracle, domain: tuple[str, int | None] | None, packed_counts: tuple[tuple[int, int], ...],
-    m: int, eps: Fraction, delta: Fraction, accepts: Callable[[Hypothesis], bool],
-    draws: Sequence[int] | None = None,
+    oracle: LLPOracle, sample: Sample, eps: Fraction, delta: Fraction, accepts: Callable[[Hypothesis], bool]
 ) -> tuple[Hypothesis | None, Transcript]:
-    """Ask about every claim j/m in turn; return the first accepted response.
+    """Ask about every claim j/m over the base `sample` in turn; return the first accepted response.
 
     Returns it (None if none passed) and the transcript up to it, built
     from one list of (end, response, accepted) runs.  The claims come as
@@ -217,11 +214,11 @@ def _sweep(
     if oracle.sweep is None:
         solve = oracle.solve
         ladder: Iterable[tuple[int, int, Hypothesis | None]] = (
-            (j, j, solve(sample, claim, eps, delta))
-            for j, (claim, sample) in enumerate(_claim_samples(domain, packed_counts, m, draws))
+            (j, j, solve(claimed, claim, eps, delta))
+            for j, (claim, claimed) in enumerate(_claim_samples(sample))
         )
     else:
-        ladder = oracle.sweep(domain, packed_counts, m, eps, delta)
+        ladder = oracle.sweep(sample, eps, delta)
     verdicts: dict[Hypothesis, bool] = {}
     runs: list[tuple[int, Hypothesis | None, bool | None]] = []
     for first, final, response in ladder:
@@ -233,9 +230,9 @@ def _sweep(
             ok = verdicts[response] = accepts(response)
         if ok:
             runs.append((first + 1, response, ok))
-            return response, Transcript(m, tuple(runs))
+            return response, Transcript(sample.m, tuple(runs))
         runs.append((final + 1, response, ok))
-    return None, Transcript(m, tuple(runs))
+    return None, Transcript(sample.m, tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +469,8 @@ def consistency_via_llp(
     m = oracle.sample_size(eps, delta)
     domain, packed = inst.packed
     counts = _draw_packed(packed, X, m, derive_seed(seed, "consistency-draw"))
-    witness, transcript = _sweep(oracle, domain, counts, m, eps, delta, partial(hits_exactly, inst))
+    sample = _sample_packed(domain, counts, m, Fraction(0))
+    witness, transcript = _sweep(oracle, sample, eps, delta, partial(hits_exactly, inst))
     return ConsistencyRun(witness is not None, witness, m, transcript)
 
 
@@ -591,10 +589,6 @@ def _disagreement_counter(n: int, columns: Mapping[int, int] | Sequence[int], no
     return count
 
 
-# byte b"0" or b"1" -> 0 or 1, so that a bitset's digits select draws
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def noisy_parity_via_llp(
     setup: NoisyParitySetup,
     m: int,
@@ -621,9 +615,11 @@ def noisy_parity_via_llp(
     draws' planes built on first read (`_Planes`): only those of the
     target's and the candidates' masks, which saves work when the masks
     read fewer than n coordinates (a restriction narrower than n) and
-    otherwise builds the planes `_bit_planes` would.  The kept draws, in draw order,
-    are counted once for the oracle's sample and are the per-claim samples
-    of an oracle without a sweep.
+    otherwise builds the planes `_bit_planes` would.  The oracle's sample
+    is masked (`_sample_packed` with `keep`): all m draws, the noisy bitset
+    as the ones kept, and the columns.  So no kept list or histogram is
+    built unless the oracle reads one: the brute-force oracle's parity
+    table weighs its labelings over the columns by popcount (`_count_table`).
     """
     if m < 1:
         raise InvalidParams(f"noisy parity needs m >= 1 examples, got {m}")
@@ -636,16 +632,13 @@ def noisy_parity_via_llp(
     columns = _Planes(draws, setup.n)
     noisy = _parity_labels(columns, setup.target.packed) ^ _bit_planes(flips, 1)[0]
     M = noisy.bit_count()
-    kept = list(compress(draws, format(noisy, f"0{m}b").encode()[::-1].translate(_DIGIT_FLAGS)))
-    counts = Counter(kept)
-    points = sorted(counts)
-    kept_counts = tuple(zip(points, map(counts.__getitem__, points)))
     disagreements = _disagreement_counter(setup.n, columns, noisy)
 
     def accepts(h: Hypothesis) -> bool:  # disagreements / m < (2a + b) / 4b, in integers
         return isinstance(h, Parity) and disagreements(h) * 4 * b < (2 * a + b) * m
 
-    response, transcript = _sweep(oracle, domain if M else None, kept_counts, M, eps, sub_delta, accepts, kept)
+    sample = _sample_packed(domain if M else None, None, M, Fraction(0), draws, keep=noisy, planes=columns)
+    response, transcript = _sweep(oracle, sample, eps, sub_delta, accepts)
     if response is None:
         threshold = Fraction(2 * a + b, 4 * b)
         raise NoCandidateAccepted(f"no parity beat disagreement {threshold} over {m} examples")

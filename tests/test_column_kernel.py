@@ -385,7 +385,7 @@ def test_brute_oracle_solve_and_ladder_match_the_class_scan(mode, case, data):
         claims |= {F(j, m) for j in data.draw(st.lists(st.integers(0, m), max_size=6))}
     for claim in _at_most(data, claims, 30):
         assert oracle.solve(sample, claim, F(1, 10), F(1, 10)) == _reference_answer(table, m, claim, mode)
-    runs = list(oracle.sweep(sample.domain, sample.packed_counts, m, F(1, 10), F(1, 10)))
+    runs = list(oracle.sweep(_sample_packed(sample.domain, sample.packed_counts, m, F(0)), F(1, 10), F(1, 10)))
     assert [first for first, _, _ in runs] == [0] + [last + 1 for _, last, _ in runs[:-1]]
     assert runs[-1][1] == m
     for first, last, response in _at_most(data, runs, 30):

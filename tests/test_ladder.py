@@ -29,7 +29,7 @@ from llp_lab import (
     noisy_parity_via_llp,
 )
 from llp_lab import reductions
-from llp_lab.core import _claim_samples
+from llp_lab.core import _claim_samples, _sample_packed
 from llp_lab.reductions import OracleCall
 from test_reductions import _consistency_reference
 
@@ -39,14 +39,14 @@ MODES = ("arbitrary", "reject")
 
 def _per_claim(oracle, domain, packed_counts, m):
     """What `solve` answers to each claim j/m, over the sweep's own samples."""
-    samples = _claim_samples(domain, packed_counts, m)
+    samples = _claim_samples(_sample_packed(domain, packed_counts, m, F(0)))
     return [oracle.solve(sample, claim, F(1, 10), F(1, 10)) for claim, sample in samples]
 
 
 def _expanded(oracle, domain, packed_counts, m):
     """The ladder's runs, checked to tile 0..m in order, one response per claim."""
     lines, nxt = [], 0
-    for first, last, response in oracle.sweep(domain, packed_counts, m, F(1, 10), F(1, 10)):
+    for first, last, response in oracle.sweep(_sample_packed(domain, packed_counts, m, F(0)), F(1, 10), F(1, 10)):
         assert first == nxt and first <= last
         lines += [response] * (last - first + 1)
         nxt = last + 1
@@ -80,7 +80,7 @@ def test_ladder_answers_every_claim_as_solve_does(drawn, mode):
 def test_ladder_on_an_empty_sample_is_one_claim_zero(mode):
     desc = ClassDescriptor("parity", 3)
     oracle = make_brute_oracle(desc, mode)
-    (run,) = oracle.sweep(None, (), 0, F(1, 10), F(1, 10))
+    (run,) = oracle.sweep(_sample_packed(None, (), 0, F(0)), F(1, 10), F(1, 10))
     assert run == (0, 0, Parity((0, 0, 0)))
     assert [run[2]] == _per_claim(make_brute_oracle(desc, mode), None, (), 0)
 
@@ -89,7 +89,7 @@ def test_ladder_on_an_empty_sample_is_one_claim_zero(mode):
 def test_ladder_with_a_single_distinct_count(mode):
     # every parity is 0 on the zero vector, so the table holds the one count 0
     desc = ClassDescriptor("parity", 3)
-    runs = list(make_brute_oracle(desc, mode).sweep(("bits", 3), ((0, 5),), 5, F(1, 10), F(1, 10)))
+    runs = list(make_brute_oracle(desc, mode).sweep(_sample_packed(("bits", 3), ((0, 5),), 5, F(0)), F(1, 10), F(1, 10)))
     want = [(0, 5, Parity((0, 0, 0)))] if mode == "arbitrary" else [(0, 0, Parity((0, 0, 0))), (1, 5, None)]
     assert runs == want
     assert _expanded(make_brute_oracle(desc, mode), ("bits", 3), ((0, 5),), 5) == _per_claim(
@@ -101,7 +101,7 @@ def test_ladder_ties_go_to_the_smaller_count():
     # disjunctions over one bit on 2 zeros and 2 ones: counts 0 and 2, claim 1/4 is a tie
     desc = ClassDescriptor("monotone_disjunction", 1)
     oracle = make_brute_oracle(desc)
-    runs = list(oracle.sweep(("bits", 1), ((0, 2), (1, 2)), 4, F(1, 10), F(1, 10)))
+    runs = list(oracle.sweep(_sample_packed(("bits", 1), ((0, 2), (1, 2)), 4, F(0)), F(1, 10), F(1, 10)))
     assert runs == [(0, 1, MonotoneDisjunction(1, ())), (2, 4, MonotoneDisjunction(1, (1,)))]
 
 

@@ -246,8 +246,14 @@ def test_consistency_sweep_builds_one_table(builds):
 
 def test_noisy_parity_sweep_builds_one_table(builds):
     setup = NoisyParitySetup(5, Parity((1, 0, 1, 1, 0)), F(1, 10), F(1, 5))
-    run = noisy_parity_via_llp(setup, 400, make_brute_oracle(ClassDescriptor("parity", 5)), F(1, 10), 3)
+    oracle = make_brute_oracle(ClassDescriptor("parity", 5))
+    run = noisy_parity_via_llp(setup, 400, oracle, F(1, 10), 3)
     assert len(run.transcript) > 1 and len(builds) == 1
+    # another solve drops the sweep; its per-claim samples share one key, so one table serves them all
+    fresh = make_brute_oracle(ClassDescriptor("parity", 5))
+    per_claim = dataclasses.replace(fresh, solve=partial(fresh.solve))
+    assert per_claim.sweep is None
+    assert noisy_parity_via_llp(setup, 400, per_claim, F(1, 10), 3) == run and len(builds) == 2
 
 
 def test_distinct_samples_over_equal_points_share_one_table(builds):

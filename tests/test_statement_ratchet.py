@@ -18,13 +18,13 @@ CEILINGS = {
     "_pcg64": 213,
     "bounds": 76,
     "cli": 259,
-    "core": 467,
+    "core": 495,
     "errors": 22,
     "generators": 71,
-    "hypotheses": 566,
+    "hypotheses": 574,
     "learners": 167,
-    "oracles": 159,
-    "reductions": 293,
+    "oracles": 160,
+    "reductions": 289,
     "sampling": 91,
     "trials": 309,
 }

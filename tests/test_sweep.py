@@ -288,9 +288,9 @@ def test_oracle_call_is_an_immutable_hashable_line():
 
 def test_claim_samples_cover_every_claim_and_an_empty_sample_has_one():
     counts = ((1, 2), (6, 1))
-    claims = [claim for claim, _ in _claim_samples(("bits", 3), counts, 3)]
+    claims = [claim for claim, _ in _claim_samples(_sample_packed(("bits", 3), counts, 3, F(0)))]
     assert claims == [F(0), F(1, 3), F(2, 3), F(1)]
-    ((claim, sample),) = list(_claim_samples(None, (), 0, []))
+    ((claim, sample),) = list(_claim_samples(_sample_packed(None, (), 0, F(0), [])))
     assert claim == 0 and sample.p_hat == 0
     assert (sample.domain, sample.m, sample.points, sample.counts) == (None, 0, (), ())
 

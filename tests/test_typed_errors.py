@@ -35,6 +35,7 @@ from llp_lab import (
     class_descriptor_to_json,
     conditional_positive_distribution,
     config_from_json,
+    derive_seed,
     config_to_json,
     distribution_from_json,
     distribution_to_json,
@@ -73,6 +74,7 @@ from llp_lab.core import (
     check_same_domain,
     draw_counts,
 )
+from llp_lab._pcg64 import PCG64
 from llp_lab.errors import InvalidParams
 from llp_lab.oracles import erm_oracle_sample_size
 
@@ -194,6 +196,23 @@ def test_every_draw_route_refuses_a_seed_that_is_not_an_int_at_least_0(seed):
             with pytest.raises(InvalidParams, match="seed must be an int >= 0") as raised:
                 call()
             assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("seed", [-1, 3.0, "3", True, False, None, 2.0**64, F(3)])
+def test_pcg64_refuses_a_seed_that_is_not_an_int_at_least_0(seed):
+    # a bool once seeded as 0 or 1, and a float raised an untyped TypeError
+    with pytest.raises(InvalidParams, match="seed must be an int >= 0") as raised:
+        PCG64(seed)
+    assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("part", [True, False, 1.0, None, F(1, 2), b"a", (1,), ["a"]])
+def test_derive_seed_refuses_a_part_that_is_not_an_int_or_a_str(part):
+    # a bool once hashed as "True" or "False", and any object as its str
+    for parts in ((part,), (1, part), (part, "a")):
+        with pytest.raises(InvalidParams, match="seed parts must be ints or strs") as raised:
+            derive_seed(*parts)
+        assert isinstance(raised.value, ValueError)
 
 
 @pytest.mark.parametrize("dist, m, target", _ROUTES)
