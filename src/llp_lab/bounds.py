@@ -2,12 +2,15 @@
 
 Bound values are informational floats; the quantities they are compared
 against (observed proportions and gaps) stay exact rationals.  Natural
-logarithms throughout.
+logarithms throughout.  A size or bound whose arithmetic leaves the
+doubles (a square that underflows to 0, a quotient that overflows, an int
+too large for a float) raises InvalidParams.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .core import FiniteDistribution, derive_seed, record
@@ -26,17 +29,26 @@ __all__ = [
 ]
 
 
+def _unfit(what: str, *args: object) -> InvalidParams:
+    return InvalidParams(f"{what} for {', '.join(map(str, args))} does not fit a double")
+
+
 def hoeffding_sample_size(epsilon: float, delta: float) -> int:
     """Smallest m with 2 exp(-2 m epsilon^2) <= delta: ceil(ln(2/delta) / (2 epsilon^2)).
 
     Enough draws for the revealed fraction to sit within epsilon of the true
-    proportion with probability 1 - delta.
+    proportion with probability 1 - delta.  InvalidParams when epsilon or
+    delta is not in (0, 1) as a double, and when the size is not a finite
+    double (epsilon below about 1e-154, or delta below about 1e-308).
     """
-    epsilon = float(epsilon)
-    delta = float(delta)
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise InvalidParams(f"need 0 < epsilon, delta < 1, got {epsilon}, {delta}")
-    return math.ceil(math.log(2 / delta) / (2 * epsilon * epsilon))
+    try:
+        epsilon = float(epsilon)
+        delta = float(delta)
+        if not 0 < epsilon < 1 or not 0 < delta < 1:
+            raise InvalidParams(f"need 0 < epsilon, delta < 1, got {epsilon}, {delta}")
+        return math.ceil(math.log(2 / delta) / (2 * epsilon * epsilon))
+    except (OverflowError, ZeroDivisionError):
+        raise _unfit("the Hoeffding sample size", epsilon, delta) from None
 
 
 def gap_sample_size(beta: float, delta: float) -> int:
@@ -44,22 +56,32 @@ def gap_sample_size(beta: float, delta: float) -> int:
 
     beta is the smallest distance between distinct achievable proportion
     values; within beta/2 the nearest achievable value is the right one.
+    ZeroGap for a gap of exactly 0; a positive gap too small for a finite
+    size raises InvalidParams, as `hoeffding_sample_size` does.  Halving
+    before the conversion to a double gives the size that halving after it
+    gives, wherever that size is finite.
     """
-    if float(beta) == 0.0:
+    if beta == 0:
         raise ZeroGap("no separation between achievable proportions")
-    return hoeffding_sample_size(float(beta) / 2, delta)
+    return hoeffding_sample_size(beta / 2, delta)
 
 
 def uniform_convergence_bound(d: int, m: int, delta: float) -> float:
-    """sqrt(8 d ln(e m / d) / m) + sqrt(2 ln(4/delta) / m), for m >= d >= 1."""
+    """sqrt(8 d ln(e m / d) / m) + sqrt(2 ln(4/delta) / m), for m >= d >= 1.
+
+    InvalidParams when d or m is too large for a double.
+    """
     delta = float(delta)
     if d < 1 or not 0 < delta < 1:
         raise InvalidParams(f"need d >= 1 and 0 < delta < 1, got d={d}, delta={delta}")
     if m < d:
         raise InvalidParams(f"need m >= d, got m={m}, d={d}")
-    return math.sqrt(8 * d * math.log(math.e * m / d) / m) + math.sqrt(
-        2 * math.log(4 / delta) / m
-    )
+    try:
+        return math.sqrt(8 * d * math.log(math.e * m / d) / m) + math.sqrt(
+            2 * math.log(4 / delta) / m
+        )
+    except OverflowError:
+        raise _unfit("the uniform-convergence bound", f"d={d}", f"m={m}", delta) from None
 
 
 def uniform_convergence_sample_size(
@@ -68,7 +90,9 @@ def uniform_convergence_sample_size(
     """Smallest m >= 3d with uniform_convergence_bound(d, m, delta) <= epsilon - erm_slack.
 
     The bound is decreasing from 3d onward, so a doubling scan followed by
-    binary search finds the exact threshold.
+    binary search finds the exact threshold.  InvalidParams when the scan
+    passes the largest double before the bound reaches the target (the
+    bound is already inf from about a third of it on).
     """
     epsilon = float(epsilon)
     erm_slack = float(erm_slack)
@@ -81,6 +105,8 @@ def uniform_convergence_sample_size(
     hi = lo
     while uniform_convergence_bound(d, hi, delta) > target:
         hi *= 2
+        if hi > sys.float_info.max:
+            raise _unfit("the uniform-convergence sample size", d, epsilon, delta)
     # invariant: bound(lo) > target >= bound(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

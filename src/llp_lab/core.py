@@ -289,9 +289,9 @@ class ExplicitDistribution:
     Atoms are stored sorted by point, weights are positive Fractions that sum
     to exactly 1, and support points are pairwise distinct.  Use
     `make_distribution` to construct with validation.  What the samplers
-    read is built on first use and cached: `weighted`, the atoms as integer
-    multiplicities, and `cdf`, the float CDF small draws bisect with its
-    byte table.
+    and the encoder read is built on first use and cached: `weighted`, the
+    atoms as integer multiplicities, `cdf`, the float CDF small draws
+    bisect with its byte table, and `_json_atoms`, the atoms' JSON parts.
     """
 
     atoms: tuple[tuple[Point, Fraction], ...]
@@ -321,6 +321,11 @@ class ExplicitDistribution:
         cuts = list(accumulate(w / weighted.m for _, w in weighted.packed_counts))
         cuts[-1] = math.inf
         return cuts, (_cut_table(cuts) if len(cuts) < 255 else None)
+
+    @cached_property
+    def _json_atoms(self) -> tuple[tuple[dict, int, int], ...]:
+        """(point JSON, num, den) per atom: what `distribution_to_json` copies into each encoding."""
+        return tuple((point_to_json(p), w.numerator, w.denominator) for p, w in self.atoms)
 
 
 @record
@@ -1032,14 +1037,18 @@ _SAMPLE = (
 
 
 def distribution_to_json(dist: FiniteDistribution) -> dict:
+    """The distribution's JSON object, a fresh one on every call.
+
+    An explicit distribution's atoms are encoded once and kept on it
+    (`_json_atoms`); each call builds a new list of new atom dicts from
+    them, point dicts included, so changing one encoding leaves the next
+    as it was.
+    """
     if isinstance(dist, UniformCube):
         return {"kind": "uniform_cube", "n": dist.n}
     return {
         "kind": "explicit",
-        "atoms": [
-            {"point": point_to_json(p), "num": w.numerator, "den": w.denominator}
-            for p, w in dist.atoms
-        ],
+        "atoms": [{"point": point.copy(), "num": num, "den": den} for point, num, den in dist._json_atoms],
     }
 
 

@@ -44,7 +44,7 @@ from .hypotheses import (
     _least_per_count,
     _nearest_count,
 )
-from .sampling import _ladder, achievable_proportions
+from .sampling import _ladder, _ladder_gap, achievable_proportions
 
 __all__ = [
     "LearnerOutcome",
@@ -92,15 +92,26 @@ def improper_learner(sample: Sample) -> LearnerOutcome:
 
 
 class _GapValues(dict):
-    """`gap_values`: achievable true proportion -> witness, with `ladder` built on first read.
+    """`gap_values`: achievable true proportion -> witness, with `ladder` and `gap` built on first read.
 
     `ladder` is (D, the values as counts out of D, ascending), D the lcm of
     their denominators (`sampling._ladder`): what `gap_learner` snaps p_hat on.
+    `gap` is `smallest_gap` of the values, read off that ladder
+    (`sampling._ladder_gap`) with no second lcm or sort: what `resolve_m`'s
+    "gap" mode sizes the sample by.  `of` wraps a plain dict.
     """
 
     @cached_property
     def ladder(self) -> tuple[int, list[int]]:
         return _ladder(self)
+
+    @cached_property
+    def gap(self) -> Fraction:
+        return _ladder_gap(*self.ladder)
+
+    @classmethod
+    def of(cls, values: dict[Fraction, Hypothesis]) -> _GapValues:
+        return values if isinstance(values, cls) else cls(values)
 
 
 def gap_values(
@@ -111,7 +122,8 @@ def gap_values(
     They depend only on the class and the distribution, so a run of many
     gap trials over one (desc, dist) builds them once and passes them to
     every `gap_learner` call, which reuses the count ladder the first
-    call builds on them.
+    call builds on them; `run_trials` keeps them for later runs of the
+    same (desc, dist) as well.
     """
     return _GapValues(achievable_proportions(desc, dist, budget))
 
@@ -133,10 +145,7 @@ def gap_learner(
     encoding tie-break.  The counts are the values' `ladder`, kept on
     `gap_values`' dict and built here for any other.
     """
-    if values is None:
-        values = gap_values(desc, dist, budget)
-    elif not isinstance(values, _GapValues):
-        values = _GapValues(values)
+    values = gap_values(desc, dist, budget) if values is None else _GapValues.of(values)
     d, counts = values.ladder
     best = Fraction(_nearest_count(counts, d, p_hat), d)
     return LearnerOutcome(values[best], best, abs(best - p_hat), {"candidates": len(values)})

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from .bounds import _unfit
 from .core import Sample, record
 from .errors import BudgetExceeded, InvalidParams
 from .hypotheses import (
@@ -118,13 +119,17 @@ def erm_oracle_sample_size(desc: ClassDescriptor, epsilon, delta) -> int:
     For a finite class, Hoeffding plus a union bound gives
     sup_h |p_hat_h - p_h| <= eps/2 with probability 1 - delta once
     m >= 2 ln(2|H|/delta) / eps^2; an exact empirical match then has true
-    proportion within eps of the target's.
+    proportion within eps of the target's.  InvalidParams when the size
+    is not a finite double, as the sizes of `bounds` raise it.
     """
-    eps = float(epsilon)
-    d = float(delta)
-    if not (0 < eps and 0 < d < 1):
-        raise InvalidParams(f"need epsilon > 0 and 0 < delta < 1, got {epsilon}, {delta}")
-    return math.ceil(2 * math.log(2 * class_size(desc) / d) / eps**2)
+    try:
+        eps = float(epsilon)
+        d = float(delta)
+        if not (0 < eps and 0 < d < 1):
+            raise InvalidParams(f"need epsilon > 0 and 0 < delta < 1, got {epsilon}, {delta}")
+        return math.ceil(2 * math.log(2 * class_size(desc) / d) / eps**2)
+    except (OverflowError, ZeroDivisionError):
+        raise _unfit("the ERM oracle sample size", epsilon, delta) from None
 
 
 def make_brute_oracle(

@@ -217,16 +217,21 @@ def _ladder(values: Collection[Fraction]) -> tuple[int, list[int]]:
     return d, sorted(v.numerator * (d // v.denominator) for v in values)
 
 
+def _ladder_gap(d: int, counts: list[int]) -> Fraction:
+    """The least difference of a `_ladder`'s sorted counts over its D, zero for fewer than two."""
+    return Fraction(min(map(int.__sub__, counts[1:], counts), default=0), d)
+
+
 def smallest_gap(values: Iterable[Fraction]) -> Fraction:
     """Smallest distance between the values, zero for fewer than two or a repeated one.
 
     In integers: on the lcm D of their denominators the values are whole
     counts out of D (`_ladder`), so the gap is the least difference of the
-    sorted counts over D, and one Fraction is built.  The tests keep the
-    Fraction form, sorting and subtracting the values, as the reference.
+    sorted counts over D (`_ladder_gap`), and one Fraction is built.  The
+    tests keep the Fraction form, sorting and subtracting the values, as
+    the reference.
     """
-    d, counts = _ladder(list(values))
-    return Fraction(min(map(int.__sub__, counts[1:], counts), default=0), d)
+    return _ladder_gap(*_ladder(list(values)))
 
 
 @record

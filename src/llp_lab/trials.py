@@ -17,7 +17,7 @@ import struct
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import compress
 from typing import Callable, NamedTuple, TypeVar
 
@@ -41,7 +41,7 @@ from .bounds import (
     hoeffding_sample_size,
     uniform_convergence_sample_size,
 )
-from .errors import InvalidParams, LlpError
+from .errors import InvalidParams, LlpError, MalformedEncoding
 from .hypotheses import (
     DESCRIPTOR,
     HYPOTHESIS,
@@ -52,6 +52,7 @@ from .hypotheses import (
 )
 from .learners import (
     LearnerOutcome,
+    _GapValues,
     erm_proportion_matcher,
     gap_learner,
     gap_values,
@@ -67,7 +68,6 @@ from .sampling import (
     draw_labeled_points,
     draw_sample,
     proportion_gap,
-    smallest_gap,
     true_proportion,
 )
 
@@ -219,8 +219,9 @@ def resolve_m(config: TrialConfig, values: dict[Fraction, Hypothesis] | None = N
     dimension when the class has none (finite subsets), since the bound is
     meaningless at d = infinity but the support caps what the class can do.
     `values`, when given, holds the class's achievable proportions under
-    the distribution (`gap_values`), and the "gap" mode reads its gap from
-    them instead of enumerating the class again.
+    the distribution (`gap_values`), and the "gap" mode reads their cached
+    `gap` instead of enumerating the class again; a plain dict is wrapped
+    as `gap_learner` wraps one.
     """
     if config.m_mode == "explicit":
         assert config.m is not None
@@ -232,7 +233,7 @@ def resolve_m(config: TrialConfig, values: dict[Fraction, Hypothesis] | None = N
         if values is None:
             beta = proportion_gap(config.desc, config.distribution)
         else:
-            beta = smallest_gap(values)
+            beta = _GapValues.of(values).gap
         return gap_sample_size(beta, config.delta)
     assert config.desc is not None
     d = vc_dimension(config.desc)
@@ -286,7 +287,8 @@ class TrialReport:
 
     @property
     def ci95(self) -> tuple[float, float]:
-        return clopper_pearson(self.successes, len(self.rows))
+        """`clopper_pearson(successes, trials)`, read from a memo of the 1024 pairs used last (`_ci95`)."""
+        return _ci95(self.successes, len(self.rows))
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -315,6 +317,19 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tu
     lo = 0.0 if successes == 0 else _tail_quantile(trials, successes, alpha / 2)
     hi = 1.0 if successes == trials else _tail_quantile(trials, successes + 1, 1 - alpha / 2)
     return lo, hi
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _ci95(successes: int, trials: int) -> tuple[float, float]:
+    """`clopper_pearson(successes, trials)`, kept for the 1024 pairs used last.
+
+    The interval is a function of the two counts alone, and runs of one
+    config repeat them.  The key is typed, so a bool or a float count
+    misses and `clopper_pearson` refuses it; `clopper_pearson` is looked up
+    at call time, so a replacement sees every miss.  The public function
+    stays unmemoized.
+    """
+    return clopper_pearson(successes, trials)
 
 
 # The ulp index of a double in [0, 1]: consecutive doubles have consecutive
@@ -542,16 +557,18 @@ def run_trials(config: TrialConfig) -> TrialReport:
     trial's randomness depends only on (master seed, index), so the pool
     size never shows in the output.  A value that is not an integer raises
     InvalidParams.  The gap learner's achievable proportions (with the
-    count ladder the first trial builds on them) and a fixed target's true
-    proportion depend on the config alone, so they are built once here and
-    handed to `resolve_m` and every trial.
+    count ladder the first trial builds on them, and their gap) depend on
+    the class and the distribution alone, so they are built once per
+    (desc, distribution) per process and kept for the 16 pairs used last
+    (`_gap_values`); a fixed target's true proportion is built once per
+    run.  Both are handed to `resolve_m` and every trial.
     """
     threads = os.environ.get("LLP_LAB_THREADS", "1") or "1"
     try:
         workers = min(int(threads), config.trials)
     except ValueError:
         raise InvalidParams(f"LLP_LAB_THREADS must be an integer, got {threads!r}") from None
-    values = _shared(gap_values, config.desc, config.distribution) if config.learner == "gap" else None
+    values = _gap_values(config.desc, config.distribution) if config.learner == "gap" else None
     p_c = _shared(true_proportion, config.target, config.distribution) if config.target is not None else None
     m = resolve_m(config, values)
     resolved = replace(config, m=m, m_mode="explicit")
@@ -580,6 +597,18 @@ def _shared(build: Callable[..., _T], *args: object) -> _T | None:
         return build(*args)
     except LlpError:
         return None
+
+
+@lru_cache(maxsize=16)
+def _gap_values(desc: ClassDescriptor, dist: FiniteDistribution) -> dict[Fraction, Hypothesis] | None:
+    """`gap_values(desc, dist)` for every run over (desc, dist), or None if it raises LlpError.
+
+    Kept for the 16 pairs used last, as `core._coin_cut` keeps its cuts.  A
+    failure is kept as None too, and recurs where it was met before (see
+    `_shared`).  `gap_values` is looked up at call time, so a replacement
+    sees every miss.
+    """
+    return _shared(gap_values, desc, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +672,16 @@ def report_to_json(report: TrialReport) -> dict:
 
 
 def report_from_json(obj: dict) -> TrialReport:
-    return TrialReport(**from_fields(_REPORT, obj, "report"))
+    """The report `report_to_json` wrote; MalformedEncoding for a bad field or an empty rows list.
+
+    A run has at least one trial, and a report of none has no success rate
+    to write back.  The row count is not checked against the config's
+    `trials`.
+    """
+    fields = from_fields(_REPORT, obj, "report")
+    if not fields["rows"]:
+        raise MalformedEncoding("report rows must not be empty")
+    return TrialReport(**fields)
 
 
 CSV_COLUMNS = ("trial", "seed", "p_c_num", "p_c_den", "p_h_num", "p_h_den", "residual", "success", "ms")

@@ -50,11 +50,16 @@ def test_gap_sample_size_composes_hoeffding():
     assert gap_sample_size(0.2, 0.05) == hoeffding_sample_size(0.1, 0.05) == 185
     assert gap_sample_size(1, 0.05) == 8
     assert gap_sample_size(F(3, 10), 0.1) == 67
+    # near the smallest epsilon whose size is a finite double
+    tiny = F(1, 10**150)
+    assert gap_sample_size(2 * tiny, F(1, 10)) == hoeffding_sample_size(tiny, F(1, 10))
+    assert hoeffding_sample_size(tiny, F(1, 10)) == math.ceil(math.log(20) / (2 * 1e-150 * 1e-150))
 
 
 def test_gap_sample_size_rejects_zero_gap():
-    with pytest.raises(ZeroGap):
-        gap_sample_size(0, 0.05)
+    for zero in (0, 0.0, F(0)):
+        with pytest.raises(ZeroGap):
+            gap_sample_size(zero, 0.05)
 
 
 def test_uniform_convergence_bound_value():
@@ -83,6 +88,8 @@ def test_uniform_convergence_bound_decreasing_tail():
 def test_uniform_convergence_sample_size_known_value():
     assert uniform_convergence_sample_size(2, 0.3, 0.1, 0) == 2187
     assert uniform_convergence_sample_size(1, 0.4, 0.05, 0) == 723
+    # a size past 10**200 is still a double, so the scan reaches it
+    assert uniform_convergence_sample_size(2, F(1, 10**100), F(1, 10)) > 10**200
 
 
 def test_uniform_convergence_sample_size_minimality():

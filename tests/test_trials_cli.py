@@ -315,6 +315,37 @@ def test_cli_bounds_values(capsys):
     assert math.isclose(float(out), 0.345135989320807, rel_tol=1e-12)
 
 
+_TINY = "1/1" + "0" * 170  # 1e-170: its square underflows to 0
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (("--hoeffding", "--eps", _TINY, "--delta", "1/10"), "the Hoeffding sample size for 1e-170, 0.1 does not fit a double"),
+        (("--hoeffding", "--eps", "1/1" + "0" * 160, "--delta", "1/10"), "the Hoeffding sample size for 1e-160, 0.1 does not fit a double"),
+        (("--gap", "--beta", _TINY, "--delta", "1/10"), "the Hoeffding sample size for 5e-171, 0.1 does not fit a double"),
+        # half the gap is 0.0 as a double
+        (("--gap", "--beta", "1/1" + "0" * 400, "--delta", "1/10"), "need 0 < epsilon, delta < 1, got 0.0, 0.1"),
+        (("--uc", "--d", "2", "--eps", "1/1" + "0" * 160, "--delta", "1/10"), "the uniform-convergence sample size for 2, 1e-160, 1/10 does not fit a double"),
+    ],
+)
+def test_cli_bounds_too_large_for_a_double_exit_2(capsys, argv, detail):
+    # each once ended in a ZeroDivisionError, OverflowError or ZeroGap traceback
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "InvalidParams", "detail": detail}
+
+
+def test_cli_trials_with_a_hoeffding_size_too_large_for_a_double_exits_2(tmp_path, capsys):
+    cfg_path = write_cli_config(tmp_path, m=None, m_mode="hoeffding", epsilon=_TINY)
+    code, out, err = run_cli(capsys, "trials", "--config", cfg_path)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InvalidParams",
+        "detail": "the Hoeffding sample size for 1e-170, 0.1 does not fit a double",
+    }
+
+
 def test_cli_usage_error_is_machine_readable(capsys):
     code, _, err = run_cli(capsys, "bounds")
     assert code == 2

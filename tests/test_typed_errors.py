@@ -75,7 +75,13 @@ from llp_lab.core import (
     draw_counts,
 )
 from llp_lab._pcg64 import PCG64
-from llp_lab.errors import InvalidParams
+from llp_lab.bounds import (
+    gap_sample_size,
+    hoeffding_sample_size,
+    uniform_convergence_bound,
+    uniform_convergence_sample_size,
+)
+from llp_lab.errors import InvalidParams, MalformedEncoding
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
@@ -358,3 +364,51 @@ def test_a_trials_config_refuses_a_bool_dimension():
     }
     with pytest.raises(ValueError, match="bad dimension True"):
         config_from_json(obj)
+
+
+_PARITY_3 = ClassDescriptor("parity", 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # each once leaked ZeroDivisionError (a square that underflows to 0),
+        # OverflowError (a size past the largest double) or, for a positive
+        # gap, ZeroGap
+        lambda: hoeffding_sample_size(F(1, 10**170), F(1, 10)),
+        lambda: hoeffding_sample_size(F(1, 10**160), F(1, 10)),
+        lambda: hoeffding_sample_size(F(1, 10), 1e-309),
+        lambda: hoeffding_sample_size(F(10**400), F(1, 10)),
+        lambda: gap_sample_size(F(1, 10**170), F(1, 10)),
+        lambda: gap_sample_size(F(1, 10**160), F(1, 10)),
+        lambda: gap_sample_size(F(1, 10**400), F(1, 10)),
+        lambda: uniform_convergence_sample_size(2, F(1, 10**160), F(1, 10)),
+        lambda: uniform_convergence_bound(1, 10**400, F(1, 10)),
+        lambda: erm_oracle_sample_size(_PARITY_3, F(1, 10**170), F(1, 10)),
+        lambda: erm_oracle_sample_size(_PARITY_3, F(1, 10**160), F(1, 10)),
+        lambda: erm_oracle_sample_size(_PARITY_3, 1e200, F(1, 10)),
+        lambda: erm_oracle_sample_size(ClassDescriptor("parity", 1100), F(1, 10), F(1, 10)),
+    ],
+)
+def test_sample_sizes_that_do_not_fit_a_double_raise_invalid_params(call):
+    with pytest.raises(InvalidParams):
+        call()
+
+
+def test_a_report_with_no_rows_does_not_decode_and_a_short_one_does():
+    report = {
+        "config": {
+            "learner": "improper", "epsilon": "1/10", "delta": "1/10", "trials": 3, "seed": 1, "m": 4,
+            "distribution": {"kind": "uniform_cube", "n": 1}, "target": {"kind": "parity", "mask": "1"},
+        },
+        "rows": [],
+    }
+    # it once decoded, and encoding it again raised ZeroDivisionError
+    with pytest.raises(MalformedEncoding, match="report rows must not be empty"):
+        report_from_json(report)
+    report["rows"] = [
+        {"trial": 0, "seed": 2, "p_c": "1/2", "p_h": "1/2", "residual": "0", "success": True, "ms": 0, "error": None}
+    ]
+    decoded = report_from_json(report)
+    assert len(decoded.rows) == 1 and decoded.config.trials == 3
+    assert report_to_json(decoded)["aggregate"]["successes"] == 1
