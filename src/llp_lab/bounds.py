@@ -39,11 +39,16 @@ def hoeffding_sample_size(epsilon: float, delta: float) -> int:
     Enough draws for the revealed fraction to sit within epsilon of the true
     proportion with probability 1 - delta.  InvalidParams when epsilon or
     delta is not in (0, 1) as a double, and when the size is not a finite
-    double (epsilon below about 1e-154, or delta below about 1e-308).
+    double (epsilon below about 1e-154, or delta below about 1e-308).  A
+    positive input that rounds to 0.0 is named as given, not as the 0.0 it
+    became.
     """
+    given = epsilon, delta
     try:
         epsilon = float(epsilon)
         delta = float(delta)
+        if epsilon == 0 < given[0] or delta == 0 < given[1]:
+            raise _unfit("the Hoeffding sample size", *given)
         if not 0 < epsilon < 1 or not 0 < delta < 1:
             raise InvalidParams(f"need 0 < epsilon, delta < 1, got {epsilon}, {delta}")
         return math.ceil(math.log(2 / delta) / (2 * epsilon * epsilon))
@@ -69,7 +74,10 @@ def gap_sample_size(beta: float, delta: float) -> int:
 def uniform_convergence_bound(d: int, m: int, delta: float) -> float:
     """sqrt(8 d ln(e m / d) / m) + sqrt(2 ln(4/delta) / m), for m >= d >= 1.
 
-    InvalidParams when d or m is too large for a double.
+    Where e * m / d overflows as a double (m from about 6.6e307 on), its
+    log is taken as 1 + ln(m / d); everywhere else as ln(e * m / d), so
+    every bound that was finite keeps its last bit.  InvalidParams when d
+    or m is too large for a double.
     """
     delta = float(delta)
     if d < 1 or not 0 < delta < 1:
@@ -77,9 +85,9 @@ def uniform_convergence_bound(d: int, m: int, delta: float) -> float:
     if m < d:
         raise InvalidParams(f"need m >= d, got m={m}, d={d}")
     try:
-        return math.sqrt(8 * d * math.log(math.e * m / d) / m) + math.sqrt(
-            2 * math.log(4 / delta) / m
-        )
+        ratio = math.e * m / d
+        log_ratio = math.log(ratio) if ratio < math.inf else 1 + math.log(m / d)
+        return math.sqrt(8 * d * log_ratio / m) + math.sqrt(2 * math.log(4 / delta) / m)
     except OverflowError:
         raise _unfit("the uniform-convergence bound", f"d={d}", f"m={m}", delta) from None
 
@@ -91,8 +99,7 @@ def uniform_convergence_sample_size(
 
     The bound is decreasing from 3d onward, so a doubling scan followed by
     binary search finds the exact threshold.  InvalidParams when the scan
-    passes the largest double before the bound reaches the target (the
-    bound is already inf from about a third of it on).
+    passes the largest double before the bound reaches the target.
     """
     epsilon = float(epsilon)
     erm_slack = float(erm_slack)

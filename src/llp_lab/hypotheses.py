@@ -724,7 +724,7 @@ _LANE = (1 << 64) - 1
 
 
 def _plane_rows(values: Sequence[int], width: int) -> list[bytes]:
-    """The rows `_bit_planes` reads: row k holds byte k of every value, values[0] last.
+    """The rows `_Planes` reads: row k holds byte k of every value, values[0] last.
 
     Built in C so that values[0] lands on bit 0: `bytes` of the values
     when they fit a byte, and otherwise one
@@ -747,25 +747,17 @@ def _plane_rows(values: Sequence[int], width: int) -> list[bytes]:
     return rows
 
 
-def _bit_planes(values: Sequence[int], width: int) -> list[int]:
-    """The transpose of `values`: planes[b] has bit j set iff values[j] has bit b set.
-
-    One plane for each b < width.  For packed points (`core._pack`) plane b
-    is the column of coordinate n - b; for multiplicities it is a bit plane
-    of the weights; for one 0/1 flag per draw the one plane is their
-    bitset.  Over the rows of `_plane_rows`, `bytes.translate` spells each
-    of a row's 8 bits as a string of b"0"/b"1" digits that `int(..., 2)`
-    reads.  `_Planes` builds the same planes one at a time, on first read.
-    """
-    return [
-        int(row.translate(digits), 2)
-        for k, row in enumerate(_plane_rows(values, width))
-        for digits in _BIT_DIGITS[: width - 8 * k]
-    ]
-
-
 class _Planes(dict):
-    """b -> plane b of `_bit_planes(values, width)`, each built from `_plane_rows` when first read."""
+    """The transpose of `values`, b -> plane b for b < width: bit j of plane b is bit b of values[j].
+
+    For packed points (`core._pack`) plane b is the column of coordinate
+    n - b; for multiplicities it is a bit plane of the weights; for one
+    0/1 flag per draw the one plane is their bitset.  The byte rows
+    (`_plane_rows`) are built at once, and each plane when first read:
+    `bytes.translate` spells the bits b of a row as a string of b"0"/b"1"
+    digits that `int(..., 2)` reads, so a caller pays only for the planes
+    it reads (`read`).
+    """
 
     def __init__(self, values: Sequence[int], width: int) -> None:
         self.rows, self.width = _plane_rows(values, width), width
@@ -776,6 +768,10 @@ class _Planes(dict):
         plane = self[b] = int(self.rows[b >> 3].translate(_BIT_DIGITS[b & 7]), 2)
         return plane
 
+    def read(self, bits: Iterable[int]) -> list[int]:
+        """The planes b for b in `bits`, in that order."""
+        return list(map(self.__getitem__, bits))
+
 
 def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:
     """bitset -> the sum of weights[j] over its set bits j, by items or bit planes, whichever are fewer.
@@ -783,11 +779,11 @@ def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:
     With no more items than bits in the largest weight (a few points of
     large multiplicity, as in a consistency instance's oracle sample), a
     weigh adds the weights at the set bits, one step per item, and nothing
-    is built beforehand.  Otherwise, with P_b the plane of bit b of the
-    weights (`_bit_planes`), the weight of `vec` is the sum over b of
-    popcount(vec & P_b) << b: one AND and one popcount per bit of the
-    largest weight.  No tables: building them cost more than the few
-    weighs an oracle's count table or a noisy-parity check makes.
+    is built beforehand.  Otherwise, with P_b plane b of the weights
+    (`_Planes`, every plane read once, highest first), the weight of `vec`
+    is the sum over b of popcount(vec & P_b) << b: one AND and one popcount
+    per bit of the largest weight.  No tables: building them cost more than
+    the few weighs an oracle's count table or a noisy-parity check makes.
     """
     width = max(weights, default=0).bit_length()
     if len(weights) <= width:
@@ -801,7 +797,7 @@ def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:
             return total
 
         return weigh_items
-    top_first = _bit_planes(weights, width)[::-1]
+    top_first = _Planes(weights, width).read(reversed(range(width)))
 
     def weigh(vec: int) -> int:
         total = 0
@@ -831,24 +827,22 @@ def _fold_walk(fold: Callable[[int, int], int], columns: Sequence[int], unit: in
         yield top
 
 
-def _butterfly(cells: list[int], walsh: bool) -> list[int]:
-    """The 2^k cells, in place, as their superset sums, or as their Walsh-Hadamard transform when `walsh`.
+def _butterfly(cells: list[int]) -> list[int]:
+    """The 2^k cells, in place, as their superset sums.
 
-    Superset sums: cell v becomes the sum of the cells whose index holds
-    every bit of v.  Walsh-Hadamard: cell v becomes the sum over i of
-    cells[i] * (-1)^popcount(i & v).  Each of the k rounds pairs cell i
-    with cell i + 2^(k-1), whose index differs in the top bit, and writes
-    (lo + hi, hi), or (lo + hi, lo - hi), to cells 2i and 2i + 1.  That
-    rotates every index one bit left, so the next round's top bit is the
-    next bit down, and after k rounds each bit has been summed over once
-    and the indices are back in place.  A round is a few slices and maps,
-    run in C.
+    Cell v becomes the sum of the cells whose index holds every bit of v.
+    Each of the k rounds pairs cell i with cell i + 2^(k-1), whose index
+    differs in the top bit, and writes (lo + hi, hi) to cells 2i and
+    2i + 1.  That rotates every index one bit left, so the next round's top
+    bit is the next bit down, and after k rounds each bit has been summed
+    over once and the indices are back in place.  A round is a few slices
+    and maps, run in C.
     """
     half = len(cells) >> 1
     for _ in range(half.bit_length()):
         lo, hi = cells[:half], cells[half:]
         cells[::2] = map(operator.add, lo, hi)
-        cells[1::2] = map(operator.sub, lo, hi) if walsh else hi
+        cells[1::2] = hi
     return cells
 
 
@@ -903,8 +897,9 @@ def _labeling_bitsets(
 ) -> tuple[list[tuple[int, object]], Callable[[object], Hypothesis]]:
     """The one walk of a class over a sample: (bitset, witness) pairs and a build.
 
-    ERM, `distinct_labelings` and the walk path of the brute oracle's count
-    table (`_count_table`) read it; the class id's row names the walk.
+    ERM and `distinct_labelings` read it, and the count tables' walk
+    (`_Row.table`, after `_count_table` has sized the class) reads the
+    same row's `walk`; the class id's row names the walk.
     Bit j of a bitset is the label of the sample's j-th unique point
     (`packed_counts` order).  `build` turns a witness into the
     encoding-minimal hypothesis realizing that labeling.  For parities the
@@ -948,90 +943,40 @@ def distinct_labelings(
 
 
 def _count_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
-    """Positive count -> encoding-minimal hypothesis achieving it.
+    """Positive count -> encoding-minimal hypothesis achieving it, in ascending witness encoding.
 
     The class must fit `budget` (BudgetExceeded before any domain check);
-    it is sized once, here.  Three paths give the same table, items and
-    order alike, and the sample's form and size alone pick one.  A
-    nonempty masked sample (`core._Kept`, all of a draw's points and a
-    bitset `keep` of the ones it holds) of a parity class takes the
-    masked walk (`_masked_table`): the domain is checked, each of the
-    keff columns (the draws' planes n - keff .. n - 1) is ANDed with
-    `keep`, the span of those masked columns is grown
-    (`_parity_labelings`), and each labeling's count is its popcount, so
-    no histogram of the kept draws is built.  Any other masked sample
-    reads its `packed_counts`, built then, and goes on as an unmasked
-    one.  A parity, disjunction or conjunction class whose 2^keff cells
-    are at most `_CELLS_PER_POINT`
-    (8) per distinct sample point u takes the transform
-    (`_transform_table`): the row's `counts` gives every member's count at
-    once, from one butterfly over the cells, O(u + keff * 2^keff) with the
-    cell sums in C.  Any other class or sample takes the walk
-    (`_walk_table`): the row's walk yields the distinct labelings
-    (`_labeling_bitsets`), each weighed against the multiplicities
-    (`_bitset_weigher`).  A monotone walk folds all 2^n values in Python;
-    a parity walk grows a span of only 2^min(u, keff) labelings, so sparse
-    samples favour it.  Timed over random samples at keff 1-10, the
-    transform wins at 2^keff <= 8u for all three classes (a parity at
-    keff 4 and u = 2 is level), and a parity loses from 2^keff = 16u, at
-    1.2-1.4 times the walk for keff 4-6.  Both paths keep, per count, the
-    first value or witness in ascending encoding (`_least_per_count`), the
-    encoding-minimal one, and only those become hypotheses.  A numbered
-    class's hypotheses come from the member store (`_class_member`): each
-    is built once per process, with its packed mask, and a later table
+    it is sized once, here, and its row builds the table (`table`).  Every
+    row can walk the class's distinct labelings (`_labeling_bitsets`) and
+    weigh each against the multiplicities (`_bitset_weigher`); that walk
+    is the reference, and two rows have a second way for one form of
+    sample, with the same items in the same order:
+    - a disjunction or conjunction class whose 2^n cells are at most
+      `_CELLS_PER_POINT` (8) per distinct sample point gets every member's
+      count at once from one superset-sum transform (`_butterfly`);
+    - a parity class over a nonempty masked sample (`core._Kept`: all of a
+      draw's points and a bitset `keep` of the ones it holds, from noisy
+      parity) weighs each labeling of the draws' columns ANDed with
+      `keep` by its popcount, so no histogram of the kept draws is built.
+    Every other sample, a dense plain parity sample included, walks.  Per
+    count, the first value or witness in ascending encoding is kept
+    (`_least_per_count`), and only those become hypotheses; a numbered
+    class's come from the member store (`_class_member`), so a later table
     asking for the same member gets the same frozen object.  The tests
-    hold the paths to each other and to a scan of `enumerate_class` with
+    hold the ways to the walk and to a scan of `enumerate_class` with
     `positive_weight`.
     """
     _sized(desc, budget)
-    row = _CLASSES[desc.class_id]
-    if sample._kept is not None and sample.m and desc.class_id == "parity":
-        return _masked_table(row, desc, sample, budget)
-    if row.counts and 1 << _keff(desc) <= _CELLS_PER_POINT * len(sample.packed_counts):
-        return _transform_table(desc, sample)
-    return _walk_table(desc, sample, budget)
-
-
-def _transform_table(desc: ClassDescriptor, sample: Sample) -> dict[int, Hypothesis]:
-    """`_count_table` of a numbered class already sized, from every member's count at once (the row's `counts`).
-
-    Each count's least value becomes its member through the store (`_class_member`), built only on a first use.
-    """
-    row, n, keff = _CLASSES[desc.class_id], desc.n, _keff(desc)
-    first, _ = _least_per_count(zip(row.counts(desc, sample), range(1 << keff)))
-    return {count: _class_member(row, n, keff, value) for count, value in first.items()}
-
-
-def _masked_table(row: _Numbered, desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
-    """`_count_table` of a parity class already sized, over a nonempty masked sample, by popcounts over its draws.
-
-    A labeling of the masked columns is a labeling of all the draws ANDed
-    with `keep`, so its popcount is its count on the kept draws.  The span
-    yields each labeling with its least mask, in ascending mask, so the
-    first mask per count is the encoding-least member with that count.
-    """
-    _check_domain("Parity", ("bits", desc.n), sample.domain)
-    kept, n, keff = sample._kept, desc.n, _keff(desc)
-    columns = [kept.planes[b] & kept.keep for b in range(n - keff, n)]  # type: ignore[union-attr]
-    first, _ = _least_per_count((vec.bit_count(), mask) for vec, mask in _parity_labelings(columns, budget))
-    return {count: _class_member(row, n, keff, mask) for count, mask in first.items()}
-
-
-def _walk_table(desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
-    """`_count_table` of a class already sized, from the row's walk, each distinct labeling weighed."""
-    pairs, build = _CLASSES[desc.class_id].walk(desc, sample, budget)
-    weigh = _bitset_weigher([c for _, c in sample.packed_counts])
-    first, _ = _least_per_count((weigh(vec), w) for vec, w in pairs)
-    return {count: build(w) for count, w in first.items()}
+    return _CLASSES[desc.class_id].table(desc, sample, budget)
 
 
 # ---------------------------------------------------------------------------
 # the class ids
 
 
-# A count table is taken from a transform (the row's `counts`) when the
-# class's 2^keff cells are at most this many per distinct sample point, and
-# from the walk otherwise; see `_count_table`.
+# A disjunction or conjunction count table is taken from the superset-sum
+# transform when the class's 2^n cells are at most this many per distinct
+# sample point, and from the walk otherwise; see `_Numbered.table`.
 _CELLS_PER_POINT = 8
 
 
@@ -1060,12 +1005,10 @@ class _Row:
     InfiniteClass), `members` ascending in encoding (after `size` was
     checked), a uniform `draw`, `walk`, the (bitset, witness) pairs and
     their build for a class already sized, by default a scan of the
-    members, and `labelings`, the walk of `_labeling_bitsets`: by default
-    the class sized against the budget, then `walk`.  A numbered row also
-    has `counts`, every member's positive count at once; None here.
+    members, `labelings`, the walk of `_labeling_bitsets`: by default the
+    class sized against the budget, then `walk`, and `table`, the count
+    table of `_count_table` for a class already sized.
     """
-
-    counts = None
 
     def __init__(self, domain: str, *options: str) -> None:
         self.domain, self.options = domain, options
@@ -1077,13 +1020,20 @@ class _Row:
     def walk(self, desc: ClassDescriptor, sample: Sample, budget: int):
         return _generic_labelings(self.members(desc), sample), lambda h: h
 
+    def table(self, desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
+        """The count table from the walk, each distinct labeling weighed: the reference every row's table matches."""
+        pairs, build = self.walk(desc, sample, budget)
+        weigh = _bitset_weigher([c for _, c in sample.packed_counts])
+        first, _ = _least_per_count((weigh(vec), w) for vec, w in pairs)
+        return {count: build(w) for count, w in first.items()}
+
 
 class _Numbered(_Row):
     """2^keff members of the kind `member`, numbered by value: `member_at` builds one, `_class_member` keeps it.
 
     As it stands, a disjunction or conjunction row: the labelings fold the
-    points' columns with the member kind's fold, and `counts` sums the
-    points over supersets.
+    points' columns with the member kind's fold, and a dense sample's
+    table sums the points over supersets.
     """
 
     def __init__(self, member: type, *options: str) -> None:
@@ -1109,42 +1059,47 @@ class _Numbered(_Row):
         member.__dict__.update(n=n, vars=tuple(compress(range(1, n + 1), _unpack_bits(value, n))), packed=value)
         return member
 
-    def counts(self, desc: ClassDescriptor, sample: Sample) -> list[int]:
-        """Every member's positive count on the sample, by value: one transform over the 2^n cells.
+    def table(self, desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
+        """The count table from every member's count at once, one transform over the 2^n cells, or the walk.
 
-        The sample's multiplicities are added into a vector over the cube
-        and summed over supersets (`_butterfly`).  At value v that sum is
-        the weight of the points holding all of v's variables: a
+        The transform is taken while the 2^n cells are at most
+        `_CELLS_PER_POINT` per distinct point u: it costs O(u + n * 2^n),
+        with the cell sums in C.  Timed over random samples at n 1-10, it
+        beats the walk, which folds all 2^n values in Python, up to that
+        density.  The sample's multiplicities are added into a vector over
+        the cube and summed over supersets (`_butterfly`).  At value v that
+        sum is the weight of the points holding all of v's variables: a
         conjunction's count.  A disjunction labels 0 exactly the points
         holding none of its variables, so for it each point is added at its
         complement, and its count is the total weight less the sum at v.
-        O(u + n * 2^n), so `_count_table` reads it only while the 2^n cells
-        are at most `_CELLS_PER_POINT` per distinct point u, and walks the
-        labelings otherwise.
+        Each count's least value becomes its member through the store
+        (`_class_member`).
         """
-        _check_domain(self.member.__name__, ("bits", desc.n), sample.domain)
-        flip = 0 if self.member._unit else (1 << desc.n) - 1
-        cells = [0] * (1 << desc.n)
+        n = desc.n
+        if 1 << n > _CELLS_PER_POINT * len(sample.packed_counts):
+            return super().table(desc, sample, budget)
+        _check_domain(self.member.__name__, ("bits", n), sample.domain)
+        flip = 0 if self.member._unit else (1 << n) - 1
+        cells = [0] * (1 << n)
         for x, c in sample.packed_counts:
             cells[x ^ flip] += c
-        sums = _butterfly(cells, False)
-        return [sums[0] - s for s in sums] if flip else sums
+        sums = _butterfly(cells)
+        first, _ = _least_per_count(zip([sums[0] - s for s in sums] if flip else sums, range(1 << n)))
+        return {count: _class_member(self, n, n, value) for count, value in first.items()}
 
     def walk(self, desc: ClassDescriptor, sample: Sample, budget: int):
         _check_domain(self.member.__name__, ("bits", desc.n), sample.domain)
         points = [x for x, _ in sample.packed_counts]
         unit = (1 << len(points)) - 1 if self.member._unit else 0
         first: dict[int, int] = {}
-        for value, vec in enumerate(_fold_walk(self.member._fold, _bit_planes(points, desc.n), unit)):
+        columns = _Planes(points, desc.n).read(range(desc.n))
+        for value, vec in enumerate(_fold_walk(self.member._fold, columns, unit)):
             first.setdefault(vec, value)  # first in encoding order wins
         return list(first.items()), partial(_class_member, self, desc.n, _keff(desc))
 
 
 class _Parities(_Numbered):
-    """Parities: a member is a keff-bit mask, the labelings are the span of the points' columns.
-
-    `counts` is the Walsh-Hadamard transform of the points projected onto the keff coordinates.
-    """
+    """Parities: a member is a keff-bit mask, the labelings are the span of the points' columns (planes n - keff .. n - 1)."""
 
     def member_at(self, n: int, keff: int, value: int) -> Hypothesis:
         member = object.__new__(Parity)
@@ -1155,29 +1110,31 @@ class _Parities(_Numbered):
     def labelings(self, desc: ClassDescriptor, sample: Sample, budget: int):
         return self.walk(desc, sample, budget)  # the span caps its 2^rank labelings, not the class size
 
-    def counts(self, desc: ClassDescriptor, sample: Sample) -> list[int]:
-        """Every member's positive count on the sample, by value: one transform over the 2^keff cells.
+    def table(self, desc: ClassDescriptor, sample: Sample, budget: int) -> dict[int, Hypothesis]:
+        """The count table of a nonempty masked sample by popcounts over its draws, or the walk.
 
-        Each point is projected onto the class's keff coordinates
-        (x >> (n - keff)) and its multiplicity added at that cell.  The
-        Walsh-Hadamard transform (`_butterfly`) gives at value v the total
-        weight M less twice the weight of the points v labels 1, so that
-        count is (M - W_v) / 2.  Read by `_count_table` under the same size
-        rule as the monotone rows' `counts`.
+        A labeling of the masked columns (each of the draws' planes
+        n - keff .. n - 1 ANDed with `keep`) is a labeling of all the draws
+        ANDed with `keep`, so its popcount is its count on the kept draws.
+        The span (`_parity_labelings`) yields each labeling with its least
+        mask, in ascending mask, so the first mask per count is the
+        encoding-least member with that count.  Any other sample, masked
+        and empty or plain, walks the span of its distinct points.
         """
+        kept = sample._kept
+        if kept is None or not sample.m:
+            return _Row.table(self, desc, sample, budget)
         _check_domain("Parity", ("bits", desc.n), sample.domain)
-        shift = desc.n - _keff(desc)
-        cells = [0] * (1 << _keff(desc))
-        for x, c in sample.packed_counts:
-            cells[x >> shift] += c
-        walsh = _butterfly(cells, True)
-        return [(walsh[0] - w) >> 1 for w in walsh]
+        n, keff = desc.n, _keff(desc)
+        columns = [plane & kept.keep for plane in kept.planes.read(range(n - keff, n))]  # type: ignore[attr-defined]
+        first, _ = _least_per_count((vec.bit_count(), mask) for vec, mask in _parity_labelings(columns, budget))
+        return {count: _class_member(self, n, keff, mask) for count, mask in first.items()}
 
     def walk(self, desc: ClassDescriptor, sample: Sample, budget: int):
         _check_domain("Parity", ("bits", desc.n), sample.domain)
-        keff = _keff(desc)
-        planes = _bit_planes([x for x, _ in sample.packed_counts], desc.n)
-        return _parity_labelings(planes[desc.n - keff :], budget), partial(_class_member, self, desc.n, keff)
+        n, keff = desc.n, _keff(desc)
+        columns = _Planes([x for x, _ in sample.packed_counts], n).read(range(n - keff, n))
+        return _parity_labelings(columns, budget), partial(_class_member, self, n, keff)
 
 
 class _Subsets(_Row):

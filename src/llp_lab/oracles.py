@@ -148,18 +148,18 @@ def make_brute_oracle(
     by value.  The domain is part of the key: equal packed ints from bit
     vectors of different lengths are different points, and the rebuild
     raises DomainMismatch where the class does not fit.  `_count_table`
-    builds a table by one of three paths, chosen by form and size alone,
-    with the same items in the same order: for a nonempty masked sample
-    of a parity class, each labeling of the span of its draws'
+    hands the table to the class's row, which walks the class's distinct
+    labelings and weighs each, except for two forms of sample that give
+    the same items in the same order another way: for a nonempty masked
+    sample of a parity class, each labeling of the span of its draws'
     columns, ANDed with the keep bitset, is weighed by a popcount; for a
-    parity, disjunction or conjunction class whose 2^keff cube cells are at
-    most 8 per distinct sample point, one butterfly transform of the
-    multiplicities over the cells (superset sums, or Walsh-Hadamard for
-    parities) gives every member's count at once; otherwise the class's
-    distinct labelings are walked and each is weighed.  A table holds one
-    witness per count, and a numbered class's witnesses come from the
-    process's member store (`hypotheses._class_member`): each member is
-    built once, so a fresh oracle over a class already met builds none.
+    disjunction or conjunction class whose 2^n cube cells are at most 8
+    per distinct sample point, one superset-sum transform of the
+    multiplicities over the cells gives every member's count at once.  A
+    table holds one witness per count, and a numbered class's witnesses
+    come from the process's member store (`hypotheses._class_member`):
+    each member is built once, so a fresh oracle over a class already met
+    builds none.
 
     Each `solve` then costs O(log T) integer work, T the number of
     distinct counts: a bisection for the nearest count (`_nearest_count`,

@@ -55,7 +55,6 @@ from .hypotheses import (
     Hypothesis,
     Parity,
     _Planes,
-    _bit_planes,
     _check_domain,
     evaluate,
     hypothesis_to_json,
@@ -611,15 +610,17 @@ def noisy_parity_via_llp(
     one call.  Labels are bitsets over the draws, bit i for draw i: the
     noisy labels are the XOR of the target's columns with the flips'
     bitset, M is their popcount, and a candidate's disagreement is one
-    more XOR and popcount (`_disagreement_counter`).  The columns are the
-    draws' planes built on first read (`_Planes`): only those of the
-    target's and the candidates' masks, which saves work when the masks
-    read fewer than n coordinates (a restriction narrower than n) and
-    otherwise builds the planes `_bit_planes` would.  The oracle's sample
+    more XOR and popcount (`_disagreement_counter`).  The draws and the
+    flips are transposed by one mechanism, `_Planes`, whose planes are
+    built on first read: the flips' one plane is their bitset, and of the
+    draws' columns only those of the target's and the candidates' masks
+    are built, which saves work when the masks read fewer than n
+    coordinates (a restriction narrower than n).  The oracle's sample
     is masked (`_sample_packed` with `keep`): all m draws, the noisy bitset
     as the ones kept, and the columns.  So no kept list or histogram is
     built unless the oracle reads one: the brute-force oracle's parity
-    table weighs its labelings over the columns by popcount (`_count_table`).
+    table weighs each labeling of the masked columns by popcount
+    (`_count_table`, the parity row's `table`).
     """
     if m < 1:
         raise InvalidParams(f"noisy parity needs m >= 1 examples, got {m}")
@@ -630,7 +631,7 @@ def noisy_parity_via_llp(
     draws = _draw_cube(setup.n, m, derive_seed(seed, "noisy-points"))
     flips = _coin_flips(setup.eta, m, random.Random(derive_seed(seed, "noisy-draw")))
     columns = _Planes(draws, setup.n)
-    noisy = _parity_labels(columns, setup.target.packed) ^ _bit_planes(flips, 1)[0]
+    noisy = _parity_labels(columns, setup.target.packed) ^ _Planes(flips, 1)[0]
     M = noisy.bit_count()
     disagreements = _disagreement_counter(setup.n, columns, noisy)
 

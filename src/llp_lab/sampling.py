@@ -187,11 +187,11 @@ def achievable_proportions(
     Maps each value to its encoding-minimal witness, the values in order
     of their witnesses.  Under an explicit distribution they are the count
     table (`_count_table`) of its sample of size D (`weighted`), count c
-    giving c / D.  That table comes from one butterfly transform over the
-    cube cells for a parity, disjunction or conjunction class with at most
-    8 cells per atom, and from the class's distinct labelings, each
-    weighed, otherwise; both give the same values and witnesses.  On a
-    uniform cube the class is enumerated.
+    giving c / D.  That table comes from one superset-sum transform over
+    the cube cells for a disjunction or conjunction class with at most 8
+    cells per atom, and from the class's distinct labelings, each weighed,
+    otherwise, parities included; both give the same values and
+    witnesses.  On a uniform cube the class is enumerated.
     """
     if isinstance(dist, ExplicitDistribution):
         weighted = dist.weighted

@@ -672,15 +672,17 @@ def report_to_json(report: TrialReport) -> dict:
 
 
 def report_from_json(obj: dict) -> TrialReport:
-    """The report `report_to_json` wrote; MalformedEncoding for a bad field or an empty rows list.
+    """The report `report_to_json` wrote; MalformedEncoding for a bad field or a row count other than `trials`.
 
-    A run has at least one trial, and a report of none has no success rate
-    to write back.  The row count is not checked against the config's
-    `trials`.
+    A run writes one row per trial, so a report of fewer or more rows would
+    aggregate another trial count than its config names.  A config names
+    at least one trial, so a report of no rows, which has no success rate
+    to write back, is refused too.
     """
     fields = from_fields(_REPORT, obj, "report")
-    if not fields["rows"]:
-        raise MalformedEncoding("report rows must not be empty")
+    rows, trials = len(fields["rows"]), fields["config"].trials
+    if rows != trials:
+        raise MalformedEncoding(f"a report of {trials} trials needs {trials} rows, got {rows}")
     return TrialReport(**fields)
 
 

@@ -69,6 +69,52 @@ def test_uniform_convergence_bound_value():
     assert got == pytest.approx(0.345135989320807, abs=1e-12)
 
 
+def test_hoeffding_names_a_positive_input_that_rounds_to_zero_as_given():
+    # each once reported the rounded double: "need 0 < epsilon, delta < 1, got 0.0, 0.1"
+    tiny = F(1, 10**400)
+    for call, detail in [
+        (lambda: hoeffding_sample_size(tiny, F(1, 10)), f"for {tiny}, 1/10 does not"),
+        (lambda: hoeffding_sample_size(F(1, 10), tiny), f"for 1/10, {tiny} does not"),
+        (lambda: gap_sample_size(tiny, F(1, 10)), f"for {tiny / 2}, 1/10 does not"),
+    ]:
+        with pytest.raises(InvalidParams, match=detail):
+            call()
+    for eps, delta in [(0, 0.1), (0.0, 0.1), (F(0), 0.1), (-tiny, 0.1)]:  # not positive: out of range
+        with pytest.raises(InvalidParams, match="need 0 < epsilon, delta < 1"):
+            hoeffding_sample_size(eps, delta)
+
+
+def _parent_uniform_convergence_bound(d, m, delta):
+    """The bound as written before the overflow fix: ln(e m / d) taken of e * m / d as a double."""
+    return math.sqrt(8 * d * math.log(math.e * m / d) / m) + math.sqrt(2 * math.log(4 / delta) / m)
+
+
+def test_uniform_convergence_bound_is_finite_where_e_m_overflows():
+    # e * 1e308 is past the largest double: this was inf
+    got = uniform_convergence_bound(1, 10**308, 0.1)
+    assert math.isfinite(got) and 0 < got < uniform_convergence_bound(1, 10**307, 0.1)
+    want = math.sqrt(8 * (1 + math.log(1e308)) / 1e308) + math.sqrt(2 * math.log(40) / 1e308)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert math.isinf(_parent_uniform_convergence_bound(1, 10**308, 0.1))
+
+
+def test_uniform_convergence_bound_keeps_every_finite_value_bit_for_bit():
+    ms = [1, 2, 3, 10, 1000, 10**6, 10**18, 10**100, 10**300, 6 * 10**307, 66 * 10**306, 67 * 10**306, 10**308, 17 * 10**307]
+    finite = overflowed = 0
+    for d in (1, 2, 3, 7, 50, 10**6, 10**200, 10**300):
+        for m in [m for m in ms if m >= d] + [d, 3 * d]:
+            for delta in (1e-300, 0.01, 0.05, F(1, 10), 0.5, 0.99):
+                got, parent = uniform_convergence_bound(d, m, delta), _parent_uniform_convergence_bound(d, m, float(delta))
+                assert math.isfinite(got)
+                if math.isfinite(parent):
+                    assert got == parent
+                    finite += 1
+                else:  # only where e * m / d overflows
+                    assert math.e * m / d == math.inf
+                    overflowed += 1
+    assert finite > 300 and overflowed > 0
+
+
 def test_uniform_convergence_bound_at_m_equals_d():
     got = uniform_convergence_bound(1, 1, 0.5)
     assert got == pytest.approx(math.sqrt(8) + math.sqrt(2 * math.log(8)), rel=1e-12)

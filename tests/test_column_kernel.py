@@ -1,8 +1,8 @@
 """The column-bitset kernel against `enumerate_class` with `labeler` and `positive_weight`.
 
-`hypotheses._bit_planes` transposes a list of ints into bit columns once;
-`_labeling_bitsets` walks a class over a sample as distinct labelings
-(the GF(2) span of the columns for parities, OR and AND folds of them for
+`hypotheses._Planes` transposes a list of ints into bit columns, each
+built when first read; `_labeling_bitsets` walks a class over a sample as
+distinct labelings (the GF(2) span of the columns for parities, OR and AND folds of them for
 disjunctions and conjunctions, one `labeler` per member for windows and
 finite subsets); `_bitset_weigher` weighs a labeling by a direct sum when
 there are no more items than bits in the largest multiplicity, else by the
@@ -17,19 +17,22 @@ reference scan stays small.  The count table, the oracle and the error
 tests also draw windows and grounded finite subsets over natural-number
 samples, whose points may fall outside the class's ground.
 
-The count table has a second path for parities, disjunctions and
-conjunctions: when the class's 2^keff cube cells are at most 8 per distinct
-sample point, `_transform_table` reads every member's count from one
-superset-sum or Walsh-Hadamard transform of the cells (the row's `counts`).
-A differential test holds it to the walk-and-weigh path, `_walk_table`, on
-all three rows, at keff 0-10, any restriction, 0 to 2^keff points and
-multiplicities of 1-3, 255-257 and past 2^64, with examples on both sides
-of the size rule and at it; other tests pin which path the rule takes and
-that the class is still sized before the domain is checked.
+Each class row builds its own count table (`table`); the walk-and-weigh
+table of `_Row.table` is the reference.  Disjunctions and conjunctions
+have a second way: when the class's 2^n cube cells are at most 8 per
+distinct sample point, their row reads every member's count from one
+superset-sum transform of the cells.  A differential test holds the
+transform (forced past the size rule) and `_count_table` to the walk on
+all three numbered rows, at keff 0-10, any restriction, 0 to 2^keff points
+and multiplicities of 1-3, 255-257 and past 2^64, with examples on both
+sides of the size rule and at it, and holds a parity's table, which always
+walks a plain sample, to the class scan too; other tests pin which way the
+rule takes and that the class is still sized before the domain is checked.
 """
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,13 +57,12 @@ from llp_lab import (
 from llp_lab import hypotheses
 from llp_lab.core import _sample_packed
 from llp_lab.hypotheses import (
+    _CLASSES,
     _Planes,
-    _bit_planes,
+    _Row,
     _bitset_weigher,
     _generic_labelings,
     _labeling_bitsets,
-    _transform_table,
-    _walk_table,
     class_size,
     labeler,
     positive_weight,
@@ -133,6 +135,17 @@ def _nat_cases(draw, weights=_weights()):
     return desc, _sample_packed(domain, packed, sum(mults), F(0))
 
 
+def _walk_table(desc, sample, budget=BRUTE_BUDGET):
+    """The reference count table: the class row's walk, each distinct labeling weighed (`_Row.table`)."""
+    return _Row.table(_CLASSES[desc.class_id], desc, sample, budget)
+
+
+def _transform_table(desc, sample):
+    """A disjunction's or conjunction's table from the transform, whatever the density: the size rule set past any sample."""
+    with mock.patch.object(hypotheses, "_CELLS_PER_POINT", 2**desc.n):
+        return _CLASSES[desc.class_id].table(desc, sample, BRUTE_BUDGET)
+
+
 def _reference_table(desc, sample, budget=BRUTE_BUDGET):
     """The count table as the library built it before the kernel: one scan of the class."""
     table = {}
@@ -159,7 +172,7 @@ def _transpose_case(data):
 @given(st.data())
 def test_bit_planes_transpose_values(data):
     width, values = _transpose_case(data)
-    planes = _bit_planes(values, width)
+    planes = _Planes(values, width).read(range(width))
     assert len(planes) == width
     for b, plane in enumerate(planes):
         assert plane == sum(1 << j for j, v in enumerate(values) if v >> b & 1)
@@ -174,12 +187,15 @@ def test_bit_digit_tables_map_each_byte_to_its_bit():
 @given(st.data())
 def test_planes_built_on_first_read_are_the_bit_planes(data):
     width, values = _transpose_case(data)
-    planes = _bit_planes(values, width)
+    planes = [sum(1 << j for j, v in enumerate(values) if v >> b & 1) for b in range(width)]
     columns = _Planes(values, width)
     reads = data.draw(st.lists(st.integers(0, width - 1), max_size=2 * width)) if width else []
     for b in reads + list(range(width)):  # any order, a plane read again from its entry
         assert columns[b] == planes[b]
     assert sorted(columns) == list(range(width))
+    fresh = _Planes(values, width)
+    assert fresh.read(reversed(reads)) == [planes[b] for b in reversed(reads)]
+    assert sorted(fresh) == sorted(set(reads))  # a plane read in bulk is kept for the next reader too
     for b in (-1, width):
         with pytest.raises(KeyError):
             columns[b]
@@ -270,7 +286,7 @@ def _numbered_sample(desc, u, seed, regime):
 
 
 def _rule_edge(keff):
-    """The fewest distinct points at which `_count_table` takes the transform: ceil(2^keff / _CELLS_PER_POINT)."""
+    """The fewest distinct points at which a disjunction or conjunction table takes the transform: ceil(2^n / _CELLS_PER_POINT)."""
     return -(-(2**keff) // hypotheses._CELLS_PER_POINT)
 
 
@@ -325,33 +341,41 @@ def _paths_example(desc, u, regime="mixed", seed=1):
 @_paths_example(ClassDescriptor("parity", 4, restriction=2), 0)
 def test_the_transform_table_matches_the_walk(case):
     desc, sample = case
-    walk = list(_walk_table(desc, sample, BRUTE_BUDGET).items())
-    assert list(_transform_table(desc, sample).items()) == walk
+    walk = list(_walk_table(desc, sample).items())
     assert list(_count_table(desc, sample, BRUTE_BUDGET).items()) == walk
+    if desc.class_id == "parity":  # no transform: the table walks, and the walk matches the class scan
+        assert walk == list(_reference_table(desc, sample).items())
+    else:
+        assert list(_transform_table(desc, sample).items()) == walk
 
 
 @pytest.mark.parametrize("class_id", CUBE_CLASSES)
 @pytest.mark.parametrize("n, u", [(1, 0), (1, 1), (3, 1), (4, 1), (4, 2), (6, 7), (6, 8), (6, 9)])
 def test_a_count_table_takes_the_transform_at_most_8_cells_a_point(monkeypatch, class_id, n, u):
     desc = ClassDescriptor(class_id, n)
+    sample = _numbered_sample(desc, u, 3, "mixed")
+    walk = list(_walk_table(desc, sample).items())
     paths = []
-    for name in ("_transform_table", "_walk_table"):
-        path = getattr(hypotheses, name)
-        monkeypatch.setattr(hypotheses, name, lambda *a, path=path, name=name: paths.append(name) or path(*a))
-    _count_table(desc, _numbered_sample(desc, u, 3, "mixed"), BRUTE_BUDGET)
-    assert paths == ["_transform_table" if 2**n <= 8 * u else "_walk_table"]
+    butterfly, row_table = hypotheses._butterfly, _Row.table
+    monkeypatch.setattr(hypotheses, "_butterfly", lambda cells: paths.append("transform") or butterfly(cells))
+    monkeypatch.setattr(_Row, "table", lambda *a: paths.append("walk") or row_table(*a))
+    table = list(_count_table(desc, sample, BRUTE_BUDGET).items())
+    assert table == walk == list(_reference_table(desc, sample).items())
+    # a parity walks a plain sample at any density
+    assert paths == ["transform" if class_id != "parity" and 2**n <= 8 * u else "walk"]
 
 
 @pytest.mark.parametrize("class_id", CUBE_CLASSES)
 def test_the_transform_path_sizes_the_class_before_it_checks_the_domain(class_id):
     desc = ClassDescriptor(class_id, 3)
-    sample = _sample_packed(("bits", 4), tuple((x, 1) for x in range(8)), 8, F(0))  # 8 points: the transform
+    # 8 points: the transform for a disjunction or conjunction, the walk for a parity
+    sample = _sample_packed(("bits", 4), tuple((x, 1) for x in range(8)), 8, F(0))
     with pytest.raises(BudgetExceeded):
         _count_table(desc, sample, 7)
     with pytest.raises(DomainMismatch):
         _count_table(desc, sample, 8)
     with pytest.raises(DomainMismatch):
-        _transform_table(desc, sample)
+        _CLASSES[class_id].table(desc, sample, BRUTE_BUDGET)
 
 
 def _reference_answer(table, m, claim, mode):
@@ -483,7 +507,7 @@ def test_disagreement_count_matches_the_labeler(data):
     draws = data.draw(st.lists(st.sampled_from(points), max_size=3 * u))  # repeats on purpose
     labels = data.draw(st.lists(st.integers(0, 1), min_size=len(draws), max_size=len(draws)))
     noisy = sum(lab << i for i, lab in enumerate(labels))  # bit i: draw i's noisy label
-    count = _disagreement_counter(n, _bit_planes(draws, n), noisy)
+    count = _disagreement_counter(n, _Planes(draws, n), noisy)
     for _ in range(4):
         mask = data.draw(st.integers(0, 2**n - 1))
         h = Parity(tuple(mask >> (n - 1 - i) & 1 for i in range(n)))

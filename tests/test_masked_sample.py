@@ -4,13 +4,15 @@
 the noisy-label bitset as the draws it keeps, and the draws' `_Planes`
 (`core._sample_packed` with `keep`).  Its `packed_counts` and draw order
 are built from the kept draws on first read, and the brute-force oracle's
-parity table (`hypotheses._masked_table`) weighs each labeling of the
-masked columns by popcount instead of reading them.  These tests hold it
+parity table (the parity row's `table` in `hypotheses`) weighs each
+labeling of the masked columns by popcount instead of reading them.  These tests hold it
 to the kept draws as a plain sample: every view against
 `Sample(kept points, p_hat)`, the count table and its errors against
 `_count_table` over the histogram.  Draws are bytes up to 8 bits and lists past them, and
-lists at any width too; keep masks are 0, all ones or random.  One oracle
-meets several keep masks over one draw.
+lists at any width too; keep masks are 0, all ones or random, and fixed
+examples reach keff 12, 14 and 16, the widths of the paper's noisy-parity
+reduction past the benchmark's keff 4.  One oracle meets several keep
+masks over one draw.
 """
 
 from collections import Counter
@@ -95,6 +97,10 @@ def test_a_masked_sample_does_not_share_a_list_of_draws():
 @given(masked_draws(max_n=12), st.data())
 @example((3, b"\x01\x02\x05", 0), None)  # nothing kept: domain None and the empty sample's table
 @example((11, list(range(40)), (1 << 40) - 1), None)  # 2^11 cells: the reference walks the class
+# wide parities: every third of 300 draws kept, so the span reaches its full rank 2^keff
+@example((12, _draw_cube(12, 300, 12), (1 << 300) // 7), None)
+@example((14, _draw_cube(14, 300, 14), (1 << 300) // 7), None)
+@example((16, _draw_cube(16, 300, 16), (1 << 300) // 7), None)
 def test_the_masked_table_equals_the_histogram_table(drawn, data):
     n, draws, keep = drawn
     width = max(n, 1) if data is None else data.draw(st.sampled_from((max(n, 1), n + 1, max(n - 1, 1))))

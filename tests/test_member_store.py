@@ -1,8 +1,8 @@
 """The store of numbered class members (`hypotheses._class_member`).
 
 A member of a parity, disjunction or conjunction class is built once per
-process and shared: the count tables (both paths), ERM's winner, the
-witnesses of `distinct_labelings` and `random_hypothesis` all take it from
+process and shared: the count tables (the walk and the transform), ERM's
+winner, the witnesses of `distinct_labelings` and `random_hypothesis` all take it from
 one `lru_cache` of at most 4096 members, keyed by the row, n, keff and the
 member's value.  `enumerate_class` builds its members afresh.  The tests
 hold every shared member to a fresh `row.member_at` build of the same value,
@@ -13,6 +13,7 @@ and that the store keeps its bound and is left alone by enumeration.
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -27,7 +28,8 @@ from llp_lab import (
     random_hypothesis,
 )
 from llp_lab.core import _sample_packed
-from llp_lab.hypotheses import _CLASSES, _class_member, _keff, _transform_table, _walk_table
+from llp_lab import hypotheses
+from llp_lab.hypotheses import _CLASSES, _Row, _class_member, _keff
 from llp_lab.oracles import BRUTE_BUDGET, _count_table
 
 NUMBERED = ("parity", "monotone_disjunction", "monotone_conjunction")
@@ -53,6 +55,17 @@ def _sample(desc, rng):
     return _sample_packed(("bits", desc.n) if points else None, tuple(zip(points, mults)), m, p_hat)
 
 
+def _walk_table(desc, sample):
+    """The reference count table: the class row's walk, each distinct labeling weighed."""
+    return _Row.table(_CLASSES[desc.class_id], desc, sample, BRUTE_BUDGET)
+
+
+def _dense_table(desc, sample):
+    """The row's own table with the size rule set past any sample: the transform for a disjunction or conjunction."""
+    with mock.patch.object(hypotheses, "_CELLS_PER_POINT", 2**desc.n):
+        return _CLASSES[desc.class_id].table(desc, sample, BRUTE_BUDGET)
+
+
 def _check_against_a_fresh_build(desc, h):
     """h is member `value` of the class, as `row.member_at` builds it anew."""
     keff = _keff(desc)
@@ -73,8 +86,8 @@ def test_shared_members_match_fresh_builds():
         for _ in range(3):
             sample = _sample(desc, rng)
             members = [
-                *_transform_table(desc, sample).values(),
-                *_walk_table(desc, sample, BRUTE_BUDGET).values(),
+                *_dense_table(desc, sample).values(),
+                *_walk_table(desc, sample).values(),
                 *_count_table(desc, sample, BRUTE_BUDGET).values(),
                 erm_proportion_matcher(desc, sample).hypothesis,
                 *(h for _, h in distinct_labelings(desc, sample)),
@@ -92,8 +105,8 @@ def test_a_second_request_gets_the_same_object(class_id):
     first = random_hypothesis(desc, random.Random(5))
     assert random_hypothesis(desc, random.Random(5)) is first
     sample = _sample(desc, random.Random(7))
-    walk, transform = _walk_table(desc, sample, BRUTE_BUDGET), _transform_table(desc, sample)
-    assert walk.keys() == transform.keys() and all(walk[c] is transform[c] for c in walk)
+    walk, dense = _walk_table(desc, sample), _dense_table(desc, sample)
+    assert walk.keys() == dense.keys() and all(walk[c] is dense[c] for c in walk)
     row = _CLASSES[class_id]
     assert _class_member(row, 6, 6, 9) is _class_member(row, 6, 6, 9)
 

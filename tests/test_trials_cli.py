@@ -324,8 +324,8 @@ _TINY = "1/1" + "0" * 170  # 1e-170: its square underflows to 0
         (("--hoeffding", "--eps", _TINY, "--delta", "1/10"), "the Hoeffding sample size for 1e-170, 0.1 does not fit a double"),
         (("--hoeffding", "--eps", "1/1" + "0" * 160, "--delta", "1/10"), "the Hoeffding sample size for 1e-160, 0.1 does not fit a double"),
         (("--gap", "--beta", _TINY, "--delta", "1/10"), "the Hoeffding sample size for 5e-171, 0.1 does not fit a double"),
-        # half the gap is 0.0 as a double
-        (("--gap", "--beta", "1/1" + "0" * 400, "--delta", "1/10"), "need 0 < epsilon, delta < 1, got 0.0, 0.1"),
+        # half the gap rounds to 0.0 as a double, so it is named as given
+        (("--gap", "--beta", "1/1" + "0" * 400, "--delta", "1/10"), f"the Hoeffding sample size for 1/2{'0' * 400}, 1/10 does not fit a double"),
         (("--uc", "--d", "2", "--eps", "1/1" + "0" * 160, "--delta", "1/10"), "the uniform-convergence sample size for 2, 1e-160, 1/10 does not fit a double"),
     ],
 )

@@ -395,7 +395,7 @@ def test_sample_sizes_that_do_not_fit_a_double_raise_invalid_params(call):
         call()
 
 
-def test_a_report_with_no_rows_does_not_decode_and_a_short_one_does():
+def test_a_report_with_more_or_fewer_rows_than_trials_does_not_decode():
     report = {
         "config": {
             "learner": "improper", "epsilon": "1/10", "delta": "1/10", "trials": 3, "seed": 1, "m": 4,
@@ -404,11 +404,15 @@ def test_a_report_with_no_rows_does_not_decode_and_a_short_one_does():
         "rows": [],
     }
     # it once decoded, and encoding it again raised ZeroDivisionError
-    with pytest.raises(MalformedEncoding, match="report rows must not be empty"):
+    with pytest.raises(MalformedEncoding, match="a report of 3 trials needs 3 rows, got 0"):
         report_from_json(report)
-    report["rows"] = [
-        {"trial": 0, "seed": 2, "p_c": "1/2", "p_h": "1/2", "residual": "0", "success": True, "ms": 0, "error": None}
-    ]
+    row = {"trial": 0, "seed": 2, "p_c": "1/2", "p_h": "1/2", "residual": "0", "success": True, "ms": 0, "error": None}
+    # a short or a long one once decoded, and its aggregate reported its row count, not the config's 3 trials
+    for count in (1, 2, 4):
+        report["rows"] = [dict(row, trial=t) for t in range(count)]
+        with pytest.raises(MalformedEncoding, match=f"a report of 3 trials needs 3 rows, got {count}"):
+            report_from_json(report)
+    report["rows"] = [dict(row, trial=t) for t in range(3)]
     decoded = report_from_json(report)
-    assert len(decoded.rows) == 1 and decoded.config.trials == 3
-    assert report_to_json(decoded)["aggregate"]["successes"] == 1
+    assert len(decoded.rows) == decoded.config.trials == 3
+    assert report_to_json(decoded)["aggregate"]["successes"] == 3

@@ -127,7 +127,7 @@ _MAYBE = {
 
 
 @st.composite
-def _configs(draw):
+def _configs(draw, trials=st.integers(1, MAX_TRIALS)):
     desc = draw(_MAYBE["desc"])
     learners = [name for name, entry in SAMPLE_LEARNERS.items() if desc is not None or not entry.needs_desc]
     m_mode = draw(st.sampled_from(M_MODES))
@@ -135,7 +135,7 @@ def _configs(draw):
         learner=draw(st.sampled_from(learners)),
         epsilon=draw(unit),
         delta=draw(open_unit),
-        trials=draw(st.integers(1, MAX_TRIALS)),
+        trials=draw(trials),
         seed=draw(st.integers(0, 2**64)),
         distribution=draw(distributions),
         desc=desc,
@@ -160,7 +160,10 @@ rows = st.builds(
     ms=st.integers(0, 10**6),
     error=st.none() | st.text(max_size=10),
 )
-reports = st.builds(TrialReport, configs, st.lists(rows, min_size=1, max_size=5).map(tuple))
+# a report holds one row per trial of its config
+reports = st.lists(rows, min_size=1, max_size=5).flatmap(
+    lambda drawn: st.builds(TrialReport, _configs(st.just(len(drawn))), st.just(tuple(drawn)))
+)
 
 
 @st.composite
