@@ -75,9 +75,11 @@ def uniform_convergence_bound(d: int, m: int, delta: float) -> float:
     """sqrt(8 d ln(e m / d) / m) + sqrt(2 ln(4/delta) / m), for m >= d >= 1.
 
     Where e * m / d overflows as a double (m from about 6.6e307 on), its
-    log is taken as 1 + ln(m / d); everywhere else as ln(e * m / d), so
-    every bound that was finite keeps its last bit.  InvalidParams when d
-    or m is too large for a double.
+    log is taken as 1 + ln(m / d); everywhere else as ln(e * m / d).  Where
+    8 d ln(e m / d) overflows (d from about 1e306 on, near m), the first term's
+    square is taken as 8 ln(e m / d) (d / m); everywhere else as that
+    product over m.  So every bound that was finite keeps its last bit.
+    InvalidParams when d or m is too large for a double.
     """
     delta = float(delta)
     if d < 1 or not 0 < delta < 1:
@@ -87,7 +89,10 @@ def uniform_convergence_bound(d: int, m: int, delta: float) -> float:
     try:
         ratio = math.e * m / d
         log_ratio = math.log(ratio) if ratio < math.inf else 1 + math.log(m / d)
-        return math.sqrt(8 * d * log_ratio / m) + math.sqrt(2 * math.log(4 / delta) / m)
+        spread = 8 * log_ratio * d  # 8 * d * log_ratio bit for bit, but 8 * d is never made a double
+        return math.sqrt(spread / m if spread < math.inf else 8 * log_ratio * (d / m)) + math.sqrt(
+            2 * math.log(4 / delta) / m
+        )
     except OverflowError:
         raise _unfit("the uniform-convergence bound", f"d={d}", f"m={m}", delta) from None
 

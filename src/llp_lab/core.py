@@ -291,7 +291,8 @@ class ExplicitDistribution:
     `make_distribution` to construct with validation.  What the samplers
     and the encoder read is built on first use and cached: `weighted`, the
     atoms as integer multiplicities, `cdf`, the float CDF small draws
-    bisect with its byte table, and `_json_atoms`, the atoms' JSON parts.
+    bisect with its byte table, `_atom_points`, the packed points a small
+    draw's indices pick, and `_json_atoms`, the atoms' JSON parts.
     """
 
     atoms: tuple[tuple[Point, Fraction], ...]
@@ -321,6 +322,11 @@ class ExplicitDistribution:
         cuts = list(accumulate(w / weighted.m for _, w in weighted.packed_counts))
         cuts[-1] = math.inf
         return cuts, (_cut_table(cuts) if len(cuts) < 255 else None)
+
+    @cached_property
+    def _atom_points(self) -> list[int]:
+        """The packed points of `weighted`, in order: atom i of a small draw is point i, shared by its samples and never changed."""
+        return [x for x, _ in self.weighted.packed_counts]
 
     @cached_property
     def _json_atoms(self) -> tuple[tuple[dict, int, int], ...]:
@@ -496,7 +502,8 @@ class Sample:
 
     @property
     def positive_count(self) -> int:
-        return int(self.p_hat * self.m)
+        """p_hat * m, in integers: the numerator times m over the denominator, which divides m."""
+        return self.p_hat.numerator * self.m // self.p_hat.denominator
 
     @cached_property
     def counts(self) -> tuple[tuple[Point, int], ...]:
@@ -841,8 +848,7 @@ def _draw_small(dist: ExplicitDistribution, m: int, seed: int) -> list[int]:
     """
     if m < 0:
         raise InvalidParams(f"m must be >= 0, got {m}")
-    cuts = dist.cdf[0]
-    packed = [x for x, _ in dist.weighted.packed_counts]
+    cuts, packed = dist.cdf[0], dist._atom_points
     rand = random.Random(seed).random
     return [packed[bisect_right(cuts, rand())] for _ in range(m)]
 
@@ -899,8 +905,10 @@ def _drawn(
     `_draw_packed` (one binomial per atom) on `dist.weighted`'s packed
     counts and size.  Fewer draw atom indices as bytes (`_cut_draws` on
     `dist.cdf`): the counts are each index's `bytes.count`, and the draw
-    order is the index bytes into the packed atoms.  A distribution of 255 atoms or more has no byte table
-    and draws by `_draw_small`, the same draws one `random()` at a time.
+    order is the index bytes into the packed atoms, the list cached on the
+    distribution (`_atom_points`) that every such sample shares.  A
+    distribution of 255 atoms or more has no byte table and draws by
+    `_draw_small`, the same draws one `random()` at a time.
     The binomial draw has no draw order, so its points come out grouped by
     atom in canonical order.  The choice depends only on the arguments, so
     reproducibility is unaffected.  The seed is checked first, the same on
@@ -915,7 +923,7 @@ def _drawn(
         domain, draws = dist.weighted.domain, _draw_small(dist, m, seed)
     else:
         index = _cut_draws(*dist.cdf, m, random.Random(seed))
-        atoms = [x for x, _ in dist.weighted.packed_counts]
+        atoms = dist._atom_points
         counts = tuple(filter(itemgetter(1), zip(atoms, map(index.count, range(len(atoms))))))
         return (dist.weighted.domain if m else None), counts, index, atoms
     return (domain if m else None), _packed_counts(draws), draws, None

@@ -186,17 +186,23 @@ def _best_ranked(
     `_nearest_count` picks the count nearest the sample's positive count,
     the smaller on a tie: the brute oracle's rule for the claim p_hat.
     `build` runs once, on the winner's witness (returned as it is when
-    None).  The residual is |count - positive count| / m; `work[work]` is
-    the number of candidates examined.
+    None).  The outcome is `_at_count`'s; `work[work]` is the number of
+    candidates examined.
     """
     first, examined = _least_per_count(candidates)
-    m = sample.m
-    count = _nearest_count(sorted(first), m, sample.p_hat)
-    residual = Fraction(abs(count - sample.positive_count), m) if m else Fraction(0)
-    achieved = Fraction(count, m) if m else Fraction(0)
+    count = _nearest_count(sorted(first), sample.m, sample.p_hat)
     w = first[count]
-    h = w if build is None else build(w)
-    return LearnerOutcome(h, achieved, residual, {work: examined})  # type: ignore[arg-type]
+    return _at_count(w if build is None else build(w), count, sample, {work: examined})  # type: ignore[arg-type]
+
+
+def _at_count(h: Hypothesis, count: int, sample: Sample, work: dict[str, int]) -> LearnerOutcome:
+    """`h` labeling `count` of the sample's m points positive: achieved count / m, residual |count - positive count| / m.
+
+    In integers, one Fraction each; an empty sample (count and positive
+    count 0) gives 0 for both.
+    """
+    m = sample.m or 1
+    return LearnerOutcome(h, Fraction(count, m), Fraction(abs(count - sample.positive_count), m), work)
 
 
 def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -211,15 +217,18 @@ def _suffix_reach(mults: tuple[int, ...], cap: int) -> list[int]:
     """Subset sums of each suffix of `mults`, as bitsets capped at `cap`.
 
     Bit s of `reach[i]` is set iff some subset of mults[i:] sums to s <= cap.
-    Each set is the next one shift-or'ed by the item's multiplicity and
-    masked to cap + 1 bits.
+    Each set is the next one shift-or'ed by the item's multiplicity.  No
+    sum passes the total of `mults`, so the cap clears bits only below the
+    total: then, and only then, each set is masked to cap + 1 bits, once.
     """
-    mask = (1 << (cap + 1)) - 1
     reach = [0] * (len(mults) + 1)
     reach[-1] = 1
     for i in range(len(mults) - 1, -1, -1):
         below = reach[i + 1]
-        reach[i] = (below | below << mults[i]) & mask
+        reach[i] = below | below << mults[i]
+    if sum(mults) > cap:
+        mask = (1 << (cap + 1)) - 1
+        reach = [r & mask for r in reach]
     return reach
 
 
@@ -268,17 +277,16 @@ def subset_sum_learner(sample: Sample) -> LearnerOutcome:
     (`_least_subset`), so it is the lexicographically smallest element list
     among subsets achieving that sum.  `work` reports `dp_cells`, the number
     of reachable (item, sum) cells the DP extended: the sum over i of the
-    population count of `reach[i+1]`, at most (m+1) * u.
+    population count of `reach[i+1]`, at most (m+1) * u, one
+    `int.bit_count` per item.  The DP's cap is m, the total of the
+    multiplicities, so `_suffix_reach` masks nothing.
     """
     points, mults = _nat_sample_items(sample)
-    m = sample.m
-    reach = _suffix_reach(mults, m)
-    cells = sum(r.bit_count() for r in reach[1:])
+    reach = _suffix_reach(mults, sample.m)
+    cells = sum(map(int.bit_count, reach[1:]))
     best_sum = _nearest_bit(reach[0], sample.positive_count)
     elems = _least_subset(points, mults, reach, best_sum)
-    achieved = Fraction(best_sum, m) if m else Fraction(0)
-    residual = abs(achieved - sample.p_hat)
-    return LearnerOutcome(FiniteSubset(tuple(elems)), achieved, residual, {"dp_cells": cells})
+    return _at_count(FiniteSubset(tuple(elems)), best_sum, sample, {"dp_cells": cells})
 
 
 def window_learner(sample: Sample, k: int) -> LearnerOutcome:
@@ -288,30 +296,35 @@ def window_learner(sample: Sample, k: int) -> LearnerOutcome:
     as the leftmost positive, every subset of its tail, the unique values
     within (v, v+k], joined with v (`_window_candidates` lists them in
     ascending encoding).  The counts reachable with v leftmost are the
-    tail's subset sums (`_suffix_reach`) shifted by v's multiplicity; their
-    union with 0 for the empty window holds every candidate count, and the
-    count is the one nearest the positive count, the smaller on a tie
+    tail's subset sums shifted by v's multiplicity; each tail, of at most
+    k values, is folded into one int (`r |= r << a` per value), with no
+    suffix list and no mask, since no sum passes m.  Their union with 0
+    for the empty window holds every candidate count, and the count is
+    the one nearest the positive count, the smaller on a tie
     (`_nearest_bit`).  Its witness is the encoding-least candidate of that
     count: the first v whose reach holds it, then the lexicographically
-    least tail subset (`_least_subset`), which is what ranking the
-    candidates one by one keeps.  `work` reports `candidates`, their
-    number 1 + sum of 2^|tail| over the unique values, in closed form.
+    least subset of that one tail (`_least_subset` on its
+    `_suffix_reach`), which is what ranking the candidates one by one
+    keeps.  `work` reports `candidates`, their number 1 + sum of 2^|tail|
+    over the unique values, in closed form.
     """
     points, mults = _nat_sample_items(sample)
-    m = sample.m
     ends = [bisect_right(points, v + k, i + 1) for i, v in enumerate(points)]
-    reaches = [_suffix_reach(mults[i + 1 : e], m)[0] << mults[i] for i, e in enumerate(ends)]
+    reaches = []
+    for i, e in enumerate(ends):
+        r = 1
+        for a in mults[i + 1 : e]:
+            r |= r << a
+        reaches.append(r << mults[i])
     count = _nearest_bit(reduce(or_, reaches, 1), sample.positive_count)
     elems: tuple[int, ...] = ()
     if count:
         i = next(i for i, r in enumerate(reaches) if r >> count & 1)
         tail = slice(i + 1, ends[i])
-        rest = _least_subset(points[tail], mults[tail], _suffix_reach(mults[tail], m), count - mults[i])
+        rest = _least_subset(points[tail], mults[tail], _suffix_reach(mults[tail], sample.m), count - mults[i])
         elems = (points[i], *rest)
-    achieved = Fraction(count, m) if m else Fraction(0)
-    residual = Fraction(abs(count - sample.positive_count), m) if m else Fraction(0)
     candidates = 1 + sum(1 << (e - i - 1) for i, e in enumerate(ends))
-    return LearnerOutcome(Window(k, elems), achieved, residual, {"candidates": candidates})
+    return _at_count(Window(k, elems), count, sample, {"candidates": candidates})
 
 
 def _window_candidates(

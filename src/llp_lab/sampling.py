@@ -124,10 +124,15 @@ def llp_success(h: Hypothesis, target: Hypothesis, dist: FiniteDistribution, eps
 def _scored(p_h: Fraction, p_c: Fraction, epsilon: Fraction) -> tuple[Fraction, bool]:
     """The residual |p_h - p_c| and whether it is at most epsilon: the one success test.
 
-    `llp_success` and every trial of `trials.run_trials` score by it.
+    `llp_success` and every trial of `trials.run_trials` score by it.  In
+    integers: with p_h = a/b, p_c = c/d and epsilon = e/f, the residual is
+    |ad - cb| / bd, one Fraction built, and it is at most epsilon iff
+    |ad - cb| * f <= e * bd.  The tests keep the Fraction form, subtracting
+    and comparing, as the reference.
     """
-    residual = abs(p_h - p_c)
-    return residual, residual <= epsilon
+    b, d = p_h.denominator, p_c.denominator
+    num, den = abs(p_h.numerator * d - p_c.numerator * b), b * d
+    return Fraction(num, den), num * epsilon.denominator <= epsilon.numerator * den
 
 
 def _random_labels(bias: Fraction, m: int, seed: int) -> bytes:

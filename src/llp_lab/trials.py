@@ -692,18 +692,25 @@ CSV_COLUMNS = ("trial", "seed", "p_c_num", "p_c_den", "p_h_num", "p_h_den", "res
 def report_to_csv(report: TrialReport) -> str:
     """Fixed-column CSV; rationals split into numerator and denominator.
 
-    Lines are joined directly: every field is an int, an empty string or
-    an "a/b" string, none of which `csv.writer` would quote, so the text
-    is what it writes with lineterminator "\\n".
+    The residual stays one field, written as `str` of a Fraction writes it
+    ("a/b", or "a" when b is 1) from its numerator and denominator.  Lines
+    are joined directly: every field is an int, an empty string or an
+    "a/b" string, none of which `csv.writer` would quote, so the text is
+    what it writes with lineterminator "\\n".
     """
     lines = [",".join(CSV_COLUMNS)]
     for r in report.rows:
         p_c, p_h, residual = r.p_c, r.p_h, r.residual
+        res = (
+            "" if residual is None
+            else f"{residual.numerator}" if residual.denominator == 1
+            else f"{residual.numerator}/{residual.denominator}"
+        )
         lines.append(
             f"{r.trial},{r.seed},"
             f"{'' if p_c is None else p_c.numerator},{'' if p_c is None else p_c.denominator},"
             f"{'' if p_h is None else p_h.numerator},{'' if p_h is None else p_h.denominator},"
-            f"{'' if residual is None else str(residual)},{int(r.success)},{r.ms}"
+            f"{res},{int(r.success)},{r.ms}"
         )
     return "\n".join(lines) + "\n"
 

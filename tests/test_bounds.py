@@ -1,6 +1,7 @@
 """Sample-size formulas and the uniform-convergence audit."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -85,8 +86,15 @@ def test_hoeffding_names_a_positive_input_that_rounds_to_zero_as_given():
 
 
 def _parent_uniform_convergence_bound(d, m, delta):
-    """The bound as written before the overflow fix: ln(e m / d) taken of e * m / d as a double."""
-    return math.sqrt(8 * d * math.log(math.e * m / d) / m) + math.sqrt(2 * math.log(4 / delta) / m)
+    """The bound as written before the overflow fixes: ln(e m / d) taken of e * m / d as a double, times 8 d, over m.
+
+    A step that overflows gives inf.  From d of about 2.2e307 on, `8 * d`
+    does not convert to a double and raises OverflowError, read as inf too.
+    """
+    try:
+        return math.sqrt(8 * d * math.log(math.e * m / d) / m) + math.sqrt(2 * math.log(4 / delta) / m)
+    except OverflowError:
+        return math.inf
 
 
 def test_uniform_convergence_bound_is_finite_where_e_m_overflows():
@@ -98,19 +106,31 @@ def test_uniform_convergence_bound_is_finite_where_e_m_overflows():
     assert math.isinf(_parent_uniform_convergence_bound(1, 10**308, 0.1))
 
 
+def test_uniform_convergence_bound_is_finite_where_8_d_log_overflows():
+    # 8 * 1e307 * ln(17 e) is past the largest double: this was inf
+    got = uniform_convergence_bound(10**307, 17 * 10**307, 0.1)
+    want = math.sqrt(8 * math.log(17 * math.e) / 17) + math.sqrt(2 * math.log(40) / 1.7e308)
+    assert got == pytest.approx(want, rel=1e-12) and 1.34 < got < 1.35
+    assert math.isinf(_parent_uniform_convergence_bound(10**307, 17 * 10**307, 0.1))
+
+
 def test_uniform_convergence_bound_keeps_every_finite_value_bit_for_bit():
     ms = [1, 2, 3, 10, 1000, 10**6, 10**18, 10**100, 10**300, 6 * 10**307, 66 * 10**306, 67 * 10**306, 10**308, 17 * 10**307]
+    largest = int(sys.float_info.max)
     finite = overflowed = 0
-    for d in (1, 2, 3, 7, 50, 10**6, 10**200, 10**300):
-        for m in [m for m in ms if m >= d] + [d, 3 * d]:
+    for d in (1, 2, 3, 7, 50, 10**6, 10**200, 10**300, 10**305, 10**306, 10**307, 3 * 10**307, 10**308):
+        for m in [m for m in ms + [d, 3 * d] if d <= m <= largest]:
             for delta in (1e-300, 0.01, 0.05, F(1, 10), 0.5, 0.99):
                 got, parent = uniform_convergence_bound(d, m, delta), _parent_uniform_convergence_bound(d, m, float(delta))
                 assert math.isfinite(got)
                 if math.isfinite(parent):
                     assert got == parent
                     finite += 1
-                else:  # only where e * m / d overflows
-                    assert math.e * m / d == math.inf
+                else:  # only where e * m / d or 8 d ln(e m / d) overflows: the value, to rounding
+                    log_ratio = 1 + math.log(m / d)
+                    assert math.e * m / d == math.inf or 8 * log_ratio * d == math.inf
+                    want = math.sqrt(8 * log_ratio * (d / m)) + math.sqrt(2 * math.log(4 / float(delta)) / m)
+                    assert got == pytest.approx(want, rel=1e-12)
                     overflowed += 1
     assert finite > 300 and overflowed > 0
 

@@ -206,6 +206,9 @@ def test_subset_sum_matches_brute_force(case):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 12), max_size=12), st.integers(0, 60))
+@example([3, 5, 4], 12)  # cap = the total: no bit to clear, no mask
+@example([3, 5, 4], 40)  # cap above the total
+@example([3, 5, 4], 7)  # cap below the total: sums 8, 9 and 12 cleared
 def test_suffix_reach_matches_set_dp_below_the_cap(mults, cap):
     reach = _suffix_reach(tuple(mults), cap)
     ref, _ = _set_reach(mults, cap)
@@ -379,6 +382,7 @@ def window_cases(draw):
 @example((0, Sample((1, 2), F(1, 2))))  # two windows of count 1: the first value's
 @example((1, Sample((1, 2), F(1, 2))))  # count 1 is reached before the tail joins
 @example((3, Sample((1, 2, 2, 4, 5, 5, 5), F(4, 7))))
+@example((3, Sample((1, 2, 2, 3, 4), F(1))))  # one span: the first value's reach holds bit m
 def test_window_learner_matches_ranking_its_candidates(case):
     """The reach computation gives what ranking every candidate gives: the
     same window, proportions and candidate count."""

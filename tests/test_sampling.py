@@ -37,7 +37,7 @@ from llp_lab import (
     uniform_over,
 )
 from llp_lab.core import COUNT_DRAW_MIN, draw_counts, draw_points, points_from_counts
-from llp_lab.sampling import smallest_gap
+from llp_lab.sampling import _scored, smallest_gap
 from wire_values import tasks
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
@@ -109,6 +109,24 @@ def test_llp_success_trivial_vs_nontrivial_parity():
 def test_llp_success_exact_rational_comparison():
     assert llp_success(FiniteSubset((2,)), FiniteSubset((1,)), TWO_ATOM, F(1, 2))
     assert not llp_success(FiniteSubset((2,)), FiniteSubset((1,)), TWO_ATOM, F(39, 100))
+
+
+_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=10**30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_UNIT, _UNIT, _UNIT)
+@example(F(2, 7), F(2, 7), F(0))  # p_h = p_c
+@example(F(1, 2), F(1, 5), F(3, 10))  # a residual of exactly epsilon
+@example(F(7, 10**30 - 1), F(0), F(7, 10**30 - 1))  # exactly epsilon, at the largest denominators
+@example(F(1), F(0), F(99, 100))  # a residual of 1
+@example(F(0), F(1), F(1))
+def test_scored_matches_the_fraction_form(p_h, p_c, epsilon):
+    """`_scored` in integers gives the residual and flag of Fraction subtraction and comparison."""
+    residual, success = _scored(p_h, p_c, epsilon)
+    want = abs(p_h - p_c)
+    assert type(residual) is F and residual == want
+    assert success is (want <= epsilon)
 
 
 def test_draw_labeled_points_labels_match_target():

@@ -15,7 +15,7 @@ import io
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llp_lab import (
@@ -25,6 +25,7 @@ from llp_lab import (
     LlpError,
     Parity,
     TrialConfig,
+    TrialReport,
     TrialRow,
     UniformCube,
     derive_seed,
@@ -178,8 +179,23 @@ def _csv_reference(report) -> str:
     return out.getvalue()
 
 
+# residuals 0 and 1 are whole: written "0" and "1", with no "/1"
+_WHOLE_RESIDUALS = TrialReport(
+    TrialConfig(
+        learner="improper", epsilon=F(1, 10), delta=F(1, 4), trials=3, seed=0,
+        distribution=UniformCube(1), target=Parity((1,)), m=4,
+    ),
+    (
+        TrialRow(0, 5, F(1, 2), F(1, 2), F(0), True, 3),
+        TrialRow(1, 6, F(1), F(0), F(1), False),
+        TrialRow(2, 7, F(1, 2), F(3, 4), F(1, 4), False),
+    ),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(reports)
+@example(_WHOLE_RESIDUALS)
 def test_report_csv_is_what_csv_writer_writes(report):
     assert report_to_csv(report) == _csv_reference(report)
 
