@@ -774,29 +774,16 @@ class _Planes(dict):
 
 
 def _bitset_weigher(weights: Sequence[int]) -> Callable[[int], int]:
-    """bitset -> the sum of weights[j] over its set bits j, by items or bit planes, whichever are fewer.
+    """bitset -> the sum of weights[j] over its set bits j, by the bit planes of the weights.
 
-    With no more items than bits in the largest weight (a few points of
-    large multiplicity, as in a consistency instance's oracle sample), a
-    weigh adds the weights at the set bits, one step per item, and nothing
-    is built beforehand.  Otherwise, with P_b plane b of the weights
-    (`_Planes`, every plane read once, highest first), the weight of `vec`
-    is the sum over b of popcount(vec & P_b) << b: one AND and one popcount
-    per bit of the largest weight.  No tables: building them cost more than
-    the few weighs an oracle's count table or a noisy-parity check makes.
+    With P_b plane b of the weights (`_Planes`, every plane read once,
+    highest first), the weight of `vec` is the sum over b of
+    popcount(vec & P_b) << b: one AND and one popcount per bit of the
+    largest weight, added Horner-wise.  No tables: building them cost more
+    than the few weighs an oracle's count table or a noisy-parity check
+    makes.
     """
     width = max(weights, default=0).bit_length()
-    if len(weights) <= width:
-
-        def weigh_items(vec: int) -> int:
-            total = 0
-            for w in weights:
-                if vec & 1:
-                    total += w
-                vec >>= 1
-            return total
-
-        return weigh_items
     top_first = _Planes(weights, width).read(reversed(range(width)))
 
     def weigh(vec: int) -> int:
@@ -1168,10 +1155,15 @@ class _Windows(_Row):
         return range(v + 1, min(v + desc.k, 2**desc.n) + 1)  # type: ignore[operator]
 
     def size(self, desc: ClassDescriptor) -> int:
-        top, total = 2**desc.n, 1  # the empty window
-        for v in range(1, top + 1):
-            total += 2 ** (min(v + desc.k, top) - v)  # type: ignore[operator]
-        return total
+        """The empty window plus 2^(min(v + k, top) - v) per least element v, in closed form.
+
+        With k' = min(k, top), the top - k' values v up to top - k' each
+        add 2^k', and the last k' add 2^(k'-1) + ... + 1 = 2^k' - 1, so the
+        size is (top - k' + 1) * 2^k'.
+        """
+        top = 2**desc.n
+        k = min(desc.k, top)  # type: ignore[type-var]
+        return (top - k + 1) << k
 
     def members(self, desc: ClassDescriptor) -> Iterator[Hypothesis]:
         yield Window(desc.k, ())  # type: ignore[arg-type]

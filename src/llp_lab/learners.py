@@ -18,7 +18,8 @@ from bisect import bisect_right
 from dataclasses import field
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from itertools import accumulate
+from operator import add, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Sample, record
@@ -143,12 +144,16 @@ def gap_learner(
     On the lcm D of their denominators the values are counts v * D out of
     D, so the pick is `_nearest_count`; being distinct, they need no
     encoding tie-break.  The counts are the values' `ladder`, kept on
-    `gap_values`' dict and built here for any other.
+    `gap_values`' dict and built here for any other.  The residual is
+    taken in integers, one Fraction: |count * q - p * D| / (D * q) for
+    p_hat = p/q.
     """
     values = gap_values(desc, dist, budget) if values is None else _GapValues.of(values)
     d, counts = values.ladder
-    best = Fraction(_nearest_count(counts, d, p_hat), d)
-    return LearnerOutcome(values[best], best, abs(best - p_hat), {"candidates": len(values)})
+    count = _nearest_count(counts, d, p_hat)
+    best = Fraction(count, d)
+    p, q = p_hat.as_integer_ratio()
+    return LearnerOutcome(values[best], best, Fraction(abs(count * q - p * d), d * q), {"candidates": len(values)})
 
 
 def erm_proportion_matcher(
@@ -213,22 +218,18 @@ def _nat_sample_items(sample: Sample) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(zip(*packed)) if packed else ((), ())  # type: ignore[return-value]
 
 
-def _suffix_reach(mults: tuple[int, ...], cap: int) -> list[int]:
-    """Subset sums of each suffix of `mults`, as bitsets capped at `cap`.
+def _suffix_reach(mults: tuple[int, ...]) -> list[int]:
+    """Subset sums of each suffix of `mults`, as bitsets.
 
-    Bit s of `reach[i]` is set iff some subset of mults[i:] sums to s <= cap.
-    Each set is the next one shift-or'ed by the item's multiplicity.  No
-    sum passes the total of `mults`, so the cap clears bits only below the
-    total: then, and only then, each set is masked to cap + 1 bits, once.
+    Bit s of `reach[i]` is set iff some subset of mults[i:] sums to s.
+    Each set is the next one shift-or'ed by the item's multiplicity; no
+    sum passes the total of `mults`, so the sets need no mask.
     """
     reach = [0] * (len(mults) + 1)
     reach[-1] = 1
     for i in range(len(mults) - 1, -1, -1):
         below = reach[i + 1]
         reach[i] = below | below << mults[i]
-    if sum(mults) > cap:
-        mask = (1 << (cap + 1)) - 1
-        reach = [r & mask for r in reach]
     return reach
 
 
@@ -252,8 +253,8 @@ def _least_subset(
 ) -> list[int]:
     """The lexicographically least list of points whose mults sum to total.
 
-    `reach` is `_suffix_reach(mults, cap)` with cap >= total, and bit total
-    of `reach[0]` must be set.  Greedily, each point is taken when the rest
+    `reach` is `_suffix_reach(mults)`, and bit total of `reach[0]` must be
+    set.  Greedily, each point is taken when the rest
     of the total stays reachable from the points after it; the remainder
     reaching 0 ends the list, since every multiplicity is positive.
     """
@@ -278,11 +279,11 @@ def subset_sum_learner(sample: Sample) -> LearnerOutcome:
     among subsets achieving that sum.  `work` reports `dp_cells`, the number
     of reachable (item, sum) cells the DP extended: the sum over i of the
     population count of `reach[i+1]`, at most (m+1) * u, one
-    `int.bit_count` per item.  The DP's cap is m, the total of the
-    multiplicities, so `_suffix_reach` masks nothing.
+    `int.bit_count` per item.  No sum passes m, the total of the
+    multiplicities, so the bitsets need no cap.
     """
     points, mults = _nat_sample_items(sample)
-    reach = _suffix_reach(mults, sample.m)
+    reach = _suffix_reach(mults)
     cells = sum(map(int.bit_count, reach[1:]))
     best_sum = _nearest_bit(reach[0], sample.positive_count)
     elems = _least_subset(points, mults, reach, best_sum)
@@ -321,7 +322,7 @@ def window_learner(sample: Sample, k: int) -> LearnerOutcome:
     if count:
         i = next(i for i, r in enumerate(reaches) if r >> count & 1)
         tail = slice(i + 1, ends[i])
-        rest = _least_subset(points[tail], mults[tail], _suffix_reach(mults[tail], sample.m), count - mults[i])
+        rest = _least_subset(points[tail], mults[tail], _suffix_reach(mults[tail]), count - mults[i])
         elems = (points[i], *rest)
     candidates = 1 + sum(1 << (e - i - 1) for i, e in enumerate(ends))
     return _at_count(Window(k, elems), count, sample, {"candidates": candidates})
@@ -352,16 +353,21 @@ def _window_candidates(
 def halfspace_sweep_learner(sample: Sample, seed: int) -> LearnerOutcome:
     """Randomized sweep: project on a random rational normal, cut at a midpoint.
 
-    Draws a normal with 8n-bit dyadic coordinates, sorts the distinct
-    projection values, and looks for a boundary where exactly t points (with
-    multiplicity) land strictly above; the threshold is the midpoint of the
-    adjacent projections (or sits past the extremes for all-or-nothing
-    counts).  When t falls strictly inside a block of equal projections the
-    normal is redrawn, up to `HALFSPACE_RETRIES` times.  A halfspace labels
-    whole points, so it can reach t only if t is a subset sum of the
-    sample's multiplicities: when every draw fails, the error is
-    UnreachableCount if that subset-sum bitset proves t is not one, else
-    CollisionPersistent (another normal might still realize t).
+    Draws a normal with 8n-bit dyadic coordinates and projects each packed
+    point on it as `Halfspace`'s labeler does, adding the numerators at the
+    point's set bits (coordinate 1 the high bit).  Over the distinct
+    projections q_0 < ... < q_last, `above` holds the count strictly above
+    each cut, from m down to 0, and `cuts` the cuts' numerators over
+    2 * denom: 2 q_0 - 2, then q_j + q_j+1, then 2 q_last + 2, so the
+    threshold is the midpoint of adjacent projections, or sits one step
+    past an extreme for all-or-nothing counts.  The first cut with exactly
+    t points (with multiplicity) above it is taken.  When t falls strictly
+    inside a block of equal projections the normal is redrawn, up to
+    `HALFSPACE_RETRIES` times.  A halfspace labels whole points, so it can
+    reach t only if t is a subset sum of the sample's multiplicities: when
+    every draw fails, the error is UnreachableCount if that subset-sum
+    bitset proves t is not one, else CollisionPersistent (another normal
+    might still realize t).
     """
     if sample.domain is None:
         raise DegenerateSample("the sweep learner needs a nonempty sample")
@@ -369,42 +375,26 @@ def halfspace_sweep_learner(sample: Sample, seed: int) -> LearnerOutcome:
     if kind != "bits":
         raise DomainMismatch("the sweep learner needs bit-vector points")
     B = 8 * n
-    m = sample.m
     t = sample.positive_count
     rng = random.Random(seed)
     denom = 1 << B
     for attempt in range(HALFSPACE_RETRIES + 1):
         nums = [rng.getrandbits(B) for _ in range(n)]
+        terms = [(1 << n - 1 - i, a) for i, a in enumerate(nums)]
         groups: dict[int, int] = {}  # projection -> multiplicity
-        for point, c in sample.counts:
-            proj = sum(nums[i] for i in range(n) if point[i])  # type: ignore[index]
+        for x, c in sample.packed_counts:
+            proj = sum(a for bit, a in terms if x & bit)
             groups[proj] = groups.get(proj, 0) + c
-        ordered = sorted(groups.items())  # ascending projection
-        above = m
-        boundaries = [(m, None)]  # (count strictly above, index of gap below q_j)
-        for j, (proj, mult) in enumerate(ordered):
-            above -= mult
-            boundaries.append((above, j))
-        hit = next((gap for count, gap in boundaries if count == t), -1)
-        if hit != -1 or t == m:
-            if t == m:
-                threshold = Fraction(ordered[0][0] - 1, denom)
-            elif hit == len(ordered) - 1:
-                threshold = Fraction(ordered[-1][0] + 1, denom)
-            else:
-                q_low = ordered[hit][0]  # type: ignore[index]
-                q_high = ordered[hit + 1][0]  # type: ignore[index]
-                threshold = Fraction(q_low + q_high, 2 * denom)
-            normal = tuple(Fraction(c, denom) for c in nums)
-            h = Halfspace(normal, threshold)
-            achieved = Fraction(t, m) if m else Fraction(0)
-            return LearnerOutcome(
-                h, achieved, abs(achieved - sample.p_hat), {"draws": attempt + 1}
-            )
-    mults = tuple(c for _, c in sample.counts)
-    reachable = _suffix_reach(mults, t)[0] >> t & 1
+        ordered = sorted(groups)
+        above = list(accumulate(map(groups.__getitem__, ordered), sub, initial=sample.m))
+        if t in above:
+            cuts = [2 * ordered[0] - 2, *map(add, ordered, ordered[1:]), 2 * ordered[-1] + 2]
+            threshold = Fraction(cuts[above.index(t)], 2 * denom)
+            normal = tuple(Fraction(a, denom) for a in nums)
+            return _at_count(Halfspace(normal, threshold), t, sample, {"draws": attempt + 1})
+    reachable = _suffix_reach(tuple(c for _, c in sample.packed_counts))[0] >> t & 1
     failure = CollisionPersistent if reachable else UnreachableCount
-    raise failure(f"count {t} of {m} not realizable after {HALFSPACE_RETRIES + 1} draws")
+    raise failure(f"count {t} of {sample.m} not realizable after {HALFSPACE_RETRIES + 1} draws")
 
 
 def noisy_parity_uniform_learner(

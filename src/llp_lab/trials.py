@@ -25,6 +25,7 @@ from .core import (
     DISTRIBUTION,
     RATIONAL,
     REQUIRED,
+    ExplicitDistribution,
     FiniteDistribution,
     Sample,
     _coin_flips,
@@ -160,7 +161,8 @@ class TrialConfig:
     Epsilon may be 0, unlike `LLPTask`'s, which lies in (0, 1): a trial at
     epsilon = 0 succeeds only when the hypothesis's true proportion equals
     the target's exactly, the rate criterion 12 estimates for the noisy
-    distinguisher.
+    distinguisher.  The "gap" and "uniform-convergence" sizes are read off
+    the class, so those m modes need `desc`.
     """
 
     learner: str
@@ -210,6 +212,8 @@ class TrialConfig:
                 raise InvalidParams("the noisy distinguisher needs eta and eta_prime")
             if _support_domain(self.distribution)[0] != "bits":  # type: ignore[index]
                 raise InvalidParams("the noisy distinguisher needs a distribution over bit vectors")
+        if self.m_mode in ("gap", "uniform-convergence") and self.desc is None:
+            raise InvalidParams(f"m_mode {self.m_mode!r} needs a class descriptor")
 
 
 def resolve_m(config: TrialConfig, values: dict[Fraction, Hypothesis] | None = None) -> int:
@@ -238,8 +242,6 @@ def resolve_m(config: TrialConfig, values: dict[Fraction, Hypothesis] | None = N
     assert config.desc is not None
     d = vc_dimension(config.desc)
     if d == float("inf"):
-        from .core import ExplicitDistribution
-
         if not isinstance(config.distribution, ExplicitDistribution):
             raise InvalidParams("no finite dimension and no explicit support to fall back on")
         d = len(config.distribution.atoms)

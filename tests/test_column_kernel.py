@@ -4,9 +4,8 @@
 built when first read; `_labeling_bitsets` walks a class over a sample as
 distinct labelings (the GF(2) span of the columns for parities, OR and AND folds of them for
 disjunctions and conjunctions, one `labeler` per member for windows and
-finite subsets); `_bitset_weigher` weighs a labeling by a direct sum when
-there are no more items than bits in the largest multiplicity, else by the
-bit planes of the multiplicities.  The brute oracle's count table, ERM's
+finite subsets); `_bitset_weigher` weighs a labeling by the bit planes of
+the multiplicities, however few the items.  The brute oracle's count table, ERM's
 labelings and the noisy-parity disagreement count run on them.  Each test holds one of
 those callers to the per-hypothesis scan it replaced.  Sizes are drawn
 around the byte chunks and 64-bit lanes of the transpose on purpose: n in
@@ -202,7 +201,7 @@ def test_planes_built_on_first_read_are_the_bit_planes(data):
 
 
 def _weigher_example(u, top, vecs=(0b1011, 0x5555_5555_5555_5555_5)):
-    """u weights, the first `top` and the rest 1..3: at most as many items as bits of `top` sum directly."""
+    """u weights, the first `top` and the rest 1..3: as many planes as bits of `top`, over u items."""
     return example(weights=[top, *(1 + j % 3 for j in range(u - 1))][:u], vecs=list(vecs))
 
 
@@ -212,7 +211,7 @@ def _weigher_example(u, top, vecs=(0b1011, 0x5555_5555_5555_5555_5)):
     vecs=st.lists(st.integers(0, 2**65 - 1), min_size=1, max_size=8),
 )
 @_weigher_example(0, 0)  # the empty list
-@_weigher_example(7, 255)  # 8 bits: one item fewer, as many, one more
+@_weigher_example(7, 255)  # 8 planes over one item fewer, as many, one more
 @_weigher_example(8, 255)
 @_weigher_example(9, 255)
 @_weigher_example(3, 2**64, (0b101, 0b111))  # weights of 2^64 and above
@@ -238,7 +237,7 @@ def _table_example(desc, domain, packed):
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_cube_cases(), _nat_cases()))
-# fewer points than bits in the largest multiplicity, as many, and one more: direct sums, then bit planes
+# fewer points than bits in the largest multiplicity, as many, and one more: planes wider than the points
 @_table_example(ClassDescriptor("monotone_disjunction", 3), ("bits", 3), ((1, 300), (6, 5)))
 @_table_example(ClassDescriptor("parity", 3), ("bits", 3), ((1, 7), (2, 1), (5, 3)))
 @_table_example(ClassDescriptor("monotone_conjunction", 2), ("bits", 2), ((0, 7), (1, 2), (2, 5), (3, 1)))

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from llp_lab import (
+    BudgetExceeded,
     CLASS_IDS,
     ClassDescriptor,
     ConstantRandom,
@@ -148,6 +149,29 @@ def test_enumerate_finite_subsets_over_ground_set():
     hs = list(enumerate_class(desc))
     assert len(hs) == 8
     assert class_size(desc) == 8
+
+
+def _window_size_loop(n, k):
+    """The window class's size as a loop over least elements: the reference."""
+    top, total = 2**n, 1  # the empty window
+    for v in range(1, top + 1):
+        total += 2 ** (min(v + k, top) - v)
+    return total
+
+
+def test_window_size_closed_form_matches_the_loop():
+    for n in range(1, 11):
+        for k in range(13):
+            assert class_size(ClassDescriptor("window", n, k=k)) == _window_size_loop(n, k), (n, k)
+    assert [len(list(enumerate_class(ClassDescriptor("window", 2, k=k)))) for k in range(6)] == [
+        _window_size_loop(2, k) for k in range(6)
+    ]
+
+
+def test_window_class_past_its_budget_is_refused_at_once():
+    # sized in closed form: no loop over the 2^40 least elements before the refusal
+    with pytest.raises(BudgetExceeded):
+        enumerate_class(ClassDescriptor("window", 40, k=3), budget=10)
 
 
 def test_enumerate_finite_subset_without_ground_set_fails():

@@ -44,7 +44,7 @@ from llp_lab import (
     window_learner,
 )
 from llp_lab import learners
-from llp_lab.learners import _best_ranked, _suffix_reach, _window_candidates
+from llp_lab.learners import LearnerOutcome, _best_ranked, _suffix_reach, _window_candidates
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 SUBSETS_12 = ClassDescriptor("finite_subset", 1, ground_set=(1, 2))
@@ -90,6 +90,16 @@ def test_gap_learner_tie_prefers_smaller_value():
     assert out.achieved == F(3, 10)
     assert out.hypothesis == FiniteSubset((1,))
     assert out.residual == F(1, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(0, 1, max_denominator=10**30))
+@example(F(1, 2))  # a tie, at the midpoint of 3/10 and 7/10
+@example(F(1))
+def test_gap_learner_residual_in_integers_matches_the_fraction_form(p_hat):
+    out = gap_learner(SUBSETS_12, TWO_ATOM, p_hat)
+    assert type(out.residual) is F
+    assert out.residual == abs(out.achieved - p_hat)
 
 
 def test_erm_realizable_task_has_zero_residual():
@@ -205,13 +215,14 @@ def test_subset_sum_matches_brute_force(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 12), max_size=12), st.integers(0, 60))
-@example([3, 5, 4], 12)  # cap = the total: no bit to clear, no mask
-@example([3, 5, 4], 40)  # cap above the total
-@example([3, 5, 4], 7)  # cap below the total: sums 8, 9 and 12 cleared
-def test_suffix_reach_matches_set_dp_below_the_cap(mults, cap):
-    reach = _suffix_reach(tuple(mults), cap)
-    ref, _ = _set_reach(mults, cap)
+@given(st.lists(st.integers(1, 12), max_size=12))
+@example([3, 5, 4])  # reach[0] holds the total, 12
+@example([7])
+@example([])
+def test_suffix_reach_matches_set_dp_below_the_cap(mults):
+    # the cap is the total, which no subset sum passes
+    reach = _suffix_reach(tuple(mults))
+    ref, _ = _set_reach(mults, sum(mults))
     assert reach == [sum(1 << s for s in sums) for sums in ref]
 
 
@@ -483,6 +494,103 @@ def test_halfspace_retry_counter_bounded():
     sample = Sample(((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)), F(1, 4))
     out = halfspace_sweep_learner(sample, seed=2)
     assert 1 <= out.work["draws"] <= 3
+
+
+def _tuple_sweep(counts, n, t, seed):
+    """`halfspace_sweep_learner` as it read tuple points: the reference.
+
+    `counts` holds (bit tuple, multiplicity) pairs.  Each point projects
+    coordinate by coordinate, and a list of (count strictly above, index
+    of the gap below q_j) boundaries picks the threshold in three cases.
+    """
+    B = 8 * n
+    m = sum(c for _, c in counts)
+    rng = random.Random(seed)
+    denom = 1 << B
+    for attempt in range(learners.HALFSPACE_RETRIES + 1):
+        nums = [rng.getrandbits(B) for _ in range(n)]
+        groups = {}  # projection -> multiplicity
+        for point, c in counts:
+            proj = sum(nums[i] for i in range(n) if point[i])
+            groups[proj] = groups.get(proj, 0) + c
+        ordered = sorted(groups.items())
+        above = m
+        boundaries = [(m, None)]
+        for j, (proj, mult) in enumerate(ordered):
+            above -= mult
+            boundaries.append((above, j))
+        hit = next((gap for count, gap in boundaries if count == t), -1)
+        if hit != -1 or t == m:
+            if t == m:
+                threshold = F(ordered[0][0] - 1, denom)
+            elif hit == len(ordered) - 1:
+                threshold = F(ordered[-1][0] + 1, denom)
+            else:
+                threshold = F(ordered[hit][0] + ordered[hit + 1][0], 2 * denom)
+            normal = tuple(F(c, denom) for c in nums)
+            achieved = F(t, m)
+            return LearnerOutcome(
+                Halfspace(normal, threshold), achieved, abs(achieved - F(t, m)), {"draws": attempt + 1}
+            )
+    reach, _ = _set_reach([c for _, c in counts], t)
+    failure = CollisionPersistent if t in reach[0] else UnreachableCount
+    raise failure(f"count {t} of {m} not realizable after {learners.HALFSPACE_RETRIES + 1} draws")
+
+
+@st.composite
+def sweep_cases(draw, widths=st.integers(1, 4), mults=st.integers(1, 4)):
+    """Distinct points of the n-cube with multiplicities, a target count t and a seed.
+
+    The default few narrow points of repeated multiplicity make the blocks
+    that defeat every draw common, so both errors show up.
+    """
+    n = draw(widths)
+    xs = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=6, unique=True))
+    counts = [(tuple(x >> (n - 1 - i) & 1 for i in range(n)), draw(mults)) for x in xs]
+    m = sum(c for _, c in counts)
+    t = draw(st.one_of(st.just(0), st.just(m), st.integers(0, m)))
+    return counts, n, t, draw(st.integers(0, 2**32))
+
+
+def _sweep_example(counts, t, seed=5):
+    return example((counts, len(counts[0][0]), t, seed))
+
+
+def _outcome_or_error(run, *args):
+    try:
+        return run(*args)
+    except (UnreachableCount, CollisionPersistent) as exc:
+        return type(exc), str(exc)
+
+
+def _sweeps_agree(counts, n, t, seed):
+    pts = tuple(p for p, c in counts for _ in range(c))
+    got = _outcome_or_error(halfspace_sweep_learner, Sample(pts, F(t, len(pts))), seed)
+    ref = _outcome_or_error(_tuple_sweep, counts, n, t, seed)
+    assert got == ref
+    if isinstance(got, LearnerOutcome):
+        assert encode(got.hypothesis) == encode(ref.hypothesis)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sweep_cases())
+@_sweep_example([((0, 1), 2), ((1, 1), 1)], 0)  # t = 0: the cut past the top projection
+@_sweep_example([((0, 1), 2), ((1, 1), 1)], 3)  # t = m: the cut below the least projection
+@_sweep_example([((0, 0, 0), 3)], 3)  # the all-zero point alone, projecting to 0
+@_sweep_example([((0, 0, 0), 2), ((1, 0, 1), 1)], 1)  # the all-zero point below a midpoint
+@_sweep_example([((1, 0), 4)], 1)  # a block of 4 never splits: UnreachableCount
+# 6 = 1 + 2 + 3, but 00 always projects lowest and 11 highest: CollisionPersistent
+@_sweep_example([((0, 0), 1), ((0, 1), 2), ((1, 0), 2), ((1, 1), 3)], 6)
+def test_sweep_matches_the_tuple_sweep(case):
+    """Normals, thresholds, `work` and the error's type and text, as the tuple sweep gave them."""
+    _sweeps_agree(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases(widths=st.integers(1, 40), mults=st.integers(1, 2)))
+def test_sweep_projects_packed_points_as_the_tuple_projection(case):
+    """Widths 1-40: the packed projection (coordinate 1 the high bit) orders the points as the tuple one does."""
+    _sweeps_agree(*case)
 
 
 def test_noisy_parity_threshold_below():

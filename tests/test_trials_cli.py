@@ -588,6 +588,18 @@ def test_cli_trials_print_config(tmp_path, capsys):
     assert cfg["epsilon"] == {"num": 1, "den": 10}
 
 
+@pytest.mark.parametrize("m_mode", ["gap", "uniform-convergence"])
+@pytest.mark.parametrize("print_config", [False, True])
+def test_class_sized_m_modes_refuse_a_config_without_a_class(tmp_path, capsys, m_mode, print_config):
+    # both sizes read the class: without one, a typed refusal at construction, before resolve_m
+    with pytest.raises(InvalidParams, match="needs a class descriptor"):
+        improper_config(m=None, m_mode=m_mode)
+    cfg_path = write_cli_config(tmp_path, m=None, m_mode=m_mode)
+    code, out, err = run_cli(capsys, "trials", "--config", cfg_path, *["--print-config"] * print_config)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("seed", 1.0), ("seed", True), ("trials", True), ("trials", 5.0), ("m", True), ("m", 4.0), ("record_ms", "no")],
