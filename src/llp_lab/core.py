@@ -19,7 +19,7 @@ from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, fields
 from dataclasses import _FIELD_INITVAR, _HAS_DEFAULT_FACTORY  # dataclass's markers of InitVars and factories
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, repeat, starmap
 from operator import attrgetter, itemgetter
 from reprlib import recursive_repr
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -62,9 +62,6 @@ __all__ = [
     "point_domain",
     "check_same_domain",
     "derive_seed",
-    "draw_points",
-    "draw_counts",
-    "points_from_counts",
     "parse_rational",
     "rational_to_json",
     "rational_from_json",
@@ -203,8 +200,9 @@ def _record_init(cls: type, own: tuple[Field, ...]) -> Callable[..., None]:
 
 
 def bits_from_string(s: str) -> Bits:
+    """The bit vector spelled by a nonempty string of 0s and 1s; MalformedEncoding for anything else."""
     if not isinstance(s, str) or not s or any(ch not in "01" for ch in s):
-        raise ValueError(f"not a bit string: {s!r}")
+        raise MalformedEncoding(f"not a bit string: {s!r}")
     return tuple(int(ch) for ch in s)
 
 
@@ -303,7 +301,7 @@ class ExplicitDistribution:
 
         Atom (p, w) becomes packed p with multiplicity w * D, so true
         proportions are empirical ones here.  The support is checked once, on
-        first use.  Its `points` are never read: D can be astronomically large.
+        first use.  Its order is never expanded: D can be astronomically large.
         """
         d = math.lcm(*(w.denominator for _, w in self.atoms))
         packed = tuple((_pack(p), w.numerator * (d // w.denominator)) for p, w in self.atoms)
@@ -432,12 +430,13 @@ class Sample:
     builds `_draws` from it on first read.  A masked sample (`_kept`)
     holds all of a draw's packed points and a bitset of the ones it keeps:
     its `packed_counts` and `_draws` are the kept draws', built on first
-    read.  `Sample(points, p_hat)` checks every point and packs them in
-    the given order; the drawing helpers build the same form unchecked,
-    through `_sample_packed`.  `points` and `counts` are views of it,
-    built on first read.  Samples are immutable.  Two samples are equal
-    when their points and p_hat are; two samples without draw order
-    compare, hash and print without building their points.
+    read.  `Sample(points, p_hat)` reads the points once, checks each and
+    packs them in the given order; the drawing helpers build the same form
+    unchecked, through `_sample_packed`.  The codec, the repr and
+    `draw_labeled_points` unpack `_order()` where they hand out tuple
+    points.  Samples are immutable.  Two samples are equal
+    when their points, in order, and p_hat are; two samples without draw
+    order compare, hash and print without expanding their counts.
     """
 
     domain: tuple[str, int | None] | None
@@ -446,7 +445,8 @@ class Sample:
     p_hat: Fraction
     _kept: _Kept | None = None  # a masked sample's draws and keep bitset (`_sample_packed`)
 
-    def __init__(self, points: Sequence[Point], p_hat: Fraction) -> None:
+    def __init__(self, points: Iterable[Point], p_hat: Fraction) -> None:
+        points = tuple(points)  # a one-shot iterable is read once, here
         domain = check_same_domain(points)
         draws = tuple(map(_pack, points))
         self.__dict__.update(_sample_packed(domain, _packed_counts(draws), len(draws), p_hat, draws).__dict__)
@@ -469,7 +469,7 @@ class Sample:
     def __repr__(self) -> str:
         if self._draws is None:
             return f"Sample(m={self.m!r}, p_hat={self.p_hat!r}, packed_counts={self.packed_counts!r})"
-        return f"Sample(points={self.points!r}, p_hat={self.p_hat!r})"
+        return f"Sample(points={_unpack(self.domain, self._order())!r}, p_hat={self.p_hat!r})"
 
     @cached_property
     def packed_counts(self) -> tuple[tuple[int, int], ...]:  # type: ignore[no-redef]
@@ -491,32 +491,14 @@ class Sample:
         return tuple(map(atoms.__getitem__, index))
 
     def _order(self) -> tuple[int, ...]:
-        """The packed points in order: `_draws`, else the counts expanded."""
+        """The packed points in order: `_draws`, else the counts expanded, each point repeated by its count."""
         draws = self._draws
-        return points_from_counts(self.packed_counts) if draws is None else draws  # type: ignore[return-value]
-
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        """The points in draw order, else sorted: `_order()` unpacked."""
-        return _unpack(self.domain, self._order())
+        return tuple(chain.from_iterable(starmap(repeat, self.packed_counts))) if draws is None else draws
 
     @property
     def positive_count(self) -> int:
         """p_hat * m, in integers: the numerator times m over the denominator, which divides m."""
         return self.p_hat.numerator * self.m // self.p_hat.denominator
-
-    @cached_property
-    def counts(self) -> tuple[tuple[Point, int], ...]:
-        """Unique points with multiplicities, sorted canonically."""
-        packed = self.packed_counts
-        return tuple(zip(_unpack(self.domain, [x for x, _ in packed]), [c for _, c in packed]))
-
-
-def points_from_counts(counts: Iterable[tuple[Point, int]]) -> tuple[Point, ...]:
-    parts: list[Point] = []
-    for point, c in counts:
-        parts.extend([point] * c)
-    return tuple(parts)
 
 
 def _packed_counts(draws: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -605,8 +587,7 @@ def _claim_samples(sample: Sample) -> Iterator[tuple[Fraction, Sample]]:
     `sample` is the base, fresh from `_sample_packed`.  Each claim's
     sample is a fresh Sample holding a copy of the base's attributes with
     `p_hat` set, so the samples share the packed counts and draw order, or
-    a masked base's `_Kept`, but no cache of `points` or `counts`; j/m is
-    valid for m by construction.
+    a masked base's `_Kept`; j/m is valid for m by construction.
     """
     state = sample.__dict__
     den = sample.m or 1
@@ -827,18 +808,6 @@ def _draw_packed(
     return tuple(out)
 
 
-def draw_counts(dist: ExplicitDistribution, m: int, seed: int) -> tuple[tuple[Point, int], ...]:
-    """m i.i.d. draws as Sample.counts: `_draw_packed` on `dist.weighted`'s packed counts and size, unpacked.
-
-    The counts are numpy's `Generator(PCG64(seed)).binomial` draws, bit for
-    bit.  InvalidParams unless the seed is an int >= 0 and 0 <= m < 2**63.
-    """
-    _check_seed(seed)
-    return _sample_packed(
-        dist.weighted.domain, _draw_packed(dist.weighted.packed_counts, dist.weighted.m, m, seed), m, Fraction(0)
-    ).counts
-
-
 def _draw_small(dist: ExplicitDistribution, m: int, seed: int) -> list[int]:
     """m draws, packed, by one `random()` and one bisection of the cuts `dist.cdf` each.
 
@@ -933,11 +902,6 @@ def _draw(dist: FiniteDistribution, m: int, seed: int) -> Sample:
     """m i.i.d. draws (`_drawn`) as a sample with p_hat 0; identical arguments give identical draws."""
     domain, counts, draws, atoms = _drawn(dist, m, seed)
     return _sample_packed(domain, counts, m, Fraction(0), draws, atoms)
-
-
-def draw_points(dist: FiniteDistribution, m: int, seed: int) -> tuple[Point, ...]:
-    """m i.i.d. draws, the points of `_draw`: in draw order, or grouped by atom for a binomial draw."""
-    return _draw(dist, m, seed).points
 
 
 # ---------------------------------------------------------------------------
@@ -1082,7 +1046,7 @@ DISTRIBUTION = (distribution_to_json, distribution_from_json)
 
 def sample_to_json(sample: Sample) -> dict:
     return {
-        "points": [point_to_json(p) for p in sample.points],
+        "points": [point_to_json(p) for p in _unpack(sample.domain, sample._order())],
         "p_hat_num": sample.p_hat.numerator,
         "p_hat_den": sample.p_hat.denominator,
     }

@@ -103,8 +103,8 @@ class LLPOracle:
     the claims share its packed-counts object, or a masked base's kept
     draws, whose packed counts are built once for all of them.  `solve`
     should read the sample's own form, `sample.packed_counts`,
-    `sample.domain` and `sample.m`: `points` and `counts` are views of it,
-    built on first read, O(m) for each fresh sample.
+    `sample.domain` and `sample.m`; expanding its order (`_order()`) costs
+    O(m) for each fresh sample.
 
     `sweep(sample, epsilon, delta)`, optional, answers a whole claim ladder
     over the base `sample` at once (its `p_hat` is not read): it yields

@@ -26,6 +26,7 @@ from .core import (
     _draw,
     _drawn,
     _sample_packed,
+    _unpack,
     derive_seed,
     from_fields,
     parse_rational,
@@ -145,14 +146,15 @@ def draw_labeled_points(
 ) -> tuple[tuple[Point, ...], tuple[int, ...]]:
     """m seeded i.i.d. draws with their target labels: `_draw`, then the labels.
 
-    The points are `draw_points`'.  Proper targets are labeled once per
-    distinct point, by the labeling kernel.  A constant-random target
-    (`_coin_bias`) flips one coin per example (`_random_labels`), the
-    `random()` calls of `evaluate` from a seed derived from `seed`, read in
-    bulk by `_coin_flips`.
+    The points are the draw's packed points (`Sample._order()`) unpacked:
+    in draw order, or grouped by atom for a binomial draw.  Proper targets
+    are labeled once per distinct point, by the labeling kernel.  A
+    constant-random target (`_coin_bias`) flips one coin per example
+    (`_random_labels`), the `random()` calls of `evaluate` from a seed
+    derived from `seed`, read in bulk by `_coin_flips`.
     """
     sample = _draw(dist, m, seed)
-    points = sample.points
+    points = _unpack(sample.domain, sample._order())
     bias = _coin_bias(target)
     if bias is not None:
         return points, tuple(_random_labels(bias, m, seed))
@@ -167,9 +169,9 @@ def draw_sample(dist: FiniteDistribution, m: int, seed: int, target: Hypothesis)
     """Sample of m draws carrying the exact positive fraction under `target`.
 
     Fully reproducible: identical (dist, m, seed, target) gives an identical
-    Sample object, field for field.  The draws are `_draw`'s, the points of
-    `draw_points`, and one Sample is built from them; no drawn point is
-    re-checked (an explicit distribution's atoms are checked once, by
+    Sample object, field for field.  The draws are `_draw`'s, the points
+    of `draw_labeled_points`, and one Sample is built from them; no drawn
+    point is re-checked (an explicit distribution's atoms are checked once, by
     `ExplicitDistribution.weighted`).  A proper target's positives are
     weighed by the labeling kernel, each distinct point labeled once; a
     constant-random target's are the coins `draw_labeled_points` flips for

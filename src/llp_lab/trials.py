@@ -440,7 +440,7 @@ def _float_quantile(n: int, k: int, target: float) -> float:
     lo, hi = 0.0, 1.0
     q = j / (n + 1)
     while True:
-        mass = _float_mass(n, q, j, n)
+        mass = _float_mass(n, q, j)
         if mass < goal:
             lo = q
         else:
@@ -473,17 +473,17 @@ def _tail_sum(n: int, k: int, a: int, b: int) -> int:
     return total * a**k
 
 
-def _float_mass(n: int, p: float, first: int, last: int) -> float:
-    """P(first <= X <= last) for X ~ Bin(n, p), 0 < p < 1, in floats: a search estimate only.
+def _float_mass(n: int, p: float, first: int) -> float:
+    """P(X >= first) for X ~ Bin(n, p), 0 < p < 1, in floats: a search estimate only.
 
-    Sums outward from the range's largest term, whose logarithm is the one
+    Sums outward from the tail's largest term, whose logarithm is the one
     costly step; the other terms follow by the ratio of consecutive terms.
     """
     odds = p / (1.0 - p)
-    top = min(last, max(first, int((n + 1) * p)))
+    top = max(first, int((n + 1) * p))
     log_top = math.log(math.comb(n, top)) + top * math.log(p) + (n - top) * math.log1p(-p)
     total = term = 1.0
-    for j in range(top, last):
+    for j in range(top, n):
         term *= (n - j) / (j + 1) * odds
         total += term
         if term < total * 1e-17:

@@ -59,6 +59,7 @@ from llp_lab import (
     window_learner,
     x3c_to_epsc,
 )
+from test_point_form import _tuple_counts
 
 MASTER = 1009
 
@@ -125,7 +126,7 @@ def test_criterion_02_subset_sum_dp_exact():
 
 def _window_brute(sample: Sample, k: int):
     """Span-aware reference: anchors plus subsets of points within reach."""
-    uniq = sorted(p for p, _ in sample.counts)
+    uniq = sorted(p for p, _ in _tuple_counts(sample))
     best = None
     for combo in itertools.chain(
         [()],

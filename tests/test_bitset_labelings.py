@@ -27,13 +27,14 @@ from llp_lab import (
     evaluate,
     ranking_key,
 )
+from test_point_form import _tuple_counts
 
 CHUNK_EDGES = (0, 7, 8, 9, 64, 65)
 
 
 def _reference_labelings(desc, sample):
     """labeling -> encoding-minimal witness, over the whole class."""
-    uniq = [p for p, _ in sample.counts]
+    uniq = [p for p, _ in _tuple_counts(sample)]
     found = {}
     for h in enumerate_class(desc):
         lab = tuple(evaluate(h, x) for x in uniq)
@@ -47,7 +48,7 @@ def _reference_erm(desc, sample):
     m, t = sample.m, sample.positive_count
     best = None
     for h in enumerate_class(desc):
-        count = sum(c for p, c in sample.counts if evaluate(h, p))
+        count = sum(c for p, c in _tuple_counts(sample) if evaluate(h, p))
         key = ranking_key(F(abs(count - t), m) if m else F(0), count, h)
         if best is None or key < best[0]:
             best = (key, h)

@@ -30,8 +30,7 @@ from llp_lab import (
     derive_seed,
     distribution_from_json,
     distribution_to_json,
-    draw_counts,
-    draw_points,
+    draw_labeled_points,
     draw_sample,
     make_distribution,
     normalized,
@@ -46,7 +45,7 @@ from llp_lab import (
     weight_of,
 )
 from llp_lab.bounds import BoundReport
-from llp_lab.core import _pack, _sample_packed, _unpack, _unpack_bits
+from llp_lab.core import _draw_packed, _pack, _sample_packed, _unpack, _unpack_bits
 from llp_lab.learners import LearnerOutcome
 from llp_lab.oracles import BruteForceReport, make_brute_oracle
 from llp_lab.reductions import (
@@ -57,6 +56,7 @@ from llp_lab.reductions import (
     PacRun,
     Transcript,
 )
+from test_point_form import _tuple_points
 from wire_values import (
     configs,
     consistency_instances,
@@ -152,14 +152,26 @@ def test_sample_rejects_mixed_domains():
 
 def test_empty_sample():
     s = Sample((), F(0))
-    assert s.counts == ()
+    assert (s.domain, s.packed_counts, s._order()) == (None, (), ())
     with pytest.raises(ValueError):
         Sample((), F(1))
 
 
+@pytest.mark.parametrize(
+    "points",
+    [((0, 1), (0, 1)), ((1, 1, 0), (0, 0, 1), (1, 1, 0)), (5, 9, 5, 12), (0,), ()],
+)
+def test_sample_reads_a_one_shot_iterable_once(points):
+    # a generator of the points makes the sample the tuple makes, at every p_hat
+    for j in range(len(points) + 1):
+        p_hat = F(j, len(points) or 1)
+        assert Sample((p for p in points), p_hat) == Sample(points, p_hat)
+        assert Sample(iter(points), p_hat).domain == Sample(points, p_hat).domain
+
+
 def test_sample_counts_aggregate_with_multiplicity():
     s = Sample((5, 9, 5, 12), F(1, 2))
-    assert s.counts == ((5, 2), (9, 1), (12, 1))
+    assert s.packed_counts == ((5, 2), (9, 1), (12, 1))
 
 
 def test_point_domain():
@@ -188,21 +200,20 @@ def test_unpack_bits_matches_the_per_bit_reference():
 def test_draw_sample_constant_zero_target_gives_zero_p_hat():
     s = draw_sample(TWO_ATOM, 5, seed=11, target=FiniteSubset(()))
     assert s.p_hat == 0
-    assert len(s.points) == 5
+    assert s.m == len(s._order()) == 5
 
 
 def test_draw_sample_single_atom_forces_outcome():
     dist = make_distribution([(1, F(1))])
     s = draw_sample(dist, 4, seed=3, target=FiniteSubset((1,)))
-    assert s.points == (1, 1, 1, 1)
-    assert s.p_hat == 1
+    assert s == Sample((1, 1, 1, 1), F(1))
 
 
 def test_draw_sample_p_hat_matches_replayed_labels():
     cube = UniformCube(8)
     target = Parity((0, 0, 0, 0, 0, 0, 0, 1))
     s = draw_sample(cube, 1000, seed=42, target=target)
-    labeled = sum(x[-1] for x in s.points)
+    labeled = sum(x & 1 for x in s._order())  # the last coordinate is the low bit
     assert s.p_hat == F(labeled, 1000)
 
 
@@ -213,19 +224,21 @@ def test_draw_sample_deterministic():
 
 
 def test_draw_points_seed_sensitivity():
-    a = draw_points(TWO_ATOM, 30, seed=1)
-    b = draw_points(TWO_ATOM, 30, seed=2)
+    a = draw_labeled_points(TWO_ATOM, 30, 1, FiniteSubset(()))[0]
+    b = draw_labeled_points(TWO_ATOM, 30, 2, FiniteSubset(()))[0]
     assert a != b
 
 
 def test_draw_counts_matches_draw_points():
-    # the bulk path must stay the law of the per-point path
+    # the bulk path must stay the law of the per-point path: the binomial
+    # draw's packed counts are the counts of the points drawn at that m
     m = COUNT_DRAW_MIN
-    counts = dict(draw_counts(TWO_ATOM, m, seed=5))
+    weighted = TWO_ATOM.weighted
+    counts = dict(_draw_packed(weighted.packed_counts, weighted.m, m, 5))
     assert sum(counts.values()) == m
     assert set(counts) <= {1, 2}
     assert all(c >= 1 for c in counts.values())
-    pts = draw_points(TWO_ATOM, m, seed=5)
+    pts = draw_labeled_points(TWO_ATOM, m, 5, FiniteSubset(()))[0]
     assert {p: pts.count(p) for p in set(pts)} == counts
 
 
@@ -287,7 +300,7 @@ def test_sample_counts_are_a_multiset_of_points(raw):
     p_hat = F(0)
     s = Sample(tuple(raw), p_hat)
     total = 0
-    for point, count in s.counts:
+    for point, count in s.packed_counts:  # a natural is its own packed form
         assert count == raw.count(point)
         total += count
     assert total == len(raw)
@@ -338,10 +351,11 @@ def test_sample_trusted_agrees_with_sample(case):
 def test_sample_trusted_keeps_the_domain_and_packed_counts(points):
     points = tuple(points)
     want = Sample(points, F(0))
-    got = _sample_packed(("bits", 3) if points else None, _pack_counts(want.counts), len(points), F(0))
+    packed = _pack_counts(sorted(Counter(points).items()))
+    got = _sample_packed(("bits", 3) if points else None, packed, len(points), F(0))
     assert got.domain == want.domain == (("bits", 3) if points else None)
-    assert got.packed_counts == want.packed_counts
-    assert got.counts == want.counts
+    assert got.packed_counts == want.packed_counts == packed
+    assert got == Sample(sorted(points), F(0))
 
 
 def test_comparing_and_printing_a_weighted_sample_builds_no_points():
@@ -352,14 +366,14 @@ def test_comparing_and_printing_a_weighted_sample_builds_no_points():
     assert hash(w) == hash((1000, F(0)))
     # equal packed counts over different domains are different points
     one = [_sample_packed(domain, ((1, 1),), 1, F(0)) for domain in (("nat", None), ("bits", 2), ("bits", 3))]
-    assert [a == b for a in one for b in one] == [a.points == b.points for a in one for b in one]
+    assert [a == b for a in one for b in one] == [_tuple_points(a) == _tuple_points(b) for a in one for b in one]
     assert repr(w) == "Sample(m=1000, p_hat=Fraction(0, 1), packed_counts=((1, 1), (2, 999)))"
-    assert "points" not in w.__dict__
+    assert w.__dict__.keys() == {"domain", "m", "p_hat", "packed_counts", "_draws"}
     assert repr(Sample((2, 1), F(1, 2))) == "Sample(points=(2, 1), p_hat=Fraction(1, 2))"
     with pytest.raises(AttributeError):
         w.p_hat = F(1)
     with pytest.raises(AttributeError):
-        del Sample((2, 1), F(1, 2)).points
+        del Sample((2, 1), F(1, 2)).packed_counts
 
 
 _DOMAINS = st.sampled_from([("nat", None), ("bits", 2), ("bits", 3)])
@@ -393,10 +407,10 @@ def test_sample_equality_is_equality_of_points_and_p_hat(left, right, j, k, left
 
     samples = forms(left, j, left_domain) + forms(right, k, right_domain)
     for a in samples:
-        assert type(a.points) is tuple
+        assert type(a._order()) is tuple
         for b in samples:
             equal = a == b
-            assert equal == ((a.points, a.p_hat) == (b.points, b.p_hat))
+            assert equal == ((_tuple_points(a), a.p_hat) == (_tuple_points(b), b.p_hat))
             assert not equal or hash(a) == hash(b)
 
 

@@ -51,6 +51,7 @@ from llp_lab import (
 from llp_lab import hypotheses as hypotheses_module
 from llp_lab.core import _pack
 from llp_lab.hypotheses import INFINITE_VC, _var_mask, labeler, positive_weight
+from test_point_form import _tuple_points
 from wire_values import descriptors, hypotheses
 
 
@@ -282,7 +283,7 @@ def test_distinct_labelings_first_witness_is_encoding_minimal():
         candidates = [
             h
             for h in enumerate_class(desc)
-            if tuple(evaluate(h, x) for x in sorted(set(sample.points))) == labeling
+            if tuple(evaluate(h, x) for x in sorted(set(_tuple_points(sample)))) == labeling
         ]
         assert witness == min(candidates, key=encode)
 

@@ -45,6 +45,7 @@ from llp_lab import (
 )
 from llp_lab import learners
 from llp_lab.learners import LearnerOutcome, _best_ranked, _suffix_reach, _window_candidates
+from test_point_form import _tuple_points
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
 SUBSETS_12 = ClassDescriptor("finite_subset", 1, ground_set=(1, 2))
@@ -461,14 +462,14 @@ def test_halfspace_all_positive_extreme():
     sample = Sample(((0, 0), (1, 0), (0, 1)), F(1))
     out = halfspace_sweep_learner(sample, seed=5)
     assert out.residual == 0
-    assert all(evaluate(out.hypothesis, x) == 1 for x in sample.points)
+    assert all(evaluate(out.hypothesis, x) == 1 for x in _tuple_points(sample))
 
 
 def test_halfspace_splits_the_square():
     sample = Sample(((0, 0), (0, 1), (1, 0), (1, 1)), F(1, 2))
     out = halfspace_sweep_learner(sample, seed=5)
     assert out.residual == 0
-    assert sum(evaluate(out.hypothesis, x) for x in sample.points) == 2
+    assert sum(evaluate(out.hypothesis, x) for x in _tuple_points(sample)) == 2
 
 
 def test_halfspace_duplicate_block_unreachable():

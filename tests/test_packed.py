@@ -31,7 +31,6 @@ from llp_lab import (
     consistency_via_llp,
     derive_seed,
     draw_labeled_points,
-    draw_points,
     draw_sample,
     erm_proportion_matcher,
     evaluate,
@@ -43,10 +42,11 @@ from llp_lab import (
 )
 from llp_lab import oracles
 from llp_lab.reductions import NoisyParityRun, OracleCall
+from test_point_form import _tuple_counts, _tuple_points
 from test_reductions import _transcript_of
 
 
-def _tuple_points(n, m, seed):
+def _tuple_cube(n, m, seed):
     """The cube draw as n-tuples: one getrandbits(n) per draw, high bit first."""
     rng = random.Random(seed)
     return tuple(
@@ -56,7 +56,7 @@ def _tuple_points(n, m, seed):
 
 
 def _tuple_labeled(n, m, seed, target):
-    points = _tuple_points(n, m, seed)
+    points = _tuple_cube(n, m, seed)
     return points, tuple(int(evaluate(target, p)) for p in points)
 
 
@@ -81,20 +81,16 @@ def _cube_targets(draw, max_n=10):
     _cube_targets(),
     st.integers(min_value=0, max_value=300),
     st.integers(min_value=0, max_value=2**64 - 1),
-    st.booleans(),
 )
-def test_packed_draw_sample_matches_the_tuple_path(case, m, seed, counts_first):
+def test_packed_draw_sample_matches_the_tuple_path(case, m, seed):
     n, target = case
     points, labels = _tuple_labeled(n, m, seed, target)
     want = Sample(points, F(sum(labels), m) if m else F(0))
     got = draw_sample(UniformCube(n), m, seed, target)
-    # a trusted sample builds `counts` and `points` lazily, in either order
-    if counts_first:
-        assert got.counts == want.counts
-    assert got.points == want.points
-    assert got.counts == want.counts
+    assert _tuple_points(got) == _tuple_points(want) == points
+    assert _tuple_counts(got) == _tuple_counts(want)
     assert got == want
-    assert got == Sample(draw_points(UniformCube(n), m, seed), want.p_hat)
+    assert got == Sample(draw_labeled_points(UniformCube(n), m, seed, target)[0], want.p_hat)
     assert got.packed_counts == want.packed_counts
     assert got.domain == want.domain
     assert got.m == want.m == m
@@ -109,7 +105,6 @@ def test_packed_draw_sample_matches_the_tuple_path(case, m, seed, counts_first):
 )
 def test_packed_labeled_draw_matches_the_tuple_path(case, m, seed):
     n, target = case
-    assert draw_points(UniformCube(n), m, seed) == _tuple_points(n, m, seed)
     assert draw_labeled_points(UniformCube(n), m, seed, target) == _tuple_labeled(n, m, seed, target)
 
 
@@ -134,18 +129,14 @@ def _explicit_targets(draw):
     _explicit_targets(),
     st.integers(min_value=0, max_value=400),
     st.integers(min_value=0, max_value=2**64 - 1),
-    st.booleans(),
 )
-def test_packed_explicit_draw_sample_matches_the_tuple_path(case, m, seed, counts_first):
+def test_packed_explicit_draw_sample_matches_the_tuple_path(case, m, seed):
     dist, target = case
-    points = draw_points(dist, m, seed)
+    points = draw_labeled_points(dist, m, seed, target)[0]
     want = Sample(points, F(sum(evaluate(target, p) for p in points), m) if m else F(0))
     got = draw_sample(dist, m, seed, target)
-    assert "points" not in vars(got) and "counts" not in vars(got)
-    if counts_first:
-        assert got.counts == want.counts
-    assert got.points == want.points
-    assert got.counts == want.counts
+    assert _tuple_points(got) == _tuple_points(want) == points
+    assert _tuple_counts(got) == _tuple_counts(want)
     assert got == want
     assert got.packed_counts == want.packed_counts
     assert got.domain == want.domain
@@ -261,9 +252,10 @@ def test_distinct_samples_over_equal_points_share_one_table(builds):
     oracle = make_brute_oracle(desc)
     target = Parity((0, 1, 1, 0))
     drawn = draw_sample(UniformCube(4), 30, 8, target)
-    checked = Sample(draw_points(UniformCube(4), 30, 8), F(3, 30))
-    assert drawn is not checked and drawn.points == checked.points
-    for sample in (drawn, checked, Sample(checked.points, F(0))):
+    points = draw_labeled_points(UniformCube(4), 30, 8, target)[0]
+    checked = Sample(points, F(3, 30))
+    assert drawn is not checked and _tuple_points(drawn) == _tuple_points(checked) == points
+    for sample in (drawn, checked, Sample(points, F(0))):
         oracle.solve(sample, sample.p_hat, F(1, 10), F(1, 10))
     assert builds == [("bits", 4)]
 

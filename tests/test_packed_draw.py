@@ -2,8 +2,8 @@
 
 `core._draw_packed` draws packed counts straight off packed points and
 their integer multiplicities, given with their total.  `consistency_via_llp`
-gives it the instance's own pairs and total X; `draw_counts`, `draw_sample`'s
-large branch and `llp_to_pac` give it an explicit distribution's `weighted`
+gives it the instance's own pairs and total X; `draw_sample`'s large
+branch and `llp_to_pac` give it an explicit distribution's `weighted`
 packed counts and size (total D, the lcm of the weights' denominators).  The references below draw as those
 callers drew before: points from the distribution's atoms, one binomial per
 atom over the D-scaled weights, then packed.
@@ -39,7 +39,6 @@ from llp_lab.core import (
     _pack,
     _sample_packed,
     check_same_domain,
-    draw_counts,
     make_distribution,
 )
 from llp_lab.errors import InvalidParams
@@ -104,8 +103,8 @@ def test_packed_draw_on_raw_multiplicities_matches_the_fraction_distribution(cas
     dist = _distribution(points, mults)
     assert dist.weighted.m == X // math.gcd(*mults)
     got = _draw_packed(packed, X, m, seed)
-    assert got == _pack_counts(draw_counts(dist, m, seed)) == _pack_counts(_point_draw_counts(dist, m, seed))
-    assert draw_counts(dist, m, seed) == _point_draw_counts(dist, m, seed)
+    weighted = _draw_packed(dist.weighted.packed_counts, dist.weighted.m, m, seed)
+    assert got == weighted == _pack_counts(_point_draw_counts(dist, m, seed))
     assert sum(c for _, c in got) == m and all(c >= 1 for _, c in got)
 
 
@@ -131,7 +130,7 @@ def test_large_draw_sample_and_llp_to_pac_match_the_point_then_pack_path(case, m
     want = _sample_packed(domain, _pack_counts(counts), m, F(positives, m))
     got = draw_sample(dist, m, seed, target)
     assert (got.m, got.p_hat, got.domain, got.packed_counts) == (want.m, want.p_hat, want.domain, want.packed_counts)
-    assert got == want and "points" not in got.__dict__
+    assert got == want and got._draws is None
 
     labeled = list(zip(points, labels))
     seen = []
@@ -178,8 +177,7 @@ def test_consistency_via_llp_builds_no_distribution(monkeypatch):
         raise AssertionError("the consistency draw went through a Fraction distribution")
 
     monkeypatch.setattr(reductions, "make_distribution", refuse)
-    monkeypatch.setattr(reductions, "draw_counts", refuse, raising=False)
-    monkeypatch.setattr(core, "draw_counts", refuse)
+    monkeypatch.setattr(core.ExplicitDistribution, "weighted", property(refuse))
     assert runs() == want
 
 
@@ -190,7 +188,7 @@ def test_every_count_draw_refuses_m_from_2_to_the_63():
     dist = _distribution((3, 5), (1, 2))
     calls = [
         lambda: _draw_packed(((1, 1), (2, 1)), 2, 2**63, 0),
-        lambda: draw_counts(dist, 2**63, 1),
+        lambda: draw_sample(dist, 2**63, 1, FiniteSubset((3,))),
         lambda: draw_sample(dist, 2**64, 1, FiniteSubset((3,))),
         lambda: consistency_via_llp(inst, too_many, F(1, 20), 0),
         lambda: llp_to_pac([(1, 1), (2, 0)], too_many, F(1, 20), 0),
@@ -199,4 +197,4 @@ def test_every_count_draw_refuses_m_from_2_to_the_63():
         with pytest.raises(InvalidParams, match="below 2\\*\\*63") as raised:
             call()
         assert isinstance(raised.value, ValueError)
-    assert sum(c for _, c in draw_counts(dist, 2**63 - 1, 1)) == 2**63 - 1
+    assert sum(c for _, c in draw_sample(dist, 2**63 - 1, 1, FiniteSubset((3,))).packed_counts) == 2**63 - 1

@@ -48,15 +48,8 @@ from llp_lab import (
     x3c_to_epsc,
 )
 from llp_lab.cli import main
-from llp_lab.core import (
-    _sample_packed,
-    check_same_domain,
-    draw_counts,
-    make_distribution,
-    points_from_counts,
-)
+from llp_lab.core import _draw_packed, _sample_packed, make_distribution
 from llp_lab.reductions import ConsistencyRun, OracleCall, Transcript
-from test_core import _pack_counts
 from wire_values import consistency_instances, epsc_instances, x3c_instances
 
 
@@ -392,8 +385,9 @@ def _consistency_reference(inst, oracle, delta, seed):
     dist = make_distribution((p, F(a, X)) for p, a in zip(inst.points, inst.mults))
     eps = F(1, 2 * X)
     m = oracle.sample_size(eps, F(delta))
-    counts = draw_counts(dist, m, derive_seed(seed, "consistency-draw"))
-    domain, packed = check_same_domain(points_from_counts(counts)), _pack_counts(counts)
+    weighted = dist.weighted
+    packed = _draw_packed(weighted.packed_counts, weighted.m, m, derive_seed(seed, "consistency-draw"))
+    domain = weighted.domain if m else None
     transcript = []
     for j in range(m + 1):
         claim = F(j, m)

@@ -36,8 +36,10 @@ from llp_lab import (
     true_proportion,
     uniform_over,
 )
-from llp_lab.core import COUNT_DRAW_MIN, draw_counts, draw_points, points_from_counts
+from llp_lab.core import COUNT_DRAW_MIN, _draw, _draw_packed, _unpack_bits
 from llp_lab.sampling import _scored, smallest_gap
+from test_core import _pack_counts
+from test_point_form import _tuple_points
 from wire_values import tasks
 
 TWO_ATOM = make_distribution([(1, F(3, 10)), (2, F(7, 10))])
@@ -140,7 +142,9 @@ def test_draw_labeled_points_at_count_draw_min_uses_the_count_sampler():
     dist = make_distribution([((0, 1), F(1, 6)), ((1, 0), F(1, 3)), ((1, 1), F(1, 2))])
     target = Parity((1, 0))
     points, labels = draw_labeled_points(dist, COUNT_DRAW_MIN, seed=4, target=target)
-    assert points == points_from_counts(draw_counts(dist, COUNT_DRAW_MIN, 4))
+    counts = _draw_packed(dist.weighted.packed_counts, dist.weighted.m, COUNT_DRAW_MIN, 4)
+    # the binomial draw has no draw order: its points come grouped by atom
+    assert points == tuple(_unpack_bits(x, 2) for x, c in counts for _ in range(c))
     assert labels == tuple(evaluate(target, x) for x in points)
 
 
@@ -155,11 +159,11 @@ BITS_DIST = make_distribution([((0, 1), F(1, 6)), ((1, 0), F(1, 3)), ((1, 1), F(
 @pytest.mark.parametrize("target", [Parity((1, 0)), ConstantRandom(F(1, 3))], ids=["proper", "constant-random"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_the_three_draws_agree(dist, m, target, seed):
-    # draw_sample, draw_points and draw_labeled_points make one draw, and the
+    # draw_sample, `_draw` and draw_labeled_points make one draw, and the
     # labels behind a sample's p_hat are the ones draw_labeled_points returns
     sample = draw_sample(dist, m, seed, target)
     points, labels = draw_labeled_points(dist, m, seed, target)
-    assert sample.points == draw_points(dist, m, seed) == points
+    assert _tuple_points(sample) == _tuple_points(_draw(dist, m, seed)) == points
     assert len(labels) == m and sample.positive_count == sum(labels)
     if isinstance(target, Parity):
         assert labels == tuple(evaluate(target, x) for x in points)
@@ -283,7 +287,7 @@ def _mass(h, dist):
 
 
 def _reference_draw_counts(dist, m, seed):
-    """The reference `draw_counts`: Fraction masses, one division and one subtraction per atom."""
+    """The reference binomial draw (`_draw_packed` on `weighted`), unpacked: Fraction masses, one division and one subtraction per atom."""
     rng = np.random.Generator(np.random.PCG64(seed))
     remaining = m
     rem_weight = F(1)
@@ -339,7 +343,9 @@ def test_weighted_sample_paths_match_the_fraction_masses(case, p_hats, m, seed):
         got = gap_learner(desc, dist, p_hat, values=values)
         assert (got.hypothesis, got.achieved, got.residual) == (values[want], want, abs(want - p_hat))
         assert got.work == {"candidates": len(values)}
-    assert draw_counts(dist, m, seed) == _reference_draw_counts(dist, m, seed)
-    assert draw_points(dist, m % 40, seed) == _reference_draw_points(dist, m % 40, seed)
-    assert "points" not in dist.weighted.__dict__
+    weighted = dist.weighted
+    assert _draw_packed(weighted.packed_counts, weighted.m, m, seed) == _pack_counts(_reference_draw_counts(dist, m, seed))
+    points = draw_labeled_points(dist, m % 40, seed, ConstantRandom(F(0)))[0]
+    assert points == _reference_draw_points(dist, m % 40, seed)
+    assert weighted.__dict__.keys() == {"domain", "m", "p_hat", "packed_counts", "_draws"}  # its order is never expanded
     assert dist.weighted.m == math.lcm(*(w.denominator for _, w in dist.atoms))

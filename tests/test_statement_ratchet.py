@@ -23,7 +23,7 @@ CEILINGS = {
     "_pcg64": 213,
     "bounds": 91,
     "cli": 259,
-    "core": 498,
+    "core": 484,
     "errors": 22,
     "generators": 71,
     "hypotheses": 554,

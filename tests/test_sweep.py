@@ -33,17 +33,18 @@ from llp_lab import (
     hits_exactly,
     make_brute_oracle,
     noisy_parity_via_llp,
+    sample_to_json,
 )
 from llp_lab.core import (
     _claim_samples,
+    _draw_packed,
     _pack,
     _sample_packed,
-    draw_counts,
     make_distribution,
 )
 from llp_lab.reductions import OracleCall
-from test_core import _pack_counts
 from test_packed import _noisy_parity_reference, _noisy_setups, _tuple_labeled
+from test_point_form import _tuple_points
 from test_reductions import _consistency_reference
 
 
@@ -82,9 +83,7 @@ def _check_kept(keeper, transcript, domain, packed_counts, m, draws=None):
         assert sample.p_hat == line.claimed
         assert sample.packed_counts is shared
         assert (sample.domain, sample.m) == (domain, m)
-        want = _sample_packed(domain, packed_counts, m, line.claimed, draws)
-        assert sample.points == want.points
-        assert sample.counts == want.counts
+        assert sample == _sample_packed(domain, packed_counts, m, line.claimed, draws)
 
 
 def _instance(class_id, n, points, seed):
@@ -95,7 +94,7 @@ def _instance(class_id, n, points, seed):
 def _consistency_counts(inst, m, seed):
     X = inst.total
     dist = make_distribution((p, F(a, X)) for p, a in zip(inst.points, inst.mults))
-    return _pack_counts(draw_counts(dist, m, derive_seed(seed, "consistency-draw")))
+    return _draw_packed(dist.weighted.packed_counts, dist.weighted.m, m, derive_seed(seed, "consistency-draw"))
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +116,14 @@ def test_reading_one_claims_points_builds_no_other_claims_points():
 
     def solve(sample, claimed, epsilon, delta):
         if claimed == 0:
-            assert sample.points and sample.counts  # build them on this claim only
+            assert sample_to_json(sample)["points"] and repr(sample)  # unpack this claim's points only
         return first(sample, claimed, epsilon, delta)
 
     run = consistency_via_llp(inst, LLPOracle(solve, keeper.sample_size), F(1, 20), 9)
     samples = [sample for sample, _ in keeper.calls]
-    assert "points" in vars(samples[0]) and "counts" in vars(samples[0])
     assert len(samples) > 1
-    assert all("points" not in vars(s) and "counts" not in vars(s) for s in samples[1:])
+    # no claim sample, the one whose points were read included, holds more than the shared form
+    assert all(vars(s).keys() == {"domain", "m", "p_hat", "packed_counts", "_draws"} for s in samples)
     _check_kept(keeper, run.transcript, inst.packed[0], _consistency_counts(inst, 30, 9), 30)
 
 
@@ -142,7 +141,7 @@ def test_noisy_parity_sweep_hands_the_oracle_fresh_samples_in_draw_order(seed):
     draws = [_pack(p) for p in kept]
     counts = tuple(sorted(Counter(draws).items()))
     _check_kept(keeper, run.transcript, ("bits", n), counts, len(kept), draws)
-    assert all(sample.points == kept for sample, _ in keeper.calls)
+    assert all(_tuple_points(sample) == kept for sample, _ in keeper.calls)
 
 
 def test_a_new_response_after_a_rejected_one_gets_its_own_check(monkeypatch):
@@ -213,7 +212,7 @@ def test_noisy_parity_sweep_asks_what_the_reference_asks(setup_desc, m, mode, se
     want = _outcome(_noisy_parity_reference, setup, m, want_keeper.oracle, F(1, 10), seed)
     assert got == want
     assert [c for _, c in got_keeper.calls] == [c for _, c in want_keeper.calls]
-    assert [s.points for s, _ in got_keeper.calls] == [s.points for s, _ in want_keeper.calls]
+    assert [_tuple_points(s) for s, _ in got_keeper.calls] == [_tuple_points(s) for s, _ in want_keeper.calls]
 
 
 @pytest.mark.parametrize("per_claim", [False, True])
@@ -292,7 +291,7 @@ def test_claim_samples_cover_every_claim_and_an_empty_sample_has_one():
     assert claims == [F(0), F(1, 3), F(2, 3), F(1)]
     ((claim, sample),) = list(_claim_samples(_sample_packed(None, (), 0, F(0), [])))
     assert claim == 0 and sample.p_hat == 0
-    assert (sample.domain, sample.m, sample.points, sample.counts) == (None, 0, (), ())
+    assert (sample.domain, sample.m, sample._order(), sample.packed_counts) == (None, 0, (), ())
 
 
 def test_noisy_parity_with_nothing_kept_asks_one_claim_over_an_empty_sample():
@@ -303,4 +302,4 @@ def test_noisy_parity_with_nothing_kept_asks_one_claim_over_an_empty_sample():
     assert tuple(run.transcript) == (OracleCall(F(0), Parity((0, 0, 0)), True),)
     ((sample, claim),) = keeper.calls
     assert claim == 0
-    assert (sample.domain, sample.m, sample.packed_counts, sample.points) == (None, 0, (), ())
+    assert (sample.domain, sample.m, sample.packed_counts, sample._order()) == (None, 0, (), ())

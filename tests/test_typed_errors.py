@@ -40,7 +40,6 @@ from llp_lab import (
     distribution_from_json,
     distribution_to_json,
     draw_labeled_points,
-    draw_points,
     draw_sample,
     evaluate,
     hypothesis_from_json,
@@ -67,12 +66,13 @@ from llp_lab.core import (
     _coin_flips,
     _cut_draws,
     _cut_table,
+    _draw,
     _draw_cube,
+    _draw_packed,
     _draw_small,
     _pack,
     _sample_packed,
     check_same_domain,
-    draw_counts,
 )
 from llp_lab._pcg64 import PCG64
 from llp_lab.bounds import (
@@ -85,7 +85,7 @@ from llp_lab.errors import InvalidParams, MalformedEncoding
 from llp_lab.oracles import erm_oracle_sample_size
 
 # modules not named here have a ceiling of 0
-CEILINGS = {"core": 3, "hypotheses": 15, "learners": 0}
+CEILINGS = {"core": 2, "hypotheses": 15, "learners": 0}
 UNTYPED = ("ValueError", "TypeError")
 
 
@@ -157,14 +157,14 @@ def test_negative_draw_sizes_raise_invalid_params():
     one = make_distribution([(3, 1)])
     two = make_distribution([(3, F(1, 3)), (5, F(2, 3))])
     calls = [
-        lambda: draw_counts(one, -1, 0),
-        lambda: draw_counts(two, -1, 0),
+        lambda: _draw_packed(one.weighted.packed_counts, one.weighted.m, -1, 0),
+        lambda: _draw_packed(two.weighted.packed_counts, two.weighted.m, -1, 0),
         lambda: _draw_small(two, -1, 0),
         lambda: _draw_cube(3, -1, 0),
         lambda: _coin_flips(F(1, 2), -1, random.Random(0)),
         lambda: _cut_draws([0.5], _cut_table([0.5]), -1, random.Random(0)),
-        lambda: draw_points(two, -1, 0),
-        lambda: draw_points(UniformCube(3), -1, 0),
+        lambda: draw_labeled_points(two, -1, 0, FiniteSubset((3,))),
+        lambda: draw_labeled_points(UniformCube(3), -1, 0, Parity((1, 0, 1))),
     ]
     for call in calls:
         with pytest.raises(InvalidParams, match="m must be >= 0") as raised:
@@ -192,12 +192,10 @@ def test_every_draw_route_refuses_a_seed_that_is_not_an_int_at_least_0(seed):
     # random.Random would draw for -5 what it draws for 5, and would take a float, a str or None
     for dist, m, target in _ROUTES:
         calls = [
-            lambda: draw_points(dist, m, seed),
+            lambda: _draw(dist, m, seed),
             lambda: draw_sample(dist, m, seed, target),
             lambda: draw_labeled_points(dist, m, seed, target),
         ]
-        if not isinstance(dist, UniformCube):
-            calls.append(lambda: draw_counts(dist, m, seed))
         for call in calls:
             with pytest.raises(InvalidParams, match="seed must be an int >= 0") as raised:
                 call()
@@ -224,10 +222,10 @@ def test_derive_seed_refuses_a_part_that_is_not_an_int_or_a_str(part):
 @pytest.mark.parametrize("dist, m, target", _ROUTES)
 def test_every_draw_route_takes_an_int_seed_at_least_0(dist, m, target):
     for seed in (0, 5, 2**64, 2**200):
-        assert draw_sample(dist, m, seed, target).m == len(draw_points(dist, m, seed)) == m
-        assert len(draw_labeled_points(dist, m, seed, target)[1]) == m
+        points, labels = draw_labeled_points(dist, m, seed, target)
+        assert draw_sample(dist, m, seed, target).m == len(points) == len(labels) == m
         if not isinstance(dist, UniformCube):
-            assert sum(c for _, c in draw_counts(dist, m, seed)) == m
+            assert sum(c for _, c in _draw_packed(dist.weighted.packed_counts, dist.weighted.m, m, seed)) == m
 
 
 @pytest.mark.parametrize(
@@ -355,6 +353,20 @@ def test_decoders_refuse_a_bool_where_an_int_belongs(name, obj):
     # each once decoded, as the int the bool stands for
     with pytest.raises(ValueError):
         DECODERS[name][0](obj)
+
+
+@pytest.mark.parametrize("bits", ["01x", "", "0 1", "2", 101, None])
+def test_malformed_bit_strings_raise_malformed_encoding(bits):
+    # a bad bit string once raised a bare ValueError from every decoder that reads one
+    calls = [
+        lambda: point_from_json({"bits": bits}),
+        lambda: sample_from_json({"points": [{"bits": "01"}, {"bits": bits}], "p_hat_num": 0, "p_hat_den": 1}),
+        lambda: hypothesis_from_json({"kind": "parity", "mask": bits}),
+    ]
+    for call in calls:
+        with pytest.raises(MalformedEncoding) as raised:
+            call()
+        assert isinstance(raised.value, ValueError)
 
 
 def test_a_trials_config_refuses_a_bool_dimension():
